@@ -30,7 +30,7 @@ from .experiments import (
     paper_table_text,
 )
 from .ioutil import atomic_write_text, fmt
-from .kernels import build_kernel_table
+from .kernels import ConsistencyError
 from .observables import drift_velocity
 from .state import build_state, norm_m, write_state_csv
 
@@ -80,6 +80,11 @@ def _config_from_args(args) -> RunConfig:
     return RunConfig(**{**base.__dict__, **overrides})
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def _cmd_run(args) -> int:
     try:
         config = _config_from_args(args)
@@ -87,21 +92,19 @@ def _cmd_run(args) -> int:
         state = build_state(lattice, config.state_spec())
         evolution = config.evolution()
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        return _fail(exc, EXIT_BAD_CONFIG)
     try:
-        kernels = build_kernel_table(lattice) if lattice.parity == "odd" else None
         series = run(
             state,
             evolution,
             config.n_steps,
             config.record_every,
-            kernels=kernels,
             checkpoint_every=config.checkpoint_every,
         )
-    except TimestepBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    except (TimestepBoundError, ConsistencyError) as exc:
+        return _fail(exc, EXIT_GUARD)
+    except ValueError as exc:  # e.g. a step that leaves the finite floats
+        return _fail(exc, EXIT_BAD_CONFIG)
     if config.csv_path:
         series.write_csv(config.csv_path)
     else:
@@ -148,17 +151,7 @@ def _cmd_paper_table(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _cmd_compare(args) -> int:
-    try:
-        config = _config_from_args(args)
-        if config.parity_mode != "odd_standard":
-            raise ValueError("compare runs on the standard odd lattice")
-        lattice = config.lattice()
-        state = build_state(lattice, config.state_spec())
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    kernels = build_kernel_table(lattice)
+def _compare_rows(state, config: RunConfig) -> list[tuple]:
     rows = []
     euler_state = state
     for step in range(config.n_steps + 1):
@@ -173,16 +166,30 @@ def _cmd_compare(args) -> int:
                     deviation,
                     norm_m(euler_state),
                     norm_m(exact_state),
-                    drift_velocity(euler_state, kernels),
-                    drift_velocity(exact_state, kernels),
+                    drift_velocity(euler_state),
+                    drift_velocity(exact_state),
                 )
             )
         if step < config.n_steps:
-            try:
-                euler_state = euler_step_spectral(euler_state, config.tau)
-            except TimestepBoundError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_GUARD
+            euler_state = euler_step_spectral(euler_state, config.tau)
+    return rows
+
+
+def _cmd_compare(args) -> int:
+    try:
+        config = _config_from_args(args)
+        if config.parity_mode != "odd_standard":
+            raise ValueError("compare runs on the standard odd lattice")
+        lattice = config.lattice()
+        state = build_state(lattice, config.state_spec())
+    except (ValueError, OSError) as exc:
+        return _fail(exc, EXIT_BAD_CONFIG)
+    try:
+        rows = _compare_rows(state, config)
+    except (TimestepBoundError, ConsistencyError) as exc:
+        return _fail(exc, EXIT_GUARD)
+    except ValueError as exc:
+        return _fail(exc, EXIT_BAD_CONFIG)
     lines = ["step,deviation,m_euler,m_exact,drift_euler,drift_exact"]
     for row in rows:
         lines.append(str(row[0]) + "," + ",".join(fmt(x) for x in row[1:]))

@@ -39,6 +39,16 @@ class RunConfig:
     checkpoint_every: int = 0
     checkpoint_dir: str = ""
 
+    def __post_init__(self):
+        if self.n_steps < 0:
+            raise ValueError(f"n_steps must be >= 0 (got {self.n_steps})")
+        if self.record_every < 1:
+            raise ValueError(f"record_every must be >= 1 (got {self.record_every})")
+        if self.checkpoint_every < 0:
+            raise ValueError(
+                f"checkpoint_every must be >= 0 (got {self.checkpoint_every})"
+            )
+
     def lattice(self) -> Lattice:
         if self.parity_mode == "even_naive":
             if self.n_sites % 2 != 0:

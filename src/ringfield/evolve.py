@@ -27,6 +27,7 @@ once it crosses, which is the point of the demonstration.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -83,8 +84,15 @@ class EvolutionConfig:
 
 
 def check_tau_bound(tau: float, lattice: Lattice) -> None:
-    """Enforce tau g^2 N^2 < 0.5, warning above 0.1."""
-    stiffness = tau * lattice.reciprocal_constant**2 * lattice.n_sites**2
+    """Enforce tau g^2 N^2 < 0.5, warning above 0.1.
+
+    A stiffness too large for a float (a vanishing lattice constant)
+    counts as infinite and fails the bound.
+    """
+    try:
+        stiffness = tau * lattice.reciprocal_constant**2 * lattice.n_sites**2
+    except OverflowError:
+        stiffness = math.inf
     if stiffness >= TAU_HARD_LIMIT:
         raise TimestepBoundError(
             f"tau * g^2 * N^2 = {stiffness:.3f} >= {TAU_HARD_LIMIT}; "

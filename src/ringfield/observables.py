@@ -1,17 +1,23 @@
 """Conserved and diagnostic quantities of a field state.
 
 The two conserved observables of the process are the total M and the
-drift velocity of the combined distribution,
+drift velocity of the combined distribution.  Their defining double
+sums over site pairs use the first-power kernel G,
 
     <V> = 4 g sum_{s,r} a_s b_r G(s - r),
+    <P> = -i g sum_{s,r} conj(c_s) c_r G(s - r),
 
-which equals twice the momentum expectation
+and <V> = 2 <P> under the units in use (velocity = 2 momentum).  G is
+diagonal in the unbiased basis, where it acts as i kappa on the
+momentum coefficients, so both are evaluated from the spectrum:
 
-    <P> = -i g sum_{s,r} conj(c_s) c_r G(s - r)
+    <P> = g sum_k kappa |c_hat_k|^2,
+    <V> = 4 g sum_k kappa Im(a_hat_k conj(b_hat_k)),
 
-under the units in use (velocity = 2 momentum).  Position mean and
-spread are circular moments, since the lattice is a circle and linear
-moments stop meaning anything once a packet wraps.
+at the cost of one transform of each field and no N x N matrix.  The
+double sums over the dense ``g_site_matrix`` stay as the test oracle.
+Position mean and spread are circular moments, since the lattice is a
+circle and linear moments stop meaning anything once a packet wraps.
 """
 
 from __future__ import annotations
@@ -21,52 +27,88 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import to_momentum_basis
-from .kernels import ConsistencyError, KernelTable, g_site_matrix
-from .state import DegenerateStateError, FieldState, combined_distribution, norm_m
+from .kernels import ConsistencyError, KernelTable
+from .lattice import Lattice
+from .state import (
+    DegenerateStateError,
+    FieldState,
+    combined_distribution,
+    norm_m,
+    state_from_amplitudes,
+)
 
 # spread is reported from the resultant length R of the circular first
 # moment; R is floored to keep log() finite for spread-less (flat) states
 _MIN_RESULTANT = 1e-300
 
 
-def _g_matrix_for(state: FieldState, kernels: KernelTable | None) -> np.ndarray:
-    if kernels is not None:
-        if kernels.lattice != state.lattice:
-            raise ValueError("state and kernel table live on different lattices")
-    return g_site_matrix(state.lattice)
+def _check_table(state: FieldState, kernels: KernelTable | None) -> None:
+    if kernels is not None and kernels.lattice != state.lattice:
+        raise ValueError("state and kernel table live on different lattices")
+
+
+def _field_spectra(state: FieldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Momentum coefficients of a and of b, and the occupation |c_hat|^2.
+
+    The fields are transformed one at a time, so a state with b = 0 has
+    b_hat = 0 exactly and no drift at all.  The transform is unitary:
+    an occupation that misses the site-space M by more than
+    1e-10 max(1, M) means a broken transform and raises
+    ``ConsistencyError``.
+    """
+    lattice = state.lattice
+    a_hat = to_momentum_basis(state_from_amplitudes(lattice, state.a)).coefficients
+    b_hat = to_momentum_basis(state_from_amplitudes(lattice, state.b)).coefficients
+    occupation = np.abs(a_hat + 1j * b_hat) ** 2
+    m_sites = norm_m(state)
+    gap = float(np.sum(occupation)) - m_sites
+    if abs(gap) > 1e-10 * max(1.0, m_sites):
+        raise ConsistencyError(
+            f"momentum occupation differs from M by {gap:.3e} (Parseval)"
+        )
+    return a_hat, b_hat, occupation
+
+
+def _drift(lattice: Lattice, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+    kappa = lattice.momentum_values()
+    cross = np.imag(a_hat * np.conj(b_hat))
+    return float(4.0 * lattice.reciprocal_constant * np.sum(kappa * cross))
+
+
+def _momentum(lattice: Lattice, occupation: np.ndarray) -> float:
+    kappa = lattice.momentum_values()
+    return float(lattice.reciprocal_constant * np.sum(kappa * occupation))
 
 
 def drift_velocity(state: FieldState, kernels: KernelTable | None = None) -> float:
-    """Drift velocity 4 g sum a_s b_r G(s-r), unwrapped displacements."""
-    gmat = _g_matrix_for(state, kernels)
-    return float(4.0 * state.lattice.reciprocal_constant * state.a @ (gmat @ state.b))
+    """Drift velocity 4 g sum a_s b_r G(s-r), from the field spectra.
+
+    ``kernels`` is optional and only checked to live on the state's
+    lattice.  Exactly 0.0 when b = 0.
+    """
+    _check_table(state, kernels)
+    a_hat, b_hat, _occupation = _field_spectra(state)
+    return _drift(state.lattice, a_hat, b_hat)
 
 
 def momentum_expectation(state: FieldState, kernels: KernelTable | None = None) -> float:
-    """Momentum expectation from the G kernel double sum.
+    """Momentum expectation g sum_k kappa |c_hat_k|^2.
 
-    The bilinear form is guaranteed real; a residual imaginary part
-    above 1e-10 signals a broken kernel table and raises
-    ``ConsistencyError``.
+    Equal to the G kernel double sum -i g sum conj(c_s) c_r G(s - r),
+    which is its definition and the test oracle.  ``kernels`` is
+    optional and only checked to live on the state's lattice.  Raises
+    ``ConsistencyError`` when the spectrum fails the Parseval check.
     """
-    gmat = _g_matrix_for(state, kernels)
-    amps = state.amplitudes()
-    value = -1j * state.lattice.reciprocal_constant * np.vdot(amps, gmat @ amps)
-    budget = 1e-10 * max(1.0, norm_m(state))
-    if abs(value.imag) > budget:
-        raise ConsistencyError(
-            f"momentum expectation has imaginary residue {value.imag:.3e}"
-        )
-    return float(value.real)
+    _check_table(state, kernels)
+    _a_hat, _b_hat, occupation = _field_spectra(state)
+    return _momentum(state.lattice, occupation)
 
 
 def momentum_expectation_spectral(state: FieldState) -> float:
-    """Independent spectral evaluation g sum_k kappa |c_hat_k|^2."""
-    spectrum = to_momentum_basis(state)
-    kappa = state.lattice.momentum_values()
-    return float(
-        state.lattice.reciprocal_constant * np.sum(kappa * spectrum.occupation())
-    )
+    """Independent spectral evaluation g sum_k kappa |c_hat_k|^2, from
+    one transform of the complex amplitudes and without the Parseval
+    check."""
+    return _momentum(state.lattice, to_momentum_basis(state).occupation())
 
 
 def momentum_distribution(state: FieldState) -> np.ndarray:
@@ -74,13 +116,12 @@ def momentum_distribution(state: FieldState) -> np.ndarray:
     return to_momentum_basis(state).occupation()
 
 
-def _circular_moments(state: FieldState) -> tuple[float, float]:
-    density = combined_distribution(state)
+def _circular_moments(lattice: Lattice, density: np.ndarray) -> tuple[float, float]:
     total = float(np.sum(density))
     if total <= 0.0:
         raise DegenerateStateError("position moments need a state with M > 0")
-    n = state.lattice.n_sites
-    angles = 2.0 * np.pi * state.lattice.sites() / n
+    n = lattice.n_sites
+    angles = 2.0 * np.pi * lattice.sites() / n
     resultant = np.sum(density * np.exp(1j * angles)) / total
     mean = float(np.angle(resultant) * n / (2.0 * np.pi))
     radius = max(float(np.abs(resultant)), _MIN_RESULTANT)
@@ -90,12 +131,27 @@ def _circular_moments(state: FieldState) -> tuple[float, float]:
 
 def position_mean(state: FieldState) -> float:
     """Circular mean of the combined distribution, in site units."""
-    return _circular_moments(state)[0]
+    return _circular_moments(state.lattice, combined_distribution(state))[0]
 
 
 def position_spread(state: FieldState) -> float:
     """Circular standard deviation of the combined distribution (sites)."""
-    return _circular_moments(state)[1]
+    return _circular_moments(state.lattice, combined_distribution(state))[1]
+
+
+def _shape_residual(
+    lattice: Lattice, density: np.ndarray, mean: float, spread: float
+) -> float:
+    spread = max(spread, 1e-9)
+    n = lattice.n_sites
+    offsets = lattice.sites() - mean
+    offsets = (offsets + n / 2.0) % n - n / 2.0
+    model = np.zeros_like(density)
+    for image in (-1, 0, 1):
+        model += np.exp(-((offsets + image * n) ** 2) / (2.0 * spread**2))
+    amplitude = float(np.sum(model * density) / np.sum(model * model))
+    rms = np.sqrt(np.mean((density - amplitude * model) ** 2))
+    return float(rms / np.max(density))
 
 
 def gaussian_shape_residual(state: FieldState) -> float:
@@ -108,17 +164,8 @@ def gaussian_shape_residual(state: FieldState) -> float:
     else.
     """
     density = combined_distribution(state)
-    mean, spread = _circular_moments(state)
-    spread = max(spread, 1e-9)
-    n = state.lattice.n_sites
-    offsets = state.lattice.sites() - mean
-    offsets = (offsets + n / 2.0) % n - n / 2.0
-    model = np.zeros_like(density)
-    for image in (-1, 0, 1):
-        model += np.exp(-((offsets + image * n) ** 2) / (2.0 * spread**2))
-    amplitude = float(np.sum(model * density) / np.sum(model * model))
-    rms = np.sqrt(np.mean((density - amplitude * model) ** 2))
-    return float(rms / np.max(density))
+    mean, spread = _circular_moments(state.lattice, density)
+    return _shape_residual(state.lattice, density, mean, spread)
 
 
 def count_local_maxima(distribution: np.ndarray, prominence: float = 1e-6) -> int:
@@ -205,14 +252,22 @@ class ObservableSnapshot:
 
 
 def snapshot(state: FieldState, step: int, kernels: KernelTable | None = None) -> ObservableSnapshot:
-    """Measure all reported observables of a state."""
-    mean, spread = _circular_moments(state)
+    """Measure all reported observables of a state.
+
+    The field spectra and the combined distribution are each computed
+    once and shared by the observables that need them.
+    """
+    _check_table(state, kernels)
+    lattice = state.lattice
+    a_hat, b_hat, occupation = _field_spectra(state)
+    density = combined_distribution(state)
+    mean, spread = _circular_moments(lattice, density)
     return ObservableSnapshot(
         step=int(step),
         m_total=norm_m(state),
-        drift_velocity=drift_velocity(state, kernels),
-        momentum_expectation=momentum_expectation(state, kernels),
+        drift_velocity=_drift(lattice, a_hat, b_hat),
+        momentum_expectation=_momentum(lattice, occupation),
         position_mean=mean,
         position_spread=spread,
-        shape_residual=gaussian_shape_residual(state),
+        shape_residual=_shape_residual(lattice, density, mean, spread),
     )

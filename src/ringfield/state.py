@@ -209,13 +209,20 @@ def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
     """Load a (site, a, b) checkpoint; lattice parity is inferred from
     the site labels."""
     with open(path) as handle:
-        lines = [ln.strip() for ln in handle if ln.strip()]
-    if not lines or lines[0] != STATE_CSV_HEADER:
+        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(handle, start=1)
+                 if ln.strip()]
+    if not lines or lines[0][1] != STATE_CSV_HEADER:
         raise ValueError(f"{path}: expected header {STATE_CSV_HEADER!r}")
-    rows = [ln.split(",") for ln in lines[1:]]
-    sites = np.array([int(r[0]) for r in rows])
-    a = np.array([float(r[1]) for r in rows])
-    b = np.array([float(r[2]) for r in rows])
+    rows = [line.split(",") for _lineno, line in lines[1:]]
+    for (lineno, line), row in zip(lines[1:], rows):
+        if len(row) != 3:
+            raise ValueError(f"{path}: line {lineno}: expected site,a,b, got {line!r}")
+    try:
+        sites = np.array([int(r[0]) for r in rows])
+        a = np.array([float(r[1]) for r in rows])
+        b = np.array([float(r[2]) for r in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     n = len(sites)
     lattice = (
         make_lattice(n, lattice_constant)

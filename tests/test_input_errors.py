@@ -1,0 +1,64 @@
+"""Invalid input reaches its documented exit code with a one-line
+message, and malformed checkpoints name the offending line."""
+
+import pytest
+
+from ringfield import RunConfig, read_state_csv
+from ringfield.cli import main
+
+SMALL = ["--n-sites", "101", "--width", "5"]
+
+# argv -> exit code (0 success, 2 invalid configuration, 3 numerical guard)
+EXIT_CODES = [
+    (["run", *SMALL, "--n-steps", "2", "--record-every", "1"], 0),
+    (["run", *SMALL, "--record-every", "0"], 2),
+    (["run", *SMALL, "--n-steps", "-1"], 2),
+    (["run", *SMALL, "--n-steps", "2", "--checkpoint-every", "-3"], 2),
+    (["run", *SMALL, "--config", "no/such/run.cfg"], 2),
+    (["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
+    (["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300",
+      "--scheme", "exact"], 2),
+    (["compare", *SMALL, "--record-every", "0"], 2),
+    (["compare", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv, expected", EXIT_CODES, ids=[" ".join(a) for a, _ in EXIT_CODES])
+def test_exit_code(argv, expected, capsys):
+    # an exception escaping main() is what prints a traceback
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (0 if expected == 0 else 1)
+
+
+def test_config_file_values_are_validated(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_sites = 101\nwidth = 5.0\nrecord_every = 0\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "record_every" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_steps", -1), ("record_every", 0), ("checkpoint_every", -3),
+])
+def test_run_config_rejects(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunConfig(**{field: value})
+
+
+@pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0.0,7"])
+def test_bad_checkpoint_row_names_path_and_line(tmp_path, row):
+    path = tmp_path / "state.csv"
+    path.write_text(f"site,a,b\n-1,0.5,0.0\n\n{row}\n1,0.5,0.0\n")
+    with pytest.raises(ValueError, match=r"state\.csv: line 4: expected site,a,b"):
+        read_state_csv(str(path))
+
+
+def test_bad_checkpoint_value_names_path(tmp_path):
+    path = tmp_path / "state.csv"
+    path.write_text("site,a,b\n-1,0.5,0.0\n0,one,0.0\n1,0.5,0.0\n")
+    with pytest.raises(ValueError, match=r"state\.csv: .*'one'"):
+        read_state_csv(str(path))
