@@ -15,11 +15,13 @@ from .config import RunConfig, parse_config_text, read_config
 from .evolve import (
     EvolutionConfig,
     TimestepBoundError,
+    advance,
     euler_step,
     euler_step_spectral,
     even_naive_step,
     exact_step,
     make_even_lattice,
+    propagate,
     run,
     translate,
     translate_spectral,

@@ -14,6 +14,7 @@ sign-corrected variant (even N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
 
 import numpy as np
@@ -34,6 +35,33 @@ class MomentumSpectrum:
         return np.abs(self.coefficients) ** 2
 
 
+@lru_cache(maxsize=32)
+def _basis_tables(lattice: Lattice):
+    """Per-lattice slot indices and phases of the transform pair.
+
+    ``slots`` maps each momentum to its FFT output index; ``offset`` is
+    the storage-offset phase exp(-2 pi i kappa site_min / N) and
+    ``unoffset`` its inverse; ``twist``/``untwist`` absorb the extra half
+    wave of an even lattice (``None`` on odd lattices).  All read-only.
+    """
+    n = lattice.n_sites
+    kappa = lattice.momentum_values()
+    even = lattice.parity == EVEN
+    slots = (kappa - 0.5 * even).astype(int) % n
+    offset = np.exp(-2j * np.pi * kappa * lattice.site_min / n)
+    unoffset = np.exp(2j * np.pi * kappa * lattice.site_min / n)
+    twist = untwist = None
+    if even:
+        idx = np.arange(n)
+        twist = np.exp(-1j * np.pi * idx / n)
+        untwist = np.exp(1j * np.pi * idx / n)
+    tables = (slots, offset, unoffset, twist, untwist)
+    for table in tables:
+        if table is not None:
+            table.setflags(write=False)
+    return tables
+
+
 def to_momentum_basis(state: FieldState) -> MomentumSpectrum:
     """Project onto the unbiased basis.
 
@@ -41,17 +69,15 @@ def to_momentum_basis(state: FieldState) -> MomentumSpectrum:
     The transform is unitary, so the summed occupation equals M.
     """
     lat = state.lattice
-    n = lat.n_sites
-    kappa = lat.momentum_values()
+    slots, offset, _unoffset, twist, _untwist = _basis_tables(lat)
     amps = state.amplitudes()
-    if lat.parity == EVEN:
+    if twist is not None:
         # half-integer momenta: absorb the extra half wave into a twist
-        idx = np.arange(n)
-        amps = amps * np.exp(-1j * np.pi * idx / n)
-    slots = (kappa - 0.5 * (lat.parity == EVEN)).astype(int) % n
-    spectrum = np.fft.fft(amps)[slots] / sqrt(n)
+        amps *= twist
+    spectrum = np.fft.fft(amps)[slots]
+    spectrum /= sqrt(lat.n_sites)
     # undo the storage offset: site s sits at array index s - site_min
-    spectrum = spectrum * np.exp(-2j * np.pi * kappa * lat.site_min / n)
+    spectrum *= offset
     spectrum.setflags(write=False)
     return MomentumSpectrum(lattice=lat, coefficients=spectrum)
 
@@ -60,12 +86,11 @@ def from_momentum_basis(spectrum: MomentumSpectrum) -> FieldState:
     """Inverse of ``to_momentum_basis``; round trip is the identity."""
     lat = spectrum.lattice
     n = lat.n_sites
-    kappa = lat.momentum_values()
-    slots = (kappa - 0.5 * (lat.parity == EVEN)).astype(int) % n
-    packed = np.zeros(n, dtype=complex)
-    packed[slots] = spectrum.coefficients * np.exp(2j * np.pi * kappa * lat.site_min / n)
-    amps = sqrt(n) * np.fft.ifft(packed)
-    if lat.parity == EVEN:
-        idx = np.arange(n)
-        amps = amps * np.exp(1j * np.pi * idx / n)
+    slots, _offset, unoffset, _twist, untwist = _basis_tables(lat)
+    packed = np.empty(n, dtype=complex)
+    packed[slots] = spectrum.coefficients * unoffset
+    amps = np.fft.ifft(packed)
+    amps *= sqrt(n)
+    if untwist is not None:
+        amps *= untwist
     return state_from_amplitudes(lat, amps)

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, read_config
-from .evolve import TimestepBoundError, euler_step_spectral, exact_step, run
+from .evolve import EULER, EXACT, TimestepBoundError, propagate, run
 from .experiments import (
     even_odd_comparison,
     identity_suite,
@@ -152,26 +152,25 @@ def _cmd_paper_table(args) -> int:
 
 
 def _compare_rows(state, config: RunConfig) -> list[tuple]:
+    steps = sorted({config.n_steps, *range(0, config.n_steps + 1, config.record_every)})
     rows = []
-    euler_state = state
-    for step in range(config.n_steps + 1):
-        if step % config.record_every == 0 or step == config.n_steps:
-            exact_state = state if step == 0 else exact_step(state, step * config.tau)
-            deviation = float(
-                np.linalg.norm(euler_state.amplitudes() - exact_state.amplitudes())
+    for (step, euler_state), (_step, exact_state) in zip(
+        propagate(state, EULER, config.tau, steps),
+        propagate(state, EXACT, config.tau, steps),
+    ):
+        deviation = float(
+            np.linalg.norm(euler_state.amplitudes() - exact_state.amplitudes())
+        )
+        rows.append(
+            (
+                step,
+                deviation,
+                norm_m(euler_state),
+                norm_m(exact_state),
+                drift_velocity(euler_state),
+                drift_velocity(exact_state),
             )
-            rows.append(
-                (
-                    step,
-                    deviation,
-                    norm_m(euler_state),
-                    norm_m(exact_state),
-                    drift_velocity(euler_state),
-                    drift_velocity(exact_state),
-                )
-            )
-        if step < config.n_steps:
-            euler_state = euler_step_spectral(euler_state, config.tau)
+        )
     return rows
 
 

@@ -27,12 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evolve import (
+    EULER,
+    EVEN_NAIVE,
+    EXACT,
     EvolutionConfig,
+    advance,
     euler_step,
-    euler_step_spectral,
-    even_naive_step,
     exact_step,
     make_even_lattice,
+    propagate,
     run,
 )
 from .ioutil import atomic_write_text
@@ -420,6 +423,7 @@ def identity_suite(
 
 KERNEL_F_RTOL = 1e-9
 KERNEL_G_RTOL = 1e-9
+KERNEL_ORACLE_BLOCK = 256  # displacements per block of the direct sums
 
 
 def kernel_oracle_check(
@@ -438,9 +442,15 @@ def kernel_oracle_check(
         half = lattice.half_width
         d = np.arange(-2 * half, 2 * half + 1)
         k = np.arange(-half, half + 1).astype(float)
-        phases = np.exp(2j * np.pi * np.multiply.outer(k, d) / n)
-        f_spectral = (k**2) @ phases / n
-        g_spectral = 1j * (k @ phases) / n
+        f_spectral = np.empty(d.size, dtype=complex)
+        g_spectral = np.empty(d.size, dtype=complex)
+        # the same direct sums, a block of displacements at a time, so the
+        # phase matrix stays N x KERNEL_ORACLE_BLOCK
+        for lo in range(0, d.size, KERNEL_ORACLE_BLOCK):
+            block = slice(lo, lo + KERNEL_ORACLE_BLOCK)
+            phases = np.exp(2j * np.pi * np.multiply.outer(k, d[block]) / n)
+            f_spectral[block] = (k**2) @ phases / n
+            g_spectral[block] = 1j * (k @ phases) / n
         f_closed = kernel_f(d, lattice) + perturbation
         g_closed = kernel_g(d, lattice)
         f0 = kernel_f(0, lattice)
@@ -541,7 +551,6 @@ def qualitative_shape_run(seed: int = DEFAULT_SEED, n_sites: int = 801) -> Exper
       random fluctuations has no quantitative published statement).
     """
     lattice = make_lattice(n_sites)
-    kernels = build_kernel_table(lattice)
 
     # gaussian dispersion under the exact unitary
     state = gaussian_state(lattice, 0, GAUSSIAN_SIGMA, GAUSSIAN_VELOCITY_INDEX)
@@ -549,8 +558,7 @@ def qualitative_shape_run(seed: int = DEFAULT_SEED, n_sites: int = 801) -> Exper
     residual_max = 0.0
     monotone = True
     horizon, pieces = 200.0, 20
-    current = state
-    for _ in range(pieces + 1):
+    for _piece, current in propagate(state, EXACT, horizon / pieces, range(pieces + 1)):
         spread = position_spread(current)
         if spreads and spread < spreads[-1] - 1e-9:
             monotone = False
@@ -558,24 +566,19 @@ def qualitative_shape_run(seed: int = DEFAULT_SEED, n_sites: int = 801) -> Exper
         residual_max = max(residual_max, gaussian_shape_residual(current))
         if WRAP_CLEARANCE_SIGMAS * spread > n_sites / 2.0:
             break
-        current = exact_step(current, horizon / pieces)
     growth = spreads[-1] / spreads[0]
 
     # uniform window develops side lobes under the reaction process
     window = uniform_state(lattice, 0, 25, UNIFORM_VELOCITY_INDEX)
     maxima_before = count_local_maxima(combined_distribution(window))
-    stepped = window
-    for _ in range(1000):
-        stepped = euler_step_spectral(stepped, 1e-3)
+    stepped = advance(window, EULER, 1e-3, 1000)
     maxima_after = count_local_maxima(combined_distribution(stepped))
 
     # random state: descriptive smoothness metrics only
     rough = random_state(lattice, seed)
     rough_before = _roughness(rough)
     band_before = high_band_fraction(rough)
-    rough_after_state = rough
-    for _ in range(1000):
-        rough_after_state = euler_step_spectral(rough_after_state, 1e-3)
+    rough_after_state = advance(rough, EULER, 1e-3, 1000)
     rough_after = _roughness(rough_after_state)
     band_after = high_band_fraction(rough_after_state)
 
@@ -636,16 +639,11 @@ def even_odd_comparison(
     """
     even = make_even_lattice(n_even)
     odd = make_lattice(n_odd)
-    odd_kernels = build_kernel_table(odd)
 
     def deviation(lattice, center) -> float:
         state = gaussian_state(lattice, center, sigma)
-        stepped = state
-        for _ in range(n_steps):
-            if lattice.parity == "even":
-                stepped = even_naive_step(stepped, tau)
-            else:
-                stepped = euler_step(stepped, tau, odd_kernels)
+        kind = EVEN_NAIVE if lattice.parity == "even" else EULER
+        stepped = advance(state, kind, tau, n_steps)
         reference = exact_step(state, n_steps * tau)
         return float(np.linalg.norm(stepped.amplitudes() - reference.amplitudes()))
 

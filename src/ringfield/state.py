@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text, fmt
+from .ioutil import atomic_write_text
 from .lattice import EVEN, Lattice, make_even_lattice, make_lattice, wrap_index
 
 
@@ -195,34 +195,50 @@ STATE_CSV_HEADER = "site,a,b"
 
 
 def state_to_csv_text(state: FieldState) -> str:
-    lines = [STATE_CSV_HEADER]
-    for site, a_val, b_val in zip(state.lattice.sites(), state.a, state.b):
-        lines.append(f"{site},{fmt(a_val)},{fmt(b_val)}")
-    return "\n".join(lines) + "\n"
+    rows = map(
+        "{},{!r},{!r}".format,
+        state.lattice.sites().tolist(), state.a.tolist(), state.b.tolist(),
+    )
+    return STATE_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
 
 
 def write_state_csv(state: FieldState, path: str) -> None:
     atomic_write_text(path, state_to_csv_text(state))
 
 
+def _csv_row_error(path: str, rows: list[tuple[int, str]]) -> ValueError:
+    """The error for the first malformed (line number, text) data row."""
+    for lineno, line in rows:
+        fields = line.split(",")
+        if len(fields) != 3:
+            return ValueError(f"{path}: line {lineno}: expected site,a,b, got {line!r}")
+        try:
+            int(fields[0]), float(fields[1]), float(fields[2])
+        except ValueError as exc:
+            return ValueError(f"{path}: line {lineno}: {exc}")
+    return ValueError(f"{path}: unreadable site,a,b rows")
+
+
 def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
     """Load a (site, a, b) checkpoint; lattice parity is inferred from
     the site labels."""
     with open(path) as handle:
-        lines = [(lineno, ln.strip()) for lineno, ln in enumerate(handle, start=1)
-                 if ln.strip()]
-    if not lines or lines[0][1] != STATE_CSV_HEADER:
+        rows = [(lineno, line.strip())
+                for lineno, line in enumerate(handle.read().splitlines(), start=1)
+                if line.strip()]
+    if not rows or rows[0][1] != STATE_CSV_HEADER:
         raise ValueError(f"{path}: expected header {STATE_CSV_HEADER!r}")
-    rows = [line.split(",") for _lineno, line in lines[1:]]
-    for (lineno, line), row in zip(lines[1:], rows):
-        if len(row) != 3:
-            raise ValueError(f"{path}: line {lineno}: expected site,a,b, got {line!r}")
+    rows = rows[1:]
+    if not rows:
+        raise ValueError(f"{path}: no site,a,b rows")
     try:
-        sites = np.array([int(r[0]) for r in rows])
-        a = np.array([float(r[1]) for r in rows])
-        b = np.array([float(r[2]) for r in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        table = np.loadtxt([line for _lineno, line in rows], delimiter=",",
+                           comments=None, ndmin=2)
+    except ValueError:
+        table = None
+    if table is None or table.shape[1] != 3:
+        raise _csv_row_error(path, rows)
+    sites, a, b = table.T
     n = len(sites)
     lattice = (
         make_lattice(n, lattice_constant)
@@ -249,8 +265,15 @@ def write_state_json(state: FieldState, path: str) -> None:
 
 
 def read_state_json(path: str) -> FieldState:
+    """Load a checkpoint written by ``write_state_json``; a malformed
+    file raises ``ValueError`` naming the path."""
     with open(path) as handle:
-        obj = json.load(handle)
-    maker = make_lattice if obj["parity"] != EVEN else make_even_lattice
-    lattice = maker(obj["n_sites"], obj["lattice_constant"])
-    return _new_state(lattice, np.array(obj["a"]), np.array(obj["b"]))
+        try:
+            obj = json.load(handle)
+            maker = make_lattice if obj["parity"] != EVEN else make_even_lattice
+            lattice = maker(obj["n_sites"], obj["lattice_constant"])
+            return _new_state(lattice, np.array(obj["a"]), np.array(obj["b"]))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc

@@ -1,10 +1,18 @@
 """Invalid input reaches its documented exit code with a one-line
 message, and malformed checkpoints name the offending line."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from ringfield import RunConfig, read_state_csv
+from ringfield import RunConfig, read_state_csv, read_state_json
 from ringfield.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SMALL = ["--n-sites", "101", "--width", "5"]
 
@@ -62,3 +70,46 @@ def test_bad_checkpoint_value_names_path(tmp_path):
     path.write_text("site,a,b\n-1,0.5,0.0\n0,one,0.0\n1,0.5,0.0\n")
     with pytest.raises(ValueError, match=r"state\.csv: .*'one'"):
         read_state_csv(str(path))
+
+
+def test_exact_scheme_overflow_prints_one_line():
+    # a fresh interpreter, so numpy warnings reach stderr as a user sees them
+    argv = ["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300",
+            "--scheme", "exact"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-m", "ringfield.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("payload, match", [
+    ({"n_sites": 3, "lattice_constant": 1.0, "a": [0, 1, 0], "b": [0, 0, 0]},
+     "missing field 'parity'"),
+    ({"parity": "odd", "n_sites": 4, "lattice_constant": 1.0,
+      "a": [0, 1, 0, 0], "b": [0, 0, 0, 0]}, "n_sites"),
+    ({"parity": "odd", "n_sites": 3, "lattice_constant": 1.0, "a": [0, 1], "b": [0, 0]},
+     "one entry per site"),
+    ([1, 2, 3], ""),
+])
+def test_bad_state_json_names_path(tmp_path, payload, match):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=r"state\.json: .*" + match):
+        read_state_json(str(path))
+
+
+def test_state_json_syntax_error_names_path(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text('{"parity": "odd",')
+    with pytest.raises(ValueError, match=r"state\.json: "):
+        read_state_json(str(path))
+
+
+def test_checkpoint_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "state.csv"
+    path.write_text("\nsite,a,b\n-1,0.6,0.0\n   \n0,0.0,0.8\n\n1,0.0,0.0\n")
+    state = read_state_csv(str(path))
+    assert state.a.tolist() == [0.6, 0.0, 0.0]
+    assert state.b.tolist() == [0.0, 0.8, 0.0]

@@ -1,0 +1,211 @@
+"""Power form of the step multipliers against explicit stepping.
+
+Every step kind is one multiplier per Fourier coefficient, so n steps
+are one power of it.  The oracles here step explicitly: a plain numpy
+FFT step written out in this file, the dense O(N^2) ``euler_step``, and
+the dense naive even-mode step that used to be the production code.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from ringfield import (
+    EvolutionConfig,
+    TimestepBoundError,
+    build_kernel_table,
+    euler_step,
+    exact_step,
+    gaussian_state,
+    make_even_lattice,
+    make_lattice,
+    random_state,
+    run,
+)
+from ringfield.evolve import (
+    EULER,
+    EVEN_NAIVE,
+    EXACT,
+    advance,
+    propagate,
+    propagator,
+)
+from ringfield.kernels import f_site_matrix
+from ringfield.state import _new_state, state_from_amplitudes
+
+LAT = make_lattice(801)
+EVEN = make_even_lattice(800)
+
+
+def relative_gap(state, reference_amplitudes) -> float:
+    diff = state.amplitudes() - reference_amplitudes
+    return float(np.linalg.norm(diff) / np.linalg.norm(reference_amplitudes))
+
+
+def integer_momenta(n: int) -> np.ndarray:
+    """Momentum of each output slot of ``np.fft.fft`` on an odd lattice."""
+    return np.fft.fftfreq(n, 1.0 / n)
+
+
+def explicit_fft_steps(state, multiplier, n_steps: int) -> np.ndarray:
+    """``n_steps`` explicit steps, one FFT pair and one multiply each."""
+    amps = state.amplitudes()
+    for _ in range(n_steps):
+        amps = np.fft.ifft(np.fft.fft(amps) * multiplier)
+    return amps
+
+
+def dense_even_naive_step(state, tau: float):
+    """The naive even-mode reaction step as the dense circulant F."""
+    fmat = f_site_matrix(state.lattice)
+    scale = tau * state.lattice.reciprocal_constant**2
+    created_b = fmat @ state.a  # evaluate both sums before touching either field
+    return _new_state(
+        state.lattice,
+        state.a + scale * (fmat @ state.b),
+        state.b - scale * created_b,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:tau \\* g\\^2:UserWarning")
+@pytest.mark.parametrize("tau", [1e-3, 1e-2])
+@pytest.mark.parametrize("shape", ["gaussian", "random"])
+def test_euler_power_equals_1000_explicit_steps(shape, tau):
+    state = (gaussian_state(LAT, 0, 10.0, 20) if shape == "gaussian"
+             else random_state(LAT, 7))
+    g = LAT.reciprocal_constant
+    k = integer_momenta(LAT.n_sites)
+    reference = explicit_fft_steps(state, 1.0 - 1j * tau * g * g * k * k, 1000)
+    assert relative_gap(advance(state, EULER, tau, 1000), reference) <= 1e-12
+
+
+def test_euler_power_equals_dense_reference_steps():
+    state = random_state(LAT, 3)
+    kernels = build_kernel_table(LAT)
+    stepped = state
+    for _ in range(20):
+        stepped = euler_step(stepped, 1e-3, kernels)
+    assert relative_gap(advance(state, EULER, 1e-3, 20), stepped.amplitudes()) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "random"])
+def test_exact_power_equals_100_explicit_steps(shape):
+    state = (gaussian_state(LAT, 0, 10.0, 20) if shape == "gaussian"
+             else random_state(LAT, 8))
+    t = 1e-2
+    one_at_a_time = state
+    for _ in range(100):
+        one_at_a_time = exact_step(one_at_a_time, t)
+    power = advance(state, EXACT, t, 100)
+    assert relative_gap(power, one_at_a_time.amplitudes()) <= 1e-12
+    g = LAT.reciprocal_constant
+    k = integer_momenta(LAT.n_sites)
+    reference = explicit_fft_steps(state, np.exp(-1j * (g * k) ** 2 * t), 100)
+    assert relative_gap(power, reference) <= 1e-12
+
+
+@pytest.mark.parametrize("center", [0, EVEN.site_min])
+def test_even_naive_power_equals_100_dense_steps(center):
+    state = gaussian_state(EVEN, center, 5.0)
+    stepped = state
+    for _ in range(100):
+        stepped = dense_even_naive_step(stepped, 1e-3)
+    assert relative_gap(advance(state, EVEN_NAIVE, 1e-3, 100), stepped.amplitudes()) <= 1e-12
+
+
+def test_even_naive_random_state_against_dense():
+    state = random_state(EVEN, 9)
+    stepped = state
+    for _ in range(100):
+        stepped = dense_even_naive_step(stepped, 1e-3)
+    assert relative_gap(advance(state, EVEN_NAIVE, 1e-3, 100), stepped.amplitudes()) <= 1e-12
+
+
+def test_propagate_yields_each_listed_step():
+    state = gaussian_state(LAT, 0, 10.0, 5)
+    out = dict(propagate(state, EULER, 1e-3, [0, 1, 7, 30]))
+    assert sorted(out) == [0, 1, 7, 30]
+    assert out[0] is state
+    for n in (1, 7, 30):
+        assert relative_gap(out[n], advance(state, EULER, 1e-3, n).amplitudes()) <= 1e-14
+
+
+def test_checkpoint_at_unrecorded_step():
+    lattice = make_lattice(101)
+    state = gaussian_state(lattice, 0, 5.0, 3)
+    series = run(state, EvolutionConfig(), 10, record_every=5, checkpoint_every=3)
+    assert [snap.step for snap in series.snapshots] == [0, 5, 10]
+    assert sorted(series.checkpoints) == [0, 3, 6, 9, 10]
+    assert series.checkpoints[0] is state
+    kernels = build_kernel_table(lattice)
+    stepped = state
+    for step in range(1, 10):
+        stepped = euler_step(stepped, 1e-3, kernels)
+        if step in (3, 6, 9):
+            assert relative_gap(series.checkpoints[step], stepped.amplitudes()) <= 1e-12
+
+
+OVER_BOUND = 0.02  # tau g^2 N^2 = 0.02 (2 pi)^2 = 0.79 >= 0.5
+CASES = [
+    (LAT, EvolutionConfig(tau=OVER_BOUND)),
+    (LAT, EvolutionConfig(tau=OVER_BOUND, euler_method="reference")),
+    (EVEN, EvolutionConfig(tau=OVER_BOUND, parity_mode="even_naive")),
+]
+
+
+@pytest.mark.parametrize("lattice, config", CASES)
+def test_zero_steps_skip_the_tau_bound(lattice, config):
+    state = gaussian_state(lattice, 0, 5.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        series = run(state, config, 0)
+    assert [snap.step for snap in series.snapshots] == [0]
+
+
+@pytest.mark.parametrize("lattice, config", CASES)
+def test_one_step_checks_the_tau_bound(lattice, config):
+    state = gaussian_state(lattice, 0, 5.0)
+    with pytest.raises(TimestepBoundError):
+        run(state, config, 1)
+
+
+def test_run_transforms_once_per_record(monkeypatch):
+    calls = {"fft": 0, "ifft": 0}
+    for name in calls:
+        original = getattr(np.fft, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    state = gaussian_state(LAT, 0, 10.0, 20)
+    series = run(state, EvolutionConfig(), 1000, record_every=100)
+    assert len(series.snapshots) == 11
+    assert calls["fft"] + calls["ifft"] <= 1 + 3 * 11
+
+
+def test_propagator_rejects_bad_input():
+    with pytest.raises(ValueError, match="unknown step kind"):
+        propagator(LAT, "rk4", 1e-3)
+    with pytest.raises(ValueError, match="odd-parity"):
+        propagator(EVEN, EULER, 1e-3)
+    with pytest.raises(ValueError, match="even-parity"):
+        propagator(LAT, EVEN_NAIVE, 1e-3)
+    with pytest.raises(ValueError, match="not finite"):
+        propagator(make_lattice(101, 1e-300), EXACT, 1e-3)
+
+
+def test_overflowing_power_raises_value_error():
+    state = random_state(make_lattice(101), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            advance(state, EULER, 1e-3, 10**9)
+
+
+def test_zero_state_stays_zero():
+    state = state_from_amplitudes(EVEN, np.zeros(EVEN.n_sites))
+    stepped = advance(state, EVEN_NAIVE, 1e-3, 50)
+    assert np.all(stepped.a == 0) and np.all(stepped.b == 0)
