@@ -9,6 +9,11 @@ for odd N, half-integers for even N.  Every position state has overlap
 of magnitude 1/sqrt(N) with every phi_k, and the phase choice makes
 exp(-i a P) the one-site cyclic translation (odd N) or its
 sign-corrected variant (even N).
+
+The transform pair, ``momentum_coefficients`` and ``site_amplitudes``,
+acts on the last axis of an array, so a block of states (one per row)
+is transformed by one batched FFT.  ``to_momentum_basis`` and
+``from_momentum_basis`` are its state-level wrappers.
 """
 
 from __future__ import annotations
@@ -20,12 +25,13 @@ from math import sqrt
 import numpy as np
 
 from .lattice import EVEN, Lattice
-from .state import FieldState, state_from_amplitudes
+from .state import FieldBlock, FieldState, state_from_amplitudes
 
 
 @dataclass(frozen=True)
 class MomentumSpectrum:
-    """Complex coefficients of a state in the unbiased basis."""
+    """Complex coefficients of a state (or of each row of a block) in
+    the unbiased basis."""
 
     lattice: Lattice
     coefficients: np.ndarray
@@ -62,35 +68,51 @@ def _basis_tables(lattice: Lattice):
     return tables
 
 
-def to_momentum_basis(state: FieldState) -> MomentumSpectrum:
-    """Project onto the unbiased basis.
+def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarray:
+    """Unbiased-basis coefficients of site amplitudes along the last axis.
 
-    Returns coefficients ordered like ``lattice.momentum_values()``.
-    The transform is unitary, so the summed occupation equals M.
+    Every row (every index of the leading axes) is transformed on its
+    own, in one batched FFT.  Coefficients are ordered like
+    ``lattice.momentum_values()``; ``amplitudes`` is not modified.
     """
-    lat = state.lattice
-    slots, offset, _unoffset, twist, _untwist = _basis_tables(lat)
-    amps = state.amplitudes()
+    slots, offset, _unoffset, twist, _untwist = _basis_tables(lattice)
     if twist is not None:
         # half-integer momenta: absorb the extra half wave into a twist
-        amps *= twist
-    spectrum = np.fft.fft(amps)[slots]
-    spectrum /= sqrt(lat.n_sites)
+        amplitudes = amplitudes * twist
+    coefficients = np.fft.fft(amplitudes)[..., slots]
+    coefficients /= sqrt(lattice.n_sites)
     # undo the storage offset: site s sits at array index s - site_min
-    spectrum *= offset
-    spectrum.setflags(write=False)
-    return MomentumSpectrum(lattice=lat, coefficients=spectrum)
+    coefficients *= offset
+    return coefficients
+
+
+def site_amplitudes(lattice: Lattice, coefficients: np.ndarray) -> np.ndarray:
+    """Inverse of ``momentum_coefficients``, along the last axis."""
+    n = lattice.n_sites
+    slots, _offset, unoffset, _twist, untwist = _basis_tables(lattice)
+    packed = np.empty(np.shape(coefficients), dtype=complex)
+    packed[..., slots] = coefficients * unoffset
+    amplitudes = np.fft.ifft(packed)
+    amplitudes *= sqrt(n)
+    if untwist is not None:
+        amplitudes *= untwist
+    return amplitudes
+
+
+def to_momentum_basis(state: FieldState | FieldBlock) -> MomentumSpectrum:
+    """Project onto the unbiased basis.
+
+    Returns coefficients ordered like ``lattice.momentum_values()``,
+    one row per row of a ``FieldBlock``.  The transform is unitary, so
+    the summed occupation equals M.
+    """
+    coefficients = momentum_coefficients(state.lattice, state.amplitudes())
+    coefficients.setflags(write=False)
+    return MomentumSpectrum(lattice=state.lattice, coefficients=coefficients)
 
 
 def from_momentum_basis(spectrum: MomentumSpectrum) -> FieldState:
-    """Inverse of ``to_momentum_basis``; round trip is the identity."""
-    lat = spectrum.lattice
-    n = lat.n_sites
-    slots, _offset, unoffset, _twist, untwist = _basis_tables(lat)
-    packed = np.empty(n, dtype=complex)
-    packed[slots] = spectrum.coefficients * unoffset
-    amps = np.fft.ifft(packed)
-    amps *= sqrt(n)
-    if untwist is not None:
-        amps *= untwist
-    return state_from_amplitudes(lat, amps)
+    """Inverse of ``to_momentum_basis`` for one state; round trip is the
+    identity."""
+    lattice = spectrum.lattice
+    return state_from_amplitudes(lattice, site_amplitudes(lattice, spectrum.coefficients))

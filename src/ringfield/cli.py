@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, read_config
-from .evolve import EULER, EXACT, TimestepBoundError, propagate, run
+from .evolve import EULER, EXACT, TimestepBoundError, propagate_blocks, run
 from .experiments import (
     even_odd_comparison,
     identity_suite,
@@ -31,8 +31,8 @@ from .experiments import (
 )
 from .ioutil import atomic_write_text, fmt
 from .kernels import ConsistencyError
-from .observables import drift_velocity
-from .state import build_state, norm_m, write_state_csv
+from .observables import snapshots
+from .state import build_state, write_state_csv
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -154,23 +154,24 @@ def _cmd_paper_table(args) -> int:
 def _compare_rows(state, config: RunConfig) -> list[tuple]:
     steps = sorted({config.n_steps, *range(0, config.n_steps + 1, config.record_every)})
     rows = []
-    for (step, euler_state), (_step, exact_state) in zip(
-        propagate(state, EULER, config.tau, steps),
-        propagate(state, EXACT, config.tau, steps),
+    for (chunk, euler), (_chunk, exact) in zip(
+        propagate_blocks(state, EULER, config.tau, steps),
+        propagate_blocks(state, EXACT, config.tau, steps),
     ):
-        deviation = float(
-            np.linalg.norm(euler_state.amplitudes() - exact_state.amplitudes())
-        )
-        rows.append(
-            (
-                step,
-                deviation,
-                norm_m(euler_state),
-                norm_m(exact_state),
-                drift_velocity(euler_state),
-                drift_velocity(exact_state),
+        deviations = np.linalg.norm(euler.c - exact.c, axis=-1).tolist()
+        for step, deviation, euler_row, exact_row in zip(
+            chunk, deviations, snapshots(euler, chunk), snapshots(exact, chunk)
+        ):
+            rows.append(
+                (
+                    step,
+                    deviation,
+                    euler_row.m_total,
+                    exact_row.m_total,
+                    euler_row.drift_velocity,
+                    exact_row.drift_velocity,
+                )
             )
-        )
     return rows
 
 

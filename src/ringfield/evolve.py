@@ -25,12 +25,19 @@ whose half-integer basis carries the sign-corrected translation, and
 the two part ways once amplitude crosses the index seam.
 
 So n steps are one multiplier raised to the power n.  ``run`` transforms
-the initial state once and builds a state only where it records or
-checkpoints, as the inverse transform of c_hat_0 m^n.  The one-step
-functions (``euler_step_spectral``, ``exact_step``, ``translate_spectral``,
-``even_naive_step``) are n = 1 of the same propagator.  The direct
-O(N^2) correlation ``euler_step`` is kept as the independent reference
-step that ``euler_method="reference"`` and the identity suite iterate.
+the initial state once and builds only the rows it records or
+checkpoints, a block of rows at a time: the rows c_hat_0 m^n for the
+block's steps n go through one batched inverse transform, and
+``observables.snapshots`` measures the whole block at once.  A block
+holds at most ``RECORD_BLOCK_BYTES`` of amplitudes, or one row where a
+row alone is larger, so memory stays flat as the record count grows.
+A ``FieldState`` is built only for a checkpoint.  The one-step
+functions (``euler_step_spectral``, ``exact_step``,
+``translate_spectral``, ``even_naive_step``) are n = 1 of the same
+propagator.  The direct O(N^2) correlation ``euler_step`` is kept as
+the independent reference step that ``euler_method="reference"`` and
+the identity suite iterate; its states are stacked into the same
+blocks.
 """
 
 from __future__ import annotations
@@ -42,12 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import MomentumSpectrum, from_momentum_basis, to_momentum_basis
-from .kernels import KernelTable, build_kernel_table, f_site_matrix, kernel_f
+from .basis import site_amplitudes, to_momentum_basis
+from .kernels import KernelTable, f_site_matrix, kernel_f
 from .lattice import EVEN, ODD, Lattice, make_even_lattice, wrap_index  # noqa: F401  (re-export)
-from .observables import snapshot
+from .observables import snapshots
 from .series import TimeSeries
-from .state import FieldState, _new_state, state_from_amplitudes
+from .state import FieldBlock, FieldState, _new_state, block_from_amplitudes
 
 EULER = "euler"
 EXACT = "exact"
@@ -60,6 +67,13 @@ LINEARISED = (EULER, EVEN_NAIVE)
 # hard ceiling and warning threshold for tau * g^2 * N^2 (= tau (2 pi / a)^2)
 TAU_HARD_LIMIT = 0.5
 TAU_WARN_LIMIT = 0.1
+
+# bytes of complex amplitudes in one block of recorded rows: 5 rows at
+# N = 801, one from N = 2049 on.  Measuring a block takes about five
+# block-sized arrays at once, so larger blocks raise the peak memory of
+# large-N runs (256 KiB, 4 rows at N = 4001: +1.5 MB), while most of the
+# batching gain at N = 801 is already there at 5 rows.
+RECORD_BLOCK_BYTES = 64 * 1024
 
 
 class TimestepBoundError(ValueError):
@@ -95,11 +109,13 @@ class EvolutionConfig:
             )
 
 
-def check_tau_bound(tau: float, lattice: Lattice) -> None:
+def check_tau_bound(tau: float, lattice: Lattice, stacklevel: int = 1) -> None:
     """Enforce tau g^2 N^2 < 0.5, warning above 0.1.
 
     A stiffness too large for a float (a vanishing lattice constant)
-    counts as infinite and fails the bound.
+    counts as infinite and fails the bound.  The warning is attributed
+    to the caller of this function at ``stacklevel`` 1, to its caller
+    at 2, and so on.
     """
     try:
         stiffness = tau * lattice.reciprocal_constant**2 * lattice.n_sites**2
@@ -114,8 +130,13 @@ def check_tau_bound(tau: float, lattice: Lattice) -> None:
         warnings.warn(
             f"tau * g^2 * N^2 = {stiffness:.3f} > {TAU_WARN_LIMIT}; "
             "conservation will degrade visibly",
-            stacklevel=2,
+            stacklevel=stacklevel + 1,
         )
+
+
+def _takes_linearised_step(kind: str, steps: Iterable[int]) -> bool:
+    """Whether ``steps`` needs a linearised step, so the tau bound applies."""
+    return kind in LINEARISED and any(n > 0 for n in steps)
 
 
 def _require_parity(state: FieldState, parity: str, op: str) -> None:
@@ -154,16 +175,20 @@ class Propagator:
             return np.fft.fft(state.amplitudes())
         return to_momentum_basis(state).coefficients
 
-    def state_after(self, coefficients: np.ndarray, n_steps: int) -> FieldState:
-        """The state whose coefficients are ``coefficients * m**n_steps``.
+    def amplitudes_after(self, coefficients: np.ndarray, steps) -> np.ndarray:
+        """Site amplitudes of ``coefficients * m**n``, one row per n of
+        ``steps``, by one batched inverse transform.
 
-        Raises ``ValueError`` when the result leaves the finite floats.
+        Unchecked: a row that overflowed holds non-finite values, which
+        ``block_from_amplitudes`` rejects.
         """
+        evolved = np.asarray(steps, dtype=float)[:, None] * self.log_multiplier
         with np.errstate(over="ignore", invalid="ignore"):
-            evolved = coefficients * np.exp(n_steps * self.log_multiplier)
+            np.exp(evolved, out=evolved)
+            np.multiply(coefficients, evolved, out=evolved)
             if self.storage_dft:
-                return state_from_amplitudes(self.lattice, np.fft.ifft(evolved))
-            return from_momentum_basis(MomentumSpectrum(self.lattice, evolved))
+                return np.fft.ifft(evolved)
+            return site_amplitudes(self.lattice, evolved)
 
 
 def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
@@ -203,33 +228,84 @@ def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
     return Propagator(lattice, log_m, storage_dft=kind == EVEN_NAIVE)
 
 
+def _block_rows(lattice: Lattice) -> int:
+    """Rows per block: ``RECORD_BLOCK_BYTES`` of complex amplitudes."""
+    return max(1, RECORD_BLOCK_BYTES // (np.dtype(complex).itemsize * lattice.n_sites))
+
+
+def _power_blocks(
+    state: FieldState, kind: str, step: float, steps: list[int]
+) -> Iterator[tuple[list[int], FieldBlock]]:
+    """``propagate_blocks`` without the tau bound check."""
+    lattice = state.lattice
+    at_zero = np.asarray(steps) == 0
+    prop = coefficients = None
+    if not at_zero.all():
+        prop = propagator(lattice, kind, step)
+        coefficients = prop.forward(state)
+    rows = _block_rows(lattice)
+    for lo in range(0, len(steps), rows):
+        chunk, zero = steps[lo:lo + rows], at_zero[lo:lo + rows]
+        if prop is None:
+            amplitudes = np.empty((len(chunk), lattice.n_sites), dtype=complex)
+        else:
+            amplitudes = prop.amplitudes_after(coefficients, chunk)
+        if zero.any():
+            amplitudes[zero] = state.amplitudes()
+        yield chunk, block_from_amplitudes(lattice, amplitudes)
+
+
+def propagate_blocks(
+    state: FieldState, kind: str, step: float, steps: Iterable[int]
+) -> Iterator[tuple[list[int], FieldBlock]]:
+    """Yield ``(ns, block)``: the states after n steps for each n of
+    ``steps``, a ``FieldBlock`` of rows at a time, in order.
+
+    Every row is one power of the same multiplier: one forward
+    transform, then one batched inverse transform per block of at most
+    ``RECORD_BLOCK_BYTES`` (or one row).  A row at n = 0 holds ``state``
+    exactly.  The linearised kinds check ``check_tau_bound`` here,
+    once, when some n >= 1; the propagator is built only then, so a
+    list of zeros needs no valid multiplier.  Raises ``ValueError`` when
+    a row leaves the finite floats.
+    """
+    steps = list(steps)
+    if _takes_linearised_step(kind, steps):
+        check_tau_bound(step, state.lattice, stacklevel=2)
+    return _power_blocks(state, kind, step, steps)
+
+
+def _states(
+    state: FieldState, kind: str, step: float, steps: list[int]
+) -> Iterator[tuple[int, FieldState]]:
+    for chunk, block in _power_blocks(state, kind, step, steps):
+        for row, n in enumerate(chunk):
+            yield n, state if n == 0 else block.state(row)
+
+
 def propagate(
     state: FieldState, kind: str, step: float, steps: Iterable[int]
 ) -> Iterator[tuple[int, FieldState]]:
     """Yield ``(n, state after n steps)`` for each n of ``steps``.
 
-    Every state is one power of the same multiplier: one forward
-    transform, then one inverse transform per n.  n = 0 yields ``state``
-    itself.  The linearised kinds check ``check_tau_bound`` once, before
-    the first n >= 1; the propagator is built only then, so a list of
-    zeros needs no valid multiplier.
+    ``propagate_blocks`` one state at a time; n = 0 yields ``state``
+    itself.  The tau bound is checked here, as there.
     """
-    prop = coefficients = None
-    for n in steps:
-        if n == 0:
-            yield 0, state
-            continue
-        if prop is None:
-            if kind in LINEARISED:
-                check_tau_bound(step, state.lattice)
-            prop = propagator(state.lattice, kind, step)
-            coefficients = prop.forward(state)
-        yield n, prop.state_after(coefficients, n)
+    steps = list(steps)
+    if _takes_linearised_step(kind, steps):
+        check_tau_bound(step, state.lattice, stacklevel=2)
+    return _states(state, kind, step, steps)
+
+
+def _advance(state: FieldState, kind: str, step: float, n_steps: int) -> FieldState:
+    return next(_states(state, kind, step, [n_steps]))[1]
 
 
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
     """The state after ``n_steps`` steps of one kind (see ``propagate``)."""
-    return next(propagate(state, kind, step, (n_steps,)))[1]
+    if _takes_linearised_step(kind, (n_steps,)):
+        check_tau_bound(step, state.lattice, stacklevel=2)
+    return _advance(state, kind, step, n_steps)
 
 
 def euler_step(state: FieldState, tau: float, kernels: KernelTable) -> FieldState:
@@ -237,7 +313,12 @@ def euler_step(state: FieldState, tau: float, kernels: KernelTable) -> FieldStat
     _require_parity(state, ODD, "euler_step")
     if kernels.lattice != state.lattice:
         raise ValueError("state and kernel table live on different lattices")
-    check_tau_bound(tau, state.lattice)
+    check_tau_bound(tau, state.lattice, stacklevel=2)
+    return _dense_euler_step(state, tau)
+
+
+def _dense_euler_step(state: FieldState, tau: float) -> FieldState:
+    """``euler_step`` without its checks."""
     fmat = f_site_matrix(state.lattice)
     scale = tau * state.lattice.reciprocal_constant**2
     created_b = fmat @ state.a  # evaluate both sums before touching either field
@@ -251,7 +332,8 @@ def euler_step(state: FieldState, tau: float, kernels: KernelTable) -> FieldStat
 def euler_step_spectral(state: FieldState, tau: float) -> FieldState:
     """One reaction step through the momentum basis (fast path)."""
     _require_parity(state, ODD, "euler_step_spectral")
-    return advance(state, EULER, tau)
+    check_tau_bound(tau, state.lattice, stacklevel=2)
+    return _advance(state, EULER, tau, 1)
 
 
 def exact_step(state: FieldState, t: float) -> FieldState:
@@ -289,19 +371,26 @@ def even_naive_step(
     _require_parity(state, EVEN, "even_naive_step")
     if kernels is not None and kernels.lattice != state.lattice:
         raise ValueError("state and kernel table live on different lattices")
-    return advance(state, EVEN_NAIVE, tau)
+    check_tau_bound(tau, state.lattice, stacklevel=2)
+    return _advance(state, EVEN_NAIVE, tau, 1)
 
 
-def _reference_states(
-    state: FieldState, tau: float, kernels: KernelTable, steps: Iterable[int]
-) -> Iterator[tuple[int, FieldState]]:
-    """``propagate`` for the O(N^2) reference step: explicit steps."""
+def _reference_blocks(
+    state: FieldState, tau: float, steps: list[int]
+) -> Iterator[tuple[list[int], FieldBlock]]:
+    """``_power_blocks`` for the O(N^2) reference step: explicit steps,
+    the states at ``steps`` stacked into blocks."""
     current, done = state, 0
-    for n in steps:
-        for _ in range(n - done):
-            current = euler_step(current, tau, kernels)
-        done = n
-        yield n, current
+    rows = _block_rows(state.lattice)
+    for lo in range(0, len(steps), rows):
+        chunk = steps[lo:lo + rows]
+        stacked = []
+        for n in chunk:
+            for _ in range(n - done):
+                current = _dense_euler_step(current, tau)
+            done = n
+            stacked.append(current.amplitudes())
+        yield chunk, block_from_amplitudes(state.lattice, np.stack(stacked))
 
 
 def run(
@@ -316,9 +405,12 @@ def run(
 
     Snapshots are taken at step 0, every ``record_every`` steps and at
     the final step.  ``checkpoint_every`` > 0 additionally stores full
-    states at those steps.  Only those states are built, each as one
-    power of the step multiplier (``propagate``), except under
-    ``euler_method="reference"``, which steps explicitly.
+    states at those steps.  Only those rows are built, a block at a
+    time (``propagate_blocks``), each row one power of the step
+    multiplier, except under ``euler_method="reference"``, which steps
+    explicitly; each block is measured by one ``snapshots`` call.
+    ``kernels`` is optional and only checked to live on the state's
+    lattice.  The tau bound is checked once, when a step is taken.
     """
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
@@ -333,6 +425,8 @@ def run(
             "even lattices run only under parity_mode even_naive "
             "(or the exact scheme with that mode)"
         )
+    if kernels is not None and kernels.lattice != lattice:
+        raise ValueError("state and kernel table live on different lattices")
 
     def due(step: int, every: int) -> bool:
         return every > 0 and (step % every == 0 or step == n_steps)
@@ -341,19 +435,22 @@ def run(
     if checkpoint_every > 0:
         marks.update(range(0, n_steps + 1, checkpoint_every))
     steps = sorted(marks)
-    if config.scheme == EULER and not even_mode and config.euler_method == "reference":
-        if kernels is None:
-            kernels = build_kernel_table(lattice)
-        states = _reference_states(state, config.tau, kernels, steps)
+    kind = EXACT if config.scheme == EXACT else EVEN_NAIVE if even_mode else EULER
+    if _takes_linearised_step(kind, steps):
+        check_tau_bound(config.tau, lattice, stacklevel=2)
+    if kind == EULER and config.euler_method == "reference":
+        blocks = _reference_blocks(state, config.tau, steps)
     else:
-        kind = EXACT if config.scheme == EXACT else EVEN_NAIVE if even_mode else EULER
-        states = propagate(state, kind, config.tau, steps)
+        blocks = _power_blocks(state, kind, config.tau, steps)
 
-    snapshots = []
+    records = []
     checkpoints: dict[int, FieldState] = {}
-    for step, current in states:
-        if due(step, record_every):
-            snapshots.append(snapshot(current, step, kernels))
-        if due(step, checkpoint_every):
-            checkpoints[step] = current
-    return TimeSeries(snapshots=tuple(snapshots), checkpoints=checkpoints)
+    for chunk, block in blocks:
+        recorded = [row for row, step in enumerate(chunk) if due(step, record_every)]
+        if recorded:
+            rows = block if len(recorded) == len(chunk) else FieldBlock(lattice, block.c[recorded])
+            records.extend(snapshots(rows, [chunk[row] for row in recorded]))
+        for row, step in enumerate(chunk):
+            if due(step, checkpoint_every):
+                checkpoints[step] = state if step == 0 else block.state(row)
+    return TimeSeries(snapshots=tuple(records), checkpoints=checkpoints)

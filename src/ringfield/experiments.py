@@ -219,9 +219,8 @@ def paper_table_run(
     reaction process and report the observed variation of M and <V>."""
     lattice = make_lattice(n_sites, lattice_constant)
     state = table_state(lattice, shape, seed)
-    kernels = build_kernel_table(lattice)
     config = EvolutionConfig(tau=tau, euler_method=euler_method)
-    series = run(state, config, n_steps, record_every, kernels=kernels)
+    series = run(state, config, n_steps, record_every)
     var_m = _relative_variation(series.column("m_total"))
     var_v = _relative_variation(series.column("drift_velocity"))
     worst = max(var_m, var_v)

@@ -18,6 +18,13 @@ at the cost of one transform of each field and no N x N matrix.  The
 double sums over the dense ``g_site_matrix`` stay as the test oracle.
 Position mean and spread are circular moments, since the lattice is a
 circle and linear moments stop meaning anything once a packet wraps.
+
+Every observable is written over the last axis of its arrays, so
+``snapshots`` measures a whole ``FieldBlock`` of states (one per row)
+at once: two batched transforms, of the a rows and of the b rows, then
+column-wise M, the Parseval check, <P>, the drift, the circular moments
+and the shape residual.  ``snapshot`` and the single-state functions
+are the same code on one row.
 """
 
 from __future__ import annotations
@@ -31,10 +38,10 @@ from .kernels import ConsistencyError, KernelTable
 from .lattice import Lattice
 from .state import (
     DegenerateStateError,
+    FieldBlock,
     FieldState,
     combined_distribution,
     norm_m,
-    state_from_amplitudes,
 )
 
 # spread is reported from the resultant length R of the circular first
@@ -47,37 +54,39 @@ def _check_table(state: FieldState, kernels: KernelTable | None) -> None:
         raise ValueError("state and kernel table live on different lattices")
 
 
-def _field_spectra(state: FieldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Momentum coefficients of a and of b, and the occupation |c_hat|^2.
+def _one_row(state: FieldState) -> FieldBlock:
+    return FieldBlock(state.lattice, state.amplitudes())
 
-    The fields are transformed one at a time, so a state with b = 0 has
+
+def _spectral_columns(block: FieldBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M, <V> and <P> of each row, the last two from the field spectra.
+
+    The fields are transformed one at a time, so a row with b = 0 has
     b_hat = 0 exactly and no drift at all.  The transform is unitary:
     an occupation that misses the site-space M by more than
-    1e-10 max(1, M) means a broken transform and raises
+    1e-10 max(1, M) in any row means a broken transform and raises
     ``ConsistencyError``.
     """
-    lattice = state.lattice
-    a_hat = to_momentum_basis(state_from_amplitudes(lattice, state.a)).coefficients
-    b_hat = to_momentum_basis(state_from_amplitudes(lattice, state.b)).coefficients
-    occupation = np.abs(a_hat + 1j * b_hat) ** 2
-    m_sites = norm_m(state)
-    gap = float(np.sum(occupation)) - m_sites
-    if abs(gap) > 1e-10 * max(1.0, m_sites):
-        raise ConsistencyError(
-            f"momentum occupation differs from M by {gap:.3e} (Parseval)"
-        )
-    return a_hat, b_hat, occupation
-
-
-def _drift(lattice: Lattice, a_hat: np.ndarray, b_hat: np.ndarray) -> float:
+    lattice, c = block.lattice, block.c
     kappa = lattice.momentum_values()
+    a_hat = to_momentum_basis(FieldBlock(lattice, c.real.astype(complex))).coefficients
+    b_hat = to_momentum_basis(FieldBlock(lattice, c.imag.astype(complex))).coefficients
     cross = np.imag(a_hat * np.conj(b_hat))
-    return float(4.0 * lattice.reciprocal_constant * np.sum(kappa * cross))
+    drift = 4.0 * lattice.reciprocal_constant * np.sum(kappa * cross, axis=-1)
+    occupation = np.abs(a_hat + 1j * b_hat) ** 2
+    m_sites = np.sum(c.real**2, axis=-1) + np.sum(c.imag**2, axis=-1)
+    gap = np.sum(occupation, axis=-1) - m_sites
+    broken = np.flatnonzero(np.abs(gap) > 1e-10 * np.maximum(1.0, m_sites))
+    if broken.size:
+        raise ConsistencyError(
+            f"momentum occupation differs from M by {gap.flat[broken[0]]:.3e} (Parseval)"
+        )
+    return m_sites, drift, _momentum(lattice, occupation)
 
 
-def _momentum(lattice: Lattice, occupation: np.ndarray) -> float:
+def _momentum(lattice: Lattice, occupation: np.ndarray) -> np.ndarray:
     kappa = lattice.momentum_values()
-    return float(lattice.reciprocal_constant * np.sum(kappa * occupation))
+    return lattice.reciprocal_constant * np.sum(kappa * occupation, axis=-1)
 
 
 def drift_velocity(state: FieldState, kernels: KernelTable | None = None) -> float:
@@ -87,8 +96,7 @@ def drift_velocity(state: FieldState, kernels: KernelTable | None = None) -> flo
     lattice.  Exactly 0.0 when b = 0.
     """
     _check_table(state, kernels)
-    a_hat, b_hat, _occupation = _field_spectra(state)
-    return _drift(state.lattice, a_hat, b_hat)
+    return float(_spectral_columns(_one_row(state))[1])
 
 
 def momentum_expectation(state: FieldState, kernels: KernelTable | None = None) -> float:
@@ -100,15 +108,14 @@ def momentum_expectation(state: FieldState, kernels: KernelTable | None = None) 
     ``ConsistencyError`` when the spectrum fails the Parseval check.
     """
     _check_table(state, kernels)
-    _a_hat, _b_hat, occupation = _field_spectra(state)
-    return _momentum(state.lattice, occupation)
+    return float(_spectral_columns(_one_row(state))[2])
 
 
 def momentum_expectation_spectral(state: FieldState) -> float:
     """Independent spectral evaluation g sum_k kappa |c_hat_k|^2, from
     one transform of the complex amplitudes and without the Parseval
     check."""
-    return _momentum(state.lattice, to_momentum_basis(state).occupation())
+    return float(_momentum(state.lattice, to_momentum_basis(state).occupation()))
 
 
 def momentum_distribution(state: FieldState) -> np.ndarray:
@@ -116,42 +123,49 @@ def momentum_distribution(state: FieldState) -> np.ndarray:
     return to_momentum_basis(state).occupation()
 
 
-def _circular_moments(lattice: Lattice, density: np.ndarray) -> tuple[float, float]:
-    total = float(np.sum(density))
-    if total <= 0.0:
+def _circular_moments(
+    lattice: Lattice, density: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Circular mean and spread (sites) of each row of ``density``."""
+    total = np.sum(density, axis=-1)
+    if np.any(total <= 0.0):
         raise DegenerateStateError("position moments need a state with M > 0")
     n = lattice.n_sites
     angles = 2.0 * np.pi * lattice.sites() / n
-    resultant = np.sum(density * np.exp(1j * angles)) / total
-    mean = float(np.angle(resultant) * n / (2.0 * np.pi))
-    radius = max(float(np.abs(resultant)), _MIN_RESULTANT)
-    spread = float(np.sqrt(max(-2.0 * np.log(radius), 0.0)) * n / (2.0 * np.pi))
+    resultant = np.sum(density * np.exp(1j * angles), axis=-1) / total
+    mean = np.angle(resultant) * n / (2.0 * np.pi)
+    radius = np.maximum(np.abs(resultant), _MIN_RESULTANT)
+    spread = np.sqrt(np.maximum(-2.0 * np.log(radius), 0.0)) * n / (2.0 * np.pi)
     return mean, spread
 
 
 def position_mean(state: FieldState) -> float:
     """Circular mean of the combined distribution, in site units."""
-    return _circular_moments(state.lattice, combined_distribution(state))[0]
+    return float(_circular_moments(state.lattice, combined_distribution(state))[0])
 
 
 def position_spread(state: FieldState) -> float:
     """Circular standard deviation of the combined distribution (sites)."""
-    return _circular_moments(state.lattice, combined_distribution(state))[1]
+    return float(_circular_moments(state.lattice, combined_distribution(state))[1])
 
 
 def _shape_residual(
-    lattice: Lattice, density: np.ndarray, mean: float, spread: float
-) -> float:
-    spread = max(spread, 1e-9)
+    lattice: Lattice, density: np.ndarray, mean: np.ndarray, spread: np.ndarray
+) -> np.ndarray:
+    spread = np.maximum(spread, 1e-9)[..., None]
     n = lattice.n_sites
-    offsets = lattice.sites() - mean
+    offsets = lattice.sites() - mean[..., None]
     offsets = (offsets + n / 2.0) % n - n / 2.0
     model = np.zeros_like(density)
+    # C pow, which rounds like a Python float's spread ** 2; x * x can
+    # differ by an ulp, and the residual of a near-gaussian packet is
+    # rounding noise that would show it in the printed digits
+    variance = np.float_power(spread, 2)
     for image in (-1, 0, 1):
-        model += np.exp(-((offsets + image * n) ** 2) / (2.0 * spread**2))
-    amplitude = float(np.sum(model * density) / np.sum(model * model))
-    rms = np.sqrt(np.mean((density - amplitude * model) ** 2))
-    return float(rms / np.max(density))
+        model += np.exp(-((offsets + image * n) ** 2) / (2.0 * variance))
+    amplitude = np.sum(model * density, axis=-1) / np.sum(model * model, axis=-1)
+    rms = np.sqrt(np.mean((density - amplitude[..., None] * model) ** 2, axis=-1))
+    return rms / np.max(density, axis=-1)
 
 
 def gaussian_shape_residual(state: FieldState) -> float:
@@ -165,7 +179,7 @@ def gaussian_shape_residual(state: FieldState) -> float:
     """
     density = combined_distribution(state)
     mean, spread = _circular_moments(state.lattice, density)
-    return _shape_residual(state.lattice, density, mean, spread)
+    return float(_shape_residual(state.lattice, density, mean, spread))
 
 
 def count_local_maxima(distribution: np.ndarray, prominence: float = 1e-6) -> int:
@@ -251,23 +265,27 @@ class ObservableSnapshot:
     shape_residual: float
 
 
-def snapshot(state: FieldState, step: int, kernels: KernelTable | None = None) -> ObservableSnapshot:
-    """Measure all reported observables of a state.
+def snapshots(block: FieldBlock, steps) -> list[ObservableSnapshot]:
+    """Measure all reported observables of every row of a block.
 
-    The field spectra and the combined distribution are each computed
-    once and shared by the observables that need them.
+    ``steps`` labels the rows in order.  The field spectra and the
+    combined distribution are each computed once per block and shared
+    by the observables that need them.  Raises ``ConsistencyError``
+    when a row fails the Parseval check and ``DegenerateStateError``
+    when a row has M = 0.
     """
-    _check_table(state, kernels)
-    lattice = state.lattice
-    a_hat, b_hat, occupation = _field_spectra(state)
-    density = combined_distribution(state)
+    lattice = block.lattice
+    m_total, drift, momentum = _spectral_columns(block)
+    density = block.c.real**2 + block.c.imag**2
     mean, spread = _circular_moments(lattice, density)
-    return ObservableSnapshot(
-        step=int(step),
-        m_total=norm_m(state),
-        drift_velocity=_drift(lattice, a_hat, b_hat),
-        momentum_expectation=_momentum(lattice, occupation),
-        position_mean=mean,
-        position_spread=spread,
-        shape_residual=_shape_residual(lattice, density, mean, spread),
-    )
+    residual = _shape_residual(lattice, density, mean, spread)
+    columns = (m_total, drift, momentum, mean, spread, residual)
+    rows = zip(*(np.reshape(column, -1).tolist() for column in columns))
+    return [ObservableSnapshot(int(step), *row) for step, row in zip(steps, rows)]
+
+
+def snapshot(state: FieldState, step: int, kernels: KernelTable | None = None) -> ObservableSnapshot:
+    """Measure all reported observables of one state (``snapshots`` of
+    one row)."""
+    _check_table(state, kernels)
+    return snapshots(_one_row(state), (step,))[0]

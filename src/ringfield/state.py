@@ -78,6 +78,42 @@ def state_from_amplitudes(lattice: Lattice, amplitudes: np.ndarray) -> FieldStat
     return _new_state(lattice, amplitudes.real, amplitudes.imag)
 
 
+@dataclass(frozen=True)
+class FieldBlock:
+    """Several states on one lattice, one per row.
+
+    ``c`` holds the complex amplitudes a + i b with the sites on the
+    last axis: shape (R, N) for R states, or (N,) for one.
+    ``block_from_amplitudes`` builds a checked, read-only block.
+    """
+
+    lattice: Lattice
+    c: np.ndarray
+
+    def amplitudes(self) -> np.ndarray:
+        """The amplitudes a + i b, rows stacked (read-only array)."""
+        return self.c
+
+    def state(self, row: int) -> FieldState:
+        """One row as a ``FieldState``."""
+        return _new_state(self.lattice, self.c[row].real, self.c[row].imag)
+
+
+def block_from_amplitudes(lattice: Lattice, amplitudes: np.ndarray) -> FieldBlock:
+    """A block from complex amplitudes with the sites on the last axis.
+
+    Checks what ``_new_state`` checks: one entry per site and finite
+    values, raising ``ValueError`` otherwise.
+    """
+    c = np.array(amplitudes, dtype=complex)
+    if c.shape[-1:] != (lattice.n_sites,):
+        raise ValueError("field arrays must have one entry per site")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("field values must be finite")
+    c.setflags(write=False)
+    return FieldBlock(lattice=lattice, c=c)
+
+
 def norm_m(state: FieldState) -> float:
     """Total M = sum(a^2 + b^2)."""
     return float(np.sum(state.a**2) + np.sum(state.b**2))

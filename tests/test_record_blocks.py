@@ -1,0 +1,213 @@
+"""Record blocks: ``run`` and ``compare`` measure their records a block
+of rows at a time.  Every row must equal an independent evaluation of
+the same state built on its own, the guards must still fire row by row,
+no block may exceed ``RECORD_BLOCK_BYTES``, and the tau-bound warning
+must name the caller."""
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+import ringfield.evolve
+import ringfield.observables
+from ringfield import (
+    ConsistencyError,
+    EvolutionConfig,
+    advance,
+    build_kernel_table,
+    euler_step,
+    euler_step_spectral,
+    gaussian_state,
+    make_even_lattice,
+    make_lattice,
+    propagate,
+    random_state,
+    run,
+    uniform_state,
+)
+from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, RECORD_BLOCK_BYTES
+from ringfield.ioutil import fmt
+from ringfield.kernels import g_site_matrix
+from ringfield.observables import (
+    ObservableSnapshot,
+    gaussian_shape_residual,
+    position_mean,
+    position_spread,
+)
+from ringfield.state import norm_m
+
+BLOCK_RTOL = 1e-12  # of each column's maximum
+TAU = 1e-3
+COLUMNS = (
+    "m_total",
+    "drift_velocity",
+    "momentum_expectation",
+    "position_mean",
+    "position_spread",
+    "shape_residual",
+)
+
+METHODS = {
+    "euler": (EvolutionConfig(tau=TAU), EULER),
+    "exact": (EvolutionConfig(tau=TAU, scheme="exact"), EXACT),
+    "reference": (EvolutionConfig(tau=TAU, euler_method="reference"), None),
+    "even-naive": (EvolutionConfig(tau=TAU, parity_mode="even_naive"), EVEN_NAIVE),
+}
+CASES = [
+    (method, n) for method in ("euler", "exact", "reference") for n in (3, 5, 21, 801)
+] + [("even-naive", 800)]
+
+
+def _oracle_states(state, method, steps):
+    """The state at each step, built one at a time."""
+    if method == "reference":
+        kernels = build_kernel_table(state.lattice)
+        out, current, done = [], state, 0
+        for n in steps:
+            for _ in range(n - done):
+                current = euler_step(current, TAU, kernels)
+            done = n
+            out.append(current)
+        return out
+    kind = METHODS[method][1]
+    return [advance(state, kind, TAU, n) for n in steps]
+
+
+def _oracle_row(state):
+    """Every recorded observable of one state, ⟨P⟩ and ⟨V⟩ from the
+    dense G-kernel double sums."""
+    lattice = state.lattice
+    g = lattice.reciprocal_constant
+    gmat = g_site_matrix(lattice)
+    amps = state.amplitudes()
+    return (
+        norm_m(state),
+        4.0 * g * state.a @ (gmat @ state.b),
+        (-1j * g * np.vdot(amps, gmat @ amps)).real,
+        position_mean(state),
+        position_spread(state),
+        gaussian_shape_residual(state),
+    )
+
+
+@pytest.mark.parametrize("method, n_sites", CASES, ids=lambda v: str(v))
+def test_rows_match_states_built_one_at_a_time(monkeypatch, method, n_sites):
+    config, _kind = METHODS[method]
+    lattice = make_even_lattice(n_sites) if n_sites % 2 == 0 else make_lattice(n_sites)
+    if n_sites < 100:
+        # 3 rows per block, so the 11 records below split 3 + 3 + 3 + 2
+        monkeypatch.setattr(ringfield.evolve, "RECORD_BLOCK_BYTES", 3 * 16 * n_sites)
+        n_steps, record_every = 20, 2
+    else:
+        # 5 rows per block at the default size: 101 records split 20 x 5 + 1
+        n_steps, record_every = 100, 1
+    state = random_state(lattice, 7)
+    series = run(state, config, n_steps, record_every, checkpoint_every=7)
+    steps = [snap.step for snap in series.snapshots]
+    assert steps == sorted({n_steps, *range(0, n_steps + 1, record_every)})
+
+    measured = np.array([[getattr(snap, col) for col in COLUMNS] for snap in series.snapshots])
+    oracle = np.array([_oracle_row(s) for s in _oracle_states(state, method, steps)])
+    scale = np.max(np.abs(oracle), axis=0)
+    gap = np.max(np.abs(measured - oracle), axis=0)
+    assert np.all(gap <= BLOCK_RTOL * scale), dict(zip(COLUMNS, gap / scale))
+
+    checkpoint_steps = sorted(series.checkpoints)
+    assert checkpoint_steps == sorted({n_steps, *range(0, n_steps + 1, 7)})
+    for step, expected in zip(checkpoint_steps, _oracle_states(state, method, checkpoint_steps)):
+        got = series.checkpoints[step].amplitudes()
+        assert np.max(np.abs(got - expected.amplitudes())) <= 1e-14 * np.max(np.abs(got))
+
+
+@pytest.mark.parametrize("lattice", [make_lattice(801), make_even_lattice(800)],
+                         ids=["odd", "even"])
+def test_real_state_has_exactly_zero_drift_at_step_zero(lattice):
+    state = uniform_state(lattice, 0, 5, 0)
+    mode = "even_naive" if lattice.parity == "even" else "odd_standard"
+    first = run(state, EvolutionConfig(parity_mode=mode), 50, record_every=5).snapshots[0]
+    assert first.drift_velocity == 0.0
+    assert math.copysign(1.0, first.drift_velocity) == 1.0
+    assert fmt(first.drift_velocity) == "0.0"
+
+
+def test_corrupted_transform_of_a_late_row_raises(monkeypatch):
+    original = ringfield.observables.to_momentum_basis
+
+    def drop_in_last_row(state):
+        """Corrupt the last row of every block of more than one row."""
+        spectrum = original(state)
+        coefficients = spectrum.coefficients.copy()
+        if coefficients.ndim == 2 and len(coefficients) > 1:
+            last = coefficients[-1]
+            last[np.argmax(np.abs(last))] = 0.0
+        return dataclasses.replace(spectrum, coefficients=coefficients)
+
+    monkeypatch.setattr(ringfield.observables, "to_momentum_basis", drop_in_last_row)
+    state = random_state(make_lattice(801), 3)
+    with pytest.raises(ConsistencyError, match="Parseval"):
+        run(state, EvolutionConfig(), 100, record_every=1)
+
+
+def test_overflowing_row_raises_value_error():
+    state = random_state(make_lattice(101), 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            run(state, EvolutionConfig(), 10**9, record_every=10**8)
+
+
+def test_blocks_stay_within_the_byte_bound(monkeypatch):
+    """The blocks that ``run`` inverse-transforms and hands to
+    ``snapshots`` stay within the bound.  ``snapshots`` is replaced by a
+    recorder: it transforms exactly the block it is given, and its cost
+    at this size is not what is tested."""
+    lattice = make_lattice(4001)
+    ifft_shapes, observed_bytes = [], []
+    original = np.fft.ifft
+
+    def recorded_ifft(a, *args, **kwargs):
+        ifft_shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    def recorded_snapshots(block, steps):
+        observed_bytes.append(block.c.nbytes)
+        return [ObservableSnapshot(int(step), *[0.0] * 6) for step in steps]
+
+    monkeypatch.setattr(np.fft, "ifft", recorded_ifft)
+    monkeypatch.setattr(ringfield.evolve, "snapshots", recorded_snapshots)
+    state = gaussian_state(lattice, 0, 10.0, 20)
+    series = run(state, EvolutionConfig(scheme="exact"), 2000, record_every=1)
+    assert len(series.snapshots) == 2001
+    rows = max(1, RECORD_BLOCK_BYTES // (16 * 4001))
+    assert len(ifft_shapes) == len(observed_bytes) == math.ceil(2001 / rows)
+    assert max(math.prod(shape) * 16 for shape in ifft_shapes) <= RECORD_BLOCK_BYTES
+    assert max(observed_bytes) <= RECORD_BLOCK_BYTES
+
+
+# tau g^2 N^2 = 5e-3 (2 pi)^2 = 0.197: above the warning threshold, below the limit
+WARN_TAU = 5e-3
+WARN_LATTICE = make_lattice(801)
+WARN_STATE = gaussian_state(WARN_LATTICE, 0, 10.0, 20)
+WARNING_CALLS = {
+    "run": lambda: run(WARN_STATE, EvolutionConfig(tau=WARN_TAU), 10),
+    "run reference": lambda: run(
+        WARN_STATE, EvolutionConfig(tau=WARN_TAU, euler_method="reference"), 2
+    ),
+    "advance": lambda: advance(WARN_STATE, EULER, WARN_TAU, 10),
+    "propagate": lambda: propagate(WARN_STATE, EULER, WARN_TAU, [0, 10]),
+    "euler_step": lambda: euler_step(WARN_STATE, WARN_TAU, build_kernel_table(WARN_LATTICE)),
+    "euler_step_spectral": lambda: euler_step_spectral(WARN_STATE, WARN_TAU),
+}
+
+
+@pytest.mark.parametrize("name", WARNING_CALLS)
+def test_tau_warning_names_the_caller(name):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        WARNING_CALLS[name]()
+    tau_warnings = [w for w in caught if "tau * g^2 * N^2" in str(w.message)]
+    assert len(tau_warnings) == 1
+    assert tau_warnings[0].filename == __file__
