@@ -12,8 +12,11 @@ sign-corrected variant (even N).
 
 The transform pair, ``momentum_coefficients`` and ``site_amplitudes``,
 acts on the last axis of an array, so a block of states (one per row)
-is transformed by one batched FFT.  ``to_momentum_basis`` and
-``from_momentum_basis`` are its state-level wrappers.
+is transformed by one batched FFT.  A real array (a field a or b on
+its own) takes a real-input FFT, which computes only the momenta
+kappa >= 0 and takes the negative ones as their conjugates.
+``to_momentum_basis`` and ``from_momentum_basis`` are its state-level
+wrappers.
 """
 
 from __future__ import annotations
@@ -72,15 +75,29 @@ def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarra
     """Unbiased-basis coefficients of site amplitudes along the last axis.
 
     Every row (every index of the leading axes) is transformed on its
-    own, in one batched FFT.  Coefficients are ordered like
+    own, in one batched FFT.  Real rows take a real-input FFT: on an odd
+    lattice ``rfft`` gives kappa = 0..L, on an even one the odd outputs
+    of a 2N-point ``rfft`` give kappa = 1/2..(N-1)/2, and the negative
+    momenta are their exact conjugates, so a zero row has exactly zero
+    coefficients.  Coefficients are ordered like
     ``lattice.momentum_values()``; ``amplitudes`` is not modified.
     """
     slots, offset, _unoffset, twist, _untwist = _basis_tables(lattice)
-    if twist is not None:
-        # half-integer momenta: absorb the extra half wave into a twist
-        amplitudes = amplitudes * twist
-    coefficients = np.fft.fft(amplitudes)[..., slots]
-    coefficients /= sqrt(lattice.n_sites)
+    n = lattice.n_sites
+    if not np.iscomplexobj(amplitudes):
+        if twist is None:
+            positive = np.fft.rfft(amplitudes)  # kappa = 0..L
+            negative = positive[..., :0:-1]  # kappa = L..1
+        else:
+            positive = np.fft.rfft(amplitudes, 2 * n)[..., 1::2]
+            negative = positive[..., ::-1]
+        coefficients = np.concatenate((np.conj(negative), positive), axis=-1)
+    else:
+        if twist is not None:
+            # half-integer momenta: absorb the extra half wave into a twist
+            amplitudes = amplitudes * twist
+        coefficients = np.fft.fft(amplitudes)[..., slots]
+    coefficients /= sqrt(n)
     # undo the storage offset: site s sits at array index s - site_min
     coefficients *= offset
     return coefficients

@@ -9,7 +9,10 @@ Subcommands:
     even-odd     parity demonstration report
 
 Exit codes: 0 success, 1 failed checks, 2 invalid configuration,
-3 numerical guard violation.
+3 numerical guard violation.  ``main`` maps the errors of every
+subcommand: ``TimestepBoundError`` and ``ConsistencyError`` to 3, any
+other ``ValueError`` or an ``OSError`` to 2, each with one ``error:``
+line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, read_config
-from .evolve import EULER, EXACT, TimestepBoundError, propagate_blocks, run
+from .evolve import EULER, EXACT, TimestepBoundError, propagate_blocks, record_steps, run
 from .experiments import (
     even_odd_comparison,
     identity_suite,
@@ -86,25 +89,15 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = _config_from_args(args)
-        lattice = config.lattice()
-        state = build_state(lattice, config.state_spec())
-        evolution = config.evolution()
-    except (ValueError, OSError) as exc:
-        return _fail(exc, EXIT_BAD_CONFIG)
-    try:
-        series = run(
-            state,
-            evolution,
-            config.n_steps,
-            config.record_every,
-            checkpoint_every=config.checkpoint_every,
-        )
-    except (TimestepBoundError, ConsistencyError) as exc:
-        return _fail(exc, EXIT_GUARD)
-    except ValueError as exc:  # e.g. a step that leaves the finite floats
-        return _fail(exc, EXIT_BAD_CONFIG)
+    config = _config_from_args(args)
+    state = build_state(config.lattice(), config.state_spec())
+    series = run(
+        state,
+        config.evolution(),
+        config.n_steps,
+        config.record_every,
+        checkpoint_every=config.checkpoint_every,
+    )
     if config.csv_path:
         series.write_csv(config.csv_path)
     else:
@@ -152,7 +145,7 @@ def _cmd_paper_table(args) -> int:
 
 
 def _compare_rows(state, config: RunConfig) -> list[tuple]:
-    steps = sorted({config.n_steps, *range(0, config.n_steps + 1, config.record_every)})
+    steps = record_steps(config.n_steps, config.record_every)
     rows = []
     for (chunk, euler), (_chunk, exact) in zip(
         propagate_blocks(state, EULER, config.tau, steps),
@@ -176,20 +169,11 @@ def _compare_rows(state, config: RunConfig) -> list[tuple]:
 
 
 def _cmd_compare(args) -> int:
-    try:
-        config = _config_from_args(args)
-        if config.parity_mode != "odd_standard":
-            raise ValueError("compare runs on the standard odd lattice")
-        lattice = config.lattice()
-        state = build_state(lattice, config.state_spec())
-    except (ValueError, OSError) as exc:
-        return _fail(exc, EXIT_BAD_CONFIG)
-    try:
-        rows = _compare_rows(state, config)
-    except (TimestepBoundError, ConsistencyError) as exc:
-        return _fail(exc, EXIT_GUARD)
-    except ValueError as exc:
-        return _fail(exc, EXIT_BAD_CONFIG)
+    config = _config_from_args(args)
+    if config.parity_mode != "odd_standard":
+        raise ValueError("compare runs on the standard odd lattice")
+    state = build_state(config.lattice(), config.state_spec())
+    rows = _compare_rows(state, config)
     lines = ["step,deviation,m_euler,m_exact,drift_euler,drift_exact"]
     for row in rows:
         lines.append(str(row[0]) + "," + ",".join(fmt(x) for x in row[1:]))
@@ -261,7 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (TimestepBoundError, ConsistencyError) as exc:
+        return _fail(exc, EXIT_GUARD)
+    except (ValueError, OSError) as exc:  # e.g. a step that leaves the finite floats
+        return _fail(exc, EXIT_BAD_CONFIG)
 
 
 if __name__ == "__main__":

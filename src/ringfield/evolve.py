@@ -375,6 +375,19 @@ def even_naive_step(
     return _advance(state, EVEN_NAIVE, tau, 1)
 
 
+def record_steps(n_steps: int, record_every: int) -> list[int]:
+    """The steps a run records: 0, every ``record_every`` steps and
+    ``n_steps``, ascending.
+
+    Raises ``ValueError`` for ``n_steps < 0`` or ``record_every < 1``.
+    """
+    if n_steps < 0:
+        raise ValueError("n_steps must be >= 0")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    return sorted({n_steps, *range(0, n_steps + 1, record_every)})
+
+
 def _reference_blocks(
     state: FieldState, tau: float, steps: list[int]
 ) -> Iterator[tuple[list[int], FieldBlock]]:
@@ -412,10 +425,7 @@ def run(
     ``kernels`` is optional and only checked to live on the state's
     lattice.  The tau bound is checked once, when a step is taken.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    steps = record_steps(n_steps, record_every)
     lattice = state.lattice
     even_mode = config.parity_mode == EVEN_NAIVE
     if even_mode and lattice.parity != EVEN:
@@ -431,10 +441,8 @@ def run(
     def due(step: int, every: int) -> bool:
         return every > 0 and (step % every == 0 or step == n_steps)
 
-    marks = {n_steps, *range(0, n_steps + 1, record_every)}
     if checkpoint_every > 0:
-        marks.update(range(0, n_steps + 1, checkpoint_every))
-    steps = sorted(marks)
+        steps = sorted({*steps, *record_steps(n_steps, checkpoint_every)})
     kind = EXACT if config.scheme == EXACT else EVEN_NAIVE if even_mode else EULER
     if _takes_linearised_step(kind, steps):
         check_tau_bound(config.tau, lattice, stacklevel=2)

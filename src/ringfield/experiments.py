@@ -17,6 +17,11 @@ reference values it is held against:
 The random row depends on how the random state is drawn, which the
 reference leaves open, so it is gated on the order of magnitude
 (band 0.004 .. 0.4) rather than a point value.
+
+A table row measures only what it reports: the recorded states of the
+spectral Euler step, a block of rows at a time, and M and <V> of each
+row (``observables.conserved_columns``), the same numbers ``run``
+records in those columns.
 """
 
 from __future__ import annotations
@@ -30,13 +35,13 @@ from .evolve import (
     EULER,
     EVEN_NAIVE,
     EXACT,
-    EvolutionConfig,
     advance,
     euler_step,
     exact_step,
     make_even_lattice,
     propagate,
-    run,
+    propagate_blocks,
+    record_steps,
 )
 from .ioutil import atomic_write_text
 from .kernels import (
@@ -48,6 +53,7 @@ from .kernels import (
 )
 from .lattice import make_lattice
 from .observables import (
+    conserved_columns,
     count_local_maxima,
     gaussian_shape_residual,
     high_band_fraction,
@@ -213,16 +219,25 @@ def paper_table_run(
     n_sites: int = 801,
     lattice_constant: float = 1.0,
     record_every: int = 10,
-    euler_method: str = "spectral",
 ) -> ExperimentReport:
     """One row of the conservation table: evolve one shape with the
-    reaction process and report the observed variation of M and <V>."""
+    reaction process and report the observed variation of M and <V>.
+
+    Only the conserved quantities are measured: the recorded states
+    come a block at a time from ``propagate_blocks``, at the steps and
+    in the blocks that ``run`` uses, and ``conserved_columns`` measures
+    each block, so M and <V> are the numbers ``run`` records.
+    """
     lattice = make_lattice(n_sites, lattice_constant)
     state = table_state(lattice, shape, seed)
-    config = EvolutionConfig(tau=tau, euler_method=euler_method)
-    series = run(state, config, n_steps, record_every)
-    var_m = _relative_variation(series.column("m_total"))
-    var_v = _relative_variation(series.column("drift_velocity"))
+    steps = record_steps(n_steps, record_every)
+    m_total, drift = [], []
+    for _chunk, block in propagate_blocks(state, EULER, tau, steps):
+        m_block, drift_block, _momentum = conserved_columns(block)
+        m_total.append(m_block)
+        drift.append(drift_block)
+    var_m = _relative_variation(np.concatenate(m_total))
+    var_v = _relative_variation(np.concatenate(drift))
     worst = max(var_m, var_v)
     band = TABLE_BANDS.get((shape, tau))
     # published bands describe the canonical 1000-step run; shorter runs
@@ -425,6 +440,34 @@ KERNEL_G_RTOL = 1e-9
 KERNEL_ORACLE_BLOCK = 256  # displacements per block of the direct sums
 
 
+def _direct_kernel_sums(lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Displacements d in [-2L, 2L] and the direct spectral sums
+    F(d) = (1/N) sum_k k^2 cos(2 pi k d / N) and
+    G(d) = -(1/N) sum_k k sin(2 pi k d / N), the real parts of the
+    complex sums in ``kernels``.
+
+    The phase of k d depends only on k d modulo N, so the cosines and
+    sines are entries of one N-entry table.  The sums run in real
+    arithmetic, a block of ``KERNEL_ORACLE_BLOCK`` displacements at a
+    time, so the index matrix stays N x KERNEL_ORACLE_BLOCK; they use
+    neither an FFT nor the closed forms.
+    """
+    n = lattice.n_sites
+    half = lattice.half_width
+    d = np.arange(-2 * half, 2 * half + 1)
+    k = np.arange(-half, half + 1)
+    angles = 2.0 * np.pi * np.arange(n) / n
+    cos_table, sin_table = np.cos(angles), np.sin(angles)
+    f_sums = np.empty(d.size)
+    g_sums = np.empty(d.size)
+    for lo in range(0, d.size, KERNEL_ORACLE_BLOCK):
+        block = slice(lo, lo + KERNEL_ORACLE_BLOCK)
+        index = np.multiply.outer(k, d[block]) % n
+        f_sums[block] = (k * k) @ cos_table[index] / n
+        g_sums[block] = -(k @ sin_table[index]) / n
+    return d, f_sums, g_sums
+
+
 def kernel_oracle_check(
     n_sites_list=KERNEL_ORACLE_N_LIST, perturbation: float = 0.0
 ) -> ExperimentReport:
@@ -438,23 +481,12 @@ def kernel_oracle_check(
     worst_g = 0.0
     for n in n_sites_list:
         lattice = make_lattice(n)
-        half = lattice.half_width
-        d = np.arange(-2 * half, 2 * half + 1)
-        k = np.arange(-half, half + 1).astype(float)
-        f_spectral = np.empty(d.size, dtype=complex)
-        g_spectral = np.empty(d.size, dtype=complex)
-        # the same direct sums, a block of displacements at a time, so the
-        # phase matrix stays N x KERNEL_ORACLE_BLOCK
-        for lo in range(0, d.size, KERNEL_ORACLE_BLOCK):
-            block = slice(lo, lo + KERNEL_ORACLE_BLOCK)
-            phases = np.exp(2j * np.pi * np.multiply.outer(k, d[block]) / n)
-            f_spectral[block] = (k**2) @ phases / n
-            g_spectral[block] = 1j * (k @ phases) / n
+        d, f_spectral, g_spectral = _direct_kernel_sums(lattice)
         f_closed = kernel_f(d, lattice) + perturbation
         g_closed = kernel_g(d, lattice)
         f0 = kernel_f(0, lattice)
-        worst_f = max(worst_f, float(np.max(np.abs(f_closed - f_spectral.real)) / f0))
-        worst_g = max(worst_g, float(np.max(np.abs(g_closed - g_spectral.real)) / n))
+        worst_f = max(worst_f, float(np.max(np.abs(f_closed - f_spectral)) / f0))
+        worst_g = max(worst_g, float(np.max(np.abs(g_closed - g_spectral)) / n))
     checks = (
         Check("kernel F closed form vs spectral sum", worst_f,
               f"<= {KERNEL_F_RTOL:g} * F(0)", bool(worst_f <= KERNEL_F_RTOL)),
@@ -635,7 +667,14 @@ def even_odd_comparison(
     linearisation error).  For a packet sitting on the seam the naive
     even-mode step picks the wrong sign for far-side creation and its
     deviation blows past the odd one by orders of magnitude.
+
+    Raises ``ValueError`` unless ``tau`` > 0 and ``n_steps`` >= 1, and
+    when a deviation the ratios divide by vanishes.
     """
+    if not tau > 0:
+        raise ValueError(f"tau must be positive (got {tau})")
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be >= 1 (got {n_steps})")
     even = make_even_lattice(n_even)
     odd = make_lattice(n_odd)
 
@@ -650,6 +689,10 @@ def even_odd_comparison(
     dev_odd_confined = deviation(odd, 0)
     dev_even_wrapped = deviation(even, even.site_min)
     dev_odd_wrapped = deviation(odd, odd.site_min)
+    if min(dev_even_confined, dev_odd_confined, dev_odd_wrapped) == 0.0:
+        raise ValueError(
+            f"the reaction step does not deviate from its reference at tau = {tau:g}"
+        )
 
     confined_ratio = max(dev_even_confined, dev_odd_confined) / min(
         dev_even_confined, dev_odd_confined

@@ -142,7 +142,12 @@ def build_kernel_table(lattice: Lattice) -> KernelTable:
     return KernelTable(lattice=lattice, f_values=f_values, g_values=g_values)
 
 
-@lru_cache(maxsize=16)
+# a dense matrix takes 8 N^2 bytes (128 MB at N = 4001), so each of the two
+# builders keeps only the matrices of its two most recent lattices
+SITE_MATRIX_CACHE_SIZE = 2
+
+
+@lru_cache(maxsize=SITE_MATRIX_CACHE_SIZE)
 def f_site_matrix(lattice: Lattice) -> np.ndarray:
     """Dense matrix F([s - r]) over all site pairs, wrapped modulo N.
 
@@ -157,7 +162,7 @@ def f_site_matrix(lattice: Lattice) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=SITE_MATRIX_CACHE_SIZE)
 def g_site_matrix(lattice: Lattice) -> np.ndarray:
     """Dense matrix G(s - r) over all site pairs, unwrapped displacements."""
     sites = lattice.sites()

@@ -19,12 +19,14 @@ double sums over the dense ``g_site_matrix`` stay as the test oracle.
 Position mean and spread are circular moments, since the lattice is a
 circle and linear moments stop meaning anything once a packet wraps.
 
-Every observable is written over the last axis of its arrays, so
-``snapshots`` measures a whole ``FieldBlock`` of states (one per row)
-at once: two batched transforms, of the a rows and of the b rows, then
-column-wise M, the Parseval check, <P>, the drift, the circular moments
-and the shape residual.  ``snapshot`` and the single-state functions
-are the same code on one row.
+Every observable is written over the last axis of its arrays, so a
+whole ``FieldBlock`` of states (one per row) is measured at once.
+``conserved_columns`` gives M, the drift and <P> of every row from two
+batched real-input transforms, of the a rows and of the b rows, and
+checks Parseval on every row; the conservation table needs nothing
+else.  ``snapshots`` calls it and adds the position columns: the
+circular moments and the shape residual.  ``snapshot`` and the
+single-state functions are the same code on one row.
 """
 
 from __future__ import annotations
@@ -58,19 +60,19 @@ def _one_row(state: FieldState) -> FieldBlock:
     return FieldBlock(state.lattice, state.amplitudes())
 
 
-def _spectral_columns(block: FieldBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conserved_columns(block: FieldBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M, <V> and <P> of each row, the last two from the field spectra.
 
-    The fields are transformed one at a time, so a row with b = 0 has
-    b_hat = 0 exactly and no drift at all.  The transform is unitary:
-    an occupation that misses the site-space M by more than
-    1e-10 max(1, M) in any row means a broken transform and raises
-    ``ConsistencyError``.
+    The real fields a and b are transformed one at a time, by real-input
+    FFTs, so a row with b = 0 has b_hat = 0 exactly and no drift at all.
+    The transform is unitary: an occupation that misses the site-space
+    M by more than 1e-10 max(1, M) in any row means a broken transform
+    and raises ``ConsistencyError``.
     """
     lattice, c = block.lattice, block.c
     kappa = lattice.momentum_values()
-    a_hat = to_momentum_basis(FieldBlock(lattice, c.real.astype(complex))).coefficients
-    b_hat = to_momentum_basis(FieldBlock(lattice, c.imag.astype(complex))).coefficients
+    a_hat = to_momentum_basis(FieldBlock(lattice, c.real)).coefficients
+    b_hat = to_momentum_basis(FieldBlock(lattice, c.imag)).coefficients
     cross = np.imag(a_hat * np.conj(b_hat))
     drift = 4.0 * lattice.reciprocal_constant * np.sum(kappa * cross, axis=-1)
     occupation = np.abs(a_hat + 1j * b_hat) ** 2
@@ -96,7 +98,7 @@ def drift_velocity(state: FieldState, kernels: KernelTable | None = None) -> flo
     lattice.  Exactly 0.0 when b = 0.
     """
     _check_table(state, kernels)
-    return float(_spectral_columns(_one_row(state))[1])
+    return float(conserved_columns(_one_row(state))[1])
 
 
 def momentum_expectation(state: FieldState, kernels: KernelTable | None = None) -> float:
@@ -108,7 +110,7 @@ def momentum_expectation(state: FieldState, kernels: KernelTable | None = None) 
     ``ConsistencyError`` when the spectrum fails the Parseval check.
     """
     _check_table(state, kernels)
-    return float(_spectral_columns(_one_row(state))[2])
+    return float(conserved_columns(_one_row(state))[2])
 
 
 def momentum_expectation_spectral(state: FieldState) -> float:
@@ -275,7 +277,7 @@ def snapshots(block: FieldBlock, steps) -> list[ObservableSnapshot]:
     when a row has M = 0.
     """
     lattice = block.lattice
-    m_total, drift, momentum = _spectral_columns(block)
+    m_total, drift, momentum = conserved_columns(block)
     density = block.c.real**2 + block.c.imag**2
     mean, spread = _circular_moments(lattice, density)
     residual = _shape_residual(lattice, density, mean, spread)

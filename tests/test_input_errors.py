@@ -28,6 +28,15 @@ EXIT_CODES = [
       "--scheme", "exact"], 2),
     (["compare", *SMALL, "--record-every", "0"], 2),
     (["compare", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
+    (["paper-table", "--steps", "-1"], 2),
+    (["paper-table", "--seed", "-1"], 2),
+    (["even-odd", "--tau", "0"], 2),
+    (["even-odd", "--tau", "1e-300"], 2),
+    (["even-odd", "--sigma", "0"], 2),
+    (["even-odd", "--n-even", "801"], 2),
+    (["even-odd", "--n-odd", "800"], 2),
+    (["even-odd", "--steps", "-1"], 2),
+    (["even-odd", "--tau", "1"], 3),
 ]
 
 
