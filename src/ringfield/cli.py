@@ -32,9 +32,9 @@ from .experiments import (
     paper_table_grid,
     paper_table_text,
 )
-from .ioutil import atomic_write_text, fmt
+from .ioutil import atomic_write_text, check_writable, fmt
 from .kernels import ConsistencyError
-from .observables import snapshots
+from .observables import conserved_columns
 from .state import build_state, write_state_csv
 
 EXIT_OK = 0
@@ -132,7 +132,15 @@ def _cmd_verify(args) -> int:
     return EXIT_CHECK_FAILED
 
 
+def _check_outputs(*paths) -> None:
+    """Fail on an unwritable output path before any work starts."""
+    for path in paths:
+        if path:
+            check_writable(path)
+
+
 def _cmd_paper_table(args) -> int:
+    _check_outputs(args.json, args.text)
     report = paper_table_grid(n_steps=args.steps, seed=args.seed)
     table = paper_table_text(report)
     sys.stdout.write(table)
@@ -151,20 +159,11 @@ def _compare_rows(state, config: RunConfig) -> list[tuple]:
         propagate_blocks(state, EULER, config.tau, steps),
         propagate_blocks(state, EXACT, config.tau, steps),
     ):
-        deviations = np.linalg.norm(euler.c - exact.c, axis=-1).tolist()
-        for step, deviation, euler_row, exact_row in zip(
-            chunk, deviations, snapshots(euler, chunk), snapshots(exact, chunk)
-        ):
-            rows.append(
-                (
-                    step,
-                    deviation,
-                    euler_row.m_total,
-                    exact_row.m_total,
-                    euler_row.drift_velocity,
-                    exact_row.drift_velocity,
-                )
-            )
+        deviation = np.linalg.norm(euler.c - exact.c, axis=-1)
+        m_euler, drift_euler, _momentum = conserved_columns(euler)
+        m_exact, drift_exact, _momentum = conserved_columns(exact)
+        columns = (deviation, m_euler, m_exact, drift_euler, drift_exact)
+        rows.extend(zip(chunk, *(column.tolist() for column in columns)))
     return rows
 
 
@@ -186,6 +185,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_even_odd(args) -> int:
+    _check_outputs(args.json)
     report = even_odd_comparison(
         n_even=args.n_even, n_odd=args.n_odd, sigma=args.sigma,
         n_steps=args.steps, tau=args.tau,

@@ -52,7 +52,7 @@ import numpy as np
 from .basis import site_amplitudes, to_momentum_basis
 from .kernels import KernelTable, f_site_matrix, kernel_f
 from .lattice import EVEN, ODD, Lattice, make_even_lattice, wrap_index  # noqa: F401  (re-export)
-from .observables import snapshots
+from .observables import RECORD_BLOCK_BYTES, snapshots
 from .series import TimeSeries
 from .state import FieldBlock, FieldState, _new_state, block_from_amplitudes
 
@@ -67,13 +67,6 @@ LINEARISED = (EULER, EVEN_NAIVE)
 # hard ceiling and warning threshold for tau * g^2 * N^2 (= tau (2 pi / a)^2)
 TAU_HARD_LIMIT = 0.5
 TAU_WARN_LIMIT = 0.1
-
-# bytes of complex amplitudes in one block of recorded rows: 5 rows at
-# N = 801, one from N = 2049 on.  Measuring a block takes about five
-# block-sized arrays at once, so larger blocks raise the peak memory of
-# large-N runs (256 KiB, 4 rows at N = 4001: +1.5 MB), while most of the
-# batching gain at N = 801 is already there at 5 rows.
-RECORD_BLOCK_BYTES = 64 * 1024
 
 
 class TimestepBoundError(ValueError):

@@ -18,10 +18,26 @@ The random row depends on how the random state is drawn, which the
 reference leaves open, so it is gated on the order of magnitude
 (band 0.004 .. 0.4) rather than a point value.
 
-A table row measures only what it reports: the recorded states of the
-spectral Euler step, a block of rows at a time, and M and <V> of each
-row (``observables.conserved_columns``), the same numbers ``run``
-records in those columns.
+Every number the table reports is an exact function of the initial
+spectrum.  One Euler step multiplies the momentum coefficient c_hat_k by
+m_k = 1 - i tau g^2 kappa^2, so after n steps
+
+    M(n)   = sum_k |c_hat_0,k|^2 |m_k|^(2n),
+    <P>(n) = g sum_k kappa |c_hat_0,k|^2 |m_k|^(2n),
+
+and <V> = 2 <P>: for real fields |a_hat_k|^2 and |b_hat_k|^2 are even in
+kappa, so of g sum_k kappa |a_hat_k + i b_hat_k|^2 only the cross term
+2 g sum_k kappa Im(a_hat_k conj(b_hat_k)) survives, which is <V> / 2.
+A table row therefore evaluates its recorded steps in closed form
+(``observables.spectral_series``) from one forward transform, the two
+real-input FFTs of a and b.  Its checks stay in site space: the
+spectrum of the initial state must carry its M (Parseval,
+``ConsistencyError``), and the state after the final step is built by
+one inverse transform, must be finite (``ValueError``) and must carry
+the M the closed form predicts to 1e-10 max(1, M)
+(``ConsistencyError``).  ``run`` records the same M and <V> from the
+states themselves, a block of rows at a time; the tests hold the table
+against it.
 """
 
 from __future__ import annotations
@@ -36,15 +52,17 @@ from .evolve import (
     EVEN_NAIVE,
     EXACT,
     advance,
+    check_tau_bound,
     euler_step,
     exact_step,
     make_even_lattice,
     propagate,
-    propagate_blocks,
+    propagator,
     record_steps,
 )
 from .ioutil import atomic_write_text
 from .kernels import (
+    ConsistencyError,
     build_kernel_table,
     f_site_matrix,
     g_site_matrix,
@@ -53,8 +71,8 @@ from .kernels import (
 )
 from .lattice import make_lattice
 from .observables import (
-    conserved_columns,
     count_local_maxima,
+    field_spectra,
     gaussian_shape_residual,
     high_band_fraction,
     m_step_increase_confined_estimate,
@@ -62,9 +80,12 @@ from .observables import (
     momentum_expectation,
     position_spread,
     quartic_moment_coefficient,
+    spectral_series,
 )
 from .state import (
+    FieldBlock,
     FieldState,
+    block_from_amplitudes,
     combined_distribution,
     gaussian_state,
     norm_m,
@@ -211,6 +232,15 @@ def _relative_variation(values) -> float:
     return float(np.max(np.abs(values - first)) / abs(first))
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0 (got {seed})")
+
+
+# site-space M after the final step against the closed form, relative to max(1, M)
+FINAL_M_RTOL = 1e-10
+
+
 def paper_table_run(
     shape: str,
     tau: float,
@@ -223,21 +253,38 @@ def paper_table_run(
     """One row of the conservation table: evolve one shape with the
     reaction process and report the observed variation of M and <V>.
 
-    Only the conserved quantities are measured: the recorded states
-    come a block at a time from ``propagate_blocks``, at the steps and
-    in the blocks that ``run`` uses, and ``conserved_columns`` measures
-    each block, so M and <V> are the numbers ``run`` records.
+    M and <P> come in closed form at the steps ``run`` records
+    (``spectral_series``), from the spectrum c_hat_0 = a_hat + i b_hat
+    of the two real-input FFTs, and <V> = 2 <P> (see the module
+    docstring).  The checks stay in site space: c_hat_0 must carry the
+    site-space M (Parseval), and the one state this row builds, the
+    state after the final step, must be finite (``ValueError``) and
+    hold the predicted M to ``FINAL_M_RTOL`` (``ConsistencyError``).
+    The tau bound is checked once when a step is taken; ``n_steps = 0``
+    reports a variation of 0.0 and builds no propagator.  Raises
+    ``ValueError`` for a negative seed, before any work.
     """
+    _check_seed(seed)
     lattice = make_lattice(n_sites, lattice_constant)
     state = table_state(lattice, shape, seed)
     steps = record_steps(n_steps, record_every)
-    m_total, drift = [], []
-    for _chunk, block in propagate_blocks(state, EULER, tau, steps):
-        m_block, drift_block, _momentum = conserved_columns(block)
-        m_total.append(m_block)
-        drift.append(drift_block)
-    var_m = _relative_variation(np.concatenate(m_total))
-    var_v = _relative_variation(np.concatenate(drift))
+    a_hat, b_hat, occupation, _m0 = field_spectra(FieldBlock(lattice, state.amplitudes()))
+    var_m = var_v = 0.0
+    if n_steps > 0:
+        check_tau_bound(tau, lattice)
+        prop = propagator(lattice, EULER, tau)
+        log_magnitude = prop.log_multiplier.real
+        m_total, momentum = spectral_series(lattice, occupation, log_magnitude, steps)
+        final = prop.amplitudes_after(a_hat + 1j * b_hat, [n_steps])
+        final = block_from_amplitudes(lattice, final).c
+        m_final = float(np.sum(final.real**2) + np.sum(final.imag**2))
+        gap = m_final - m_total[-1]
+        if not abs(gap) <= FINAL_M_RTOL * max(1.0, m_total[-1]):
+            raise ConsistencyError(
+                f"M after {n_steps} steps differs from its spectral prediction by {gap:.3e}"
+            )
+        var_m = _relative_variation(m_total)
+        var_v = _relative_variation(2.0 * momentum)
     worst = max(var_m, var_v)
     band = TABLE_BANDS.get((shape, tau))
     # published bands describe the canonical 1000-step run; shorter runs
@@ -263,7 +310,11 @@ def paper_table_run(
 def paper_table_grid(
     n_steps: int = 1000, seed: int = DEFAULT_SEED, taus=TABLE_TAUS
 ) -> ExperimentReport:
-    """Full shapes-by-timesteps conservation grid in one report."""
+    """Full shapes-by-timesteps conservation grid in one report.
+
+    Raises ``ValueError`` for a negative seed, before any row evolves.
+    """
+    _check_seed(seed)
     metrics: dict = {}
     checks: list[Check] = []
     worst: dict[tuple[str, float], float] = {}

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import errno
 import os
 import tempfile
 
@@ -11,18 +13,44 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
+def _temp_file(path: str) -> tuple[int, str]:
+    """An open temporary file next to ``path``: (descriptor, name)."""
+    directory = os.path.dirname(os.path.abspath(path)) or "."
+    return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+
+
+def _naming(exc: OSError, path: str) -> OSError:
+    """The same error, naming ``path`` in place of a temporary file."""
+    return OSError(exc.errno, exc.strerror, path)
+
+
+def check_writable(path: str) -> None:
+    """Raise the ``OSError`` that ``atomic_write_text`` would raise for
+    ``path`` when its directory cannot take a new file or ``path`` is a
+    directory.  Creates and removes one temporary file."""
+    try:
+        if os.path.isdir(path):
+            raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        fd, tmp = _temp_file(path)
+        os.close(fd)
+        os.unlink(tmp)
+    except OSError as exc:
+        raise _naming(exc, path) from exc
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write whole-file via a temp file and rename, so readers never
-    observe a partial file."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    observe a partial file.  An ``OSError`` names ``path``, not the
+    temporary file."""
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd, tmp = _temp_file(path)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise _naming(exc, path) from exc

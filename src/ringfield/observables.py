@@ -23,10 +23,15 @@ Every observable is written over the last axis of its arrays, so a
 whole ``FieldBlock`` of states (one per row) is measured at once.
 ``conserved_columns`` gives M, the drift and <P> of every row from two
 batched real-input transforms, of the a rows and of the b rows, and
-checks Parseval on every row; the conservation table needs nothing
-else.  ``snapshots`` calls it and adds the position columns: the
-circular moments and the shape residual.  ``snapshot`` and the
-single-state functions are the same code on one row.
+checks Parseval on every row.  ``snapshots`` calls it and adds the
+position columns: the circular moments and the shape residual.
+``snapshot`` and the single-state functions are the same code on one
+row.
+
+A step that multiplies every momentum coefficient by m scales the
+occupation by |m|^2, so M and <P> after any number of steps follow from
+the initial occupation alone; ``spectral_series`` evaluates them there,
+with no transform at all.  The conservation table needs nothing else.
 """
 
 from __future__ import annotations
@@ -46,6 +51,14 @@ from .state import (
     norm_m,
 )
 
+# bytes of one block of rows: complex amplitudes in ``evolve``'s record
+# blocks (5 rows at N = 801, one from N = 2049 on), real weights in
+# ``spectral_series``.  Measuring a block of amplitudes takes about five
+# block-sized arrays at once, so larger blocks raise the peak memory of
+# large-N runs (256 KiB, 4 rows at N = 4001: +1.5 MB), while most of the
+# batching gain at N = 801 is already there at 5 rows.
+RECORD_BLOCK_BYTES = 64 * 1024
+
 # spread is reported from the resultant length R of the circular first
 # moment; R is floored to keep log() finite for spread-less (flat) states
 _MIN_RESULTANT = 1e-300
@@ -60,21 +73,21 @@ def _one_row(state: FieldState) -> FieldBlock:
     return FieldBlock(state.lattice, state.amplitudes())
 
 
-def conserved_columns(block: FieldBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M, <V> and <P> of each row, the last two from the field spectra.
+def field_spectra(
+    block: FieldBlock,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """a_hat, b_hat, the occupation |a_hat + i b_hat|^2 and the
+    site-space M of each row.
 
     The real fields a and b are transformed one at a time, by real-input
-    FFTs, so a row with b = 0 has b_hat = 0 exactly and no drift at all.
-    The transform is unitary: an occupation that misses the site-space
-    M by more than 1e-10 max(1, M) in any row means a broken transform
-    and raises ``ConsistencyError``.
+    FFTs, so a row with b = 0 has b_hat = 0 exactly.  The transform is
+    unitary: an occupation that misses the site-space M by more than
+    1e-10 max(1, M) in any row means a broken transform and raises
+    ``ConsistencyError``.
     """
     lattice, c = block.lattice, block.c
-    kappa = lattice.momentum_values()
     a_hat = to_momentum_basis(FieldBlock(lattice, c.real)).coefficients
     b_hat = to_momentum_basis(FieldBlock(lattice, c.imag)).coefficients
-    cross = np.imag(a_hat * np.conj(b_hat))
-    drift = 4.0 * lattice.reciprocal_constant * np.sum(kappa * cross, axis=-1)
     occupation = np.abs(a_hat + 1j * b_hat) ** 2
     m_sites = np.sum(c.real**2, axis=-1) + np.sum(c.imag**2, axis=-1)
     gap = np.sum(occupation, axis=-1) - m_sites
@@ -83,7 +96,52 @@ def conserved_columns(block: FieldBlock) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ConsistencyError(
             f"momentum occupation differs from M by {gap.flat[broken[0]]:.3e} (Parseval)"
         )
+    return a_hat, b_hat, occupation, m_sites
+
+
+def conserved_columns(block: FieldBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M, <V> and <P> of each row, the last two from the field spectra
+    (``field_spectra``, Parseval-checked).  A row with b = 0 has no
+    drift at all."""
+    lattice = block.lattice
+    kappa = lattice.momentum_values()
+    a_hat, b_hat, occupation, m_sites = field_spectra(block)
+    cross = np.imag(a_hat * np.conj(b_hat))
+    drift = 4.0 * lattice.reciprocal_constant * np.sum(kappa * cross, axis=-1)
     return m_sites, drift, _momentum(lattice, occupation)
+
+
+def spectral_series(
+    lattice: Lattice, occupation: np.ndarray, log_magnitude: np.ndarray, steps
+) -> tuple[np.ndarray, np.ndarray]:
+    """M and <P> after n steps, for each n of ``steps``, from the initial
+    occupation alone.
+
+    n steps multiply each unbiased-basis coefficient by m^n, so
+
+        M(n)   = sum_k |c_hat_0,k|^2 |m_k|^(2n),
+        <P>(n) = g sum_k kappa |c_hat_0,k|^2 |m_k|^(2n).
+
+    ``occupation`` is |c_hat_0|^2 and ``log_magnitude`` ln|m| per
+    momentum (the real part of ``Propagator.log_multiplier``), both
+    ordered like ``lattice.momentum_values()``.  The weights
+    exp(2 n ln|m|) are built ``RECORD_BLOCK_BYTES`` of rows (or one row)
+    at a time, so memory stays flat as the number of steps grows.
+    Raises ``ValueError`` when a value leaves the finite floats.
+    """
+    steps = np.asarray(steps, dtype=float)
+    moments = np.stack((occupation, lattice.momentum_values() * occupation), axis=-1)
+    twice = 2.0 * np.asarray(log_magnitude, dtype=float)
+    rows = max(1, RECORD_BLOCK_BYTES // (np.dtype(float).itemsize * lattice.n_sites))
+    series = np.empty((steps.size, 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, steps.size, rows):
+            weights = np.multiply.outer(steps[lo:lo + rows], twice)
+            np.exp(weights, out=weights)
+            np.matmul(weights, moments, out=series[lo:lo + rows])
+    if not np.all(np.isfinite(series)):
+        raise ValueError("the spectral M or <P> leaves the finite floats")
+    return series[:, 0], lattice.reciprocal_constant * series[:, 1]
 
 
 def _momentum(lattice: Lattice, occupation: np.ndarray) -> np.ndarray:

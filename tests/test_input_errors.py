@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import ringfield.cli
 from ringfield import RunConfig, read_state_csv, read_state_json
 from ringfield.cli import main
+from ringfield.ioutil import atomic_write_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -91,6 +93,56 @@ def test_exact_scheme_overflow_prints_one_line():
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+def test_negative_seed_prints_one_line():
+    # a fresh interpreter, so tau warnings of rows that ran would reach stderr
+    env = {**os.environ, "PYTHONPATH": SRC}
+    argv = ["paper-table", "--seed", "-1"]
+    proc = subprocess.run([sys.executable, "-m", "ringfield.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: seed"), proc.stderr
+    assert proc.stdout == ""
+
+
+UNWRITABLE = [
+    ["paper-table", "--json", "{missing}"],
+    ["paper-table", "--text", "{missing}"],
+    ["paper-table", "--json", "{directory}"],
+    ["even-odd", "--json", "{missing}"],
+]
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE, ids=[" ".join(a) for a in UNWRITABLE])
+def test_unwritable_output_fails_before_any_work(monkeypatch, tmp_path, capsys, argv):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ringfield.cli, "paper_table_grid", forbidden)
+    monkeypatch.setattr(ringfield.cli, "even_odd_comparison", forbidden)
+    paths = {"missing": str(tmp_path / "no" / "out.json"), "directory": str(tmp_path)}
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert repr(argv[-1]) in lines[0]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_atomic_write_error_names_the_given_path(tmp_path):
+    missing = str(tmp_path / "no" / "out.txt")
+    with pytest.raises(FileNotFoundError) as info:
+        atomic_write_text(missing, "x\n")
+    assert info.value.filename == missing and ".tmp-" not in str(info.value)
+    # the rename fails: the temporary file is removed, the target named
+    with pytest.raises(OSError) as info:
+        atomic_write_text(str(tmp_path), "x\n")
+    assert info.value.filename == str(tmp_path) and ".tmp-" not in str(info.value)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("payload, match", [
