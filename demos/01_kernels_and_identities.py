@@ -11,7 +11,6 @@ conserved quantities.  Run this file to see all of it numerically.
 import numpy as np
 
 from ringfield import (
-    build_kernel_table,
     kernel_f,
     kernel_f_spectral,
     kernel_g,
@@ -35,10 +34,9 @@ for d in (0, 1, 2, 5, 10, 15, 20):
 print("\nF alternates in sign and decays like 1/d^2 away from d=0,")
 print("which is the particle/antiparticle alternation of the creation rule.")
 
-table = build_kernel_table(lattice)
-print(f"\nF(0) = (N^2-1)/12 = {table.f_at(0):.6f}")
-print(f"F is even:  F(3) - F(-3)  = {table.f_at(3) - table.f_at(-3):.1e}")
-print(f"G is odd:   G(3) + G(-3)  = {table.g_at(3) + table.g_at(-3):.1e}")
+print(f"\nF(0) = (N^2-1)/12 = {kernel_f(0, lattice):.6f}")
+print(f"F is even:  F(3) - F(-3)  = {kernel_f(3, lattice) - kernel_f(-3, lattice):.1e}")
+print(f"G is odd:   G(3) + G(-3)  = {kernel_g(3, lattice) + kernel_g(-3, lattice):.1e}")
 
 print("\n-- convolution identity --")
 fmat = f_site_matrix(lattice)

@@ -9,7 +9,6 @@ stays gaussian, and M and the drift velocity hold still to ~1e-6.
 
 from ringfield import (
     EvolutionConfig,
-    build_kernel_table,
     combined_distribution,
     exact_step,
     gaussian_state,
@@ -20,12 +19,11 @@ from ringfield import (
 print(__doc__)
 
 lattice = make_lattice(801)
-kernels = build_kernel_table(lattice)
 state = gaussian_state(lattice, center=0, sigma=10.0, velocity_index=20)
 velocity = 2 * lattice.reciprocal_constant * 20
 print(f"boost velocity v = 2 g m = {velocity:.6f} sites per unit time")
 
-series = run(state, EvolutionConfig(tau=1e-3), 1000, record_every=100, kernels=kernels)
+series = run(state, EvolutionConfig(tau=1e-3), 1000, record_every=100)
 
 print(f"\n{'step':>5s} {'M':>18s} {'<V>':>12s} {'mean':>9s} {'spread':>9s} {'residual':>10s}")
 for snap in series.snapshots:

@@ -40,8 +40,6 @@ from .experiments import (
 )
 from .kernels import (
     ConsistencyError,
-    KernelTable,
-    build_kernel_table,
     kernel_f,
     kernel_f_spectral,
     kernel_g,
@@ -55,7 +53,6 @@ from .observables import (
     gaussian_shape_residual,
     momentum_distribution,
     momentum_expectation,
-    momentum_expectation_spectral,
     position_mean,
     position_spread,
     snapshot,

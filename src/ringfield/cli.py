@@ -90,6 +90,7 @@ def _fail(exc: Exception, code: int) -> int:
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
+    _check_outputs(config.csv_path, config.json_path)
     state = build_state(config.lattice(), config.state_spec())
     series = run(
         state,
@@ -171,6 +172,7 @@ def _cmd_compare(args) -> int:
     config = _config_from_args(args)
     if config.parity_mode != "odd_standard":
         raise ValueError("compare runs on the standard odd lattice")
+    _check_outputs(args.csv_path)
     state = build_state(config.lattice(), config.state_spec())
     rows = _compare_rows(state, config)
     lines = ["step,deviation,m_euler,m_exact,drift_euler,drift_exact"]

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import site_amplitudes, to_momentum_basis
-from .kernels import KernelTable, f_site_matrix, kernel_f
+from .kernels import f_site_matrix, kernel_f
 from .lattice import EVEN, ODD, Lattice, make_even_lattice, wrap_index  # noqa: F401  (re-export)
 from .observables import RECORD_BLOCK_BYTES, snapshots
 from .series import TimeSeries
@@ -301,11 +301,9 @@ def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> Fiel
     return _advance(state, kind, step, n_steps)
 
 
-def euler_step(state: FieldState, tau: float, kernels: KernelTable) -> FieldState:
+def euler_step(state: FieldState, tau: float) -> FieldState:
     """One reaction step, reference O(N^2) implementation."""
     _require_parity(state, ODD, "euler_step")
-    if kernels.lattice != state.lattice:
-        raise ValueError("state and kernel table live on different lattices")
     check_tau_bound(tau, state.lattice, stacklevel=2)
     return _dense_euler_step(state, tau)
 
@@ -351,9 +349,7 @@ def translate_spectral(state: FieldState, steps: int) -> FieldState:
     return advance(state, TRANSLATE, steps)
 
 
-def even_naive_step(
-    state: FieldState, tau: float, kernels: KernelTable | None = None
-) -> FieldState:
+def even_naive_step(state: FieldState, tau: float) -> FieldState:
     """One reaction step on an even lattice with naive modulo-N wrapping.
 
     The displacement sum formally runs over -N/2 .. N/2; the profile
@@ -362,8 +358,6 @@ def even_naive_step(
     evolution once amplitude crosses the index seam.
     """
     _require_parity(state, EVEN, "even_naive_step")
-    if kernels is not None and kernels.lattice != state.lattice:
-        raise ValueError("state and kernel table live on different lattices")
     check_tau_bound(tau, state.lattice, stacklevel=2)
     return _advance(state, EVEN_NAIVE, tau, 1)
 
@@ -404,7 +398,7 @@ def run(
     config: EvolutionConfig,
     n_steps: int,
     record_every: int = 10,
-    kernels: KernelTable | None = None,
+    *,
     checkpoint_every: int = 0,
 ) -> TimeSeries:
     """Evolve a state, recording observables as it goes.
@@ -415,8 +409,7 @@ def run(
     time (``propagate_blocks``), each row one power of the step
     multiplier, except under ``euler_method="reference"``, which steps
     explicitly; each block is measured by one ``snapshots`` call.
-    ``kernels`` is optional and only checked to live on the state's
-    lattice.  The tau bound is checked once, when a step is taken.
+    The tau bound is checked once, when a step is taken.
     """
     steps = record_steps(n_steps, record_every)
     lattice = state.lattice
@@ -428,8 +421,6 @@ def run(
             "even lattices run only under parity_mode even_naive "
             "(or the exact scheme with that mode)"
         )
-    if kernels is not None and kernels.lattice != lattice:
-        raise ValueError("state and kernel table live on different lattices")
 
     def due(step: int, every: int) -> bool:
         return every > 0 and (step % every == 0 or step == n_steps)

@@ -63,7 +63,6 @@ from .evolve import (
 from .ioutil import atomic_write_text
 from .kernels import (
     ConsistencyError,
-    build_kernel_table,
     f_site_matrix,
     g_site_matrix,
     kernel_f,
@@ -237,6 +236,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be >= 0 (got {seed})")
 
 
+def _check_tau(tau: float) -> None:
+    if not tau > 0:  # NaN too
+        raise ValueError(f"tau must be positive (got {tau})")
+
+
 # site-space M after the final step against the closed form, relative to max(1, M)
 FINAL_M_RTOL = 1e-10
 
@@ -262,9 +266,11 @@ def paper_table_run(
     hold the predicted M to ``FINAL_M_RTOL`` (``ConsistencyError``).
     The tau bound is checked once when a step is taken; ``n_steps = 0``
     reports a variation of 0.0 and builds no propagator.  Raises
-    ``ValueError`` for a negative seed, before any work.
+    ``ValueError`` for a negative seed or a tau that is not positive,
+    before any work.
     """
     _check_seed(seed)
+    _check_tau(tau)
     lattice = make_lattice(n_sites, lattice_constant)
     state = table_state(lattice, shape, seed)
     steps = record_steps(n_steps, record_every)
@@ -312,9 +318,12 @@ def paper_table_grid(
 ) -> ExperimentReport:
     """Full shapes-by-timesteps conservation grid in one report.
 
-    Raises ``ValueError`` for a negative seed, before any row evolves.
+    Raises ``ValueError`` for a negative seed or a tau that is not
+    positive, before any row evolves.
     """
     _check_seed(seed)
+    for tau in taus:
+        _check_tau(tau)
     metrics: dict = {}
     checks: list[Check] = []
     worst: dict[tuple[str, float], float] = {}
@@ -429,7 +438,6 @@ def identity_suite(
     worst_comm = 0.0
     for n in n_sites_list:
         lattice = make_lattice(n)
-        kernels = build_kernel_table(lattice)
         g = lattice.reciprocal_constant
         fmat = f_site_matrix(lattice)
         gmat = g_site_matrix(lattice)
@@ -456,7 +464,7 @@ def identity_suite(
             amps /= np.linalg.norm(amps)
             for m_target in (1.0, 7.0):
                 state = state_from_amplitudes(lattice, amps * np.sqrt(m_target))
-                stepped = euler_step(state, tau, kernels)
+                stepped = euler_step(state, tau)
                 measured = norm_m(stepped) - norm_m(state)
                 c = state.amplitudes()
                 predicted = tau**2 * g**4 * float(np.real(np.vdot(c, conv @ c)))
@@ -578,19 +586,18 @@ def order_of_accuracy_run(
     in tau, so all three fitted orders sit at 2.
     """
     lattice = make_lattice(n_sites)
-    kernels = build_kernel_table(lattice)
     state = gaussian_state(lattice, 0, sigma, velocity_index)
     base_norm = np.sqrt(norm_m(state))
-    p0 = momentum_expectation(state, kernels)
+    p0 = momentum_expectation(state)
     err_state, err_m, err_p = [], [], []
     for tau in taus:
-        stepped = euler_step(state, tau, kernels)
+        stepped = euler_step(state, tau)
         reference = exact_step(state, tau)
         err_state.append(
             float(np.linalg.norm(stepped.amplitudes() - reference.amplitudes())) / base_norm
         )
         err_m.append(abs(norm_m(stepped) - norm_m(state)))
-        err_p.append(abs(momentum_expectation(stepped, kernels) - p0))
+        err_p.append(abs(momentum_expectation(stepped) - p0))
     orders = {
         "one-step euler vs exact": _fitted_order(taus, err_state),
         "per-step |dM|": _fitted_order(taus, err_m),
@@ -722,8 +729,7 @@ def even_odd_comparison(
     Raises ``ValueError`` unless ``tau`` > 0 and ``n_steps`` >= 1, and
     when a deviation the ratios divide by vanishes.
     """
-    if not tau > 0:
-        raise ValueError(f"tau must be positive (got {tau})")
+    _check_tau(tau)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1 (got {n_steps})")
     even = make_even_lattice(n_even)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import os
+import stat
 import tempfile
 
 
@@ -17,6 +18,17 @@ def _temp_file(path: str) -> tuple[int, str]:
     """An open temporary file next to ``path``: (descriptor, name)."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+
+
+def _target_mode(path: str) -> int:
+    """The permission bits ``open(path, "w")`` would leave ``path``
+    with: its own when it exists, otherwise 0o666 less the umask."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
 
 
 def _naming(exc: OSError, path: str) -> OSError:
@@ -40,12 +52,15 @@ def check_writable(path: str) -> None:
 
 def atomic_write_text(path: str, text: str) -> None:
     """Write whole-file via a temp file and rename, so readers never
-    observe a partial file.  An ``OSError`` names ``path``, not the
-    temporary file."""
+    observe a partial file.  The file gets the mode ``open(path, "w")``
+    would give it.  An ``OSError`` names ``path``, not the temporary
+    file."""
     try:
+        mode = _target_mode(path)
         fd, tmp = _temp_file(path)
         try:
             with os.fdopen(fd, "w") as handle:
+                os.fchmod(handle.fileno(), mode)
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:

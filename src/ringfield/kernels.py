@@ -16,8 +16,12 @@ spectral sums over the momentum index,
     F(d) = (1/N) sum_k k^2 exp(i 2 pi k d / N),
     G(d) = (i/N) sum_k k   exp(i 2 pi k d / N),
 
-for every odd N; the spectral forms are kept as independent direct-sum
-oracles (no fast transform) and never feed the production path.
+for every odd N.  Production applies F and G in the momentum basis, as
+kappa^2 and i kappa, and reads the closed-form F only for the naive
+even-mode step's eigenvalues.  The rest are oracles: the closed forms
+build the dense site matrices of the reference step and the identity
+suite, and the spectral forms are direct sums (no fast transform) that
+check them.  There is no precomputed table.
 
 For odd N both kernels are N-periodic, so evaluating them at unwrapped
 displacements ``s - r`` in ``[-2L, 2L]`` equals evaluating at wrapped
@@ -27,7 +31,6 @@ exactly the sign structure of the sign-corrected even-mode evolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -108,38 +111,6 @@ def kernel_g_spectral(d: int, lattice: Lattice) -> float:
             f"spectral G({d}) has imaginary residue {total.imag:.3e} on N={n}"
         )
     return float(total.real)
-
-
-@dataclass(frozen=True)
-class KernelTable:
-    """Precomputed closed-form kernel values for one odd lattice.
-
-    ``f_values`` covers displacements ``-L..L``; ``g_values`` covers the
-    unwrapped range ``-2L..2L`` that double sums over site pairs reach.
-    """
-
-    lattice: Lattice
-    f_values: np.ndarray
-    g_values: np.ndarray
-
-    def f_at(self, d):
-        """F(d) from the table, d in [-L, L]."""
-        return self.f_values[np.asarray(d) + self.lattice.half_width]
-
-    def g_at(self, d):
-        """G(d) from the table, d in [-2L, 2L]."""
-        return self.g_values[np.asarray(d) + 2 * self.lattice.half_width]
-
-
-def build_kernel_table(lattice: Lattice) -> KernelTable:
-    """Tabulate F on [-L, L] and G on [-2L, 2L] from the closed forms."""
-    _require_odd(lattice, "build_kernel_table")
-    half = lattice.half_width
-    f_values = kernel_f(np.arange(-half, half + 1), lattice)
-    g_values = kernel_g(np.arange(-2 * half, 2 * half + 1), lattice)
-    f_values.setflags(write=False)
-    g_values.setflags(write=False)
-    return KernelTable(lattice=lattice, f_values=f_values, g_values=g_values)
 
 
 # a dense matrix takes 8 N^2 bytes (128 MB at N = 4001), so each of the two

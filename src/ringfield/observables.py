@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import to_momentum_basis
-from .kernels import ConsistencyError, KernelTable
+from .kernels import ConsistencyError
 from .lattice import Lattice
 from .state import (
     DegenerateStateError,
@@ -62,11 +62,6 @@ RECORD_BLOCK_BYTES = 64 * 1024
 # spread is reported from the resultant length R of the circular first
 # moment; R is floored to keep log() finite for spread-less (flat) states
 _MIN_RESULTANT = 1e-300
-
-
-def _check_table(state: FieldState, kernels: KernelTable | None) -> None:
-    if kernels is not None and kernels.lattice != state.lattice:
-        raise ValueError("state and kernel table live on different lattices")
 
 
 def _one_row(state: FieldState) -> FieldBlock:
@@ -149,33 +144,22 @@ def _momentum(lattice: Lattice, occupation: np.ndarray) -> np.ndarray:
     return lattice.reciprocal_constant * np.sum(kappa * occupation, axis=-1)
 
 
-def drift_velocity(state: FieldState, kernels: KernelTable | None = None) -> float:
+def drift_velocity(state: FieldState) -> float:
     """Drift velocity 4 g sum a_s b_r G(s-r), from the field spectra.
 
-    ``kernels`` is optional and only checked to live on the state's
-    lattice.  Exactly 0.0 when b = 0.
+    Exactly 0.0 when b = 0.
     """
-    _check_table(state, kernels)
     return float(conserved_columns(_one_row(state))[1])
 
 
-def momentum_expectation(state: FieldState, kernels: KernelTable | None = None) -> float:
+def momentum_expectation(state: FieldState) -> float:
     """Momentum expectation g sum_k kappa |c_hat_k|^2.
 
     Equal to the G kernel double sum -i g sum conj(c_s) c_r G(s - r),
-    which is its definition and the test oracle.  ``kernels`` is
-    optional and only checked to live on the state's lattice.  Raises
+    which is its definition and the test oracle.  Raises
     ``ConsistencyError`` when the spectrum fails the Parseval check.
     """
-    _check_table(state, kernels)
     return float(conserved_columns(_one_row(state))[2])
-
-
-def momentum_expectation_spectral(state: FieldState) -> float:
-    """Independent spectral evaluation g sum_k kappa |c_hat_k|^2, from
-    one transform of the complex amplitudes and without the Parseval
-    check."""
-    return float(_momentum(state.lattice, to_momentum_basis(state).occupation()))
 
 
 def momentum_distribution(state: FieldState) -> np.ndarray:
@@ -344,8 +328,7 @@ def snapshots(block: FieldBlock, steps) -> list[ObservableSnapshot]:
     return [ObservableSnapshot(int(step), *row) for step, row in zip(steps, rows)]
 
 
-def snapshot(state: FieldState, step: int, kernels: KernelTable | None = None) -> ObservableSnapshot:
+def snapshot(state: FieldState, step: int) -> ObservableSnapshot:
     """Measure all reported observables of one state (``snapshots`` of
     one row)."""
-    _check_table(state, kernels)
     return snapshots(_one_row(state), (step,))[0]

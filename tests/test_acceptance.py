@@ -13,7 +13,6 @@ import pytest
 from ringfield import (
     EvolutionConfig,
     boost,
-    build_kernel_table,
     combined_distribution,
     drift_velocity,
     even_odd_comparison,
@@ -32,7 +31,6 @@ from ringfield import (
 )
 
 LAT = make_lattice(801)
-KT = build_kernel_table(LAT)
 
 
 def _report(number: int, title: str, ok: bool, details: str) -> None:
@@ -154,7 +152,7 @@ def test_criterion_6_structural_invariants():
     # quantised boost shifts the drift velocity by exactly v
     base = gaussian_state(LAT, 0, 10.0, 0)
     v = 2 * LAT.reciprocal_constant * 50
-    shift_err = abs(drift_velocity(boost(base, v), KT) - drift_velocity(base, KT) - v)
+    shift_err = abs(drift_velocity(boost(base, v)) - drift_velocity(base) - v)
 
     # cyclic shift equals the spectral generator, border site included
     border = np.zeros(801, dtype=complex)
@@ -168,7 +166,7 @@ def test_criterion_6_structural_invariants():
 
     # exact scheme conserves M and <P> over 1000 steps
     moving = gaussian_state(LAT, 0, 10.0, 20)
-    series = run(moving, EvolutionConfig(scheme="exact"), 1000, record_every=100, kernels=KT)
+    series = run(moving, EvolutionConfig(scheme="exact"), 1000, record_every=100)
     m_drift = max(abs(m - series.snapshots[0].m_total) for m in series.column("m_total"))
     p_drift = max(
         abs(p - series.snapshots[0].momentum_expectation)

@@ -1,0 +1,50 @@
+"""The public surface: what the package exports and what the README
+shows of it."""
+
+import importlib
+import inspect
+import pkgutil
+import re
+from pathlib import Path
+
+import pytest
+
+import ringfield
+from ringfield import EvolutionConfig, gaussian_state, make_lattice, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _public_functions():
+    modules = [ringfield] + [
+        importlib.import_module(f"ringfield.{info.name}")
+        for info in pkgutil.iter_modules(ringfield.__path__)
+    ]
+    for module in modules:
+        for name, value in vars(module).items():
+            if not name.startswith("_") and inspect.isfunction(value):
+                yield f"{module.__name__}.{name}", value
+
+
+def test_no_kernel_table_exports():
+    for name in ("KernelTable", "build_kernel_table", "momentum_expectation_spectral"):
+        assert not hasattr(ringfield, name), name
+
+
+def test_no_public_function_takes_kernels():
+    takes = [name for name, fn in _public_functions()
+             if "kernels" in inspect.signature(fn).parameters]
+    assert takes == []
+
+
+def test_run_options_after_record_every_are_keyword_only():
+    state = gaussian_state(make_lattice(21), 0, 2.0)
+    with pytest.raises(TypeError):
+        run(state, EvolutionConfig(), 2, 1, 1)
+
+
+def test_readme_library_sketch_runs():
+    text = README.read_text()
+    sketch = re.search(r"^## Library sketch\n+```python\n(.*?)^```", text, re.M | re.S)
+    assert sketch is not None
+    exec(compile(sketch.group(1), str(README), "exec"), {})

@@ -4,7 +4,6 @@ import pytest
 from ringfield import (
     EvolutionConfig,
     TimestepBoundError,
-    build_kernel_table,
     euler_step,
     euler_step_spectral,
     exact_step,
@@ -21,9 +20,7 @@ from ringfield import (
 from ringfield.state import _new_state
 
 LAT = make_lattice(801)
-KT = build_kernel_table(LAT)
 LAT3 = make_lattice(3)
-KT3 = build_kernel_table(LAT3)
 
 
 def basis_state(lattice, site):
@@ -35,7 +32,7 @@ def basis_state(lattice, site):
 class TestEulerStep:
     def test_zero_state_fixed(self):
         state = _new_state(LAT3, np.zeros(3), np.zeros(3))
-        stepped = euler_step(state, 1e-3, KT3)
+        stepped = euler_step(state, 1e-3)
         assert np.all(stepped.a == 0) and np.all(stepped.b == 0)
 
     def test_single_particle_hand_value(self):
@@ -43,7 +40,7 @@ class TestEulerStep:
         # picks up -tau g^2 F(s), i.e. (tau g^2 / 3) * (1, -2, 1)
         state = _new_state(LAT3, np.array([0.0, 1.0, 0.0]), np.zeros(3))
         tau = 1e-3
-        stepped = euler_step(state, tau, KT3)
+        stepped = euler_step(state, tau)
         unit = tau * LAT3.reciprocal_constant**2 / 3
         np.testing.assert_allclose(stepped.b, unit * np.array([1.0, -2.0, 1.0]), rtol=1e-13)
         np.testing.assert_allclose(stepped.b, [1.4622e-3, -2.9243e-3, 1.4622e-3], atol=5e-8)
@@ -53,7 +50,7 @@ class TestEulerStep:
         # linearisation remainder is bounded by (tau ||P^2||)^2 / 2
         state = gaussian_state(LAT, 0, 10.0, 20)
         tau = 1e-3
-        stepped = euler_step(state, tau, KT)
+        stepped = euler_step(state, tau)
         reference = exact_step(state, tau)
         bound = (tau * (LAT.reciprocal_constant * LAT.half_width) ** 2) ** 2 / 2
         assert np.max(np.abs(stepped.amplitudes() - reference.amplitudes())) < bound
@@ -61,40 +58,33 @@ class TestEulerStep:
     @pytest.mark.parametrize("n", [21, 801])
     def test_reference_equals_spectral(self, n):
         lattice = make_lattice(n)
-        kernels = build_kernel_table(lattice)
         state = random_state(lattice, seed=n)
-        one = euler_step(state, 1e-3, kernels)
+        one = euler_step(state, 1e-3)
         two = euler_step_spectral(state, 1e-3)
         assert np.max(np.abs(one.amplitudes() - two.amplitudes())) < 1e-12
 
     def test_linearity_over_complex_coefficients(self):
         lattice = make_lattice(21)
-        kernels = build_kernel_table(lattice)
         rng = np.random.default_rng(2)
         psi1 = rng.normal(size=21) + 1j * rng.normal(size=21)
         psi2 = rng.normal(size=21) + 1j * rng.normal(size=21)
         alpha, beta = 0.3 - 1.1j, -0.7 + 0.2j
         tau = 1e-3
         combo = euler_step(
-            state_from_amplitudes(lattice, alpha * psi1 + beta * psi2), tau, kernels
+            state_from_amplitudes(lattice, alpha * psi1 + beta * psi2), tau
         )
         parts = alpha * euler_step(
-            state_from_amplitudes(lattice, psi1), tau, kernels
+            state_from_amplitudes(lattice, psi1), tau
         ).amplitudes() + beta * euler_step(
-            state_from_amplitudes(lattice, psi2), tau, kernels
+            state_from_amplitudes(lattice, psi2), tau
         ).amplitudes()
         assert np.max(np.abs(combo.amplitudes() - parts)) < 1e-12
-
-    def test_lattice_mismatch_rejected(self):
-        state = random_state(make_lattice(21), 0)
-        with pytest.raises(ValueError):
-            euler_step(state, 1e-3, KT)
 
     def test_tau_halving_quarters_the_error(self):
         state = gaussian_state(LAT, 0, 10.0, 20)
         errs = []
         for tau in (2e-3, 1e-3):
-            stepped = euler_step(state, tau, KT)
+            stepped = euler_step(state, tau)
             reference = exact_step(state, tau)
             errs.append(np.linalg.norm(stepped.amplitudes() - reference.amplitudes()))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
@@ -104,12 +94,12 @@ class TestTauGuard:
     def test_hard_limit(self):
         state = gaussian_state(LAT, 0, 10.0, 0)
         with pytest.raises(TimestepBoundError):
-            euler_step(state, 0.013, KT)  # tau (2 pi)^2 = 0.513
+            euler_step(state, 0.013)  # tau (2 pi)^2 = 0.513
 
     def test_published_largest_step_allowed(self):
         state = gaussian_state(LAT, 0, 10.0, 0)
         with pytest.warns(UserWarning):
-            euler_step(state, 0.010, KT)
+            euler_step(state, 0.010)
 
     def test_small_step_silent(self):
         import warnings
@@ -117,7 +107,7 @@ class TestTauGuard:
         state = gaussian_state(LAT, 0, 10.0, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            euler_step(state, 1e-3, KT)
+            euler_step(state, 1e-3)
 
 
 class TestExactStep:
@@ -172,13 +162,13 @@ class TestTranslate:
 class TestRun:
     def test_zero_steps_single_snapshot(self):
         state = gaussian_state(LAT, 0, 10.0, 20)
-        series = run(state, EvolutionConfig(), 0, record_every=10, kernels=KT)
+        series = run(state, EvolutionConfig(), 0, record_every=10)
         assert len(series.snapshots) == 1
         assert series.snapshots[0].step == 0
 
     def test_record_every_and_final(self):
         state = gaussian_state(LAT, 0, 10.0, 20)
-        series = run(state, EvolutionConfig(), 25, record_every=10, kernels=KT)
+        series = run(state, EvolutionConfig(), 25, record_every=10)
         assert [s.step for s in series.snapshots] == [0, 10, 20, 25]
 
     def test_exact_scheme_conserves_m(self):
@@ -189,11 +179,10 @@ class TestRun:
 
     def test_euler_reference_and_spectral_paths_agree(self):
         state = gaussian_state(make_lattice(101), 0, 5.0, 3)
-        kernels = build_kernel_table(state.lattice)
         ref = run(state, EvolutionConfig(euler_method="reference"), 20,
-                  record_every=5, kernels=kernels)
+                  record_every=5)
         fast = run(state, EvolutionConfig(euler_method="spectral"), 20,
-                   record_every=5, kernels=kernels)
+                   record_every=5)
         for a, b in zip(ref.column("m_total"), fast.column("m_total")):
             assert a == pytest.approx(b, abs=1e-12)
 
@@ -224,7 +213,7 @@ class TestMomentumDiagonal:
         state = random_state(LAT, 8)
         tau = 1e-3
         before = to_momentum_basis(state).coefficients
-        after = to_momentum_basis(euler_step(state, tau, KT)).coefficients
+        after = to_momentum_basis(euler_step(state, tau)).coefficients
         kappa = LAT.momentum_values()
         factor = 1 - 1j * tau * LAT.reciprocal_constant**2 * kappa**2
         assert np.max(np.abs(after - before * factor)) < 1e-12

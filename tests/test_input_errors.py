@@ -3,6 +3,7 @@ message, and malformed checkpoints name the offending line."""
 
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +113,9 @@ UNWRITABLE = [
     ["paper-table", "--text", "{missing}"],
     ["paper-table", "--json", "{directory}"],
     ["even-odd", "--json", "{missing}"],
+    ["run", "--csv", "{missing}"],
+    ["run", "--json", "{missing}"],
+    ["compare", "--csv", "{missing}"],
 ]
 
 
@@ -122,6 +126,8 @@ def test_unwritable_output_fails_before_any_work(monkeypatch, tmp_path, capsys, 
 
     monkeypatch.setattr(ringfield.cli, "paper_table_grid", forbidden)
     monkeypatch.setattr(ringfield.cli, "even_odd_comparison", forbidden)
+    monkeypatch.setattr(ringfield.cli, "run", forbidden)
+    monkeypatch.setattr(ringfield.cli, "_compare_rows", forbidden)
     paths = {"missing": str(tmp_path / "no" / "out.json"), "directory": str(tmp_path)}
     argv = [arg.format(**paths) for arg in argv]
     assert main(argv) == 2
@@ -143,6 +149,25 @@ def test_atomic_write_error_names_the_given_path(tmp_path):
         atomic_write_text(str(tmp_path), "x\n")
     assert info.value.filename == str(tmp_path) and ".tmp-" not in str(info.value)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_new_output_file_gets_the_umask_mode(tmp_path):
+    path = tmp_path / "out.txt"
+    old = os.umask(0o022)
+    try:
+        atomic_write_text(str(path), "x\n")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+def test_overwritten_output_file_keeps_its_mode(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old\n")
+    path.chmod(0o640)
+    atomic_write_text(str(path), "new\n")
+    assert path.read_text() == "new\n"
+    assert stat.S_IMODE(path.stat().st_mode) == 0o640
 
 
 @pytest.mark.parametrize("payload, match", [

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from ringfield import (
-    build_kernel_table,
     kernel_f,
     kernel_f_spectral,
     kernel_g,
@@ -137,37 +136,31 @@ class TestSpectralOracle:
 
 
 class TestKernelTable:
+    """The closed forms tabulated on the displacement ranges that sums
+    over site pairs reach: F on [-L, L], G on [-2L, 2L]."""
+
     def test_n3_tables(self):
-        table = build_kernel_table(make_lattice(3))
-        np.testing.assert_allclose(table.f_values, [-1 / 3, 2 / 3, -1 / 3], atol=1e-14)
+        lat = make_lattice(3)
+        np.testing.assert_allclose(kernel_f(np.arange(-1, 2), lat), [-1 / 3, 2 / 3, -1 / 3],
+                                   atol=1e-14)
         np.testing.assert_allclose(
-            table.g_values,
+            kernel_g(np.arange(-2, 3), lat),
             [-0.5773502691896258, 0.5773502691896258, 0.0,
              -0.5773502691896258, 0.5773502691896258],
             atol=1e-14,
         )
 
     def test_headline_f_zero(self):
-        table = build_kernel_table(make_lattice(801))
-        assert table.f_at(0) == 641600 / 12
+        assert kernel_f(0, make_lattice(801)) == 641600 / 12
 
     @pytest.mark.parametrize("n", [3, 21, 801])
     def test_g_zero_and_symmetries(self, n):
-        table = build_kernel_table(make_lattice(n))
-        assert table.g_at(0) == 0.0
+        lat = make_lattice(n)
+        assert kernel_g(0, lat) == 0.0
         half = (n - 1) // 2
         d = np.arange(1, half + 1)
-        np.testing.assert_allclose(table.f_at(d), table.f_at(-d), atol=0)
-        np.testing.assert_allclose(table.g_at(d), -table.g_at(-d), atol=0)
-
-    def test_tables_are_readonly(self):
-        table = build_kernel_table(make_lattice(5))
-        with pytest.raises(ValueError):
-            table.f_values[0] = 1.0
-
-    def test_even_lattice_rejected(self):
-        with pytest.raises(ValueError):
-            build_kernel_table(make_even_lattice(8))
+        np.testing.assert_allclose(kernel_f(d, lat), kernel_f(-d, lat), atol=0)
+        np.testing.assert_allclose(kernel_g(d, lat), -kernel_g(-d, lat), atol=0)
 
 
 class TestEvenParityClosedForms:

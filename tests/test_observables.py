@@ -3,7 +3,6 @@ import pytest
 
 from ringfield import (
     boost,
-    build_kernel_table,
     count_local_maxima,
     drift_velocity,
     euler_step,
@@ -12,7 +11,6 @@ from ringfield import (
     make_lattice,
     momentum_distribution,
     momentum_expectation,
-    momentum_expectation_spectral,
     norm_m,
     position_mean,
     position_spread,
@@ -28,8 +26,9 @@ from ringfield.observables import (
     quartic_moment_coefficient,
 )
 
+from oracles import momentum_expectation_spectral
+
 LAT = make_lattice(801)
-KT = build_kernel_table(LAT)
 
 
 def plane_wave(lattice, k0):
@@ -41,11 +40,11 @@ def plane_wave(lattice, k0):
 class TestDriftVelocity:
     def test_real_state_has_no_drift(self):
         state = uniform_state(LAT, 0, 25, 0)
-        assert drift_velocity(state, KT) == 0.0
+        assert drift_velocity(state) == 0.0
 
     def test_quantised_boost_value(self):
         state = gaussian_state(LAT, 0, 10.0, 50)
-        assert drift_velocity(state, KT) == pytest.approx(
+        assert drift_velocity(state) == pytest.approx(
             2 * LAT.reciprocal_constant * 50, abs=1e-6
         )
 
@@ -57,27 +56,22 @@ class TestDriftVelocity:
             p = momentum_expectation(state)
             assert v == pytest.approx(2 * p, rel=1e-10, abs=1e-12)
 
-    def test_lattice_mismatch(self):
-        state = random_state(make_lattice(5), 0)
-        with pytest.raises(ValueError):
-            drift_velocity(state, KT)
-
 
 class TestMomentumExpectation:
     def test_real_state_zero(self):
         state = gaussian_state(LAT, 0, 10.0, 0)
-        assert momentum_expectation(state, KT) == pytest.approx(0.0, abs=1e-12)
+        assert momentum_expectation(state) == pytest.approx(0.0, abs=1e-12)
 
     def test_plane_wave_eigenvalue(self):
         state = plane_wave(LAT, 120)
-        assert momentum_expectation(state, KT) == pytest.approx(
+        assert momentum_expectation(state) == pytest.approx(
             LAT.reciprocal_constant * 120, abs=1e-10
         )
 
     def test_kernel_vs_spectral_forms(self):
         for seed in range(20):
             state = random_state(LAT, seed)
-            kernel_form = momentum_expectation(state, KT)
+            kernel_form = momentum_expectation(state)
             spectral_form = momentum_expectation_spectral(state)
             assert kernel_form == pytest.approx(spectral_form, abs=1e-10)
 
@@ -88,7 +82,7 @@ class TestBoostShift:
         m = 50
         v = 2 * LAT.reciprocal_constant * m
         shifted = boost(state, v)
-        assert drift_velocity(shifted, KT) - drift_velocity(state, KT) == pytest.approx(
+        assert drift_velocity(shifted) - drift_velocity(state) == pytest.approx(
             v, abs=1e-6
         )
 
@@ -96,7 +90,7 @@ class TestBoostShift:
         base = gaussian_state(LAT, 0, 10.0, 20)
         v = 2 * LAT.reciprocal_constant * 20
         shifted = boost(base, v)
-        assert drift_velocity(shifted, KT) - drift_velocity(base, KT) == pytest.approx(
+        assert drift_velocity(shifted) - drift_velocity(base) == pytest.approx(
             v, abs=1e-6
         )
 
@@ -166,7 +160,7 @@ class TestSnapshot:
     def test_velocity_momentum_invariant(self):
         for seed in range(10):
             state = random_state(LAT, seed)
-            snap = snapshot(state, 0, KT)
+            snap = snapshot(state, 0)
             assert snap.drift_velocity == pytest.approx(
                 2 * snap.momentum_expectation, abs=1e-10
             )
@@ -174,7 +168,7 @@ class TestSnapshot:
 
     def test_fields_populated(self):
         state = gaussian_state(LAT, 5, 10.0, 20)
-        snap = snapshot(state, 7, KT)
+        snap = snapshot(state, 7)
         assert snap.step == 7
         assert snap.m_total == pytest.approx(1.0, abs=1e-12)
         assert snap.position_mean == pytest.approx(5.0, abs=1e-3)
@@ -186,7 +180,7 @@ class TestMDriftDiagnostics:
         state = gaussian_state(LAT, 0, 10.0, 20)
         tau = 4e-3
         predicted = m_step_increase_exact(state, tau)
-        stepped = euler_step(state, tau, KT)
+        stepped = euler_step(state, tau)
         measured = norm_m(stepped) - norm_m(state)
         assert measured == pytest.approx(predicted, rel=1e-5)
 

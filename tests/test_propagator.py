@@ -14,7 +14,6 @@ import pytest
 from ringfield import (
     EvolutionConfig,
     TimestepBoundError,
-    build_kernel_table,
     euler_step,
     exact_step,
     gaussian_state,
@@ -82,10 +81,9 @@ def test_euler_power_equals_1000_explicit_steps(shape, tau):
 
 def test_euler_power_equals_dense_reference_steps():
     state = random_state(LAT, 3)
-    kernels = build_kernel_table(LAT)
     stepped = state
     for _ in range(20):
-        stepped = euler_step(stepped, 1e-3, kernels)
+        stepped = euler_step(stepped, 1e-3)
     assert relative_gap(advance(state, EULER, 1e-3, 20), stepped.amplitudes()) <= 1e-12
 
 
@@ -138,10 +136,9 @@ def test_checkpoint_at_unrecorded_step():
     assert [snap.step for snap in series.snapshots] == [0, 5, 10]
     assert sorted(series.checkpoints) == [0, 3, 6, 9, 10]
     assert series.checkpoints[0] is state
-    kernels = build_kernel_table(lattice)
     stepped = state
     for step in range(1, 10):
-        stepped = euler_step(stepped, 1e-3, kernels)
+        stepped = euler_step(stepped, 1e-3)
         if step in (3, 6, 9):
             assert relative_gap(series.checkpoints[step], stepped.amplitudes()) <= 1e-12
 

@@ -17,7 +17,6 @@ from ringfield import (
     ConsistencyError,
     EvolutionConfig,
     advance,
-    build_kernel_table,
     euler_step,
     euler_step_spectral,
     gaussian_state,
@@ -64,11 +63,10 @@ CASES = [
 def _oracle_states(state, method, steps):
     """The state at each step, built one at a time."""
     if method == "reference":
-        kernels = build_kernel_table(state.lattice)
         out, current, done = [], state, 0
         for n in steps:
             for _ in range(n - done):
-                current = euler_step(current, TAU, kernels)
+                current = euler_step(current, TAU)
             done = n
             out.append(current)
         return out
@@ -198,7 +196,7 @@ WARNING_CALLS = {
     ),
     "advance": lambda: advance(WARN_STATE, EULER, WARN_TAU, 10),
     "propagate": lambda: propagate(WARN_STATE, EULER, WARN_TAU, [0, 10]),
-    "euler_step": lambda: euler_step(WARN_STATE, WARN_TAU, build_kernel_table(WARN_LATTICE)),
+    "euler_step": lambda: euler_step(WARN_STATE, WARN_TAU),
     "euler_step_spectral": lambda: euler_step_spectral(WARN_STATE, WARN_TAU),
 }
 

@@ -3,7 +3,6 @@ import pytest
 from ringfield import (
     EvolutionConfig,
     RunConfig,
-    build_kernel_table,
     gaussian_state,
     make_lattice,
     read_timeseries_csv,
@@ -39,8 +38,7 @@ class TestTimeSeries:
     def test_csv_round_trip(self, tmp_path):
         lattice = make_lattice(101)
         state = gaussian_state(lattice, 0, 5.0, 2)
-        series = run(state, EvolutionConfig(), 20, record_every=10,
-                     kernels=build_kernel_table(lattice))
+        series = run(state, EvolutionConfig(), 20, record_every=10)
         path = tmp_path / "series.csv"
         series.write_csv(str(path))
         back = read_timeseries_csv(str(path))
@@ -52,10 +50,9 @@ class TestTimeSeries:
     def test_byte_stable(self, tmp_path):
         lattice = make_lattice(101)
         state = gaussian_state(lattice, 0, 5.0, 2)
-        kernels = build_kernel_table(lattice)
         texts = []
         for _ in range(2):
-            series = run(state, EvolutionConfig(), 10, record_every=5, kernels=kernels)
+            series = run(state, EvolutionConfig(), 10, record_every=5)
             texts.append(series.to_csv_text())
         assert texts[0] == texts[1]
 
