@@ -91,6 +91,9 @@ def _fail(exc: Exception, code: int) -> int:
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
     _check_outputs(config.csv_path, config.json_path)
+    directory = config.checkpoint_dir or "."
+    if config.checkpoint_every > 0:
+        os.makedirs(directory, exist_ok=True)
     state = build_state(config.lattice(), config.state_spec())
     series = run(
         state,
@@ -105,11 +108,8 @@ def _cmd_run(args) -> int:
         sys.stdout.write(series.to_csv_text())
     if config.json_path:
         series.write_json(config.json_path)
-    if config.checkpoint_every > 0:
-        directory = config.checkpoint_dir or "."
-        os.makedirs(directory, exist_ok=True)
-        for step, checkpoint in sorted(series.checkpoints.items()):
-            write_state_csv(checkpoint, os.path.join(directory, f"state_{step:06d}.csv"))
+    for step, checkpoint in sorted(series.checkpoints.items()):
+        write_state_csv(checkpoint, os.path.join(directory, f"state_{step:06d}.csv"))
     return EXIT_OK
 
 
@@ -172,15 +172,15 @@ def _cmd_compare(args) -> int:
     config = _config_from_args(args)
     if config.parity_mode != "odd_standard":
         raise ValueError("compare runs on the standard odd lattice")
-    _check_outputs(args.csv_path)
+    _check_outputs(config.csv_path)
     state = build_state(config.lattice(), config.state_spec())
     rows = _compare_rows(state, config)
     lines = ["step,deviation,m_euler,m_exact,drift_euler,drift_exact"]
     for row in rows:
         lines.append(str(row[0]) + "," + ",".join(fmt(x) for x in row[1:]))
     text = "\n".join(lines) + "\n"
-    if args.csv_path:
-        atomic_write_text(args.csv_path, text)
+    if config.csv_path:
+        atomic_write_text(config.csv_path, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -35,9 +35,10 @@ A ``FieldState`` is built only for a checkpoint.  The one-step
 functions (``euler_step_spectral``, ``exact_step``,
 ``translate_spectral``, ``even_naive_step``) are n = 1 of the same
 propagator.  The direct O(N^2) correlation ``euler_step`` is kept as
-the independent reference step that ``euler_method="reference"`` and
-the identity suite iterate; its states are stacked into the same
-blocks.
+the independent reference step.  ``euler_method="reference"`` iterates
+it and stacks its states into the same blocks; the identity suite
+steps a whole block of states at once through its row-wise form,
+``_dense_euler_step``.
 """
 
 from __future__ import annotations
@@ -305,19 +306,25 @@ def euler_step(state: FieldState, tau: float) -> FieldState:
     """One reaction step, reference O(N^2) implementation."""
     _require_parity(state, ODD, "euler_step")
     check_tau_bound(tau, state.lattice, stacklevel=2)
-    return _dense_euler_step(state, tau)
+    return _new_state(state.lattice, *_dense_euler_step(state.lattice, state.a, state.b, tau))
 
 
-def _dense_euler_step(state: FieldState, tau: float) -> FieldState:
-    """``euler_step`` without its checks."""
-    fmat = f_site_matrix(state.lattice)
-    scale = tau * state.lattice.reciprocal_constant**2
-    created_b = fmat @ state.a  # evaluate both sums before touching either field
-    return _new_state(
-        state.lattice,
-        state.a + scale * (fmat @ state.b),
-        state.b - scale * created_b,
-    )
+def _dense_euler_step(
+    lattice: Lattice, a: np.ndarray, b: np.ndarray, tau: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``euler_step`` on raw fields, without its checks: the stepped
+    ``(a, b)``.
+
+    The fields hold one state per row with the sites on the last axis,
+    shape (R, N) or (N,).  F acts on each row as a stacked matrix-vector
+    product, which gives every row bitwise the result of ``F @ row``;
+    the equivalent ``a @ F.T`` is one matrix product and does not.
+    """
+    fmat = f_site_matrix(lattice)
+    scale = tau * lattice.reciprocal_constant**2
+    created_a = np.matmul(fmat, b[..., None])[..., 0]
+    created_b = np.matmul(fmat, a[..., None])[..., 0]
+    return a + scale * created_a, b - scale * created_b
 
 
 def euler_step_spectral(state: FieldState, tau: float) -> FieldState:
@@ -387,7 +394,9 @@ def _reference_blocks(
         stacked = []
         for n in chunk:
             for _ in range(n - done):
-                current = _dense_euler_step(current, tau)
+                current = _new_state(
+                    state.lattice, *_dense_euler_step(state.lattice, current.a, current.b, tau)
+                )
             done = n
             stacked.append(current.amplitudes())
         yield chunk, block_from_amplitudes(state.lattice, np.stack(stacked))

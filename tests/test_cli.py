@@ -127,6 +127,18 @@ class TestCompareCommand:
         assert first[0] == "0"
         assert float(first[1]) == 0.0  # identical at step 0
 
+    def test_config_file_csv_path_is_written(self, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        cfg = tmp_path / "compare.cfg"
+        cfg.write_text(
+            f"n_sites = 101\nwidth = 5.0\nn_steps = 10\nrecord_every = 5\ncsv_path = {out}\n"
+        )
+        assert main(["compare", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        lines = out.read_text().splitlines()
+        assert lines[0] == "step,deviation,m_euler,m_exact,drift_euler,drift_exact"
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "5", "10"]
+
     def test_deviation_grows(self, tmp_path):
         out = tmp_path / "cmp.csv"
         main([

@@ -247,6 +247,8 @@ def test_negative_seed_is_rejected_before_any_row(monkeypatch):
         paper_table_grid(seed=-1)
     with pytest.raises(ValueError, match="seed"):
         paper_table_run("gaussian", 1e-3, seed=-1)
+    with pytest.raises(ValueError, match="n_steps"):
+        paper_table_run("gaussian", 1e-3, n_steps=-1)
     for tau in (-1e-3, 0.0, float("nan")):
         with pytest.raises(ValueError, match="tau must be positive"):
             paper_table_run("gaussian", tau)

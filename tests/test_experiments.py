@@ -1,16 +1,25 @@
 import json
 
+import numpy as np
 import pytest
 
+import ringfield.experiments
 from ringfield import (
     confined_drift_diagnostic,
+    euler_step,
     even_odd_comparison,
     identity_suite,
     kernel_oracle_check,
+    make_lattice,
     order_of_accuracy_run,
     paper_table_run,
+    state_from_amplitudes,
 )
-from ringfield.experiments import ExperimentReport, _relative_variation
+from ringfield.evolve import _dense_euler_step
+from ringfield.experiments import IDENTITY_TAU, ExperimentReport, _relative_variation
+from ringfield.kernels import f_site_matrix
+
+from oracles import identity_m_drift_residual
 
 
 class TestRelativeVariation:
@@ -35,6 +44,36 @@ class TestIdentitySuite:
         one = identity_suite(n_sites_list=(3, 5), states_per_n=5, seed=3)
         two = identity_suite(n_sites_list=(3, 5), states_per_n=5, seed=3)
         assert json.dumps(one.to_json_obj()) == json.dumps(two.to_json_obj())
+
+    @pytest.mark.parametrize("n_sites_list, states_per_n, seed", [
+        ((3, 5, 9), 10, 0),
+        ((15, 21), 7, 3),
+    ])
+    def test_block_step_matches_the_per_state_oracle(self, n_sites_list, states_per_n, seed):
+        report = identity_suite(n_sites_list, states_per_n, seed)
+        expected = identity_m_drift_residual(n_sites_list, states_per_n, seed, IDENTITY_TAU)
+        assert report.metrics["max relative M drift residual"] == expected
+
+    @pytest.mark.parametrize("n", [3, 21, 101])
+    def test_dense_step_on_a_block_is_euler_step_per_row(self, n):
+        lattice = make_lattice(n)
+        rng = np.random.default_rng(n)
+        rows = rng.uniform(-1.0, 1.0, (6, n)) + 1j * rng.uniform(-1.0, 1.0, (6, n))
+        a, b = _dense_euler_step(lattice, rows.real, rows.imag, 1e-4)
+        for row, (row_a, row_b) in enumerate(zip(a, b)):
+            one = euler_step(state_from_amplitudes(lattice, rows[row]), 1e-4)
+            assert np.array_equal(row_a, one.a) and np.array_equal(row_b, one.b)
+
+    def test_dropped_creation_term_fails_the_drift_check(self, monkeypatch):
+        def without_created_b(lattice, a, b, tau):
+            fmat = f_site_matrix(lattice)
+            scale = tau * lattice.reciprocal_constant**2
+            return a + scale * np.matmul(fmat, b[..., None])[..., 0], b
+
+        monkeypatch.setattr(ringfield.experiments, "_dense_euler_step", without_created_b)
+        report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=10)
+        drift = next(c for c in report.checks if c.name == "one-step M drift identity")
+        assert not drift.passed and not report.passed
 
 
 class TestKernelOracle:

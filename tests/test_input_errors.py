@@ -139,6 +139,26 @@ def test_unwritable_output_fails_before_any_work(monkeypatch, tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == []
 
 
+def test_bad_checkpoint_dir_fails_before_any_work(monkeypatch, tmp_path, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(ringfield.cli, "run", forbidden)
+    plain_file = tmp_path / "afile"
+    plain_file.write_text("")
+    checkpoint_dir = str(plain_file / "ck")
+    out = tmp_path / "out.csv"
+    argv = ["run", *SMALL, "--n-steps", "20", "--checkpoint-every", "10",
+            "--checkpoint-dir", checkpoint_dir, "--csv", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert repr(checkpoint_dir) in lines[0]
+    assert not out.exists()
+
+
 def test_atomic_write_error_names_the_given_path(tmp_path):
     missing = str(tmp_path / "no" / "out.txt")
     with pytest.raises(FileNotFoundError) as info:
