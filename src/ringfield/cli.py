@@ -53,17 +53,14 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
                         help="gaussian sigma or uniform half-width, in sites")
     parser.add_argument("--velocity-index", type=int, dest="velocity_index")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--scheme", choices=["euler", "exact"])
-    parser.add_argument("--euler-method", choices=["spectral", "reference"],
-                        dest="euler_method")
     parser.add_argument("--tau", type=float)
     parser.add_argument("--n-steps", type=int, dest="n_steps")
     parser.add_argument("--record-every", type=int, dest="record_every")
-    parser.add_argument("--parity-mode", choices=["odd_standard", "even_naive"],
-                        dest="parity_mode")
 
 
 def _config_from_args(args) -> RunConfig:
+    """The config file's values (or the defaults), overridden by every
+    flag that the subcommand has and the command line sets."""
     base = RunConfig()
     if args.config:
         base = read_config(args.config, base=base)
@@ -71,15 +68,12 @@ def _config_from_args(args) -> RunConfig:
         name: getattr(args, name)
         for name in (
             "n_sites", "lattice_constant", "shape", "center", "width",
-            "velocity_index", "seed", "scheme", "euler_method", "tau",
-            "n_steps", "record_every", "parity_mode",
+            "velocity_index", "seed", "scheme", "tau", "n_steps",
+            "record_every", "parity_mode", "csv_path", "json_path",
+            "checkpoint_every", "checkpoint_dir",
         )
         if getattr(args, name, None) is not None
     }
-    for name in ("csv_path", "json_path", "checkpoint_every", "checkpoint_dir"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
     return RunConfig(**{**base.__dict__, **overrides})
 
 
@@ -114,8 +108,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    kernel_ns = [n for n in (3, 5, 7, 21, 101, 801) if n <= args.max_n] or [3]
-    identity_ns = [n for n in (3, 5, 9, 15, 21) if n <= args.max_n] or [3]
+    if args.max_n < 3:
+        raise ValueError(f"--max-n must be >= 3, the smallest lattice (got {args.max_n})")
+    kernel_ns = [n for n in (3, 5, 7, 21, 101, 801) if n <= args.max_n]
+    identity_ns = [n for n in (3, 5, 9, 15, 21) if n <= args.max_n]
     reports = [
         kernel_oracle_check(kernel_ns, perturbation=args.inject_kernel_error),
         identity_suite(identity_ns),
@@ -207,6 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="evolve a state and write the observable series")
     _add_run_overrides(p_run)
+    p_run.add_argument("--scheme", choices=["euler", "exact"])
+    p_run.add_argument("--parity-mode", choices=["odd_standard", "even_naive"],
+                       dest="parity_mode")
     p_run.add_argument("--csv", dest="csv_path", help="observable CSV path (default stdout)")
     p_run.add_argument("--json", dest="json_path", help="also write the series as JSON")
     p_run.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")

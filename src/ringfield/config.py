@@ -29,7 +29,6 @@ class RunConfig:
     velocity_index: int = 20
     seed: int = 0
     scheme: str = "euler"
-    euler_method: str = "spectral"
     tau: float = 1e-3
     n_steps: int = 1000
     record_every: int = 10
@@ -75,7 +74,6 @@ class RunConfig:
             tau=self.tau,
             scheme=self.scheme,
             parity_mode=self.parity_mode,
-            euler_method=self.euler_method,
         )
 
     def to_text(self) -> str:

@@ -34,11 +34,11 @@ row alone is larger, so memory stays flat as the record count grows.
 A ``FieldState`` is built only for a checkpoint.  The one-step
 functions (``euler_step_spectral``, ``exact_step``,
 ``translate_spectral``, ``even_naive_step``) are n = 1 of the same
-propagator.  The direct O(N^2) correlation ``euler_step`` is kept as
-the independent reference step.  ``euler_method="reference"`` iterates
-it and stacks its states into the same blocks; the identity suite
-steps a whole block of states at once through its row-wise form,
-``_dense_euler_step``.
+propagator, and ``run`` has no other path.  The direct O(N^2)
+correlation ``euler_step`` is the paper's site-space step, kept as the
+independent reference the fast path is checked against: the tests
+iterate it, and the identity suite steps a whole block of states at
+once through its row-wise form, ``_dense_euler_step``.
 """
 
 from __future__ import annotations
@@ -76,17 +76,14 @@ class TimestepBoundError(ValueError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """How to step a state forward.
-
-    ``euler_method`` picks the implementation of the reaction step:
-    ``"reference"`` is the direct O(N^2) correlation, ``"spectral"``
-    the fast diagonal path; both produce the same state to 1e-12.
-    """
+    """How to step a state forward: the time step, the scheme (the
+    linearised reaction step or the exact unitary) and the lattice
+    parity mode.  Every scheme runs as powers of one multiplier
+    (``propagator``)."""
 
     tau: float = 1e-3
     scheme: str = EULER
     parity_mode: str = ODD_STANDARD
-    euler_method: str = "spectral"
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -96,10 +93,6 @@ class EvolutionConfig:
         if self.parity_mode not in (ODD_STANDARD, EVEN_NAIVE):
             raise ValueError(
                 f"parity_mode must be odd_standard|even_naive (got {self.parity_mode!r})"
-            )
-        if self.euler_method not in ("reference", "spectral"):
-            raise ValueError(
-                f"euler_method must be reference|spectral (got {self.euler_method!r})"
             )
 
 
@@ -382,26 +375,6 @@ def record_steps(n_steps: int, record_every: int) -> list[int]:
     return sorted({n_steps, *range(0, n_steps + 1, record_every)})
 
 
-def _reference_blocks(
-    state: FieldState, tau: float, steps: list[int]
-) -> Iterator[tuple[list[int], FieldBlock]]:
-    """``_power_blocks`` for the O(N^2) reference step: explicit steps,
-    the states at ``steps`` stacked into blocks."""
-    current, done = state, 0
-    rows = _block_rows(state.lattice)
-    for lo in range(0, len(steps), rows):
-        chunk = steps[lo:lo + rows]
-        stacked = []
-        for n in chunk:
-            for _ in range(n - done):
-                current = _new_state(
-                    state.lattice, *_dense_euler_step(state.lattice, current.a, current.b, tau)
-                )
-            done = n
-            stacked.append(current.amplitudes())
-        yield chunk, block_from_amplitudes(state.lattice, np.stack(stacked))
-
-
 def run(
     state: FieldState,
     config: EvolutionConfig,
@@ -416,8 +389,7 @@ def run(
     the final step.  ``checkpoint_every`` > 0 additionally stores full
     states at those steps.  Only those rows are built, a block at a
     time (``propagate_blocks``), each row one power of the step
-    multiplier, except under ``euler_method="reference"``, which steps
-    explicitly; each block is measured by one ``snapshots`` call.
+    multiplier; each block is measured by one ``snapshots`` call.
     The tau bound is checked once, when a step is taken.
     """
     steps = record_steps(n_steps, record_every)
@@ -439,14 +411,10 @@ def run(
     kind = EXACT if config.scheme == EXACT else EVEN_NAIVE if even_mode else EULER
     if _takes_linearised_step(kind, steps):
         check_tau_bound(config.tau, lattice, stacklevel=2)
-    if kind == EULER and config.euler_method == "reference":
-        blocks = _reference_blocks(state, config.tau, steps)
-    else:
-        blocks = _power_blocks(state, kind, config.tau, steps)
 
     records = []
     checkpoints: dict[int, FieldState] = {}
-    for chunk, block in blocks:
+    for chunk, block in _power_blocks(state, kind, config.tau, steps):
         recorded = [row for row, step in enumerate(chunk) if due(step, record_every)]
         if recorded:
             rows = block if len(recorded) == len(chunk) else FieldBlock(lattice, block.c[recorded])

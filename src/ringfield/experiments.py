@@ -457,12 +457,12 @@ def identity_suite(
             k.astype(float) ** 4, np.exp(2j * np.pi * np.multiply.outer(k, disp) / n), axes=1
         ) / n
         scale = float(np.sum(k.astype(float) ** 4)) / n
-        worst_conv = max(worst_conv, float(np.max(np.abs(conv - quartic.real)) / scale))
+        worst_conv = float(np.maximum(worst_conv, np.max(np.abs(conv - quartic.real)) / scale))
 
         # commutator of the two kernels
         f0 = kernel_f(0, lattice)
         comm = fmat @ gmat - gmat @ fmat
-        worst_comm = max(worst_comm, float(np.max(np.abs(comm)) / f0**2))
+        worst_comm = float(np.maximum(worst_comm, np.max(np.abs(comm)) / f0**2))
 
         # one-step M drift, bilinear so checked at two normalisations:
         # every state at M = 1, then every state at M = 7, one block
@@ -556,8 +556,8 @@ def kernel_oracle_check(
         f_closed = kernel_f(d, lattice) + perturbation
         g_closed = kernel_g(d, lattice)
         f0 = kernel_f(0, lattice)
-        worst_f = max(worst_f, float(np.max(np.abs(f_closed - f_spectral)) / f0))
-        worst_g = max(worst_g, float(np.max(np.abs(g_closed - g_spectral)) / n))
+        worst_f = float(np.maximum(worst_f, np.max(np.abs(f_closed - f_spectral)) / f0))
+        worst_g = float(np.maximum(worst_g, np.max(np.abs(g_closed - g_spectral)) / n))
     checks = (
         Check("kernel F closed form vs spectral sum", worst_f,
               f"<= {KERNEL_F_RTOL:g} * F(0)", bool(worst_f <= KERNEL_F_RTOL)),

@@ -1,4 +1,5 @@
-"""Shared file-writing helpers: exact float text and atomic writes."""
+"""Shared file helpers: exact float text, atomic writes and numbered
+CSV rows."""
 
 from __future__ import annotations
 
@@ -69,3 +70,16 @@ def atomic_write_text(path: str, text: str) -> None:
             raise
     except OSError as exc:
         raise _naming(exc, path) from exc
+
+
+def read_csv_rows(path: str, header: str) -> list[tuple[int, str]]:
+    """The (line number, stripped text) of every non-blank line of a CSV
+    after its header line; ``ValueError`` naming ``path`` when the first
+    non-blank line is not ``header``."""
+    with open(path) as handle:
+        rows = [(lineno, line.strip())
+                for lineno, line in enumerate(handle.read().splitlines(), start=1)
+                if line.strip()]
+    if not rows or rows[0][1] != header:
+        raise ValueError(f"{path}: expected header {header!r}")
+    return rows[1:]

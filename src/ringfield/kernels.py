@@ -19,8 +19,9 @@ spectral sums over the momentum index,
 for every odd N.  Production applies F and G in the momentum basis, as
 kappa^2 and i kappa, and reads the closed-form F only for the naive
 even-mode step's eigenvalues.  The rest are oracles: the closed forms
-build the dense site matrices of the reference step and the identity
-suite, and the spectral forms are direct sums (no fast transform) that
+build the dense site matrices of the library reference step
+``euler_step`` and of ``verify``'s identity suite (``run`` builds
+none), and the spectral forms are direct sums (no fast transform) that
 check them.  There is no precomputed table.
 
 For odd N both kernels are N-periodic, so evaluating them at unwrapped
@@ -113,7 +114,8 @@ def kernel_g_spectral(d: int, lattice: Lattice) -> float:
     return float(total.real)
 
 
-# a dense matrix takes 8 N^2 bytes (128 MB at N = 4001), so each of the two
+# only the oracles build dense matrices (``euler_step``, the identity suite,
+# the tests); one takes 8 N^2 bytes (128 MB at N = 4001), so each of the two
 # builders keeps only the matrices of its two most recent lattices
 SITE_MATRIX_CACHE_SIZE = 2
 

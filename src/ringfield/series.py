@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .ioutil import atomic_write_text, fmt
+from .ioutil import atomic_write_text, fmt, read_csv_rows
 from .observables import ObservableSnapshot
 from .state import FieldState
 
@@ -62,16 +62,18 @@ class TimeSeries:
 
 
 def read_timeseries_csv(path: str) -> list[ObservableSnapshot]:
-    """Parse a time-series CSV back into snapshots."""
-    with open(path) as handle:
-        lines = [ln.strip() for ln in handle if ln.strip()]
-    if not lines or lines[0] != TIMESERIES_CSV_HEADER:
-        raise ValueError(f"{path}: expected header {TIMESERIES_CSV_HEADER!r}")
+    """Parse a time-series CSV back into snapshots.  A row with the
+    wrong number of fields or a value that does not parse raises
+    ``ValueError`` naming the path and the line."""
     out = []
-    for line in lines[1:]:
+    for lineno, line in read_csv_rows(path, TIMESERIES_CSV_HEADER):
         parts = line.split(",")
-        kwargs = {"step": int(parts[0])}
-        for name, text in zip(_COLUMNS[1:], parts[1:]):
-            kwargs[name] = float(text)
-        out.append(ObservableSnapshot(**kwargs))
+        if len(parts) != len(_COLUMNS):
+            raise ValueError(
+                f"{path}: line {lineno}: expected {len(_COLUMNS)} fields, got {line!r}"
+            )
+        try:
+            out.append(ObservableSnapshot(int(parts[0]), *map(float, parts[1:])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text
+from .ioutil import atomic_write_text, read_csv_rows
 from .lattice import EVEN, Lattice, make_even_lattice, make_lattice, wrap_index
 
 
@@ -258,13 +258,7 @@ def _csv_row_error(path: str, rows: list[tuple[int, str]]) -> ValueError:
 def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
     """Load a (site, a, b) checkpoint; lattice parity is inferred from
     the site labels."""
-    with open(path) as handle:
-        rows = [(lineno, line.strip())
-                for lineno, line in enumerate(handle.read().splitlines(), start=1)
-                if line.strip()]
-    if not rows or rows[0][1] != STATE_CSV_HEADER:
-        raise ValueError(f"{path}: expected header {STATE_CSV_HEADER!r}")
-    rows = rows[1:]
+    rows = read_csv_rows(path, STATE_CSV_HEADER)
     if not rows:
         raise ValueError(f"{path}: no site,a,b rows")
     try:

@@ -1,6 +1,7 @@
 """The public surface: what the package exports and what the README
 shows of it."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ringfield
-from ringfield import EvolutionConfig, gaussian_state, make_lattice, run
+from ringfield import EvolutionConfig, RunConfig, gaussian_state, make_lattice, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -35,6 +36,12 @@ def test_no_public_function_takes_kernels():
     takes = [name for name, fn in _public_functions()
              if "kernels" in inspect.signature(fn).parameters]
     assert takes == []
+
+
+@pytest.mark.parametrize("config", [RunConfig, EvolutionConfig])
+def test_run_has_one_step_engine(config):
+    # run always steps by powers of one multiplier: no implementation switch
+    assert "euler_method" not in {spec.name for spec in dataclasses.fields(config)}
 
 
 def test_run_options_after_record_every_are_keyword_only():

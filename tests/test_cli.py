@@ -96,6 +96,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "kernel F closed form vs spectral sum" in out
 
+    def test_nan_kernel_error_fails_the_f_check(self, capsys):
+        # Python's max(0.0, nan) is 0.0: a NaN residual must not be dropped
+        code = main(["verify", "--max-n", "21", "--inject-kernel-error", "nan"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "[FAIL] kernel F closed form vs spectral sum" in out
+        assert "verify: FAILED -> kernel F closed form vs spectral sum" in out
+
 
 class TestPaperTableCommand:
     def test_zero_steps_all_zero(self, tmp_path, capsys):

@@ -75,6 +75,21 @@ class TestIdentitySuite:
         drift = next(c for c in report.checks if c.name == "one-step M drift identity")
         assert not drift.passed and not report.passed
 
+    def test_nan_in_the_g_kernel_fails_the_commutator_check(self, monkeypatch):
+        original = ringfield.experiments.g_site_matrix
+
+        def with_nan(lattice):
+            gmat = original(lattice).copy()
+            if lattice.n_sites == 5:
+                gmat[0, 1] = np.nan
+            return gmat
+
+        monkeypatch.setattr(ringfield.experiments, "g_site_matrix", with_nan)
+        report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=4)
+        commutator = next(c for c in report.checks if c.name == "F/G commutator vanishes")
+        assert np.isnan(commutator.value)
+        assert not commutator.passed and not report.passed
+
 
 class TestKernelOracle:
     def test_clean_check_passes(self):

@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import ringfield.cli
-from ringfield import RunConfig, read_state_csv, read_state_json
+from ringfield import RunConfig, read_state_csv, read_state_json, read_timeseries_csv
 from ringfield.cli import main
 from ringfield.ioutil import atomic_write_text
+from ringfield.series import TIMESERIES_CSV_HEADER
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -29,6 +30,7 @@ EXIT_CODES = [
     (["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
     (["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300",
       "--scheme", "exact"], 2),
+    (["verify", "--max-n", "2"], 2),
     (["compare", *SMALL, "--record-every", "0"], 2),
     (["compare", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
     (["paper-table", "--steps", "-1"], 2),
@@ -61,6 +63,30 @@ def test_config_file_values_are_validated(tmp_path, capsys):
     assert "record_every" in capsys.readouterr().err
 
 
+def test_retired_config_key_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_sites = 101\neuler_method = reference\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "euler_method" in errors[0]
+
+
+# flags that select behaviour the subcommand does not have
+UNKNOWN_FLAGS = [
+    ["run", *SMALL, "--euler-method", "reference"],
+    ["compare", *SMALL, "--scheme", "exact"],
+    ["compare", *SMALL, "--parity-mode", "even_naive"],
+]
+
+
+@pytest.mark.parametrize("argv", UNKNOWN_FLAGS, ids=[" ".join(a) for a in UNKNOWN_FLAGS])
+def test_unknown_flag_is_an_argparse_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("field, value", [
     ("n_steps", -1), ("record_every", 0), ("checkpoint_every", -3),
 ])
@@ -82,6 +108,22 @@ def test_bad_checkpoint_value_names_path(tmp_path):
     path.write_text("site,a,b\n-1,0.5,0.0\n0,one,0.0\n1,0.5,0.0\n")
     with pytest.raises(ValueError, match=r"state\.csv: .*'one'"):
         read_state_csv(str(path))
+
+
+@pytest.mark.parametrize("row", ["10,1.0,0.0", "10,1.0,0.0,0.0,0.0,1.0,0.0,9"])
+def test_bad_series_row_names_path_and_line(tmp_path, row):
+    path = tmp_path / "series.csv"
+    path.write_text(f"{TIMESERIES_CSV_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.0\n\n{row}\n")
+    with pytest.raises(ValueError, match=r"series\.csv: line 4: expected 7 fields"):
+        read_timeseries_csv(str(path))
+
+
+@pytest.mark.parametrize("row", ["10,1.0,zero,0.0,0.0,1.0,0.0", "1.5,1.0,0.0,0.0,0.0,1.0,0.0"])
+def test_bad_series_value_names_path_and_line(tmp_path, row):
+    path = tmp_path / "series.csv"
+    path.write_text(f"{TIMESERIES_CSV_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.0\n{row}\n")
+    with pytest.raises(ValueError, match=r"series\.csv: line 3: "):
+        read_timeseries_csv(str(path))
 
 
 def test_exact_scheme_overflow_prints_one_line():
