@@ -16,7 +16,7 @@ is transformed by one batched FFT.  A real array (a field a or b on
 its own) takes a real-input FFT, which computes only the momenta
 kappa >= 0 and takes the negative ones as their conjugates.
 ``to_momentum_basis`` and ``from_momentum_basis`` are its state-level
-wrappers.
+wrappers; a ``FieldState`` block of rows goes through them whole.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from math import sqrt
 import numpy as np
 
 from .lattice import EVEN, Lattice
-from .state import FieldBlock, FieldState, state_from_amplitudes
+from .state import FieldState, state_from_amplitudes
 
 
 @dataclass(frozen=True)
@@ -116,20 +116,19 @@ def site_amplitudes(lattice: Lattice, coefficients: np.ndarray) -> np.ndarray:
     return amplitudes
 
 
-def to_momentum_basis(state: FieldState | FieldBlock) -> MomentumSpectrum:
+def to_momentum_basis(state: FieldState) -> MomentumSpectrum:
     """Project onto the unbiased basis.
 
     Returns coefficients ordered like ``lattice.momentum_values()``,
-    one row per row of a ``FieldBlock``.  The transform is unitary, so
-    the summed occupation equals M.
+    one row per row of a block.  The transform is unitary, so the
+    summed occupation equals M.
     """
-    coefficients = momentum_coefficients(state.lattice, state.amplitudes())
+    coefficients = momentum_coefficients(state.lattice, state.c)
     coefficients.setflags(write=False)
     return MomentumSpectrum(lattice=state.lattice, coefficients=coefficients)
 
 
 def from_momentum_basis(spectrum: MomentumSpectrum) -> FieldState:
-    """Inverse of ``to_momentum_basis`` for one state; round trip is the
-    identity."""
+    """Inverse of ``to_momentum_basis``; round trip is the identity."""
     lattice = spectrum.lattice
     return state_from_amplitudes(lattice, site_amplitudes(lattice, spectrum.coefficients))

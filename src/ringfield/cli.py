@@ -32,7 +32,7 @@ from .experiments import (
     paper_table_grid,
     paper_table_text,
 )
-from .ioutil import atomic_write_text, check_writable, fmt
+from .ioutil import atomic_write_text, check_directory, check_writable, fmt
 from .kernels import ConsistencyError
 from .observables import conserved_columns
 from .state import build_state, write_state_csv
@@ -87,7 +87,7 @@ def _cmd_run(args) -> int:
     _check_outputs(config.csv_path, config.json_path)
     directory = config.checkpoint_dir or "."
     if config.checkpoint_every > 0:
-        os.makedirs(directory, exist_ok=True)
+        check_directory(directory)
     state = build_state(config.lattice(), config.state_spec())
     series = run(
         state,
@@ -96,6 +96,8 @@ def _cmd_run(args) -> int:
         config.record_every,
         checkpoint_every=config.checkpoint_every,
     )
+    if config.checkpoint_every > 0:  # only now: a run that fails leaves no directory
+        os.makedirs(directory, exist_ok=True)
     if config.csv_path:
         series.write_csv(config.csv_path)
     else:

@@ -53,6 +53,10 @@ class RunConfig:
             if self.n_sites % 2 != 0:
                 raise ValueError("parity_mode even_naive requires an even n_sites")
             return make_even_lattice(self.n_sites, self.lattice_constant)
+        if self.parity_mode != "odd_standard":
+            raise ValueError(
+                f"parity_mode must be odd_standard|even_naive (got {self.parity_mode!r})"
+            )
         if self.n_sites % 2 == 0:
             raise ValueError(
                 "even n_sites is rejected by the standard model; "
@@ -70,11 +74,7 @@ class RunConfig:
         )
 
     def evolution(self) -> EvolutionConfig:
-        return EvolutionConfig(
-            tau=self.tau,
-            scheme=self.scheme,
-            parity_mode=self.parity_mode,
-        )
+        return EvolutionConfig(tau=self.tau, scheme=self.scheme)
 
     def to_text(self) -> str:
         lines = []

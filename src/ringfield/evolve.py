@@ -31,10 +31,12 @@ block's steps n go through one batched inverse transform, and
 ``observables.snapshots`` measures the whole block at once.  A block
 holds at most ``RECORD_BLOCK_BYTES`` of amplitudes, or one row where a
 row alone is larger, so memory stays flat as the record count grows.
-A ``FieldState`` is built only for a checkpoint.  The one-step
-functions (``euler_step_spectral``, ``exact_step``,
-``translate_spectral``, ``even_naive_step``) are n = 1 of the same
-propagator, and ``run`` has no other path.  The direct O(N^2)
+A block is a ``FieldState`` of rows; a checkpoint or a state that
+``propagate`` yields copies its row, so it does not keep the block
+alive.  The lattice alone selects the linearised step: Euler on an odd
+lattice, the naive even-mode step on an even one.  The one-step functions (``euler_step_spectral``,
+``exact_step``, ``translate_spectral``, ``even_naive_step``) are n = 1
+of the same propagator, and ``run`` has no other path.  The direct O(N^2)
 correlation ``euler_step`` is the paper's site-space step, kept as the
 independent reference the fast path is checked against: the tests
 iterate it, and the identity suite steps a whole block of states at
@@ -55,11 +57,10 @@ from .kernels import f_site_matrix, kernel_f
 from .lattice import EVEN, ODD, Lattice, make_even_lattice, wrap_index  # noqa: F401  (re-export)
 from .observables import RECORD_BLOCK_BYTES, snapshots
 from .series import TimeSeries
-from .state import FieldBlock, FieldState, _new_state, block_from_amplitudes
+from .state import FieldState, _new_state, _require_one_state, state_from_amplitudes
 
 EULER = "euler"
 EXACT = "exact"
-ODD_STANDARD = "odd_standard"
 EVEN_NAIVE = "even_naive"
 TRANSLATE = "translate"
 # the step kinds that linearise the unitary, guarded by check_tau_bound
@@ -76,24 +77,19 @@ class TimestepBoundError(ValueError):
 
 @dataclass(frozen=True)
 class EvolutionConfig:
-    """How to step a state forward: the time step, the scheme (the
-    linearised reaction step or the exact unitary) and the lattice
-    parity mode.  Every scheme runs as powers of one multiplier
-    (``propagator``)."""
+    """How to step a state forward: the time step and the scheme (the
+    linearised reaction step or the exact unitary).  The state's lattice
+    fixes the parity, so an even lattice takes the naive even-mode step.
+    Every scheme runs as powers of one multiplier (``propagator``)."""
 
     tau: float = 1e-3
     scheme: str = EULER
-    parity_mode: str = ODD_STANDARD
 
     def __post_init__(self):
         if not self.tau > 0:
             raise ValueError(f"tau must be positive (got {self.tau})")
         if self.scheme not in (EULER, EXACT):
             raise ValueError(f"scheme must be euler|exact (got {self.scheme!r})")
-        if self.parity_mode not in (ODD_STANDARD, EVEN_NAIVE):
-            raise ValueError(
-                f"parity_mode must be odd_standard|even_naive (got {self.parity_mode!r})"
-            )
 
 
 def check_tau_bound(tau: float, lattice: Lattice, stacklevel: int = 1) -> None:
@@ -159,7 +155,7 @@ class Propagator:
     def forward(self, state: FieldState) -> np.ndarray:
         """Coefficients of ``state`` in this propagator's basis."""
         if self.storage_dft:
-            return np.fft.fft(state.amplitudes())
+            return np.fft.fft(state.c)
         return to_momentum_basis(state).coefficients
 
     def amplitudes_after(self, coefficients: np.ndarray, steps) -> np.ndarray:
@@ -167,7 +163,7 @@ class Propagator:
         ``steps``, by one batched inverse transform.
 
         Unchecked: a row that overflowed holds non-finite values, which
-        ``block_from_amplitudes`` rejects.
+        ``state_from_amplitudes`` rejects.
         """
         evolved = np.asarray(steps, dtype=float)[:, None] * self.log_multiplier
         with np.errstate(over="ignore", invalid="ignore"):
@@ -222,9 +218,10 @@ def _block_rows(lattice: Lattice) -> int:
 
 def _power_blocks(
     state: FieldState, kind: str, step: float, steps: list[int]
-) -> Iterator[tuple[list[int], FieldBlock]]:
+) -> Iterator[tuple[list[int], FieldState]]:
     """``propagate_blocks`` without the tau bound check."""
     lattice = state.lattice
+    _require_one_state(state, "evolution")
     at_zero = np.asarray(steps) == 0
     prop = coefficients = None
     if not at_zero.all():
@@ -238,15 +235,15 @@ def _power_blocks(
         else:
             amplitudes = prop.amplitudes_after(coefficients, chunk)
         if zero.any():
-            amplitudes[zero] = state.amplitudes()
-        yield chunk, block_from_amplitudes(lattice, amplitudes)
+            amplitudes[zero] = state.c
+        yield chunk, state_from_amplitudes(lattice, amplitudes)
 
 
 def propagate_blocks(
     state: FieldState, kind: str, step: float, steps: Iterable[int]
-) -> Iterator[tuple[list[int], FieldBlock]]:
+) -> Iterator[tuple[list[int], FieldState]]:
     """Yield ``(ns, block)``: the states after n steps for each n of
-    ``steps``, a ``FieldBlock`` of rows at a time, in order.
+    ``steps``, a block (a ``FieldState`` of rows) at a time, in order.
 
     Every row is one power of the same multiplier: one forward
     transform, then one batched inverse transform per block of at most
@@ -254,7 +251,8 @@ def propagate_blocks(
     exactly.  The linearised kinds check ``check_tau_bound`` here,
     once, when some n >= 1; the propagator is built only then, so a
     list of zeros needs no valid multiplier.  Raises ``ValueError`` when
-    a row leaves the finite floats.
+    a row leaves the finite floats, or when ``state`` is a block of rows
+    rather than one state.
     """
     steps = list(steps)
     if _takes_linearised_step(kind, steps):
@@ -267,7 +265,7 @@ def _states(
 ) -> Iterator[tuple[int, FieldState]]:
     for chunk, block in _power_blocks(state, kind, step, steps):
         for row, n in enumerate(chunk):
-            yield n, state if n == 0 else block.state(row)
+            yield n, state if n == 0 else block.row(row)
 
 
 def propagate(
@@ -333,10 +331,8 @@ def exact_step(state: FieldState, t: float) -> FieldState:
 
 
 def translate(state: FieldState, steps: int) -> FieldState:
-    """Cyclic shift of both fields by ``steps`` sites."""
-    return _new_state(
-        state.lattice, np.roll(state.a, steps), np.roll(state.b, steps)
-    )
+    """Cyclic shift of both fields (of every row) by ``steps`` sites."""
+    return state_from_amplitudes(state.lattice, np.roll(state.c, steps, axis=-1))
 
 
 def translate_spectral(state: FieldState, steps: int) -> FieldState:
@@ -389,26 +385,19 @@ def run(
     the final step.  ``checkpoint_every`` > 0 additionally stores full
     states at those steps.  Only those rows are built, a block at a
     time (``propagate_blocks``), each row one power of the step
-    multiplier; each block is measured by one ``snapshots`` call.
-    The tau bound is checked once, when a step is taken.
+    multiplier; each block is measured by one ``snapshots`` call.  The
+    lattice picks the Euler or the naive even-mode step.  The tau bound
+    is checked once, when a step is taken.
     """
     steps = record_steps(n_steps, record_every)
     lattice = state.lattice
-    even_mode = config.parity_mode == EVEN_NAIVE
-    if even_mode and lattice.parity != EVEN:
-        raise ValueError("parity_mode even_naive requires an even lattice")
-    if not even_mode and lattice.parity != ODD:
-        raise ValueError(
-            "even lattices run only under parity_mode even_naive "
-            "(or the exact scheme with that mode)"
-        )
 
     def due(step: int, every: int) -> bool:
         return every > 0 and (step % every == 0 or step == n_steps)
 
     if checkpoint_every > 0:
         steps = sorted({*steps, *record_steps(n_steps, checkpoint_every)})
-    kind = EXACT if config.scheme == EXACT else EVEN_NAIVE if even_mode else EULER
+    kind = EXACT if config.scheme == EXACT else EVEN_NAIVE if lattice.parity == EVEN else EULER
     if _takes_linearised_step(kind, steps):
         check_tau_bound(config.tau, lattice, stacklevel=2)
 
@@ -417,9 +406,9 @@ def run(
     for chunk, block in _power_blocks(state, kind, config.tau, steps):
         recorded = [row for row, step in enumerate(chunk) if due(step, record_every)]
         if recorded:
-            rows = block if len(recorded) == len(chunk) else FieldBlock(lattice, block.c[recorded])
+            rows = block if len(recorded) == len(chunk) else block.row(recorded)
             records.extend(snapshots(rows, [chunk[row] for row in recorded]))
         for row, step in enumerate(chunk):
             if due(step, checkpoint_every):
-                checkpoints[step] = state if step == 0 else block.state(row)
+                checkpoints[step] = state if step == 0 else block.row(row)
     return TimeSeries(snapshots=tuple(records), checkpoints=checkpoints)

@@ -83,13 +83,12 @@ from .observables import (
     spectral_series,
 )
 from .state import (
-    FieldBlock,
     FieldState,
-    block_from_amplitudes,
     combined_distribution,
     gaussian_state,
     norm_m,
     random_state,
+    state_from_amplitudes,
     uniform_state,
 )
 
@@ -274,16 +273,15 @@ def paper_table_run(
     steps = record_steps(n_steps, record_every)
     lattice = make_lattice(n_sites, lattice_constant)
     state = table_state(lattice, shape, seed)
-    a_hat, b_hat, occupation, _m0 = field_spectra(FieldBlock(lattice, state.amplitudes()))
+    a_hat, b_hat, occupation, _m0 = field_spectra(state)
     var_m = var_v = 0.0
     if n_steps > 0:
         check_tau_bound(tau, lattice)
         prop = propagator(lattice, EULER, tau)
         log_magnitude = prop.log_multiplier.real
         m_total, momentum = spectral_series(lattice, occupation, log_magnitude, steps)
-        final = prop.amplitudes_after(a_hat + 1j * b_hat, [n_steps])
-        final = block_from_amplitudes(lattice, final).c
-        m_final = float(np.sum(final.real**2) + np.sum(final.imag**2))
+        final = prop.amplitudes_after(a_hat + 1j * b_hat, [n_steps])[0]
+        m_final = norm_m(state_from_amplitudes(lattice, final))
         gap = m_final - m_total[-1]
         if not abs(gap) <= FINAL_M_RTOL * max(1.0, m_total[-1]):
             raise ConsistencyError(
@@ -412,11 +410,6 @@ EQ_CONVOLUTION_RTOL = 1e-8
 EQ_COMMUTATOR_SCALE = 1e-8
 
 
-def _row_m(amplitudes: np.ndarray) -> np.ndarray:
-    """M of each row of amplitudes, summed as ``norm_m`` sums one state."""
-    return np.sum(amplitudes.real**2, axis=-1) + np.sum(amplitudes.imag**2, axis=-1)
-
-
 def identity_suite(
     n_sites_list=IDENTITY_N_LIST,
     states_per_n: int = IDENTITY_STATES_PER_N,
@@ -469,13 +462,13 @@ def identity_suite(
         draws = rng.uniform(-1.0, 1.0, (states_per_n, 2, n))
         amps = draws[:, 0] + 1j * draws[:, 1]
         amps /= np.array([np.linalg.norm(row) for row in amps])[:, None]
-        block = block_from_amplitudes(
+        block = state_from_amplitudes(
             lattice, np.concatenate([amps * np.sqrt(m_target) for m_target in (1.0, 7.0)])
         )
         check_tau_bound(tau, lattice)
-        stepped_a, stepped_b = _dense_euler_step(lattice, block.c.real, block.c.imag, tau)
-        stepped = block_from_amplitudes(lattice, stepped_a + 1j * stepped_b)
-        measured = _row_m(stepped.c) - _row_m(block.c)
+        stepped_a, stepped_b = _dense_euler_step(lattice, block.a, block.b, tau)
+        stepped = state_from_amplitudes(lattice, stepped_a + 1j * stepped_b)
+        measured = norm_m(stepped) - norm_m(block)
         conv_c = np.matmul(conv, block.c[..., None])[..., 0]  # bitwise conv @ c per row
         quadratic = np.array([np.vdot(c, fc).real for c, fc in zip(block.c, conv_c)])
         predicted = tau**2 * g**4 * quadratic

@@ -51,6 +51,21 @@ def check_writable(path: str) -> None:
         raise _naming(exc, path) from exc
 
 
+def check_directory(path: str) -> None:
+    """Raise the ``OSError`` that creating directory ``path`` and a file
+    in it would meet, without creating ``path``: the first of ``path``
+    and its parents that exists must be a directory that takes entries."""
+    try:
+        parent = os.path.abspath(path)
+        while not os.path.exists(parent):
+            parent = os.path.dirname(parent)
+        if not os.path.isdir(parent):
+            raise OSError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+        os.rmdir(tempfile.mkdtemp(dir=parent, prefix=".tmp-"))
+    except OSError as exc:
+        raise _naming(exc, path) from exc
+
+
 def atomic_write_text(path: str, text: str) -> None:
     """Write whole-file via a temp file and rename, so readers never
     observe a partial file.  The file gets the mode ``open(path, "w")``

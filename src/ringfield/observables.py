@@ -20,13 +20,14 @@ Position mean and spread are circular moments, since the lattice is a
 circle and linear moments stop meaning anything once a packet wraps.
 
 Every observable is written over the last axis of its arrays, so a
-whole ``FieldBlock`` of states (one per row) is measured at once.
+whole block of states (a ``FieldState`` with one state per row) is
+measured at once.
 ``conserved_columns`` gives M, the drift and <P> of every row from two
 batched real-input transforms, of the a rows and of the b rows, and
 checks Parseval on every row.  ``snapshots`` calls it and adds the
 position columns: the circular moments and the shape residual.
-``snapshot`` and the single-state functions are the same code on one
-row.
+``snapshot`` and the single-state functions are the same code on a
+state of shape (N,).
 
 A step that multiplies every momentum coefficient by m scales the
 occupation by |m|^2, so M and <P> after any number of steps follow from
@@ -40,16 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import to_momentum_basis
+from .basis import momentum_coefficients, to_momentum_basis
 from .kernels import ConsistencyError
 from .lattice import Lattice
-from .state import (
-    DegenerateStateError,
-    FieldBlock,
-    FieldState,
-    combined_distribution,
-    norm_m,
-)
+from .state import DegenerateStateError, FieldState, combined_distribution, norm_m
 
 # bytes of one block of rows: complex amplitudes in ``evolve``'s record
 # blocks (5 rows at N = 801, one from N = 2049 on), real weights in
@@ -64,12 +59,8 @@ RECORD_BLOCK_BYTES = 64 * 1024
 _MIN_RESULTANT = 1e-300
 
 
-def _one_row(state: FieldState) -> FieldBlock:
-    return FieldBlock(state.lattice, state.amplitudes())
-
-
 def field_spectra(
-    block: FieldBlock,
+    state: FieldState,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """a_hat, b_hat, the occupation |a_hat + i b_hat|^2 and the
     site-space M of each row.
@@ -80,11 +71,10 @@ def field_spectra(
     1e-10 max(1, M) in any row means a broken transform and raises
     ``ConsistencyError``.
     """
-    lattice, c = block.lattice, block.c
-    a_hat = to_momentum_basis(FieldBlock(lattice, c.real)).coefficients
-    b_hat = to_momentum_basis(FieldBlock(lattice, c.imag)).coefficients
+    a_hat = momentum_coefficients(state.lattice, state.a)
+    b_hat = momentum_coefficients(state.lattice, state.b)
     occupation = np.abs(a_hat + 1j * b_hat) ** 2
-    m_sites = np.sum(c.real**2, axis=-1) + np.sum(c.imag**2, axis=-1)
+    m_sites = norm_m(state)
     gap = np.sum(occupation, axis=-1) - m_sites
     broken = np.flatnonzero(np.abs(gap) > 1e-10 * np.maximum(1.0, m_sites))
     if broken.size:
@@ -94,13 +84,13 @@ def field_spectra(
     return a_hat, b_hat, occupation, m_sites
 
 
-def conserved_columns(block: FieldBlock) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def conserved_columns(state: FieldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M, <V> and <P> of each row, the last two from the field spectra
     (``field_spectra``, Parseval-checked).  A row with b = 0 has no
     drift at all."""
-    lattice = block.lattice
+    lattice = state.lattice
     kappa = lattice.momentum_values()
-    a_hat, b_hat, occupation, m_sites = field_spectra(block)
+    a_hat, b_hat, occupation, m_sites = field_spectra(state)
     cross = np.imag(a_hat * np.conj(b_hat))
     drift = 4.0 * lattice.reciprocal_constant * np.sum(kappa * cross, axis=-1)
     return m_sites, drift, _momentum(lattice, occupation)
@@ -149,7 +139,7 @@ def drift_velocity(state: FieldState) -> float:
 
     Exactly 0.0 when b = 0.
     """
-    return float(conserved_columns(_one_row(state))[1])
+    return float(conserved_columns(state)[1])
 
 
 def momentum_expectation(state: FieldState) -> float:
@@ -159,7 +149,7 @@ def momentum_expectation(state: FieldState) -> float:
     which is its definition and the test oracle.  Raises
     ``ConsistencyError`` when the spectrum fails the Parseval check.
     """
-    return float(conserved_columns(_one_row(state))[2])
+    return float(conserved_columns(state)[2])
 
 
 def momentum_distribution(state: FieldState) -> np.ndarray:
@@ -309,7 +299,7 @@ class ObservableSnapshot:
     shape_residual: float
 
 
-def snapshots(block: FieldBlock, steps) -> list[ObservableSnapshot]:
+def snapshots(block: FieldState, steps) -> list[ObservableSnapshot]:
     """Measure all reported observables of every row of a block.
 
     ``steps`` labels the rows in order.  The field spectra and the
@@ -320,7 +310,7 @@ def snapshots(block: FieldBlock, steps) -> list[ObservableSnapshot]:
     """
     lattice = block.lattice
     m_total, drift, momentum = conserved_columns(block)
-    density = block.c.real**2 + block.c.imag**2
+    density = combined_distribution(block)
     mean, spread = _circular_moments(lattice, density)
     residual = _shape_residual(lattice, density, mean, spread)
     columns = (m_total, drift, momentum, mean, spread, residual)
@@ -331,4 +321,4 @@ def snapshots(block: FieldBlock, steps) -> list[ObservableSnapshot]:
 def snapshot(state: FieldState, step: int) -> ObservableSnapshot:
     """Measure all reported observables of one state (``snapshots`` of
     one row)."""
-    return snapshots(_one_row(state), (step,))[0]
+    return snapshots(state, (step,))[0]

@@ -9,8 +9,10 @@ site, ``c_s = a_s + i b_s``, and the conserved quantity
 
 plays the role of total probability; constructors normalise to M = 1.
 
-States are values: every operation returns a new state and the arrays
-are marked read-only, so instances can be shared freely across threads.
+``FieldState`` holds c with the sites on the last axis: shape (N,) for
+one state, (R, N) for a block of R states, one per row.  States are
+values: every operation returns a new state and the arrays are
+read-only, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -30,15 +32,31 @@ class DegenerateStateError(ValueError):
 
 @dataclass(frozen=True)
 class FieldState:
-    """Immutable pair of per-site particle counts on a lattice."""
+    """Immutable complex amplitudes c = a + i b of one state, shape (N,),
+    or of a block of states, shape (R, N), on a lattice."""
 
     lattice: Lattice
-    a: np.ndarray
-    b: np.ndarray
+    c: np.ndarray
+
+    @property
+    def a(self) -> np.ndarray:
+        """First field, the real part of c (read-only)."""
+        return self.c.real
+
+    @property
+    def b(self) -> np.ndarray:
+        """Second field, the imaginary part of c (read-only)."""
+        return self.c.imag
 
     def amplitudes(self) -> np.ndarray:
-        """Complex per-site amplitudes a + i b (fresh writable array)."""
-        return self.a + 1j * self.b
+        """The amplitudes c (fresh writable copy)."""
+        return self.c.copy()
+
+    def row(self, i) -> FieldState:
+        """Row ``i`` of a block (or the rows a list ``i`` selects) as a
+        state that owns a read-only copy of its values, so it does not
+        keep the block alive."""
+        return _frozen(self.lattice, self.c[i].copy())
 
 
 @dataclass(frozen=True)
@@ -58,69 +76,50 @@ class StateSpec:
     seed: int = 0
 
 
-def _new_state(lattice: Lattice, a: np.ndarray, b: np.ndarray) -> FieldState:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (lattice.n_sites,) or b.shape != (lattice.n_sites,):
-        raise ValueError("field arrays must have one entry per site")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("field values must be finite")
-    a = a.copy()
-    b = b.copy()
-    a.setflags(write=False)
-    b.setflags(write=False)
-    return FieldState(lattice=lattice, a=a, b=b)
-
-
-def state_from_amplitudes(lattice: Lattice, amplitudes: np.ndarray) -> FieldState:
-    """Build a state from complex amplitudes c = a + i b."""
-    amplitudes = np.asarray(amplitudes, dtype=complex)
-    return _new_state(lattice, amplitudes.real, amplitudes.imag)
-
-
-@dataclass(frozen=True)
-class FieldBlock:
-    """Several states on one lattice, one per row.
-
-    ``c`` holds the complex amplitudes a + i b with the sites on the
-    last axis: shape (R, N) for R states, or (N,) for one.
-    ``block_from_amplitudes`` builds a checked, read-only block.
-    """
-
-    lattice: Lattice
-    c: np.ndarray
-
-    def amplitudes(self) -> np.ndarray:
-        """The amplitudes a + i b, rows stacked (read-only array)."""
-        return self.c
-
-    def state(self, row: int) -> FieldState:
-        """One row as a ``FieldState``."""
-        return _new_state(self.lattice, self.c[row].real, self.c[row].imag)
-
-
-def block_from_amplitudes(lattice: Lattice, amplitudes: np.ndarray) -> FieldBlock:
-    """A block from complex amplitudes with the sites on the last axis.
-
-    Checks what ``_new_state`` checks: one entry per site and finite
-    values, raising ``ValueError`` otherwise.
-    """
-    c = np.array(amplitudes, dtype=complex)
+def _frozen(lattice: Lattice, c: np.ndarray) -> FieldState:
+    """A state that takes ``c`` over, read-only, once it is checked."""
     if c.shape[-1:] != (lattice.n_sites,):
         raise ValueError("field arrays must have one entry per site")
     if not np.all(np.isfinite(c)):
         raise ValueError("field values must be finite")
     c.setflags(write=False)
-    return FieldBlock(lattice=lattice, c=c)
+    return FieldState(lattice=lattice, c=c)
 
 
-def norm_m(state: FieldState) -> float:
-    """Total M = sum(a^2 + b^2)."""
-    return float(np.sum(state.a**2) + np.sum(state.b**2))
+def _new_state(lattice: Lattice, a: np.ndarray, b: np.ndarray) -> FieldState:
+    """One state from its two real fields.  The parts are assigned, not
+    summed as a + 1j b, which would turn a -0.0 into +0.0."""
+    if np.shape(a) != (lattice.n_sites,) or np.shape(b) != (lattice.n_sites,):
+        raise ValueError("field arrays must have one entry per site")
+    c = np.empty(lattice.n_sites, dtype=complex)
+    c.real = a
+    c.imag = b
+    return _frozen(lattice, c)
+
+
+def _require_one_state(state: FieldState, op: str) -> None:
+    """``ValueError`` unless ``state`` is one state rather than a block."""
+    if state.c.ndim != 1:
+        raise ValueError(f"{op} takes one state, not a block of rows")
+
+
+def state_from_amplitudes(lattice: Lattice, amplitudes: np.ndarray) -> FieldState:
+    """A state, or a block with any leading axes, from complex amplitudes
+    c = a + i b with the sites on the last axis (copied).  Raises
+    ``ValueError`` unless the last axis has one entry per site and every
+    value is finite."""
+    return _frozen(lattice, np.array(amplitudes, dtype=complex))
+
+
+def norm_m(state: FieldState) -> float | np.ndarray:
+    """Total M = sum(a^2 + b^2): a float for one state, one M per row
+    of a block."""
+    m_total = np.sum(state.a**2, axis=-1) + np.sum(state.b**2, axis=-1)
+    return float(m_total) if m_total.ndim == 0 else m_total
 
 
 def combined_distribution(state: FieldState) -> np.ndarray:
-    """Per-site conserved density a^2 + b^2."""
+    """Per-site conserved density a^2 + b^2 (of every row of a block)."""
     return state.a**2 + state.b**2
 
 
@@ -218,6 +217,8 @@ def build_state(lattice: Lattice, spec: StateSpec) -> FieldState:
     if spec.shape == "gaussian":
         return gaussian_state(lattice, spec.center, spec.width, spec.velocity_index)
     if spec.shape == "uniform":
+        if not float(spec.width).is_integer():
+            raise ValueError(f"uniform width must be a whole number of sites (got {spec.width})")
         return uniform_state(lattice, spec.center, int(spec.width), spec.velocity_index)
     if spec.shape == "random":
         return random_state(lattice, spec.seed)
@@ -231,6 +232,7 @@ STATE_CSV_HEADER = "site,a,b"
 
 
 def state_to_csv_text(state: FieldState) -> str:
+    _require_one_state(state, "a state checkpoint")
     rows = map(
         "{},{!r},{!r}".format,
         state.lattice.sites().tolist(), state.a.tolist(), state.b.tolist(),
@@ -269,18 +271,18 @@ def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
     if table is None or table.shape[1] != 3:
         raise _csv_row_error(path, rows)
     sites, a, b = table.T
-    n = len(sites)
-    lattice = (
-        make_lattice(n, lattice_constant)
-        if n % 2 == 1
-        else make_even_lattice(n, lattice_constant)
-    )
+    maker = make_lattice if len(sites) % 2 == 1 else make_even_lattice
+    try:
+        lattice = maker(len(sites), lattice_constant)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if not np.array_equal(sites, lattice.sites()):
         raise ValueError(f"{path}: site column is not the canonical label order")
     return _new_state(lattice, a, b)
 
 
 def state_to_json_obj(state: FieldState) -> dict:
+    _require_one_state(state, "a state checkpoint")
     return {
         "n_sites": state.lattice.n_sites,
         "lattice_constant": state.lattice.lattice_constant,

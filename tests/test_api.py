@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import ringfield
-from ringfield import EvolutionConfig, RunConfig, gaussian_state, make_lattice, run
+import ringfield.evolve
+import ringfield.state
+from ringfield import EvolutionConfig, FieldState, RunConfig, gaussian_state, make_lattice, run
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -42,6 +44,18 @@ def test_no_public_function_takes_kernels():
 def test_run_has_one_step_engine(config):
     # run always steps by powers of one multiplier: no implementation switch
     assert "euler_method" not in {spec.name for spec in dataclasses.fields(config)}
+
+
+def test_one_state_type():
+    # FieldState holds one state or a block of rows; no second container
+    for name in ("FieldBlock", "block_from_amplitudes"):
+        assert not hasattr(ringfield.state, name), name
+    assert [spec.name for spec in dataclasses.fields(FieldState)] == ["lattice", "c"]
+
+
+def test_the_lattice_fixes_the_parity():
+    assert [spec.name for spec in dataclasses.fields(EvolutionConfig)] == ["tau", "scheme"]
+    assert not hasattr(ringfield.evolve, "ODD_STANDARD")
 
 
 def test_run_options_after_record_every_are_keyword_only():

@@ -7,7 +7,6 @@ Also: the real-input transform against the complex one, the tabulated
 kernel oracle sums against complex exponentials, and the bound on the
 dense site-matrix caches."""
 
-import dataclasses
 import tracemalloc
 import warnings
 
@@ -38,7 +37,6 @@ from ringfield.experiments import (
 from ringfield.kernels import f_site_matrix, g_site_matrix, kernel_f
 from ringfield.lattice import make_even_lattice
 from ringfield.observables import conserved_columns, field_spectra, spectral_series
-from ringfield.state import FieldBlock
 
 TABLE_CASES = [
     (shape, tau, n_steps)
@@ -156,7 +154,7 @@ def test_spectral_series_matches_the_block_path(monkeypatch, n):
     state = random_state(lattice, n)
     tau = 1e-3
     steps = list(range(0, 401, 10))
-    occupation = field_spectra(FieldBlock(lattice, state.amplitudes()))[2]
+    occupation = field_spectra(state)[2]
     log_magnitude = propagator(lattice, EULER, tau).log_multiplier.real
     m_total, momentum = spectral_series(lattice, occupation, log_magnitude, steps)
     m_oracle, drift_oracle = _block_path_columns(state, tau, steps)
@@ -170,7 +168,7 @@ def test_spectral_series_memory_stays_flat():
     two output columns and the steps take 2.4 MB."""
     lattice = make_lattice(101)
     state = random_state(lattice, 1)
-    occupation = field_spectra(FieldBlock(lattice, state.amplitudes()))[2]
+    occupation = field_spectra(state)[2]
     log_magnitude = propagator(lattice, EULER, 1e-6).log_multiplier.real
     steps = range(100_000)
     tracemalloc.start()
@@ -205,15 +203,14 @@ def test_final_row_one_step_off_raises(monkeypatch):
 
 
 def test_corrupted_forward_transform_raises(monkeypatch):
-    original = ringfield.observables.to_momentum_basis
+    original = ringfield.observables.momentum_coefficients
 
-    def drop_largest(state):
-        spectrum = original(state)
-        coefficients = spectrum.coefficients.copy()
+    def drop_largest(lattice, amplitudes):
+        coefficients = original(lattice, amplitudes)
         coefficients[np.argmax(np.abs(coefficients))] = 0.0
-        return dataclasses.replace(spectrum, coefficients=coefficients)
+        return coefficients
 
-    monkeypatch.setattr(ringfield.observables, "to_momentum_basis", drop_largest)
+    monkeypatch.setattr(ringfield.observables, "momentum_coefficients", drop_largest)
     with pytest.raises(ConsistencyError, match="Parseval"):
         paper_table_run("gaussian", 1e-3, n_steps=50)
 

@@ -152,7 +152,7 @@ class TestNaiveVsExact:
         state = gaussian_state(lattice, 0, 4.0)
         series = run(
             state,
-            EvolutionConfig(scheme="exact", parity_mode="even_naive"),
+            EvolutionConfig(scheme="exact"),
             20,
             record_every=10,
         )

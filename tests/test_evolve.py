@@ -197,11 +197,6 @@ class TestRun:
         assert sorted(series.checkpoints) == [0, 10, 20]
         assert norm_m(series.checkpoints[20]) == pytest.approx(1.0, abs=1e-6)
 
-    def test_parity_mode_mismatch(self):
-        state = gaussian_state(LAT, 0, 10.0, 0)
-        with pytest.raises(ValueError):
-            run(state, EvolutionConfig(parity_mode="even_naive"), 1)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvolutionConfig(tau=0.0)

@@ -30,9 +30,12 @@ EXIT_CODES = [
     (["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
     (["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300",
       "--scheme", "exact"], 2),
+    (["run", "--n-sites", "101", "--shape", "uniform", "--width", "inf"], 2),
+    (["run", "--n-sites", "101", "--shape", "uniform", "--width", "2.5"], 2),
     (["verify", "--max-n", "2"], 2),
     (["compare", *SMALL, "--record-every", "0"], 2),
     (["compare", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
+    (["compare", "--n-sites", "101", "--shape", "uniform", "--width", "inf"], 2),
     (["paper-table", "--steps", "-1"], 2),
     (["paper-table", "--seed", "-1"], 2),
     (["even-odd", "--tau", "0"], 2),
@@ -61,6 +64,14 @@ def test_config_file_values_are_validated(tmp_path, capsys):
     cfg.write_text("n_sites = 101\nwidth = 5.0\nrecord_every = 0\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "record_every" in capsys.readouterr().err
+
+
+def test_unknown_parity_mode_names_the_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_sites = 101\nwidth = 5.0\nparity_mode = even\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "parity_mode" in errors[0]
 
 
 def test_retired_config_key_names_the_key(tmp_path, capsys):
@@ -101,6 +112,18 @@ def test_bad_checkpoint_row_names_path_and_line(tmp_path, row):
     path.write_text(f"site,a,b\n-1,0.5,0.0\n\n{row}\n1,0.5,0.0\n")
     with pytest.raises(ValueError, match=r"state\.csv: line 4: expected site,a,b"):
         read_state_csv(str(path))
+
+
+@pytest.mark.parametrize("text, lattice_constant", [
+    ("site,a,b\n0,1.0,0.0\n", 1.0),
+    ("site,a,b\n-1,1.0,0.0\n0,0.0,0.0\n", 1.0),
+    ("site,a,b\n-1,0.5,0.0\n0,0.5,0.0\n1,0.0,0.0\n", 0.0),
+], ids=["one row", "two rows", "zero lattice constant"])
+def test_checkpoint_lattice_error_names_path(tmp_path, text, lattice_constant):
+    path = tmp_path / "state.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"^.*state\.csv: (n_sites|even-mode|lattice_constant)"):
+        read_state_csv(str(path), lattice_constant=lattice_constant)
 
 
 def test_bad_checkpoint_value_names_path(tmp_path):
@@ -199,6 +222,32 @@ def test_bad_checkpoint_dir_fails_before_any_work(monkeypatch, tmp_path, capsys)
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert repr(checkpoint_dir) in lines[0]
     assert not out.exists()
+
+
+# a run that fails validation or a guard leaves no checkpoint directory
+FAILED_CHECKPOINT_RUNS = [
+    (["run", "--n-sites", "4", "--checkpoint-every", "5", "--checkpoint-dir", "ck"], 2),
+    (["run", *SMALL, "--tau", "-1", "--checkpoint-every", "5", "--checkpoint-dir", "ck"], 2),
+    (["run", *SMALL, "--tau", "1", "--checkpoint-every", "5", "--checkpoint-dir", "ck"], 3),
+]
+
+
+@pytest.mark.parametrize("argv, expected", FAILED_CHECKPOINT_RUNS,
+                         ids=[" ".join(a) for a, _ in FAILED_CHECKPOINT_RUNS])
+def test_failed_run_leaves_no_checkpoint_dir(monkeypatch, tmp_path, capsys, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == expected
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_checkpoint_dir_is_created_for_a_run_that_succeeds(monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    argv = ["run", *SMALL, "--n-steps", "10", "--checkpoint-every", "5",
+            "--checkpoint-dir", "new/ck", "--csv", "out.csv"]
+    assert main(argv) == 0
+    assert sorted(os.listdir(tmp_path / "new" / "ck")) == [
+        "state_000000.csv", "state_000005.csv", "state_000010.csv"]
 
 
 def test_atomic_write_error_names_the_given_path(tmp_path):

@@ -146,7 +146,7 @@ def test_checkpoint_at_unrecorded_step():
 OVER_BOUND = 0.02  # tau g^2 N^2 = 0.02 (2 pi)^2 = 0.79 >= 0.5
 CASES = [
     (LAT, EvolutionConfig(tau=OVER_BOUND)),
-    (EVEN, EvolutionConfig(tau=OVER_BOUND, parity_mode="even_naive")),
+    (EVEN, EvolutionConfig(tau=OVER_BOUND)),
 ]
 
 

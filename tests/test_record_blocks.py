@@ -4,7 +4,6 @@ the same state built on its own, the guards must still fire row by row,
 no block may exceed ``RECORD_BLOCK_BYTES``, and the tau-bound warning
 must name the caller."""
 
-import dataclasses
 import math
 import warnings
 
@@ -54,7 +53,7 @@ METHODS = {
     "exact": (EvolutionConfig(tau=TAU, scheme="exact"), EXACT),
     # the default run, held against iterated dense ``euler_step``
     "reference": (EvolutionConfig(tau=TAU), None),
-    "even-naive": (EvolutionConfig(tau=TAU, parity_mode="even_naive"), EVEN_NAIVE),
+    "even-naive": (EvolutionConfig(tau=TAU), EVEN_NAIVE),
 }
 CASES = [
     (method, n) for method in ("euler", "exact", "reference") for n in (3, 5, 21, 801)
@@ -125,26 +124,24 @@ def test_rows_match_states_built_one_at_a_time(monkeypatch, method, n_sites):
                          ids=["odd", "even"])
 def test_real_state_has_exactly_zero_drift_at_step_zero(lattice):
     state = uniform_state(lattice, 0, 5, 0)
-    mode = "even_naive" if lattice.parity == "even" else "odd_standard"
-    first = run(state, EvolutionConfig(parity_mode=mode), 50, record_every=5).snapshots[0]
+    first = run(state, EvolutionConfig(), 50, record_every=5).snapshots[0]
     assert first.drift_velocity == 0.0
     assert math.copysign(1.0, first.drift_velocity) == 1.0
     assert fmt(first.drift_velocity) == "0.0"
 
 
 def test_corrupted_transform_of_a_late_row_raises(monkeypatch):
-    original = ringfield.observables.to_momentum_basis
+    original = ringfield.observables.momentum_coefficients
 
-    def drop_in_last_row(state):
+    def drop_in_last_row(lattice, amplitudes):
         """Corrupt the last row of every block of more than one row."""
-        spectrum = original(state)
-        coefficients = spectrum.coefficients.copy()
+        coefficients = original(lattice, amplitudes)
         if coefficients.ndim == 2 and len(coefficients) > 1:
             last = coefficients[-1]
             last[np.argmax(np.abs(last))] = 0.0
-        return dataclasses.replace(spectrum, coefficients=coefficients)
+        return coefficients
 
-    monkeypatch.setattr(ringfield.observables, "to_momentum_basis", drop_in_last_row)
+    monkeypatch.setattr(ringfield.observables, "momentum_coefficients", drop_in_last_row)
     state = random_state(make_lattice(801), 3)
     with pytest.raises(ConsistencyError, match="Parseval"):
         run(state, EvolutionConfig(), 100, record_every=1)

@@ -2,7 +2,6 @@
 G-kernel double sums, the Parseval guard, and the bound on memory: the
 run paths never build an N x N kernel matrix."""
 
-import dataclasses
 
 import numpy as np
 import pytest
@@ -89,15 +88,14 @@ def test_real_state_drift_prints_as_positive_zero():
 class TestParsevalGuard:
     @pytest.fixture
     def dropped_coefficient(self, monkeypatch):
-        original = ringfield.observables.to_momentum_basis
+        original = ringfield.observables.momentum_coefficients
 
-        def drop_largest(state):
-            spectrum = original(state)
-            coefficients = spectrum.coefficients.copy()
+        def drop_largest(lattice, amplitudes):
+            coefficients = original(lattice, amplitudes)
             coefficients[np.argmax(np.abs(coefficients))] = 0.0
-            return dataclasses.replace(spectrum, coefficients=coefficients)
+            return coefficients
 
-        monkeypatch.setattr(ringfield.observables, "to_momentum_basis", drop_largest)
+        monkeypatch.setattr(ringfield.observables, "momentum_coefficients", drop_largest)
 
     @pytest.mark.parametrize(
         "observable", [momentum_expectation, drift_velocity, lambda s: snapshot(s, 0)],

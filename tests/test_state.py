@@ -5,6 +5,7 @@ import pytest
 
 from ringfield import (
     DegenerateStateError,
+    EvolutionConfig,
     StateSpec,
     boost,
     build_state,
@@ -22,7 +23,9 @@ from ringfield import (
     write_state_csv,
     write_state_json,
 )
+from ringfield.evolve import advance, propagate, run
 from ringfield.lattice import make_even_lattice
+from ringfield.observables import snapshot, snapshots
 from ringfield.state import _new_state
 
 LAT = make_lattice(801)
@@ -187,10 +190,91 @@ class TestImmutability:
         with pytest.raises(ValueError):
             state.a[0] = 1.0
 
+    @pytest.mark.parametrize("field", ["b", "c"])
+    def test_b_and_c_are_readonly(self, field):
+        state = gaussian_state(LAT, 0, 10.0, 5)
+        with pytest.raises(ValueError):
+            getattr(state, field)[0] = 1.0
+
+    def test_amplitudes_is_a_writable_copy(self):
+        state = gaussian_state(LAT, 0, 10.0, 5)
+        amplitudes = state.amplitudes()
+        amplitudes[0] = 1.0
+        assert state.c[0] != 1.0
+
     def test_nonfinite_rejected(self):
         lat3 = make_lattice(3)
         with pytest.raises(ValueError):
             _new_state(lat3, np.array([np.nan, 0, 0]), np.zeros(3))
+
+    def test_new_state_keeps_negative_zeros(self):
+        # a + 1j * b would turn these -0.0 into +0.0
+        state = _new_state(make_lattice(3), [-0.0, 1.0, -0.0], [-0.0, -0.0, 2.0])
+        assert np.signbit(state.a).tolist() == [True, False, True]
+        assert np.signbit(state.b).tolist() == [True, True, False]
+
+    def test_uniform_checkpoint_keeps_negative_zeros(self, tmp_path):
+        state = uniform_state(LAT, 0, 25, 10)
+        path = tmp_path / "state.csv"
+        write_state_csv(state, str(path))
+        assert "-0.0" in path.read_text()
+        back = read_state_csv(str(path))
+        assert np.array_equal(np.signbit(back.c.real), np.signbit(state.a))
+        assert np.array_equal(np.signbit(back.c.imag), np.signbit(state.b))
+
+
+class TestBlocks:
+    """A ``FieldState`` of shape (R, N) holds R states, one per row."""
+
+    BLOCK = state_from_amplitudes(
+        LAT, [random_state(LAT, seed).c for seed in (1, 2, 3)]
+    )
+
+    def test_norm_m_per_row_is_bitwise_the_row_state(self):
+        per_row = norm_m(self.BLOCK)
+        assert per_row.shape == (3,)
+        for i in range(3):
+            assert per_row[i] == norm_m(self.BLOCK.row(i))
+        assert isinstance(norm_m(self.BLOCK.row(0)), float)
+
+    def test_snapshots_per_row_are_bitwise_the_row_snapshot(self):
+        steps = [0, 10, 20]
+        rows = snapshots(self.BLOCK, steps)
+        assert rows == [snapshot(self.BLOCK.row(i), steps[i]) for i in range(3)]
+
+    def test_rows_own_read_only_copies(self):
+        for index in (1, [0, 2]):
+            rows = self.BLOCK.row(index)
+            assert rows.c.flags.owndata and not rows.c.flags.writeable
+        assert self.BLOCK.row([0, 2]).c.shape == (2, LAT.n_sites)
+
+    def test_state_from_amplitudes_takes_leading_axes(self):
+        amplitudes = np.ones((2, 3, LAT.n_sites), dtype=complex)
+        assert state_from_amplitudes(LAT, amplitudes).c.shape == (2, 3, LAT.n_sites)
+        with pytest.raises(ValueError, match="one entry per site"):
+            state_from_amplitudes(LAT, np.ones((2, LAT.n_sites + 1)))
+        amplitudes[1, 2, 7] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            state_from_amplitudes(LAT, amplitudes)
+
+    def test_one_state_operations_reject_a_block(self):
+        for operation in (lambda: advance(self.BLOCK, "exact", 0.1, 1),
+                          lambda: run(self.BLOCK, EvolutionConfig(), 2),
+                          lambda: write_state_csv(self.BLOCK, "unused.csv"),
+                          lambda: write_state_json(self.BLOCK, "unused.json"),
+                          lambda: _new_state(LAT, self.BLOCK.a, self.BLOCK.b)):
+            with pytest.raises(ValueError, match="block of rows|one entry per site"):
+                operation()
+
+    def test_checkpoints_and_propagated_states_own_their_data(self):
+        state = gaussian_state(make_lattice(101), 0, 5.0, 3)
+        series = run(state, EvolutionConfig(), 20, record_every=5, checkpoint_every=10)
+        for step in (10, 20):
+            checkpoint = series.checkpoints[step].c
+            assert checkpoint.flags.owndata and not checkpoint.flags.writeable
+        for _n, later in propagate(state, "euler", 1e-3, [5, 10]):
+            assert later.c.flags.owndata
+        assert advance(state, "exact", 0.1, 3).c.flags.owndata
 
 
 class TestSerialization:
