@@ -17,11 +17,8 @@ from .evolve import (
     TimestepBoundError,
     advance,
     euler_step,
-    euler_step_spectral,
-    even_naive_step,
     exact_step,
     make_even_lattice,
-    propagate,
     run,
     translate,
     translate_spectral,
@@ -36,7 +33,6 @@ from .experiments import (
     paper_table_grid,
     paper_table_run,
     qualitative_shape_run,
-    tau_degradation_run,
 )
 from .kernels import (
     ConsistencyError,
@@ -51,7 +47,6 @@ from .observables import (
     count_local_maxima,
     drift_velocity,
     gaussian_shape_residual,
-    momentum_distribution,
     momentum_expectation,
     position_mean,
     position_spread,

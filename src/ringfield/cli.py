@@ -18,6 +18,7 @@ line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -26,6 +27,8 @@ import numpy as np
 from .config import RunConfig, read_config
 from .evolve import EULER, EXACT, TimestepBoundError, propagate_blocks, record_steps, run
 from .experiments import (
+    IDENTITY_N_LIST,
+    KERNEL_ORACLE_N_LIST,
     even_odd_comparison,
     identity_suite,
     kernel_oracle_check,
@@ -65,14 +68,9 @@ def _config_from_args(args) -> RunConfig:
     if args.config:
         base = read_config(args.config, base=base)
     overrides = {
-        name: getattr(args, name)
-        for name in (
-            "n_sites", "lattice_constant", "shape", "center", "width",
-            "velocity_index", "seed", "scheme", "tau", "n_steps",
-            "record_every", "parity_mode", "csv_path", "json_path",
-            "checkpoint_every", "checkpoint_dir",
-        )
-        if getattr(args, name, None) is not None
+        field.name: getattr(args, field.name)
+        for field in dataclasses.fields(RunConfig)
+        if getattr(args, field.name, None) is not None
     }
     return RunConfig(**{**base.__dict__, **overrides})
 
@@ -112,8 +110,8 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max_n < 3:
         raise ValueError(f"--max-n must be >= 3, the smallest lattice (got {args.max_n})")
-    kernel_ns = [n for n in (3, 5, 7, 21, 101, 801) if n <= args.max_n]
-    identity_ns = [n for n in (3, 5, 9, 15, 21) if n <= args.max_n]
+    kernel_ns = [n for n in KERNEL_ORACLE_N_LIST if n <= args.max_n]
+    identity_ns = [n for n in IDENTITY_N_LIST if n <= args.max_n]
     reports = [
         kernel_oracle_check(kernel_ns, perturbation=args.inject_kernel_error),
         identity_suite(identity_ns),

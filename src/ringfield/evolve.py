@@ -31,16 +31,16 @@ block's steps n go through one batched inverse transform, and
 ``observables.snapshots`` measures the whole block at once.  A block
 holds at most ``RECORD_BLOCK_BYTES`` of amplitudes, or one row where a
 row alone is larger, so memory stays flat as the record count grows.
-A block is a ``FieldState`` of rows; a checkpoint or a state that
-``propagate`` yields copies its row, so it does not keep the block
-alive.  The lattice alone selects the linearised step: Euler on an odd
-lattice, the naive even-mode step on an even one.  The one-step functions (``euler_step_spectral``,
-``exact_step``, ``translate_spectral``, ``even_naive_step``) are n = 1
-of the same propagator, and ``run`` has no other path.  The direct O(N^2)
-correlation ``euler_step`` is the paper's site-space step, kept as the
-independent reference the fast path is checked against: the tests
-iterate it, and the identity suite steps a whole block of states at
-once through its row-wise form, ``_dense_euler_step``.
+A block is a ``FieldState`` of rows; a checkpoint copies its row, so
+it does not keep the block alive.  The lattice alone selects the
+linearised step: Euler on an odd lattice, the naive even-mode step on
+an even one.  ``advance`` takes n steps of any kind, ``exact_step`` and
+``translate_spectral`` are n = 1 of the same propagator, and ``run``
+has no other path.  The direct O(N^2) correlation ``euler_step`` is the
+paper's site-space step, kept as the independent reference the fast
+path is checked against: the tests iterate it, and the identity suite
+steps a whole block of states at once through its row-wise form,
+``_dense_euler_step``.
 """
 
 from __future__ import annotations
@@ -120,11 +120,6 @@ def check_tau_bound(tau: float, lattice: Lattice, stacklevel: int = 1) -> None:
 def _takes_linearised_step(kind: str, steps: Iterable[int]) -> bool:
     """Whether ``steps`` needs a linearised step, so the tau bound applies."""
     return kind in LINEARISED and any(n > 0 for n in steps)
-
-
-def _require_parity(state: FieldState, parity: str, op: str) -> None:
-    if state.lattice.parity != parity:
-        raise ValueError(f"{op} requires a {parity}-parity lattice")
 
 
 def _naive_f_spectrum(lattice: Lattice) -> np.ndarray:
@@ -260,42 +255,19 @@ def propagate_blocks(
     return _power_blocks(state, kind, step, steps)
 
 
-def _states(
-    state: FieldState, kind: str, step: float, steps: list[int]
-) -> Iterator[tuple[int, FieldState]]:
-    for chunk, block in _power_blocks(state, kind, step, steps):
-        for row, n in enumerate(chunk):
-            yield n, state if n == 0 else block.row(row)
-
-
-def propagate(
-    state: FieldState, kind: str, step: float, steps: Iterable[int]
-) -> Iterator[tuple[int, FieldState]]:
-    """Yield ``(n, state after n steps)`` for each n of ``steps``.
-
-    ``propagate_blocks`` one state at a time; n = 0 yields ``state``
-    itself.  The tau bound is checked here, as there.
-    """
-    steps = list(steps)
-    if _takes_linearised_step(kind, steps):
-        check_tau_bound(step, state.lattice, stacklevel=2)
-    return _states(state, kind, step, steps)
-
-
-def _advance(state: FieldState, kind: str, step: float, n_steps: int) -> FieldState:
-    return next(_states(state, kind, step, [n_steps]))[1]
-
-
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
-    """The state after ``n_steps`` steps of one kind (see ``propagate``)."""
+    """The state after ``n_steps`` steps of one kind (one row of
+    ``propagate_blocks``); n = 0 returns ``state`` itself."""
     if _takes_linearised_step(kind, (n_steps,)):
         check_tau_bound(step, state.lattice, stacklevel=2)
-    return _advance(state, kind, step, n_steps)
+    _steps, block = next(_power_blocks(state, kind, step, [n_steps]))
+    return state if n_steps == 0 else block.row(0)
 
 
 def euler_step(state: FieldState, tau: float) -> FieldState:
     """One reaction step, reference O(N^2) implementation."""
-    _require_parity(state, ODD, "euler_step")
+    if state.lattice.parity != ODD:
+        raise ValueError(f"euler_step requires a {ODD}-parity lattice")
     check_tau_bound(tau, state.lattice, stacklevel=2)
     return _new_state(state.lattice, *_dense_euler_step(state.lattice, state.a, state.b, tau))
 
@@ -318,13 +290,6 @@ def _dense_euler_step(
     return a + scale * created_a, b - scale * created_b
 
 
-def euler_step_spectral(state: FieldState, tau: float) -> FieldState:
-    """One reaction step through the momentum basis (fast path)."""
-    _require_parity(state, ODD, "euler_step_spectral")
-    check_tau_bound(tau, state.lattice, stacklevel=2)
-    return _advance(state, EULER, tau, 1)
-
-
 def exact_step(state: FieldState, t: float) -> FieldState:
     """Evolve by the exact unitary exp(-i P^2 t); valid for any t."""
     return advance(state, EXACT, t)
@@ -343,19 +308,6 @@ def translate_spectral(state: FieldState, steps: int) -> FieldState:
     crossing the index seam.
     """
     return advance(state, TRANSLATE, steps)
-
-
-def even_naive_step(state: FieldState, tau: float) -> FieldState:
-    """One reaction step on an even lattice with naive modulo-N wrapping.
-
-    The displacement sum formally runs over -N/2 .. N/2; the profile
-    vanishes at both endpoint displacements, so the duplicated endpoint
-    contributes nothing.  Deliberately NOT equivalent to the quantum
-    evolution once amplitude crosses the index seam.
-    """
-    _require_parity(state, EVEN, "even_naive_step")
-    check_tau_bound(tau, state.lattice, stacklevel=2)
-    return _advance(state, EVEN_NAIVE, tau, 1)
 
 
 def record_steps(n_steps: int, record_every: int) -> list[int]:

@@ -57,7 +57,7 @@ from .evolve import (
     euler_step,
     exact_step,
     make_even_lattice,
-    propagate,
+    propagate_blocks,
     propagator,
     record_steps,
 )
@@ -73,13 +73,11 @@ from .lattice import make_lattice
 from .observables import (
     count_local_maxima,
     field_spectra,
-    gaussian_shape_residual,
     high_band_fraction,
-    m_step_increase_confined_estimate,
     m_step_increase_exact,
     momentum_expectation,
-    position_spread,
     quartic_moment_coefficient,
+    snapshots,
     spectral_series,
 )
 from .state import (
@@ -91,6 +89,9 @@ from .state import (
     state_from_amplitudes,
     uniform_state,
 )
+
+# the lattice of the conservation table and of the procedures built on it
+N_SITES = 801
 
 # default construction parameters for the three table shapes; widths and
 # drifts are choices of this artifact (the reference leaves them open)
@@ -249,8 +250,6 @@ def paper_table_run(
     tau: float,
     n_steps: int = 1000,
     seed: int = DEFAULT_SEED,
-    n_sites: int = 801,
-    lattice_constant: float = 1.0,
     record_every: int = 10,
 ) -> ExperimentReport:
     """One row of the conservation table: evolve one shape with the
@@ -271,7 +270,7 @@ def paper_table_run(
     _check_seed(seed)
     _check_tau(tau)
     steps = record_steps(n_steps, record_every)
-    lattice = make_lattice(n_sites, lattice_constant)
+    lattice = make_lattice(N_SITES)
     state = table_state(lattice, shape, seed)
     a_hat, b_hat, occupation, _m0 = field_spectra(state)
     var_m = var_v = 0.0
@@ -301,7 +300,7 @@ def paper_table_run(
             "tau": tau,
             "n_steps": n_steps,
             "seed": seed,
-            "n_sites": n_sites,
+            "n_sites": N_SITES,
         },
         metrics={
             "relative variation of M": var_m,
@@ -311,22 +310,17 @@ def paper_table_run(
     )
 
 
-def paper_table_grid(
-    n_steps: int = 1000, seed: int = DEFAULT_SEED, taus=TABLE_TAUS
-) -> ExperimentReport:
+def paper_table_grid(n_steps: int = 1000, seed: int = DEFAULT_SEED) -> ExperimentReport:
     """Full shapes-by-timesteps conservation grid in one report.
 
-    Raises ``ValueError`` for a negative seed or a tau that is not
-    positive, before any row evolves.
+    Raises ``ValueError`` for a negative seed, before any row evolves.
     """
     _check_seed(seed)
-    for tau in taus:
-        _check_tau(tau)
     metrics: dict = {}
     checks: list[Check] = []
     worst: dict[tuple[str, float], float] = {}
     for shape in TABLE_SHAPES:
-        for tau in taus:
+        for tau in TABLE_TAUS:
             row = paper_table_run(shape, tau, n_steps=n_steps, seed=seed)
             var_m = row.metrics["relative variation of M"]
             var_v = row.metrics["relative variation of <V>"]
@@ -334,7 +328,7 @@ def paper_table_grid(
             metrics[f"{shape} tau={tau:g} var <V>"] = var_v
             worst[(shape, tau)] = max(var_m, var_v)
             checks.extend(row.checks)
-    if 1e-3 in taus and 5e-3 in taus and n_steps > 0:
+    if n_steps > 0:
         gated = n_steps == 1000
         ratio = worst[("random", 5e-3)] / worst[("random", 1e-3)]
         checks.append(
@@ -354,6 +348,12 @@ def paper_table_grid(
     )
 
 
+def _verdict(check: Check) -> str:
+    if not check.gated:
+        return "-"
+    return "PASS" if check.passed else "FAIL"
+
+
 def paper_table_text(grid: ExperimentReport) -> str:
     """Compact aligned table: one row per shape and time step."""
     header = f"{'shape':<10s} {'tau':>7s} {'var M':>12s} {'var <V>':>12s} {'band':>22s}  verdict"
@@ -361,45 +361,20 @@ def paper_table_text(grid: ExperimentReport) -> str:
     verdicts = {c.name: c for c in grid.checks}
     for shape in TABLE_SHAPES:
         for tau in TABLE_TAUS:
-            key_m = f"{shape} tau={tau:g} var M"
-            key_v = f"{shape} tau={tau:g} var <V>"
-            if key_m not in grid.metrics:
-                continue
-            check = verdicts.get(f"{shape} tau={tau:g} max variation")
-            band = check.requirement if check else "informational"
-            verdict = "PASS" if (check is None or check.passed) else "FAIL"
-            if check is not None and not check.gated:
-                verdict = "-"
+            var_m = grid.metrics[f"{shape} tau={tau:g} var M"]
+            var_v = grid.metrics[f"{shape} tau={tau:g} var <V>"]
+            check = verdicts[f"{shape} tau={tau:g} max variation"]
             lines.append(
-                f"{shape:<10s} {tau:>7g} {grid.metrics[key_m]:>12.3e} "
-                f"{grid.metrics[key_v]:>12.3e} {band:>22s}  {verdict}"
+                f"{shape:<10s} {tau:>7g} {var_m:>12.3e} "
+                f"{var_v:>12.3e} {check.requirement:>22s}  {_verdict(check)}"
             )
     ratio_check = verdicts.get("random degradation at tau=0.005")
     if ratio_check is not None:
-        verdict = "PASS" if ratio_check.passed else "FAIL"
-        if not ratio_check.gated:
-            verdict = "-"
         lines.append(
             f"random degradation at tau=0.005: x{ratio_check.value:.1f} "
-            f"({ratio_check.requirement})  {verdict}"
+            f"({ratio_check.requirement})  {_verdict(ratio_check)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def tau_degradation_run(n_steps: int = 1000, seed: int = DEFAULT_SEED) -> ExperimentReport:
-    """Gated subset of the grid showing how constancy degrades with tau."""
-    grid = paper_table_grid(n_steps=n_steps, seed=seed, taus=(1e-3, 5e-3, 1e-2))
-    keep = [
-        c
-        for c in grid.checks
-        if "tau=0.005" in c.name or "tau=0.01" in c.name or "degradation" in c.name
-    ]
-    return ExperimentReport(
-        name="tau degradation",
-        params=grid.params,
-        metrics=grid.metrics,
-        checks=tuple(keep),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +389,6 @@ def identity_suite(
     n_sites_list=IDENTITY_N_LIST,
     states_per_n: int = IDENTITY_STATES_PER_N,
     seed: int = DEFAULT_SEED,
-    tau: float = IDENTITY_TAU,
 ) -> ExperimentReport:
     """Brute-force verification of the derivation-level identities.
 
@@ -427,11 +401,12 @@ def identity_suite(
     Restricted to small odd N where the O(N^3) sums stay cheap.  The
     ``states_per_n`` random states of a lattice, each at both
     normalisations, form one block of rows, which takes one dense
-    reference step (``_dense_euler_step``, bitwise ``euler_step`` on
-    every row) after one tau bound check; both the block and the
-    stepped block must be finite (``ValueError``).
+    reference step of ``IDENTITY_TAU`` (``_dense_euler_step``, bitwise
+    ``euler_step`` on every row) after one tau bound check; both the
+    block and the stepped block must be finite (``ValueError``).
     """
     rng = np.random.default_rng(seed)
+    tau = IDENTITY_TAU
     worst_m = 0.0
     worst_conv = 0.0
     worst_comm = 0.0
@@ -580,22 +555,20 @@ def _fitted_order(taus, errors) -> float:
     return float(slope)
 
 
-def order_of_accuracy_run(
-    taus=ORDER_TAUS, n_sites: int = 801, sigma: float = GAUSSIAN_SIGMA,
-    velocity_index: int = GAUSSIAN_VELOCITY_INDEX,
-) -> ExperimentReport:
-    """Fitted convergence orders of the reaction step on a gaussian.
+def order_of_accuracy_run() -> ExperimentReport:
+    """Fitted convergence orders of the reaction step on the table's
+    gaussian, one step of each of ``ORDER_TAUS``.
 
     One linearised step differs from the exact unitary at second order
     in tau, and the per-step changes of M and <P> are exactly quadratic
     in tau, so all three fitted orders sit at 2.
     """
-    lattice = make_lattice(n_sites)
-    state = gaussian_state(lattice, 0, sigma, velocity_index)
+    lattice = make_lattice(N_SITES)
+    state = gaussian_state(lattice, 0, GAUSSIAN_SIGMA, GAUSSIAN_VELOCITY_INDEX)
     base_norm = np.sqrt(norm_m(state))
     p0 = momentum_expectation(state)
     err_state, err_m, err_p = [], [], []
-    for tau in taus:
+    for tau in ORDER_TAUS:
         stepped = euler_step(state, tau)
         reference = exact_step(state, tau)
         err_state.append(
@@ -604,9 +577,9 @@ def order_of_accuracy_run(
         err_m.append(abs(norm_m(stepped) - norm_m(state)))
         err_p.append(abs(momentum_expectation(stepped) - p0))
     orders = {
-        "one-step euler vs exact": _fitted_order(taus, err_state),
-        "per-step |dM|": _fitted_order(taus, err_m),
-        "per-step |d<P>|": _fitted_order(taus, err_p),
+        "one-step euler vs exact": _fitted_order(ORDER_TAUS, err_state),
+        "per-step |dM|": _fitted_order(ORDER_TAUS, err_m),
+        "per-step |d<P>|": _fitted_order(ORDER_TAUS, err_p),
     }
     checks = tuple(
         Check(f"fitted order: {key}", value,
@@ -615,11 +588,11 @@ def order_of_accuracy_run(
         for key, value in orders.items()
     )
     metrics = {f"order: {k}": v for k, v in orders.items()}
-    metrics.update({f"err(tau={t:g}) euler vs exact": e for t, e in zip(taus, err_state)})
+    metrics.update({f"err(tau={t:g}) euler vs exact": e for t, e in zip(ORDER_TAUS, err_state)})
     return ExperimentReport(
         name="order of accuracy",
-        params={"taus": list(taus), "n_sites": n_sites, "sigma": sigma,
-                "velocity_index": velocity_index},
+        params={"taus": list(ORDER_TAUS), "n_sites": N_SITES, "sigma": GAUSSIAN_SIGMA,
+                "velocity_index": GAUSSIAN_VELOCITY_INDEX},
         metrics=metrics,
         checks=checks,
     )
@@ -633,7 +606,7 @@ WRAP_CLEARANCE_SIGMAS = 10.0
 NEW_MAXIMA_REQUIRED = 2
 
 
-def qualitative_shape_run(seed: int = DEFAULT_SEED, n_sites: int = 801) -> ExperimentReport:
+def qualitative_shape_run() -> ExperimentReport:
     """Shape phenomenology of the three canonical initial states.
 
     * a drifting gaussian under exact evolution keeps its gaussian
@@ -643,22 +616,27 @@ def qualitative_shape_run(seed: int = DEFAULT_SEED, n_sites: int = 801) -> Exper
     * the random state's position-space roughness and outer-band
       momentum fraction are reported without gating (the smoothing of
       random fluctuations has no quantitative published statement).
+
+    The gaussian's spread and shape residual are those ``run`` records
+    (``snapshots``), a block of rows at a time.
     """
-    lattice = make_lattice(n_sites)
+    lattice = make_lattice(N_SITES)
 
     # gaussian dispersion under the exact unitary
     state = gaussian_state(lattice, 0, GAUSSIAN_SIGMA, GAUSSIAN_VELOCITY_INDEX)
+    horizon, pieces = 200.0, 20
+    blocks = propagate_blocks(state, EXACT, horizon / pieces, range(pieces + 1))
+    records = [record for steps, block in blocks for record in snapshots(block, steps)]
     spreads = []
     residual_max = 0.0
     monotone = True
-    horizon, pieces = 200.0, 20
-    for _piece, current in propagate(state, EXACT, horizon / pieces, range(pieces + 1)):
-        spread = position_spread(current)
+    for record in records:
+        spread = record.position_spread
         if spreads and spread < spreads[-1] - 1e-9:
             monotone = False
         spreads.append(spread)
-        residual_max = max(residual_max, gaussian_shape_residual(current))
-        if WRAP_CLEARANCE_SIGMAS * spread > n_sites / 2.0:
+        residual_max = max(residual_max, record.shape_residual)
+        if WRAP_CLEARANCE_SIGMAS * spread > N_SITES / 2.0:
             break
     growth = spreads[-1] / spreads[0]
 
@@ -669,7 +647,7 @@ def qualitative_shape_run(seed: int = DEFAULT_SEED, n_sites: int = 801) -> Exper
     maxima_after = count_local_maxima(combined_distribution(stepped))
 
     # random state: descriptive smoothness metrics only
-    rough = random_state(lattice, seed)
+    rough = random_state(lattice, DEFAULT_SEED)
     rough_before = _roughness(rough)
     band_before = high_band_fraction(rough)
     rough_after_state = advance(rough, EULER, 1e-3, 1000)
@@ -686,7 +664,7 @@ def qualitative_shape_run(seed: int = DEFAULT_SEED, n_sites: int = 801) -> Exper
     )
     return ExperimentReport(
         name="qualitative shapes",
-        params={"seed": seed, "n_sites": n_sites},
+        params={"seed": DEFAULT_SEED, "n_sites": N_SITES},
         metrics={
             "gaussian width growth factor": growth,
             "gaussian max shape residual": residual_max,
@@ -787,24 +765,19 @@ def even_odd_comparison(
 # confined-regime M drift diagnostic
 
 CONFINED_DIAGONAL_RTOL = 0.05
+CONFINED_TAU = 1e-3
 
 
-def confined_drift_diagnostic(
-    sigma: float = 10.0, n_sites: int = 801, tau: float = 1e-3
-) -> ExperimentReport:
-    """Exact one-step M growth next to its legacy confined-regime estimate.
+def confined_drift_diagnostic() -> ExperimentReport:
+    """Exact one-step M growth of a confined gaussian and the diagonal
+    coefficient of the drift kernel.
 
-    The diagonal coefficient of the exact drift kernel approaches
-    pi^4 / (5 a^4) and is gated at 5%.  The full legacy estimate is
-    reported without gating: it is an approximation whose off-diagonal
-    weights cannot reproduce the near-cancellation that makes smooth
-    confined states quasi-stationary, so its value is off by orders of
-    magnitude there (see the module it lives in).
+    The diagonal coefficient approaches pi^4 / (5 a^4) and is gated at
+    5%; the one-step growth, one step of ``CONFINED_TAU``, is reported.
     """
-    lattice = make_lattice(n_sites)
-    state = gaussian_state(lattice, 0, sigma)
-    exact = m_step_increase_exact(state, tau)
-    estimate = m_step_increase_confined_estimate(state, tau)
+    lattice = make_lattice(N_SITES)
+    state = gaussian_state(lattice, 0, GAUSSIAN_SIGMA)
+    exact = m_step_increase_exact(state, CONFINED_TAU)
     diag = quartic_moment_coefficient(lattice)
     target = np.pi**4 / (5.0 * lattice.lattice_constant**4)
     diag_dev = abs(diag - target) / target
@@ -812,16 +785,12 @@ def confined_drift_diagnostic(
         Check("diagonal drift coefficient vs pi^4/5", diag_dev,
               f"rel <= {CONFINED_DIAGONAL_RTOL:g}",
               bool(diag_dev <= CONFINED_DIAGONAL_RTOL)),
-        Check("legacy estimate vs exact drift",
-              float(estimate / exact) if exact else float("nan"),
-              "informational", True, gated=False),
     )
     return ExperimentReport(
         name="confined drift diagnostic",
-        params={"sigma": sigma, "n_sites": n_sites, "tau": tau},
+        params={"sigma": GAUSSIAN_SIGMA, "n_sites": N_SITES, "tau": CONFINED_TAU},
         metrics={
             "exact one-step M increase": exact,
-            "legacy confined estimate": estimate,
             "diagonal coefficient": diag,
             "diagonal target pi^4/(5 a^4)": float(target),
         },

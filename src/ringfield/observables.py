@@ -27,7 +27,7 @@ batched real-input transforms, of the a rows and of the b rows, and
 checks Parseval on every row.  ``snapshots`` calls it and adds the
 position columns: the circular moments and the shape residual.
 ``snapshot`` and the single-state functions are the same code on a
-state of shape (N,).
+state of shape (N,); they raise ``ValueError`` for a block.
 
 A step that multiplies every momentum coefficient by m scales the
 occupation by |m|^2, so M and <P> after any number of steps follow from
@@ -44,7 +44,13 @@ import numpy as np
 from .basis import momentum_coefficients, to_momentum_basis
 from .kernels import ConsistencyError
 from .lattice import Lattice
-from .state import DegenerateStateError, FieldState, combined_distribution, norm_m
+from .state import (
+    DegenerateStateError,
+    FieldState,
+    _require_one_state,
+    combined_distribution,
+    norm_m,
+)
 
 # bytes of one block of rows: complex amplitudes in ``evolve``'s record
 # blocks (5 rows at N = 801, one from N = 2049 on), real weights in
@@ -139,6 +145,7 @@ def drift_velocity(state: FieldState) -> float:
 
     Exactly 0.0 when b = 0.
     """
+    _require_one_state(state, "drift_velocity")
     return float(conserved_columns(state)[1])
 
 
@@ -149,12 +156,8 @@ def momentum_expectation(state: FieldState) -> float:
     which is its definition and the test oracle.  Raises
     ``ConsistencyError`` when the spectrum fails the Parseval check.
     """
+    _require_one_state(state, "momentum_expectation")
     return float(conserved_columns(state)[2])
-
-
-def momentum_distribution(state: FieldState) -> np.ndarray:
-    """Occupation |c_hat_k|^2 ordered like ``lattice.momentum_values()``."""
-    return to_momentum_basis(state).occupation()
 
 
 def _circular_moments(
@@ -175,11 +178,13 @@ def _circular_moments(
 
 def position_mean(state: FieldState) -> float:
     """Circular mean of the combined distribution, in site units."""
+    _require_one_state(state, "position_mean")
     return float(_circular_moments(state.lattice, combined_distribution(state))[0])
 
 
 def position_spread(state: FieldState) -> float:
     """Circular standard deviation of the combined distribution (sites)."""
+    _require_one_state(state, "position_spread")
     return float(_circular_moments(state.lattice, combined_distribution(state))[1])
 
 
@@ -211,6 +216,7 @@ def gaussian_shape_residual(state: FieldState) -> float:
     packets that kept their gaussian profile; order one for anything
     else.
     """
+    _require_one_state(state, "gaussian_shape_residual")
     density = combined_distribution(state)
     mean, spread = _circular_moments(state.lattice, density)
     return float(_shape_residual(state.lattice, density, mean, spread))
@@ -232,6 +238,7 @@ def count_local_maxima(distribution: np.ndarray, prominence: float = 1e-6) -> in
 
 def high_band_fraction(state: FieldState) -> float:
     """Fraction of M carried by momenta in the outer half of the band."""
+    _require_one_state(state, "high_band_fraction")
     occupation = to_momentum_basis(state).occupation()
     kappa = state.lattice.momentum_values()
     outer = np.abs(kappa) > np.max(np.abs(kappa)) / 2.0
@@ -240,40 +247,18 @@ def high_band_fraction(state: FieldState) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-step M drift and its confined-regime estimate
+# per-step M drift
 
 def m_step_increase_exact(state: FieldState, tau: float) -> float:
     """Exact growth of M over one linearised step, tau^2 g^4 sum k^4 |c_hat|^2.
 
     Identical to what the reaction step produces, for any tau.
     """
+    _require_one_state(state, "m_step_increase_exact")
     spectrum = to_momentum_basis(state)
     kappa = state.lattice.momentum_values()
     g = state.lattice.reciprocal_constant
     return float(tau * tau * g**4 * np.sum(kappa**4 * spectrum.occupation()))
-
-
-def m_step_increase_confined_estimate(state: FieldState, tau: float) -> float:
-    """Legacy confined-regime estimate of the one-step M growth,
-
-        tau^2 (pi^4 / 5 a^4) * (2 sum_{r != u} c_r conj(c_u) (-1)^(r-u) / (r-u)^2 + M).
-
-    Kept as a descriptive diagnostic only: its off-diagonal weight drops
-    the 1/d^4 part of the true kernel, so it does not reproduce the
-    cancellation that makes smooth states quasi-stationary and can be
-    wrong by orders of magnitude for them.  The diagonal coefficient
-    alone does match ``quartic_moment_coefficient`` closely at large N.
-    """
-    amps = state.amplitudes()
-    sites = state.lattice.sites()
-    disp = sites[:, None] - sites[None, :]
-    signs = np.where(disp % 2 == 0, 1.0, -1.0)
-    with np.errstate(divide="ignore"):
-        weight = np.where(disp == 0, 0.0, signs / disp.astype(float) ** 2)
-    cross = np.real(np.vdot(amps, weight @ amps))
-    spacing = state.lattice.lattice_constant
-    coeff = np.pi**4 / (5.0 * spacing**4)
-    return float(tau * tau * coeff * (2.0 * cross + norm_m(state)))
 
 
 def quartic_moment_coefficient(lattice) -> float:
@@ -302,13 +287,17 @@ class ObservableSnapshot:
 def snapshots(block: FieldState, steps) -> list[ObservableSnapshot]:
     """Measure all reported observables of every row of a block.
 
-    ``steps`` labels the rows in order.  The field spectra and the
-    combined distribution are each computed once per block and shared
-    by the observables that need them.  Raises ``ConsistencyError``
-    when a row fails the Parseval check and ``DegenerateStateError``
-    when a row has M = 0.
+    ``steps`` labels the rows in order, one label per row (``ValueError``
+    otherwise).  The field spectra and the combined distribution are
+    each computed once per block and shared by the observables that
+    need them.  Raises ``ConsistencyError`` when a row fails the
+    Parseval check and ``DegenerateStateError`` when a row has M = 0.
     """
     lattice = block.lattice
+    steps = list(steps)
+    n_rows = block.c.size // lattice.n_sites
+    if len(steps) != n_rows:
+        raise ValueError(f"{len(steps)} step labels for a block of {n_rows} rows")
     m_total, drift, momentum = conserved_columns(block)
     density = combined_distribution(block)
     mean, spread = _circular_moments(lattice, density)
@@ -321,4 +310,5 @@ def snapshots(block: FieldState, steps) -> list[ObservableSnapshot]:
 def snapshot(state: FieldState, step: int) -> ObservableSnapshot:
     """Measure all reported observables of one state (``snapshots`` of
     one row)."""
+    _require_one_state(state, "snapshot")
     return snapshots(state, (step,))[0]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ioutil import atomic_write_text, read_csv_rows
-from .lattice import EVEN, Lattice, make_even_lattice, make_lattice, wrap_index
+from .lattice import EVEN, ODD, Lattice, make_even_lattice, make_lattice, wrap_index
 
 
 class DegenerateStateError(ValueError):
@@ -125,6 +125,7 @@ def combined_distribution(state: FieldState) -> np.ndarray:
 
 def normalize(state: FieldState) -> FieldState:
     """Rescale both fields so that M = 1."""
+    _require_one_state(state, "normalize")
     total = norm_m(state)
     if total <= 0.0:
         raise DegenerateStateError("cannot normalise a state with M = 0")
@@ -298,11 +299,15 @@ def write_state_json(state: FieldState, path: str) -> None:
 
 def read_state_json(path: str) -> FieldState:
     """Load a checkpoint written by ``write_state_json``; a malformed
-    file raises ``ValueError`` naming the path."""
+    file, or a parity other than odd or even, raises ``ValueError``
+    naming the path."""
     with open(path) as handle:
         try:
             obj = json.load(handle)
-            maker = make_lattice if obj["parity"] != EVEN else make_even_lattice
+            makers = {ODD: make_lattice, EVEN: make_even_lattice}
+            if obj["parity"] not in makers:
+                raise ValueError(f"parity must be {ODD}|{EVEN} (got {obj['parity']!r})")
+            maker = makers[obj["parity"]]
             lattice = maker(obj["n_sites"], obj["lattice_constant"])
             return _new_state(lattice, np.array(obj["a"]), np.array(obj["b"]))
         except KeyError as exc:

@@ -12,6 +12,8 @@ import pytest
 
 import ringfield
 import ringfield.evolve
+import ringfield.experiments
+import ringfield.observables
 import ringfield.state
 from ringfield import EvolutionConfig, FieldState, RunConfig, gaussian_state, make_lattice, run
 
@@ -32,6 +34,33 @@ def _public_functions():
 def test_no_kernel_table_exports():
     for name in ("KernelTable", "build_kernel_table", "momentum_expectation_spectral"):
         assert not hasattr(ringfield, name), name
+    # one-step wrappers of ``advance``, a per-state ``propagate_blocks``
+    # and procedures only the tests called
+    for module, name in (
+        (ringfield.evolve, "euler_step_spectral"),
+        (ringfield.evolve, "even_naive_step"),
+        (ringfield.evolve, "propagate"),
+        (ringfield.experiments, "tau_degradation_run"),
+        (ringfield.observables, "momentum_distribution"),
+        (ringfield.observables, "m_step_increase_confined_estimate"),
+    ):
+        assert not hasattr(ringfield, name), name
+        assert not hasattr(module, name), name
+
+
+@pytest.mark.parametrize("procedure, parameters", [
+    ("paper_table_grid", ["n_steps", "seed"]),
+    ("paper_table_run", ["shape", "tau", "n_steps", "seed", "record_every"]),
+    ("order_of_accuracy_run", []),
+    ("qualitative_shape_run", []),
+    ("confined_drift_diagnostic", []),
+    ("identity_suite", ["n_sites_list", "states_per_n", "seed"]),
+])
+def test_experiment_procedure_parameters(procedure, parameters):
+    # lattice sizes, widths and time steps that no caller varies are
+    # module constants of ``experiments``
+    signature = inspect.signature(getattr(ringfield.experiments, procedure))
+    assert list(signature.parameters) == parameters
 
 
 def test_no_public_function_takes_kernels():

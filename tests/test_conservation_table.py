@@ -249,5 +249,3 @@ def test_negative_seed_is_rejected_before_any_row(monkeypatch):
     for tau in (-1e-3, 0.0, float("nan")):
         with pytest.raises(ValueError, match="tau must be positive"):
             paper_table_run("gaussian", tau)
-        with pytest.raises(ValueError, match="tau must be positive"):
-            paper_table_grid(taus=(1e-3, tau))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from ringfield import (
+    advance,
     euler_step,
-    even_naive_step,
     exact_step,
     gaussian_state,
     kernel_f,
@@ -18,6 +18,7 @@ from ringfield import (
     translate,
     translate_spectral,
 )
+from ringfield.evolve import EVEN_NAIVE
 from ringfield.lattice import make_even_lattice
 from ringfield.state import _new_state
 
@@ -34,7 +35,7 @@ class TestGuards:
     def test_even_step_rejects_odd_lattice(self):
         state = random_state(make_lattice(5), 0)
         with pytest.raises(ValueError):
-            even_naive_step(state, 1e-3)
+            advance(state, EVEN_NAIVE, 1e-3)
 
     def test_euler_step_rejects_even_lattice(self):
         lattice = make_even_lattice(8)
@@ -45,7 +46,7 @@ class TestGuards:
     def test_zero_state_fixed(self):
         lattice = make_even_lattice(8)
         state = _new_state(lattice, np.zeros(8), np.zeros(8))
-        stepped = even_naive_step(state, 1e-3)
+        stepped = advance(state, EVEN_NAIVE, 1e-3)
         assert np.all(stepped.a == 0) and np.all(stepped.b == 0)
 
 
@@ -84,7 +85,7 @@ class TestNaiveVsExact:
         lattice = make_even_lattice(800)
         state = gaussian_state(lattice, 0, 5.0)
         tau = 1e-3
-        naive = even_naive_step(state, tau)
+        naive = advance(state, EVEN_NAIVE, tau)
         reference = exact_step(state, tau)
         deviation = np.linalg.norm(naive.amplitudes() - reference.amplitudes())
         assert deviation < 1e-8  # pure linearisation error, O(tau^2)
@@ -95,7 +96,7 @@ class TestNaiveVsExact:
         odd = make_lattice(801)
         tau = 1e-3
         dev_even = np.linalg.norm(
-            even_naive_step(gaussian_state(even, 0, 5.0), tau).amplitudes()
+            advance(gaussian_state(even, 0, 5.0), EVEN_NAIVE, tau).amplitudes()
             - exact_step(gaussian_state(even, 0, 5.0), tau).amplitudes()
         )
         dev_odd = np.linalg.norm(
@@ -112,14 +113,14 @@ class TestNaiveVsExact:
         lattice = make_even_lattice(4)
         state = basis_state(lattice, lattice.site_max)
         tau = 1e-3
-        naive = even_naive_step(state, tau)
+        naive = advance(state, EVEN_NAIVE, tau)
         reference = exact_step(state, tau)
         deviation = np.linalg.norm(naive.amplitudes() - reference.amplitudes())
         assert deviation > 0.5 * tau
         # a basis state at label 0 never reaches past the seam on N=4
         centred = basis_state(lattice, 0)
         deviation_centred = np.linalg.norm(
-            even_naive_step(centred, tau).amplitudes()
+            advance(centred, EVEN_NAIVE, tau).amplitudes()
             - exact_step(centred, tau).amplitudes()
         )
         assert deviation_centred < 0.01 * deviation
@@ -128,7 +129,7 @@ class TestNaiveVsExact:
         lattice = make_even_lattice(800)
         state = gaussian_state(lattice, lattice.site_min, 5.0)
         tau = 1e-3
-        naive = even_naive_step(state, tau)
+        naive = advance(state, EVEN_NAIVE, tau)
         reference = exact_step(state, tau)
         deviation = np.linalg.norm(naive.amplitudes() - reference.amplitudes())
         assert deviation > 1e-5  # first order in tau, not second
@@ -137,7 +138,7 @@ class TestNaiveVsExact:
         lattice = make_even_lattice(100)
         state = random_state(lattice, 5)
         tau = 1e-3
-        stepped = even_naive_step(state, tau)
+        stepped = advance(state, EVEN_NAIVE, tau)
         assert norm_m(stepped) == pytest.approx(1.0, abs=1e-3)
 
     def test_exact_step_unitary_on_even(self):

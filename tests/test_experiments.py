@@ -120,19 +120,6 @@ class TestPaperTableRun:
         assert report.metrics["relative variation of <V>"] == 0.0
 
 
-class TestTauDegradationRun:
-    def test_filters_to_degradation_checks(self):
-        from ringfield import tau_degradation_run
-
-        report = tau_degradation_run(n_steps=10)
-        names = [c.name for c in report.checks]
-        assert names  # the slow-tau rows survive the filter
-        assert all(
-            "tau=0.005" in n or "tau=0.01" in n or "degradation" in n for n in names
-        )
-        assert not any("tau=0.001 max" in n for n in names)
-
-
 class TestOrderOfAccuracy:
     def test_orders_are_two(self):
         report = order_of_accuracy_run()
@@ -157,13 +144,6 @@ class TestConfinedDriftDiagnostic:
         assert report.passed
         gated = [c for c in report.checks if c.gated]
         assert len(gated) == 1 and gated[0].value < 0.05
-
-    def test_legacy_estimate_reported_not_gated(self):
-        report = confined_drift_diagnostic()
-        info = [c for c in report.checks if not c.gated]
-        assert len(info) == 1
-        # the legacy formula is far from the exact value on smooth states
-        assert abs(info[0].value) > 10
 
 
 class TestReportRendering:

@@ -289,6 +289,8 @@ def test_overwritten_output_file_keeps_its_mode(tmp_path):
     ({"parity": "odd", "n_sites": 3, "lattice_constant": 1.0, "a": [0, 1], "b": [0, 0]},
      "one entry per site"),
     ([1, 2, 3], ""),
+    ({"parity": "bogus", "n_sites": 3, "lattice_constant": 1.0,
+      "a": [0, 1, 0], "b": [0, 0, 0]}, "parity must be odd|even"),
 ])
 def test_bad_state_json_names_path(tmp_path, payload, match):
     path = tmp_path / "state.json"

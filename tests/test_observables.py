@@ -9,7 +9,6 @@ from ringfield import (
     gaussian_shape_residual,
     gaussian_state,
     make_lattice,
-    momentum_distribution,
     momentum_expectation,
     norm_m,
     position_mean,
@@ -17,11 +16,11 @@ from ringfield import (
     random_state,
     snapshot,
     state_from_amplitudes,
+    to_momentum_basis,
     uniform_state,
 )
 from ringfield.observables import (
     high_band_fraction,
-    m_step_increase_confined_estimate,
     m_step_increase_exact,
     quartic_moment_coefficient,
 )
@@ -98,7 +97,7 @@ class TestBoostShift:
 class TestMomentumDistribution:
     def test_plane_wave_is_delta(self):
         state = plane_wave(LAT, -77)
-        dist = momentum_distribution(state)
+        dist = to_momentum_basis(state).occupation()
         slot = -77 + LAT.half_width
         assert dist[slot] == pytest.approx(1.0, abs=1e-12)
         assert np.sum(dist) == pytest.approx(1.0, abs=1e-12)
@@ -187,22 +186,3 @@ class TestMDriftDiagnostics:
     def test_diagonal_coefficient_near_limit(self):
         coeff = quartic_moment_coefficient(LAT)
         assert coeff == pytest.approx(np.pi**4 / 5, rel=1e-4)
-
-    def test_confined_estimate_is_documented_formula(self):
-        # the legacy estimate is reported verbatim; freeze its value on a
-        # narrow gaussian to pin the implementation
-        lattice = make_lattice(101)
-        state = gaussian_state(lattice, 0, 4.0, 0)
-        value = m_step_increase_confined_estimate(state, 1e-3)
-        amps = state.amplitudes()
-        s = lattice.sites()
-        total = 0.0
-        for i, r in enumerate(s):
-            for j, u in enumerate(s):
-                if r == u:
-                    continue
-                total += ((-1.0) ** abs(r - u) / (r - u) ** 2) * float(
-                    (amps[i] * np.conj(amps[j])).real
-                )
-        expected = 1e-6 * np.pi**4 / 5 * (2 * total + 1.0)
-        assert value == pytest.approx(expected, rel=1e-9)

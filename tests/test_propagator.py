@@ -27,7 +27,6 @@ from ringfield.evolve import (
     EVEN_NAIVE,
     EXACT,
     advance,
-    propagate,
     propagator,
 )
 from ringfield.kernels import f_site_matrix
@@ -120,13 +119,10 @@ def test_even_naive_random_state_against_dense():
     assert relative_gap(advance(state, EVEN_NAIVE, 1e-3, 100), stepped.amplitudes()) <= 1e-12
 
 
-def test_propagate_yields_each_listed_step():
+@pytest.mark.parametrize("kind", [EULER, EXACT])
+def test_advance_by_zero_steps_returns_the_state(kind):
     state = gaussian_state(LAT, 0, 10.0, 5)
-    out = dict(propagate(state, EULER, 1e-3, [0, 1, 7, 30]))
-    assert sorted(out) == [0, 1, 7, 30]
-    assert out[0] is state
-    for n in (1, 7, 30):
-        assert relative_gap(out[n], advance(state, EULER, 1e-3, n).amplitudes()) <= 1e-14
+    assert advance(state, kind, 1e-3, 0) is state
 
 
 def test_checkpoint_at_unrecorded_step():

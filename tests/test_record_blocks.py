@@ -17,16 +17,14 @@ from ringfield import (
     EvolutionConfig,
     advance,
     euler_step,
-    euler_step_spectral,
     gaussian_state,
     make_even_lattice,
     make_lattice,
-    propagate,
     random_state,
     run,
     uniform_state,
 )
-from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, RECORD_BLOCK_BYTES
+from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, RECORD_BLOCK_BYTES, propagate_blocks
 from ringfield.ioutil import fmt
 from ringfield.kernels import g_site_matrix
 from ringfield.observables import (
@@ -190,9 +188,8 @@ WARN_STATE = gaussian_state(WARN_LATTICE, 0, 10.0, 20)
 WARNING_CALLS = {
     "run": lambda: run(WARN_STATE, EvolutionConfig(tau=WARN_TAU), 10),
     "advance": lambda: advance(WARN_STATE, EULER, WARN_TAU, 10),
-    "propagate": lambda: propagate(WARN_STATE, EULER, WARN_TAU, [0, 10]),
+    "propagate_blocks": lambda: propagate_blocks(WARN_STATE, EULER, WARN_TAU, [0, 10]),
     "euler_step": lambda: euler_step(WARN_STATE, WARN_TAU),
-    "euler_step_spectral": lambda: euler_step_spectral(WARN_STATE, WARN_TAU),
 }
 
 

@@ -11,10 +11,14 @@ from ringfield import (
     build_state,
     combined_distribution,
     drift_velocity,
+    gaussian_shape_residual,
     gaussian_state,
     make_lattice,
+    momentum_expectation,
     norm_m,
     normalize,
+    position_mean,
+    position_spread,
     random_state,
     read_state_csv,
     read_state_json,
@@ -23,9 +27,14 @@ from ringfield import (
     write_state_csv,
     write_state_json,
 )
-from ringfield.evolve import advance, propagate, run
+from ringfield.evolve import advance, run
 from ringfield.lattice import make_even_lattice
-from ringfield.observables import snapshot, snapshots
+from ringfield.observables import (
+    high_band_fraction,
+    m_step_increase_exact,
+    snapshot,
+    snapshots,
+)
 from ringfield.state import _new_state
 
 LAT = make_lattice(801)
@@ -266,14 +275,33 @@ class TestBlocks:
             with pytest.raises(ValueError, match="block of rows|one entry per site"):
                 operation()
 
+    SINGLE_STATE_MEASUREMENTS = {
+        "normalize": normalize,
+        "drift_velocity": drift_velocity,
+        "momentum_expectation": momentum_expectation,
+        "position_mean": position_mean,
+        "position_spread": position_spread,
+        "gaussian_shape_residual": gaussian_shape_residual,
+        "high_band_fraction": high_band_fraction,
+        "m_step_increase_exact": lambda block: m_step_increase_exact(block, 1e-3),
+        "snapshot": lambda block: snapshot(block, 0),
+        "snapshots, too few labels": lambda block: snapshots(block, [0, 10]),
+        "snapshots, too many labels": lambda block: snapshots(block, [0, 10, 20, 30]),
+    }
+
+    @pytest.mark.parametrize("name", SINGLE_STATE_MEASUREMENTS)
+    def test_single_state_measurements_reject_a_block(self, name):
+        with pytest.raises(ValueError, match="not a block of rows|step labels for a block"):
+            self.SINGLE_STATE_MEASUREMENTS[name](self.BLOCK)
+
     def test_checkpoints_and_propagated_states_own_their_data(self):
         state = gaussian_state(make_lattice(101), 0, 5.0, 3)
         series = run(state, EvolutionConfig(), 20, record_every=5, checkpoint_every=10)
         for step in (10, 20):
             checkpoint = series.checkpoints[step].c
             assert checkpoint.flags.owndata and not checkpoint.flags.writeable
-        for _n, later in propagate(state, "euler", 1e-3, [5, 10]):
-            assert later.c.flags.owndata
+        for n in (5, 10):
+            assert advance(state, "euler", 1e-3, n).c.flags.owndata
         assert advance(state, "exact", 0.1, 3).c.flags.owndata
 
 
