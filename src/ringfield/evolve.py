@@ -28,7 +28,13 @@ So n steps are one multiplier raised to the power n.  ``run`` transforms
 the initial state once and builds only the rows it records or
 checkpoints, a block of rows at a time: the rows c_hat_0 m^n for the
 block's steps n go through one batched inverse transform, and
-``observables.snapshots`` measures the whole block at once.  A block
+``observables.snapshots`` measures the whole block at once, taking <P>
+and <V> from those same coefficient rows, so a record costs one
+transform.  The inverse transform is still checked on every row: the
+row's summed occupation must match the M of its amplitudes (Parseval).
+The naive even-mode rows are coefficients of the storage-order DFT,
+not of the momentum basis, so they are measured from their amplitudes
+like any other block.  A block
 holds at most ``RECORD_BLOCK_BYTES`` of amplitudes, or one row where a
 row alone is larger, so memory stays flat as the record count grows.
 A block is a ``FieldState`` of rows; a checkpoint copies its row, so
@@ -55,7 +61,7 @@ import numpy as np
 from .basis import site_amplitudes, to_momentum_basis
 from .kernels import f_site_matrix, kernel_f
 from .lattice import EVEN, ODD, Lattice, make_even_lattice, wrap_index  # noqa: F401  (re-export)
-from .observables import RECORD_BLOCK_BYTES, snapshots
+from .observables import RECORD_BLOCK_BYTES, field_spectra, snapshots
 from .series import TimeSeries
 from .state import FieldState, _new_state, _require_one_state, state_from_amplitudes
 
@@ -153,9 +159,12 @@ class Propagator:
             return np.fft.fft(state.c)
         return to_momentum_basis(state).coefficients
 
-    def amplitudes_after(self, coefficients: np.ndarray, steps) -> np.ndarray:
-        """Site amplitudes of ``coefficients * m**n``, one row per n of
-        ``steps``, by one batched inverse transform.
+    def amplitudes_after(
+        self, coefficients: np.ndarray, steps
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The coefficient rows ``coefficients * m**n``, one per n of
+        ``steps``, and their site amplitudes by one batched inverse
+        transform.
 
         Unchecked: a row that overflowed holds non-finite values, which
         ``state_from_amplitudes`` rejects.
@@ -165,8 +174,8 @@ class Propagator:
             np.exp(evolved, out=evolved)
             np.multiply(coefficients, evolved, out=evolved)
             if self.storage_dft:
-                return np.fft.ifft(evolved)
-            return site_amplitudes(self.lattice, evolved)
+                return evolved, np.fft.ifft(evolved)
+            return evolved, site_amplitudes(self.lattice, evolved)
 
 
 def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
@@ -213,12 +222,21 @@ def _block_rows(lattice: Lattice) -> int:
 
 def _power_blocks(
     state: FieldState, kind: str, step: float, steps: list[int]
-) -> Iterator[tuple[list[int], FieldState]]:
-    """``propagate_blocks`` without the tau bound check."""
+) -> Iterator[tuple[list[int], FieldState, np.ndarray | None]]:
+    """``propagate_blocks`` without the tau bound check, yielding
+    ``(ns, block, coefficients)``.
+
+    ``coefficients`` holds the unbiased-basis coefficients of the
+    block's rows, c_hat_0 m^n, or is ``None`` when the propagator works
+    in the storage-order DFT or takes no step.  A row at n = 0 holds
+    ``state`` exactly, and its coefficients are the spectrum of the two
+    real-input transforms (``field_spectra``), so a real state has no
+    drift there at all.
+    """
     lattice = state.lattice
     _require_one_state(state, "evolution")
     at_zero = np.asarray(steps) == 0
-    prop = coefficients = None
+    prop = coefficients = initial = None
     if not at_zero.all():
         prop = propagator(lattice, kind, step)
         coefficients = prop.forward(state)
@@ -226,12 +244,20 @@ def _power_blocks(
     for lo in range(0, len(steps), rows):
         chunk, zero = steps[lo:lo + rows], at_zero[lo:lo + rows]
         if prop is None:
+            evolved = None
             amplitudes = np.empty((len(chunk), lattice.n_sites), dtype=complex)
         else:
-            amplitudes = prop.amplitudes_after(coefficients, chunk)
+            evolved, amplitudes = prop.amplitudes_after(coefficients, chunk)
+            if prop.storage_dft:
+                evolved = None
         if zero.any():
             amplitudes[zero] = state.c
-        yield chunk, state_from_amplitudes(lattice, amplitudes)
+            if evolved is not None:
+                if initial is None:
+                    a_hat, b_hat, _occupation, _m = field_spectra(state)
+                    initial = a_hat + 1j * b_hat
+                evolved[zero] = initial
+        yield chunk, state_from_amplitudes(lattice, amplitudes), evolved
 
 
 def propagate_blocks(
@@ -252,7 +278,7 @@ def propagate_blocks(
     steps = list(steps)
     if _takes_linearised_step(kind, steps):
         check_tau_bound(step, state.lattice, stacklevel=2)
-    return _power_blocks(state, kind, step, steps)
+    return ((ns, block) for ns, block, _coefficients in _power_blocks(state, kind, step, steps))
 
 
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
@@ -260,7 +286,7 @@ def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> Fiel
     ``propagate_blocks``); n = 0 returns ``state`` itself."""
     if _takes_linearised_step(kind, (n_steps,)):
         check_tau_bound(step, state.lattice, stacklevel=2)
-    _steps, block = next(_power_blocks(state, kind, step, [n_steps]))
+    _steps, block, _coefficients = next(_power_blocks(state, kind, step, [n_steps]))
     return state if n_steps == 0 else block.row(0)
 
 
@@ -337,7 +363,9 @@ def run(
     the final step.  ``checkpoint_every`` > 0 additionally stores full
     states at those steps.  Only those rows are built, a block at a
     time (``propagate_blocks``), each row one power of the step
-    multiplier; each block is measured by one ``snapshots`` call.  The
+    multiplier; each block is measured by one ``snapshots`` call, from
+    the coefficient rows that built it where they are momentum
+    coefficients.  The
     lattice picks the Euler or the naive even-mode step.  The tau bound
     is checked once, when a step is taken.
     """
@@ -355,11 +383,14 @@ def run(
 
     records = []
     checkpoints: dict[int, FieldState] = {}
-    for chunk, block in _power_blocks(state, kind, config.tau, steps):
+    for chunk, block, coefficients in _power_blocks(state, kind, config.tau, steps):
         recorded = [row for row, step in enumerate(chunk) if due(step, record_every)]
         if recorded:
-            rows = block if len(recorded) == len(chunk) else block.row(recorded)
-            records.extend(snapshots(rows, [chunk[row] for row in recorded]))
+            rows, spectra = block, coefficients
+            if len(recorded) < len(chunk):
+                rows = block.row(recorded)
+                spectra = None if coefficients is None else coefficients[recorded]
+            records.extend(snapshots(rows, [chunk[row] for row in recorded], spectra))
         for row, step in enumerate(chunk):
             if due(step, checkpoint_every):
                 checkpoints[step] = state if step == 0 else block.row(row)

@@ -279,7 +279,7 @@ def paper_table_run(
         prop = propagator(lattice, EULER, tau)
         log_magnitude = prop.log_multiplier.real
         m_total, momentum = spectral_series(lattice, occupation, log_magnitude, steps)
-        final = prop.amplitudes_after(a_hat + 1j * b_hat, [n_steps])[0]
+        _rows, (final,) = prop.amplitudes_after(a_hat + 1j * b_hat, [n_steps])
         m_final = norm_m(state_from_amplitudes(lattice, final))
         gap = m_final - m_total[-1]
         if not abs(gap) <= FINAL_M_RTOL * max(1.0, m_total[-1]):

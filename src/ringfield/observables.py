@@ -14,18 +14,25 @@ momentum coefficients, so both are evaluated from the spectrum:
     <P> = g sum_k kappa |c_hat_k|^2,
     <V> = 4 g sum_k kappa Im(a_hat_k conj(b_hat_k)),
 
-at the cost of one transform of each field and no N x N matrix.  The
-double sums over the dense ``g_site_matrix`` stay as the test oracle.
+at the cost of one transform of each field and no N x N matrix.  For
+real fields a_hat_k = (c_hat_k + conj c_hat_-k) / 2 and
+b_hat_k = (c_hat_k - conj c_hat_-k) / 2i, so <V> reduces to
+g sum_k kappa (|c_hat_k|^2 - |c_hat_-k|^2), and a caller that already
+holds the coefficients c_hat (``run`` builds every recorded row from
+them) needs no forward transform at all.  The double sums over the dense ``g_site_matrix``
+stay as the test oracle.
 Position mean and spread are circular moments, since the lattice is a
 circle and linear moments stop meaning anything once a packet wraps.
 
 Every observable is written over the last axis of its arrays, so a
 whole block of states (a ``FieldState`` with one state per row) is
 measured at once.
-``conserved_columns`` gives M, the drift and <P> of every row from two
-batched real-input transforms, of the a rows and of the b rows, and
-checks Parseval on every row.  ``snapshots`` calls it and adds the
-position columns: the circular moments and the shape residual.
+``conserved_columns`` gives M, the drift and <P> of every row, from
+the coefficient rows the caller hands it or else from two batched
+real-input transforms, of the a rows and of the b rows, and checks
+Parseval on every row against the site-space M.  ``snapshots`` calls
+it and adds the position columns: the circular moments and the shape
+residual.
 ``snapshot`` and the single-state functions are the same code on a
 state of shape (N,); they raise ``ValueError`` for a block.
 
@@ -54,15 +61,28 @@ from .state import (
 
 # bytes of one block of rows: complex amplitudes in ``evolve``'s record
 # blocks (5 rows at N = 801, one from N = 2049 on), real weights in
-# ``spectral_series``.  Measuring a block of amplitudes takes about five
-# block-sized arrays at once, so larger blocks raise the peak memory of
-# large-N runs (256 KiB, 4 rows at N = 4001: +1.5 MB), while most of the
+# ``spectral_series``.  Building a block takes about three and a half
+# block-sized arrays at once (tracemalloc, 4 rows at N = 4001: 0.86 MB
+# for a 0.24 MB block), and measuring it from its coefficient rows about
+# three more (0.70 MB), next to the block and its coefficients.  So
+# larger blocks raise the peak memory of large-N runs, while most of the
 # batching gain at N = 801 is already there at 5 rows.
 RECORD_BLOCK_BYTES = 64 * 1024
 
 # spread is reported from the resultant length R of the circular first
 # moment; R is floored to keep log() finite for spread-less (flat) states
 _MIN_RESULTANT = 1e-300
+
+
+def _check_parseval(occupation: np.ndarray, m_sites) -> None:
+    """``ConsistencyError`` when the summed occupation of a row misses
+    its site-space M by more than 1e-10 max(1, M): a broken transform."""
+    gap = np.sum(occupation, axis=-1) - m_sites
+    broken = np.flatnonzero(np.abs(gap) > 1e-10 * np.maximum(1.0, m_sites))
+    if broken.size:
+        raise ConsistencyError(
+            f"momentum occupation differs from M by {gap.flat[broken[0]]:.3e} (Parseval)"
+        )
 
 
 def field_spectra(
@@ -81,24 +101,39 @@ def field_spectra(
     b_hat = momentum_coefficients(state.lattice, state.b)
     occupation = np.abs(a_hat + 1j * b_hat) ** 2
     m_sites = norm_m(state)
-    gap = np.sum(occupation, axis=-1) - m_sites
-    broken = np.flatnonzero(np.abs(gap) > 1e-10 * np.maximum(1.0, m_sites))
-    if broken.size:
-        raise ConsistencyError(
-            f"momentum occupation differs from M by {gap.flat[broken[0]]:.3e} (Parseval)"
-        )
+    _check_parseval(occupation, m_sites)
     return a_hat, b_hat, occupation, m_sites
 
 
-def conserved_columns(state: FieldState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M, <V> and <P> of each row, the last two from the field spectra
-    (``field_spectra``, Parseval-checked).  A row with b = 0 has no
-    drift at all."""
+def conserved_columns(
+    state: FieldState, coefficients: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M, <V> and <P> of each row, the last two from the momentum
+    spectrum.
+
+    ``coefficients``, when the caller already holds them, are the rows'
+    unbiased-basis coefficients c_hat (``run`` builds them as
+    c_hat_0 m^n), and the drift is g sum_k kappa (|c_hat_k|^2 -
+    |c_hat_-k|^2) (see the module docstring); ``momentum_values()`` is
+    symmetric, so -k is the reversed row.  Without them the spectra
+    come from ``field_spectra``.  Either way the occupation is checked
+    against the site-space M of every row (Parseval,
+    ``ConsistencyError``).  A row whose spectrum has |c_hat_k| =
+    |c_hat_-k|, as the real-input spectrum of b = 0 has, has no drift
+    at all.
+    """
     lattice = state.lattice
     kappa = lattice.momentum_values()
-    a_hat, b_hat, occupation, m_sites = field_spectra(state)
-    cross = np.imag(a_hat * np.conj(b_hat))
-    drift = 4.0 * lattice.reciprocal_constant * np.sum(kappa * cross, axis=-1)
+    g = lattice.reciprocal_constant
+    if coefficients is None:
+        a_hat, b_hat, occupation, m_sites = field_spectra(state)
+        cross = np.imag(a_hat * np.conj(b_hat))
+        drift = 4.0 * g * np.sum(kappa * cross, axis=-1)
+    else:
+        occupation = np.abs(coefficients) ** 2
+        m_sites = norm_m(state)
+        _check_parseval(occupation, m_sites)
+        drift = g * np.sum(kappa * (occupation - occupation[..., ::-1]), axis=-1)
     return m_sites, drift, _momentum(lattice, occupation)
 
 
@@ -284,12 +319,16 @@ class ObservableSnapshot:
     shape_residual: float
 
 
-def snapshots(block: FieldState, steps) -> list[ObservableSnapshot]:
+def snapshots(
+    block: FieldState, steps, coefficients: np.ndarray | None = None
+) -> list[ObservableSnapshot]:
     """Measure all reported observables of every row of a block.
 
     ``steps`` labels the rows in order, one label per row (``ValueError``
-    otherwise).  The field spectra and the combined distribution are
-    each computed once per block and shared by the observables that
+    otherwise).  ``coefficients``, the rows' unbiased-basis coefficients
+    when the caller holds them, spare the forward transforms
+    (``conserved_columns``).  The spectra and the combined distribution
+    are each computed once per block and shared by the observables that
     need them.  Raises ``ConsistencyError`` when a row fails the
     Parseval check and ``DegenerateStateError`` when a row has M = 0.
     """
@@ -298,7 +337,7 @@ def snapshots(block: FieldState, steps) -> list[ObservableSnapshot]:
     n_rows = block.c.size // lattice.n_sites
     if len(steps) != n_rows:
         raise ValueError(f"{len(steps)} step labels for a block of {n_rows} rows")
-    m_total, drift, momentum = conserved_columns(block)
+    m_total, drift, momentum = conserved_columns(block, coefficients)
     density = combined_distribution(block)
     mean, spread = _circular_moments(lattice, density)
     residual = _shape_residual(lattice, density, mean, spread)

@@ -18,6 +18,7 @@ read-only, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,9 +259,25 @@ def _csv_row_error(path: str, rows: list[tuple[int, str]]) -> ValueError:
     return ValueError(f"{path}: unreadable site,a,b rows")
 
 
-def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
-    """Load a (site, a, b) checkpoint; lattice parity is inferred from
-    the site labels."""
+def _read_state_table(path: str) -> np.ndarray:
+    """The (site, a, b) rows of a checkpoint, shape (R, 3).
+
+    The body after the header is parsed by one ``np.loadtxt`` over the
+    file.  Only when that fails (a malformed row, a whitespace-only line
+    or no rows at all) is the file read again line by line, which skips
+    blank lines and names the first bad line in its ``ValueError``.
+    """
+    with open(path) as handle:
+        header = next((line.strip() for line in handle if line.strip()), None)
+        if header == STATE_CSV_HEADER:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty body only warns
+                try:
+                    table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+                except (ValueError, UserWarning):
+                    table = None
+            if table is not None and table.shape[1] == 3:
+                return table
     rows = read_csv_rows(path, STATE_CSV_HEADER)
     if not rows:
         raise ValueError(f"{path}: no site,a,b rows")
@@ -271,6 +288,13 @@ def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
         table = None
     if table is None or table.shape[1] != 3:
         raise _csv_row_error(path, rows)
+    return table
+
+
+def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
+    """Load a (site, a, b) checkpoint; lattice parity is inferred from
+    the site labels."""
+    table = _read_state_table(path)
     sites, a, b = table.T
     maker = make_lattice if len(sites) % 2 == 1 else make_even_lattice
     try:

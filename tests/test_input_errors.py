@@ -312,3 +312,13 @@ def test_checkpoint_blank_lines_are_skipped(tmp_path):
     state = read_state_csv(str(path))
     assert state.a.tolist() == [0.6, 0.0, 0.0]
     assert state.b.tolist() == [0.0, 0.8, 0.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["site,a,b\n", "\nsite,a,b\n\n   \n"],
+                         ids=["header only", "blank body"])
+def test_checkpoint_without_rows_names_path(tmp_path, text):
+    path = tmp_path / "state.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"state\.csv: no site,a,b rows"):
+        read_state_csv(str(path))

@@ -55,7 +55,7 @@ METHODS = {
 }
 CASES = [
     (method, n) for method in ("euler", "exact", "reference") for n in (3, 5, 21, 801)
-] + [("even-naive", 800)]
+] + [("even-naive", 800), ("exact", 800)]
 
 
 def _oracle_states(state, method, steps):
@@ -129,17 +129,17 @@ def test_real_state_has_exactly_zero_drift_at_step_zero(lattice):
 
 
 def test_corrupted_transform_of_a_late_row_raises(monkeypatch):
-    original = ringfield.observables.momentum_coefficients
+    original = ringfield.evolve.site_amplitudes
 
-    def drop_in_last_row(lattice, amplitudes):
+    def drop_in_last_row(lattice, coefficients):
         """Corrupt the last row of every block of more than one row."""
-        coefficients = original(lattice, amplitudes)
-        if coefficients.ndim == 2 and len(coefficients) > 1:
-            last = coefficients[-1]
+        amplitudes = original(lattice, coefficients)
+        if amplitudes.ndim == 2 and len(amplitudes) > 1:
+            last = amplitudes[-1]
             last[np.argmax(np.abs(last))] = 0.0
-        return coefficients
+        return amplitudes
 
-    monkeypatch.setattr(ringfield.observables, "momentum_coefficients", drop_in_last_row)
+    monkeypatch.setattr(ringfield.evolve, "site_amplitudes", drop_in_last_row)
     state = random_state(make_lattice(801), 3)
     with pytest.raises(ConsistencyError, match="Parseval"):
         run(state, EvolutionConfig(), 100, record_every=1)
@@ -155,19 +155,21 @@ def test_overflowing_row_raises_value_error():
 
 def test_blocks_stay_within_the_byte_bound(monkeypatch):
     """The blocks that ``run`` inverse-transforms and hands to
-    ``snapshots`` stay within the bound.  ``snapshots`` is replaced by a
-    recorder: it transforms exactly the block it is given, and its cost
-    at this size is not what is tested."""
+    ``snapshots``, with their coefficient rows, stay within the bound.
+    ``snapshots`` is replaced by a recorder: it measures exactly the
+    block it is given, and its cost at this size is not what is
+    tested."""
     lattice = make_lattice(4001)
-    ifft_shapes, observed_bytes = [], []
+    ifft_shapes, observed_bytes, coefficient_bytes = [], [], []
     original = np.fft.ifft
 
     def recorded_ifft(a, *args, **kwargs):
         ifft_shapes.append(np.shape(a))
         return original(a, *args, **kwargs)
 
-    def recorded_snapshots(block, steps):
+    def recorded_snapshots(block, steps, coefficients=None):
         observed_bytes.append(block.c.nbytes)
+        coefficient_bytes.append(coefficients.nbytes)
         return [ObservableSnapshot(int(step), *[0.0] * 6) for step in steps]
 
     monkeypatch.setattr(np.fft, "ifft", recorded_ifft)
@@ -179,6 +181,31 @@ def test_blocks_stay_within_the_byte_bound(monkeypatch):
     assert len(ifft_shapes) == len(observed_bytes) == math.ceil(2001 / rows)
     assert max(math.prod(shape) * 16 for shape in ifft_shapes) <= RECORD_BLOCK_BYTES
     assert max(observed_bytes) <= RECORD_BLOCK_BYTES
+    assert coefficient_bytes == observed_bytes
+
+
+@pytest.mark.parametrize("scheme", ["euler", "exact"])
+def test_run_takes_one_inverse_transform_per_block(monkeypatch, scheme):
+    """One forward transform of the initial state, one inverse transform
+    per block, and real-input transforms only for the step-0 row: the
+    recorded rows are measured from the coefficients ``run`` builds."""
+    lattice = make_lattice(4001)
+    calls = {"fft": [], "ifft": [], "rfft": []}
+    for name, shapes in calls.items():
+        original = getattr(np.fft, name)
+
+        def recorded(a, *args, _original=original, _shapes=shapes, **kwargs):
+            _shapes.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, recorded)
+    state = gaussian_state(lattice, 0, 50.0, 20)
+    series = run(state, EvolutionConfig(scheme=scheme), 100, record_every=5)
+    assert len(series.snapshots) == 21
+    rows = max(1, RECORD_BLOCK_BYTES // (16 * 4001))
+    assert calls["fft"] == [(4001,)]
+    assert len(calls["ifft"]) == math.ceil(21 / rows)
+    assert calls["rfft"] == [(4001,), (4001,)]
 
 
 # tau g^2 N^2 = 5e-3 (2 pi)^2 = 0.197: above the warning threshold, below the limit
