@@ -152,13 +152,13 @@ def _cmd_paper_table(args) -> int:
 def _compare_rows(state, config: RunConfig) -> list[tuple]:
     steps = record_steps(config.n_steps, config.record_every)
     rows = []
-    for (chunk, euler), (_chunk, exact) in zip(
+    for (chunk, euler, euler_hat), (_chunk, exact, exact_hat) in zip(
         propagate_blocks(state, EULER, config.tau, steps),
         propagate_blocks(state, EXACT, config.tau, steps),
     ):
         deviation = np.linalg.norm(euler.c - exact.c, axis=-1)
-        m_euler, drift_euler, _momentum = conserved_columns(euler)
-        m_exact, drift_exact, _momentum = conserved_columns(exact)
+        m_euler, drift_euler, _momentum = conserved_columns(euler, euler_hat)
+        m_exact, drift_exact, _momentum = conserved_columns(exact, exact_hat)
         columns = (deviation, m_euler, m_exact, drift_euler, drift_exact)
         rows.extend(zip(chunk, *(column.tolist() for column in columns)))
     return rows

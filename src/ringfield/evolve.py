@@ -24,17 +24,18 @@ evolution: its unitary reference is ``exact_step`` on the even lattice,
 whose half-integer basis carries the sign-corrected translation, and
 the two part ways once amplitude crosses the index seam.
 
-So n steps are one multiplier raised to the power n.  ``run`` transforms
-the initial state once and builds only the rows it records or
-checkpoints, a block of rows at a time: the rows c_hat_0 m^n for the
-block's steps n go through one batched inverse transform, and
-``observables.snapshots`` measures the whole block at once, taking <P>
-and <V> from those same coefficient rows, so a record costs one
-transform.  The inverse transform is still checked on every row: the
-row's summed occupation must match the M of its amplitudes (Parseval).
-The naive even-mode rows are coefficients of the storage-order DFT,
-not of the momentum basis, so they are measured from their amplitudes
-like any other block.  A block
+So n steps are one multiplier raised to the power n.
+``propagate_blocks`` transforms the initial state once and builds only
+the rows asked for, a block of rows at a time: the rows c_hat_0 m^n for
+the block's steps n go through one batched inverse transform, and the
+block comes with those coefficient rows.  ``run``, ``compare`` and the
+shape experiment hand them to ``observables.snapshots`` or
+``conserved_columns``, which take <P> and <V> from them, so a record
+costs one transform.  The inverse transform is still checked on every
+row: the row's summed occupation must match the M of its amplitudes
+(Parseval).  The naive even-mode rows are coefficients of the
+storage-order DFT, not of the momentum basis, so they come without
+coefficients and are measured from their amplitudes.  A block
 holds at most ``RECORD_BLOCK_BYTES`` of amplitudes, or one row where a
 row alone is larger, so memory stays flat as the record count grows.
 A block is a ``FieldState`` of rows; a checkpoint copies its row, so
@@ -58,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import site_amplitudes, to_momentum_basis
+from .basis import momentum_coefficients, site_amplitudes
 from .kernels import f_site_matrix, kernel_f
 from .lattice import EVEN, ODD, Lattice, make_even_lattice, wrap_index  # noqa: F401  (re-export)
 from .observables import RECORD_BLOCK_BYTES, field_spectra, snapshots
@@ -145,7 +146,7 @@ class Propagator:
 
     ``log_multiplier`` holds ln m per coefficient, so n steps multiply
     by exp(n ln m).  The coefficients are those of the unbiased basis
-    (``to_momentum_basis``) or, with ``storage_dft``, the plain integer
+    (``basis.momentum_coefficients``) or, with ``storage_dft``, the plain integer
     DFT of the amplitudes in storage order.
     """
 
@@ -157,7 +158,7 @@ class Propagator:
         """Coefficients of ``state`` in this propagator's basis."""
         if self.storage_dft:
             return np.fft.fft(state.c)
-        return to_momentum_basis(state).coefficients
+        return momentum_coefficients(self.lattice, state.c)
 
     def amplitudes_after(
         self, coefficients: np.ndarray, steps
@@ -223,15 +224,10 @@ def _block_rows(lattice: Lattice) -> int:
 def _power_blocks(
     state: FieldState, kind: str, step: float, steps: list[int]
 ) -> Iterator[tuple[list[int], FieldState, np.ndarray | None]]:
-    """``propagate_blocks`` without the tau bound check, yielding
-    ``(ns, block, coefficients)``.
+    """``propagate_blocks`` without the tau bound check.
 
-    ``coefficients`` holds the unbiased-basis coefficients of the
-    block's rows, c_hat_0 m^n, or is ``None`` when the propagator works
-    in the storage-order DFT or takes no step.  A row at n = 0 holds
-    ``state`` exactly, and its coefficients are the spectrum of the two
-    real-input transforms (``field_spectra``), so a real state has no
-    drift there at all.
+    The n = 0 rows take the coefficients of ``field_spectra``, whose two
+    real-input transforms give a real state no drift there at all.
     """
     lattice = state.lattice
     _require_one_state(state, "evolution")
@@ -254,31 +250,35 @@ def _power_blocks(
             amplitudes[zero] = state.c
             if evolved is not None:
                 if initial is None:
-                    a_hat, b_hat, _occupation, _m = field_spectra(state)
-                    initial = a_hat + 1j * b_hat
+                    initial = field_spectra(state)
                 evolved[zero] = initial
         yield chunk, state_from_amplitudes(lattice, amplitudes), evolved
 
 
 def propagate_blocks(
     state: FieldState, kind: str, step: float, steps: Iterable[int]
-) -> Iterator[tuple[list[int], FieldState]]:
-    """Yield ``(ns, block)``: the states after n steps for each n of
-    ``steps``, a block (a ``FieldState`` of rows) at a time, in order.
+) -> Iterator[tuple[list[int], FieldState, np.ndarray | None]]:
+    """Yield ``(ns, block, coefficients)``: the states after n steps for
+    each n of ``steps``, a block (a ``FieldState`` of rows) at a time,
+    in order, with the unbiased-basis coefficients of its rows.
 
     Every row is one power of the same multiplier: one forward
     transform, then one batched inverse transform per block of at most
-    ``RECORD_BLOCK_BYTES`` (or one row).  A row at n = 0 holds ``state``
-    exactly.  The linearised kinds check ``check_tau_bound`` here,
-    once, when some n >= 1; the propagator is built only then, so a
-    list of zeros needs no valid multiplier.  Raises ``ValueError`` when
-    a row leaves the finite floats, or when ``state`` is a block of rows
-    rather than one state.
+    ``RECORD_BLOCK_BYTES`` (or one row).  ``coefficients`` are the rows
+    c_hat_0 m^n the block was built from, which ``conserved_columns``
+    and ``snapshots`` measure without a transform; they are ``None``
+    for the naive even-mode step (storage-order DFT) or when no step is
+    taken.  A row at n = 0 holds ``state`` exactly, with the spectrum of
+    ``field_spectra``.  The linearised kinds check ``check_tau_bound``
+    here, once, when some n >= 1; the propagator is built only then, so
+    a list of zeros needs no valid multiplier.  Raises ``ValueError``
+    when a row leaves the finite floats, or when ``state`` is a block of
+    rows rather than one state.
     """
     steps = list(steps)
     if _takes_linearised_step(kind, steps):
         check_tau_bound(step, state.lattice, stacklevel=2)
-    return ((ns, block) for ns, block, _coefficients in _power_blocks(state, kind, step, steps))
+    return _power_blocks(state, kind, step, steps)
 
 
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:

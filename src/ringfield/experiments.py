@@ -25,19 +25,18 @@ m_k = 1 - i tau g^2 kappa^2, so after n steps
     M(n)   = sum_k |c_hat_0,k|^2 |m_k|^(2n),
     <P>(n) = g sum_k kappa |c_hat_0,k|^2 |m_k|^(2n),
 
-and <V> = 2 <P>: for real fields |a_hat_k|^2 and |b_hat_k|^2 are even in
-kappa, so of g sum_k kappa |a_hat_k + i b_hat_k|^2 only the cross term
-2 g sum_k kappa Im(a_hat_k conj(b_hat_k)) survives, which is <V> / 2.
-A table row therefore evaluates its recorded steps in closed form
+and <V> = 2 <P> for real fields (see ``observables``).  A table row
+therefore evaluates its recorded steps in closed form
 (``observables.spectral_series``) from one forward transform, the two
-real-input FFTs of a and b.  Its checks stay in site space: the
-spectrum of the initial state must carry its M (Parseval,
-``ConsistencyError``), and the state after the final step is built by
-one inverse transform, must be finite (``ValueError``) and must carry
-the M the closed form predicts to 1e-10 max(1, M)
+real-input FFTs of a and b (``observables.field_spectra``).  Its checks
+stay in site space: the spectrum of the initial state must carry its M
+(Parseval, ``ConsistencyError``), and the state after the final step is
+built by one inverse transform, must be finite (``ValueError``) and
+must carry the M the closed form predicts to 1e-10 max(1, M)
 (``ConsistencyError``).  ``run`` records the same M and <V> from the
-states themselves, a block of rows at a time; the tests hold the table
-against it.
+coefficient rows it builds its states from, a block of rows at a time
+(``observables.conserved_columns``); the tests hold the table against
+it.  ``qualitative_shape_run`` measures its gaussian the same way.
 """
 
 from __future__ import annotations
@@ -272,14 +271,15 @@ def paper_table_run(
     steps = record_steps(n_steps, record_every)
     lattice = make_lattice(N_SITES)
     state = table_state(lattice, shape, seed)
-    a_hat, b_hat, occupation, _m0 = field_spectra(state)
+    initial = field_spectra(state)
+    occupation = np.abs(initial) ** 2
     var_m = var_v = 0.0
     if n_steps > 0:
         check_tau_bound(tau, lattice)
         prop = propagator(lattice, EULER, tau)
         log_magnitude = prop.log_multiplier.real
         m_total, momentum = spectral_series(lattice, occupation, log_magnitude, steps)
-        _rows, (final,) = prop.amplitudes_after(a_hat + 1j * b_hat, [n_steps])
+        _rows, (final,) = prop.amplitudes_after(initial, [n_steps])
         m_final = norm_m(state_from_amplitudes(lattice, final))
         gap = m_final - m_total[-1]
         if not abs(gap) <= FINAL_M_RTOL * max(1.0, m_total[-1]):
@@ -626,7 +626,7 @@ def qualitative_shape_run() -> ExperimentReport:
     state = gaussian_state(lattice, 0, GAUSSIAN_SIGMA, GAUSSIAN_VELOCITY_INDEX)
     horizon, pieces = 200.0, 20
     blocks = propagate_blocks(state, EXACT, horizon / pieces, range(pieces + 1))
-    records = [record for steps, block in blocks for record in snapshots(block, steps)]
+    records = [rec for steps, block, hat in blocks for rec in snapshots(block, steps, hat)]
     spreads = []
     residual_max = 0.0
     monotone = True

@@ -11,7 +11,7 @@ momentum-space spacing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi
+from math import inf, pi
 
 import numpy as np
 
@@ -63,9 +63,10 @@ class Lattice:
 def make_lattice(n_sites: int, lattice_constant: float = 1.0) -> Lattice:
     """Build the standard odd-site cyclic lattice.
 
-    Raises ``ValueError`` for even or too-small ``n_sites``; the even
-    variant is available only through ``make_even_lattice`` in the
-    evolution module.
+    Raises ``ValueError`` for even or too-small ``n_sites`` or a
+    ``lattice_constant`` that is not positive and finite (an infinite
+    one would give g = 0); the even variant is available only through
+    ``make_even_lattice`` in the evolution module.
     """
     n_sites = int(n_sites)
     if n_sites < 3 or n_sites % 2 == 0:
@@ -73,8 +74,8 @@ def make_lattice(n_sites: int, lattice_constant: float = 1.0) -> Lattice:
             f"n_sites must be an odd integer >= 3 (got {n_sites}); "
             "the standard model requires an odd number of sites"
         )
-    if not lattice_constant > 0:
-        raise ValueError(f"lattice_constant must be positive (got {lattice_constant})")
+    if not 0 < lattice_constant < inf:
+        raise ValueError(f"lattice_constant must be positive and finite (got {lattice_constant})")
     return Lattice(
         n_sites=n_sites,
         lattice_constant=float(lattice_constant),
@@ -91,8 +92,8 @@ def make_even_lattice(n_sites: int, lattice_constant: float = 1.0) -> Lattice:
     n_sites = int(n_sites)
     if n_sites < 4 or n_sites % 2 == 1:
         raise ValueError(f"even-mode lattice needs an even n_sites >= 4 (got {n_sites})")
-    if not lattice_constant > 0:
-        raise ValueError(f"lattice_constant must be positive (got {lattice_constant})")
+    if not 0 < lattice_constant < inf:
+        raise ValueError(f"lattice_constant must be positive and finite (got {lattice_constant})")
     return Lattice(
         n_sites=n_sites,
         lattice_constant=float(lattice_constant),

@@ -9,30 +9,29 @@ sums over site pairs use the first-power kernel G,
 
 and <V> = 2 <P> under the units in use (velocity = 2 momentum).  G is
 diagonal in the unbiased basis, where it acts as i kappa on the
-momentum coefficients, so both are evaluated from the spectrum:
+momentum coefficients, so <P> = g sum_k kappa |c_hat_k|^2.  For real
+fields |a_hat_k|^2 and |b_hat_k|^2 are even in kappa, so of that sum
+only the cross term 2 g sum_k kappa Im(a_hat_k conj(b_hat_k)) survives,
+which is <V> / 2.  The momenta come in pairs +-kappa, so both are the
+odd part of the occupation:
 
-    <P> = g sum_k kappa |c_hat_k|^2,
-    <V> = 4 g sum_k kappa Im(a_hat_k conj(b_hat_k)),
+    <V> = g sum_k kappa (|c_hat_k|^2 - |c_hat_-k|^2),    <P> = <V> / 2,
 
-at the cost of one transform of each field and no N x N matrix.  For
-real fields a_hat_k = (c_hat_k + conj c_hat_-k) / 2 and
-b_hat_k = (c_hat_k - conj c_hat_-k) / 2i, so <V> reduces to
-g sum_k kappa (|c_hat_k|^2 - |c_hat_-k|^2), and a caller that already
-holds the coefficients c_hat (``run`` builds every recorded row from
-them) needs no forward transform at all.  The double sums over the dense ``g_site_matrix``
-stay as the test oracle.
+with no N x N matrix.  The double sums over the dense
+``g_site_matrix`` stay as the test oracle.
 Position mean and spread are circular moments, since the lattice is a
 circle and linear moments stop meaning anything once a packet wraps.
 
 Every observable is written over the last axis of its arrays, so a
 whole block of states (a ``FieldState`` with one state per row) is
 measured at once.
-``conserved_columns`` gives M, the drift and <P> of every row, from
-the coefficient rows the caller hands it or else from two batched
-real-input transforms, of the a rows and of the b rows, and checks
-Parseval on every row against the site-space M.  ``snapshots`` calls
-it and adds the position columns: the circular moments and the shape
-residual.
+``conserved_columns`` is the one place that formula is evaluated: it
+gives M, the drift and <P> of every row, from the coefficient rows
+c_hat_0 m^n that ``evolve.propagate_blocks`` built the rows from, or
+else from ``field_spectra`` (two batched real-input transforms, of the
+a rows and of the b rows), and checks Parseval on every row against
+the site-space M.  ``snapshots`` calls it and adds the position
+columns: the circular moments and the shape residual.
 ``snapshot`` and the single-state functions are the same code on a
 state of shape (N,); they raise ``ValueError`` for a block.
 
@@ -85,56 +84,49 @@ def _check_parseval(occupation: np.ndarray, m_sites) -> None:
         )
 
 
-def field_spectra(
-    state: FieldState,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """a_hat, b_hat, the occupation |a_hat + i b_hat|^2 and the
-    site-space M of each row.
+def field_spectra(state: FieldState) -> np.ndarray:
+    """The unbiased-basis coefficients c_hat = a_hat + i b_hat of each
+    row.
 
     The real fields a and b are transformed one at a time, by real-input
-    FFTs, so a row with b = 0 has b_hat = 0 exactly.  The transform is
-    unitary: an occupation that misses the site-space M by more than
-    1e-10 max(1, M) in any row means a broken transform and raises
-    ``ConsistencyError``.
+    FFTs, so c_hat_-k = conj(a_hat_k) + i conj(b_hat_k) holds exactly
+    and a real state's occupation is exactly even in kappa when b = 0.
+    Raises ``ConsistencyError`` when the spectrum fails the Parseval
+    check against the site-space M.
     """
-    a_hat = momentum_coefficients(state.lattice, state.a)
-    b_hat = momentum_coefficients(state.lattice, state.b)
-    occupation = np.abs(a_hat + 1j * b_hat) ** 2
-    m_sites = norm_m(state)
-    _check_parseval(occupation, m_sites)
-    return a_hat, b_hat, occupation, m_sites
+    lattice = state.lattice
+    a_hat = momentum_coefficients(lattice, state.a)
+    b_hat = momentum_coefficients(lattice, state.b)
+    coefficients = a_hat + 1j * b_hat
+    _check_parseval(np.abs(coefficients) ** 2, norm_m(state))
+    return coefficients
 
 
 def conserved_columns(
     state: FieldState, coefficients: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """M, <V> and <P> of each row, the last two from the momentum
-    spectrum.
+    occupation (see the module docstring), so <V> = 2 <P> bitwise.
 
-    ``coefficients``, when the caller already holds them, are the rows'
-    unbiased-basis coefficients c_hat (``run`` builds them as
-    c_hat_0 m^n), and the drift is g sum_k kappa (|c_hat_k|^2 -
-    |c_hat_-k|^2) (see the module docstring); ``momentum_values()`` is
-    symmetric, so -k is the reversed row.  Without them the spectra
-    come from ``field_spectra``.  Either way the occupation is checked
-    against the site-space M of every row (Parseval,
-    ``ConsistencyError``).  A row whose spectrum has |c_hat_k| =
-    |c_hat_-k|, as the real-input spectrum of b = 0 has, has no drift
-    at all.
+    ``coefficients`` are the rows' unbiased-basis coefficients c_hat
+    when the caller already holds them; without them they come from
+    ``field_spectra``.  ``momentum_values()`` is symmetric, so -k is
+    the reversed row, and a row whose occupation is even in kappa, as
+    the real-input spectrum of b = 0 is, has both exactly 0.0.  The
+    occupation is checked against the site-space M of every row
+    (Parseval, ``ConsistencyError``).
     """
     lattice = state.lattice
-    kappa = lattice.momentum_values()
-    g = lattice.reciprocal_constant
     if coefficients is None:
-        a_hat, b_hat, occupation, m_sites = field_spectra(state)
-        cross = np.imag(a_hat * np.conj(b_hat))
-        drift = 4.0 * g * np.sum(kappa * cross, axis=-1)
-    else:
-        occupation = np.abs(coefficients) ** 2
-        m_sites = norm_m(state)
-        _check_parseval(occupation, m_sites)
-        drift = g * np.sum(kappa * (occupation - occupation[..., ::-1]), axis=-1)
-    return m_sites, drift, _momentum(lattice, occupation)
+        coefficients = field_spectra(state)
+    occupation = np.abs(coefficients) ** 2
+    m_sites = norm_m(state)
+    _check_parseval(occupation, m_sites)
+    kappa = lattice.momentum_values()
+    drift = lattice.reciprocal_constant * np.sum(
+        kappa * (occupation - occupation[..., ::-1]), axis=-1
+    )
+    return m_sites, drift, drift / 2.0
 
 
 def spectral_series(
@@ -168,11 +160,6 @@ def spectral_series(
     if not np.all(np.isfinite(series)):
         raise ValueError("the spectral M or <P> leaves the finite floats")
     return series[:, 0], lattice.reciprocal_constant * series[:, 1]
-
-
-def _momentum(lattice: Lattice, occupation: np.ndarray) -> np.ndarray:
-    kappa = lattice.momentum_values()
-    return lattice.reciprocal_constant * np.sum(kappa * occupation, axis=-1)
 
 
 def drift_velocity(state: FieldState) -> float:

@@ -30,11 +30,15 @@ EXIT_CODES = [
     (["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
     (["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300",
       "--scheme", "exact"], 2),
+    (["run", *SMALL, "--lattice-constant", "inf"], 2),
+    (["run", *SMALL, "--lattice-constant", "inf", "--parity-mode", "even_naive",
+      "--n-sites", "100"], 2),
     (["run", "--n-sites", "101", "--shape", "uniform", "--width", "inf"], 2),
     (["run", "--n-sites", "101", "--shape", "uniform", "--width", "2.5"], 2),
     (["verify", "--max-n", "2"], 2),
     (["compare", *SMALL, "--record-every", "0"], 2),
     (["compare", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
+    (["compare", *SMALL, "--lattice-constant", "inf"], 2),
     (["compare", "--n-sites", "101", "--shape", "uniform", "--width", "inf"], 2),
     (["paper-table", "--steps", "-1"], 2),
     (["paper-table", "--seed", "-1"], 2),
@@ -57,6 +61,13 @@ def test_exit_code(argv, expected, capsys):
     assert "Traceback" not in err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == (0 if expected == 0 else 1)
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_infinite_lattice_constant_is_named(command, capsys):
+    assert main([command, *SMALL, "--lattice-constant", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: lattice_constant must be positive and finite")
 
 
 def test_config_file_values_are_validated(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,15 @@ class TestEvenLattice:
     def test_odd_or_small_rejected(self, n):
         with pytest.raises(ValueError):
             make_even_lattice(n)
+
+
+@pytest.mark.parametrize("maker, n", [(make_lattice, 3), (make_even_lattice, 4)],
+                         ids=["odd", "even"])
+@pytest.mark.parametrize("spacing", [math.inf, -math.inf, math.nan, 0.0])
+def test_spacing_must_be_positive_and_finite(maker, n, spacing):
+    # an infinite spacing would build a lattice with g = 0
+    with pytest.raises(ValueError, match="lattice_constant must be positive and finite"):
+        maker(n, spacing)
 
 
 class TestWrapIndex:

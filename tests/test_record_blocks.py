@@ -15,6 +15,7 @@ import ringfield.observables
 from ringfield import (
     ConsistencyError,
     EvolutionConfig,
+    RunConfig,
     advance,
     euler_step,
     gaussian_state,
@@ -24,6 +25,7 @@ from ringfield import (
     run,
     uniform_state,
 )
+from ringfield.cli import _compare_rows
 from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, RECORD_BLOCK_BYTES, propagate_blocks
 from ringfield.ioutil import fmt
 from ringfield.kernels import g_site_matrix
@@ -72,9 +74,9 @@ def _oracle_states(state, method, steps):
     return [advance(state, kind, TAU, n) for n in steps]
 
 
-def _oracle_row(state):
-    """Every recorded observable of one state, ⟨P⟩ and ⟨V⟩ from the
-    dense G-kernel double sums."""
+def _oracle_conserved(state):
+    """M, ⟨V⟩ and ⟨P⟩ of one state, the last two from the dense G-kernel
+    double sums."""
     lattice = state.lattice
     g = lattice.reciprocal_constant
     gmat = g_site_matrix(lattice)
@@ -83,6 +85,13 @@ def _oracle_row(state):
         norm_m(state),
         4.0 * g * state.a @ (gmat @ state.b),
         (-1j * g * np.vdot(amps, gmat @ amps)).real,
+    )
+
+
+def _oracle_row(state):
+    """Every recorded observable of one state."""
+    return (
+        *_oracle_conserved(state),
         position_mean(state),
         position_spread(state),
         gaussian_shape_residual(state),
@@ -106,6 +115,9 @@ def test_rows_match_states_built_one_at_a_time(monkeypatch, method, n_sites):
     assert steps == sorted({n_steps, *range(0, n_steps + 1, record_every)})
 
     measured = np.array([[getattr(snap, col) for col in COLUMNS] for snap in series.snapshots])
+    # one formula for both: bitwise, not just within the tolerance
+    assert all(snap.drift_velocity == 2.0 * snap.momentum_expectation
+               for snap in series.snapshots)
     oracle = np.array([_oracle_row(s) for s in _oracle_states(state, method, steps)])
     scale = np.max(np.abs(oracle), axis=0)
     gap = np.max(np.abs(measured - oracle), axis=0)
@@ -123,9 +135,44 @@ def test_rows_match_states_built_one_at_a_time(monkeypatch, method, n_sites):
 def test_real_state_has_exactly_zero_drift_at_step_zero(lattice):
     state = uniform_state(lattice, 0, 5, 0)
     first = run(state, EvolutionConfig(), 50, record_every=5).snapshots[0]
-    assert first.drift_velocity == 0.0
-    assert math.copysign(1.0, first.drift_velocity) == 1.0
-    assert fmt(first.drift_velocity) == "0.0"
+    for value in (first.drift_velocity, first.momentum_expectation):
+        assert value == 0.0
+        assert math.copysign(1.0, value) == 1.0
+        assert fmt(value) == "0.0"
+
+
+COMPARE_COLUMNS = ("deviation", "m_euler", "m_exact", "drift_euler", "drift_exact")
+
+
+@pytest.mark.parametrize("n_sites", [3, 21, 801])
+def test_compare_rows_match_states_built_one_at_a_time(monkeypatch, n_sites):
+    """Every column of ``compare``, measured a block at a time from the
+    coefficient rows, against states built on their own and the dense
+    G double sums."""
+    if n_sites < 100:
+        # 3 rows per block, so the 11 records below split 3 + 3 + 3 + 2
+        monkeypatch.setattr(ringfield.evolve, "RECORD_BLOCK_BYTES", 3 * 16 * n_sites)
+        n_steps, record_every = 20, 2
+    else:
+        n_steps, record_every = 100, 1
+    config = RunConfig(n_sites=n_sites, tau=TAU, n_steps=n_steps, record_every=record_every)
+    state = random_state(make_lattice(n_sites), 7)
+    rows = _compare_rows(state, config)
+    steps = [row[0] for row in rows]
+    assert steps == sorted({n_steps, *range(0, n_steps + 1, record_every)})
+
+    measured = np.array([row[1:] for row in rows])
+    oracle = []
+    for n in steps:
+        euler, exact = advance(state, EULER, TAU, n), advance(state, EXACT, TAU, n)
+        m_euler, drift_euler, _momentum = _oracle_conserved(euler)
+        m_exact, drift_exact, _momentum = _oracle_conserved(exact)
+        deviation = np.linalg.norm(euler.amplitudes() - exact.amplitudes())
+        oracle.append((deviation, m_euler, m_exact, drift_euler, drift_exact))
+    oracle = np.array(oracle)
+    scale = np.max(np.abs(oracle), axis=0)
+    gap = np.max(np.abs(measured - oracle), axis=0)
+    assert np.all(gap <= BLOCK_RTOL * scale), dict(zip(COMPARE_COLUMNS, gap / scale))
 
 
 def test_corrupted_transform_of_a_late_row_raises(monkeypatch):
@@ -184,12 +231,9 @@ def test_blocks_stay_within_the_byte_bound(monkeypatch):
     assert coefficient_bytes == observed_bytes
 
 
-@pytest.mark.parametrize("scheme", ["euler", "exact"])
-def test_run_takes_one_inverse_transform_per_block(monkeypatch, scheme):
-    """One forward transform of the initial state, one inverse transform
-    per block, and real-input transforms only for the step-0 row: the
-    recorded rows are measured from the coefficients ``run`` builds."""
-    lattice = make_lattice(4001)
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """The shapes passed to ``np.fft.fft``, ``ifft`` and ``rfft``, by name."""
     calls = {"fft": [], "ifft": [], "rfft": []}
     for name, shapes in calls.items():
         original = getattr(np.fft, name)
@@ -199,13 +243,35 @@ def test_run_takes_one_inverse_transform_per_block(monkeypatch, scheme):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["euler", "exact"])
+def test_run_takes_one_inverse_transform_per_block(fft_calls, scheme):
+    """One forward transform of the initial state, one inverse transform
+    per block, and real-input transforms only for the step-0 row: the
+    recorded rows are measured from the coefficients ``run`` builds."""
+    lattice = make_lattice(4001)
     state = gaussian_state(lattice, 0, 50.0, 20)
     series = run(state, EvolutionConfig(scheme=scheme), 100, record_every=5)
     assert len(series.snapshots) == 21
     rows = max(1, RECORD_BLOCK_BYTES // (16 * 4001))
-    assert calls["fft"] == [(4001,)]
-    assert len(calls["ifft"]) == math.ceil(21 / rows)
-    assert calls["rfft"] == [(4001,), (4001,)]
+    assert fft_calls["fft"] == [(4001,)]
+    assert len(fft_calls["ifft"]) == math.ceil(21 / rows)
+    assert fft_calls["rfft"] == [(4001,), (4001,)]
+
+
+def test_compare_takes_one_inverse_transform_per_block_and_scheme(fft_calls):
+    """``compare`` measures both schemes from their coefficient rows: one
+    forward and one inverse transform per block for each scheme, and
+    real-input transforms only for the step-0 rows."""
+    config = RunConfig(n_sites=4001, width=50.0, n_steps=100, record_every=5)
+    state = gaussian_state(make_lattice(4001), 0, 50.0, 20)
+    assert len(_compare_rows(state, config)) == 21
+    rows = max(1, RECORD_BLOCK_BYTES // (16 * 4001))
+    assert fft_calls["fft"] == [(4001,)] * 2
+    assert len(fft_calls["ifft"]) == 2 * math.ceil(21 / rows)
+    assert fft_calls["rfft"] == [(4001,)] * 4
 
 
 # tau g^2 N^2 = 5e-3 (2 pi)^2 = 0.197: above the warning threshold, below the limit
