@@ -12,11 +12,13 @@ sign-corrected variant (even N).
 
 The transform pair, ``momentum_coefficients`` and ``site_amplitudes``,
 acts on the last axis of an array, so a block of states (one per row)
-is transformed by one batched FFT.  A real array (a field a or b on
-its own) takes a real-input FFT, which computes only the momenta
-kappa >= 0 and takes the negative ones as their conjugates.
-``to_momentum_basis`` and ``from_momentum_basis`` are its state-level
-wrappers; a ``FieldState`` block of rows goes through them whole.
+is transformed by one batched FFT.  The forward transform is a
+real-input FFT, which computes only the momenta kappa >= 0 and takes
+the negative ones as their conjugates; complex amplitudes c = a + i b
+take it as the pair a_hat + i b_hat, so a real state's occupation is
+exactly even in kappa.  ``to_momentum_basis`` and ``from_momentum_basis``
+are its state-level wrappers; a ``FieldState`` block of rows goes
+through them whole.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ class MomentumSpectrum:
 def _basis_tables(lattice: Lattice):
     """Per-lattice slot indices and phases of the transform pair.
 
-    ``slots`` maps each momentum to its FFT output index; ``offset`` is
-    the storage-offset phase exp(-2 pi i kappa site_min / N) and
-    ``unoffset`` its inverse; ``twist``/``untwist`` absorb the extra half
-    wave of an even lattice (``None`` on odd lattices).  All read-only.
+    ``slots`` maps each momentum to its inverse-FFT input index;
+    ``offset`` is the storage-offset phase exp(-2 pi i kappa site_min / N)
+    and ``unoffset`` its inverse; ``untwist`` restores the extra half
+    wave of an even lattice after the inverse FFT (``None`` on odd
+    lattices).  All read-only.
     """
     n = lattice.n_sites
     kappa = lattice.momentum_values()
@@ -59,12 +62,8 @@ def _basis_tables(lattice: Lattice):
     slots = (kappa - 0.5 * even).astype(int) % n
     offset = np.exp(-2j * np.pi * kappa * lattice.site_min / n)
     unoffset = np.exp(2j * np.pi * kappa * lattice.site_min / n)
-    twist = untwist = None
-    if even:
-        idx = np.arange(n)
-        twist = np.exp(-1j * np.pi * idx / n)
-        untwist = np.exp(1j * np.pi * idx / n)
-    tables = (slots, offset, unoffset, twist, untwist)
+    untwist = np.exp(1j * np.pi * np.arange(n) / n) if even else None
+    tables = (slots, offset, unoffset, untwist)
     for table in tables:
         if table is not None:
             table.setflags(write=False)
@@ -75,28 +74,26 @@ def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarra
     """Unbiased-basis coefficients of site amplitudes along the last axis.
 
     Every row (every index of the leading axes) is transformed on its
-    own, in one batched FFT.  Real rows take a real-input FFT: on an odd
-    lattice ``rfft`` gives kappa = 0..L, on an even one the odd outputs
-    of a 2N-point ``rfft`` give kappa = 1/2..(N-1)/2, and the negative
-    momenta are their exact conjugates, so a zero row has exactly zero
-    coefficients.  Coefficients are ordered like
+    own, in one batched real-input FFT: on an odd lattice ``rfft`` gives
+    kappa = 0..L, on an even one the odd outputs of a 2N-point ``rfft``
+    give kappa = 1/2..(N-1)/2, and the negative momenta are their exact
+    conjugates, so a zero row has exactly zero coefficients.  Complex
+    amplitudes take the coefficients of their real and imaginary parts,
+    a_hat + i b_hat.  Coefficients are ordered like
     ``lattice.momentum_values()``; ``amplitudes`` is not modified.
     """
-    slots, offset, _unoffset, twist, _untwist = _basis_tables(lattice)
+    if np.iscomplexobj(amplitudes):
+        return (momentum_coefficients(lattice, np.real(amplitudes))
+                + 1j * momentum_coefficients(lattice, np.imag(amplitudes)))
+    _slots, offset, _unoffset, _untwist = _basis_tables(lattice)
     n = lattice.n_sites
-    if not np.iscomplexobj(amplitudes):
-        if twist is None:
-            positive = np.fft.rfft(amplitudes)  # kappa = 0..L
-            negative = positive[..., :0:-1]  # kappa = L..1
-        else:
-            positive = np.fft.rfft(amplitudes, 2 * n)[..., 1::2]
-            negative = positive[..., ::-1]
-        coefficients = np.concatenate((np.conj(negative), positive), axis=-1)
+    if lattice.parity == EVEN:
+        positive = np.fft.rfft(amplitudes, 2 * n)[..., 1::2]
+        negative = positive[..., ::-1]
     else:
-        if twist is not None:
-            # half-integer momenta: absorb the extra half wave into a twist
-            amplitudes = amplitudes * twist
-        coefficients = np.fft.fft(amplitudes)[..., slots]
+        positive = np.fft.rfft(amplitudes)  # kappa = 0..L
+        negative = positive[..., :0:-1]  # kappa = L..1
+    coefficients = np.concatenate((np.conj(negative), positive), axis=-1)
     coefficients /= sqrt(n)
     # undo the storage offset: site s sits at array index s - site_min
     coefficients *= offset
@@ -106,7 +103,7 @@ def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarra
 def site_amplitudes(lattice: Lattice, coefficients: np.ndarray) -> np.ndarray:
     """Inverse of ``momentum_coefficients``, along the last axis."""
     n = lattice.n_sites
-    slots, _offset, unoffset, _twist, untwist = _basis_tables(lattice)
+    slots, _offset, unoffset, untwist = _basis_tables(lattice)
     packed = np.empty(np.shape(coefficients), dtype=complex)
     packed[..., slots] = coefficients * unoffset
     amplitudes = np.fft.ifft(packed)

@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 failed checks, 2 invalid configuration,
 3 numerical guard violation.  ``main`` maps the errors of every
 subcommand: ``TimestepBoundError`` and ``ConsistencyError`` to 3, any
 other ``ValueError`` or an ``OSError`` to 2, each with one ``error:``
-line on stderr.
+line on stderr.  A warning, such as the tau bound's, is printed as one
+``warning:`` line on stderr and does not change the exit code.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import dataclasses
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -78,6 +80,11 @@ def _config_from_args(args) -> RunConfig:
 def _fail(exc: Exception, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     return code
+
+
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    """``warnings.showwarning`` that prints one line, without the source."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _cmd_run(args) -> int:
@@ -246,12 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (TimestepBoundError, ConsistencyError) as exc:
-        return _fail(exc, EXIT_GUARD)
-    except (ValueError, OSError) as exc:  # e.g. a step that leaves the finite floats
-        return _fail(exc, EXIT_BAD_CONFIG)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn
+        try:
+            return args.func(args)
+        except (TimestepBoundError, ConsistencyError) as exc:
+            return _fail(exc, EXIT_GUARD)
+        except (ValueError, OSError) as exc:  # e.g. a step that leaves the finite floats
+            return _fail(exc, EXIT_BAD_CONFIG)
 
 
 if __name__ == "__main__":

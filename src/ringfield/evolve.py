@@ -28,16 +28,17 @@ So n steps are one multiplier raised to the power n.
 ``propagate_blocks`` transforms the initial state once and builds only
 the rows asked for, a block of rows at a time: the rows c_hat_0 m^n for
 the block's steps n go through one batched inverse transform, and the
-block comes with those coefficient rows.  ``run``, ``compare`` and the
-shape experiment hand them to ``observables.snapshots`` or
-``conserved_columns``, which take <P> and <V> from them, so a record
-costs one transform.  The inverse transform is still checked on every
-row: the row's summed occupation must match the M of its amplitudes
-(Parseval).  The naive even-mode rows are coefficients of the
-storage-order DFT, not of the momentum basis, so they come without
-coefficients and are measured from their amplitudes.  A block
-holds at most ``RECORD_BLOCK_BYTES`` of amplitudes, or one row where a
-row alone is larger, so memory stays flat as the record count grows.
+block comes with those coefficient rows (at n = 0, m^0 = 1, c_hat_0
+itself).  ``run``, ``compare`` and the shape experiment hand them to
+``observables.snapshots`` or ``conserved_columns``, which take <P> and
+<V> from them, so a record costs one transform.  The inverse transform
+is still checked on every row: the row's summed occupation must match
+the M of its amplitudes (Parseval).  The naive even-mode step multiplies
+coefficients of the storage-order DFT, not of the momentum basis, so
+its blocks take the momentum coefficients of their rows by one batched
+forward transform.  A block holds at most ``RECORD_BLOCK_BYTES`` of
+amplitudes, or one row where a row alone is larger, so memory stays
+flat as the record count grows.
 A block is a ``FieldState`` of rows; a checkpoint copies its row, so
 it does not keep the block alive.  The lattice alone selects the
 linearised step: Euler on an odd lattice, the naive even-mode step on
@@ -62,7 +63,7 @@ import numpy as np
 from .basis import momentum_coefficients, site_amplitudes
 from .kernels import f_site_matrix, kernel_f
 from .lattice import EVEN, ODD, Lattice, make_even_lattice, wrap_index  # noqa: F401  (re-export)
-from .observables import RECORD_BLOCK_BYTES, field_spectra, snapshots
+from .observables import RECORD_BLOCK_BYTES, snapshots
 from .series import TimeSeries
 from .state import FieldState, _new_state, _require_one_state, state_from_amplitudes
 
@@ -223,41 +224,31 @@ def _block_rows(lattice: Lattice) -> int:
 
 def _power_blocks(
     state: FieldState, kind: str, step: float, steps: list[int]
-) -> Iterator[tuple[list[int], FieldState, np.ndarray | None]]:
-    """``propagate_blocks`` without the tau bound check.
-
-    The n = 0 rows take the coefficients of ``field_spectra``, whose two
-    real-input transforms give a real state no drift there at all.
-    """
+) -> Iterator[tuple[list[int], FieldState, np.ndarray]]:
+    """``propagate_blocks`` without the tau bound check."""
     lattice = state.lattice
     _require_one_state(state, "evolution")
     at_zero = np.asarray(steps) == 0
-    prop = coefficients = initial = None
-    if not at_zero.all():
-        prop = propagator(lattice, kind, step)
-        coefficients = prop.forward(state)
+    prop = None if at_zero.all() else propagator(lattice, kind, step)
+    initial = momentum_coefficients(lattice, state.c) if prop is None else prop.forward(state)
     rows = _block_rows(lattice)
     for lo in range(0, len(steps), rows):
         chunk, zero = steps[lo:lo + rows], at_zero[lo:lo + rows]
-        if prop is None:
-            evolved = None
-            amplitudes = np.empty((len(chunk), lattice.n_sites), dtype=complex)
+        if prop is None:  # every row is n = 0
+            evolved = np.broadcast_to(initial, (len(chunk), lattice.n_sites))
+            amplitudes = np.broadcast_to(state.c, evolved.shape)
         else:
-            evolved, amplitudes = prop.amplitudes_after(coefficients, chunk)
-            if prop.storage_dft:
-                evolved = None
-        if zero.any():
+            evolved, amplitudes = prop.amplitudes_after(initial, chunk)
             amplitudes[zero] = state.c
-            if evolved is not None:
-                if initial is None:
-                    initial = field_spectra(state)
-                evolved[zero] = initial
-        yield chunk, state_from_amplitudes(lattice, amplitudes), evolved
+        block = state_from_amplitudes(lattice, amplitudes)
+        if prop is not None and prop.storage_dft:
+            evolved = momentum_coefficients(lattice, block.c)
+        yield chunk, block, evolved
 
 
 def propagate_blocks(
     state: FieldState, kind: str, step: float, steps: Iterable[int]
-) -> Iterator[tuple[list[int], FieldState, np.ndarray | None]]:
+) -> Iterator[tuple[list[int], FieldState, np.ndarray]]:
     """Yield ``(ns, block, coefficients)``: the states after n steps for
     each n of ``steps``, a block (a ``FieldState`` of rows) at a time,
     in order, with the unbiased-basis coefficients of its rows.
@@ -266,14 +257,14 @@ def propagate_blocks(
     transform, then one batched inverse transform per block of at most
     ``RECORD_BLOCK_BYTES`` (or one row).  ``coefficients`` are the rows
     c_hat_0 m^n the block was built from, which ``conserved_columns``
-    and ``snapshots`` measure without a transform; they are ``None``
-    for the naive even-mode step (storage-order DFT) or when no step is
-    taken.  A row at n = 0 holds ``state`` exactly, with the spectrum of
-    ``field_spectra``.  The linearised kinds check ``check_tau_bound``
-    here, once, when some n >= 1; the propagator is built only then, so
-    a list of zeros needs no valid multiplier.  Raises ``ValueError``
-    when a row leaves the finite floats, or when ``state`` is a block of
-    rows rather than one state.
+    and ``snapshots`` measure without a transform; a row at n = 0 holds
+    ``state`` exactly and c_hat_0 = ``momentum_coefficients`` of it.
+    The naive even-mode step (storage-order DFT) takes its blocks'
+    coefficients by a forward transform of the rows.  The linearised
+    kinds check ``check_tau_bound`` here, once, when some n >= 1; the
+    propagator is built only then, so a list of zeros needs no valid
+    multiplier.  Raises ``ValueError`` when a row leaves the finite
+    floats, or when ``state`` is a block of rows rather than one state.
     """
     steps = list(steps)
     if _takes_linearised_step(kind, steps):
@@ -364,10 +355,9 @@ def run(
     states at those steps.  Only those rows are built, a block at a
     time (``propagate_blocks``), each row one power of the step
     multiplier; each block is measured by one ``snapshots`` call, from
-    the coefficient rows that built it where they are momentum
-    coefficients.  The
-    lattice picks the Euler or the naive even-mode step.  The tau bound
-    is checked once, when a step is taken.
+    the momentum coefficients it comes with.  The lattice picks the
+    Euler or the naive even-mode step.  The tau bound is checked once,
+    when a step is taken.
     """
     steps = record_steps(n_steps, record_every)
     lattice = state.lattice
@@ -388,8 +378,7 @@ def run(
         if recorded:
             rows, spectra = block, coefficients
             if len(recorded) < len(chunk):
-                rows = block.row(recorded)
-                spectra = None if coefficients is None else coefficients[recorded]
+                rows, spectra = block.row(recorded), coefficients[recorded]
             records.extend(snapshots(rows, [chunk[row] for row in recorded], spectra))
         for row, step in enumerate(chunk):
             if due(step, checkpoint_every):

@@ -28,7 +28,7 @@ m_k = 1 - i tau g^2 kappa^2, so after n steps
 and <V> = 2 <P> for real fields (see ``observables``).  A table row
 therefore evaluates its recorded steps in closed form
 (``observables.spectral_series``) from one forward transform, the two
-real-input FFTs of a and b (``observables.field_spectra``).  Its checks
+real-input FFTs of a and b (``basis.momentum_coefficients``).  Its checks
 stay in site space: the spectrum of the initial state must carry its M
 (Parseval, ``ConsistencyError``), and the state after the final step is
 built by one inverse transform, must be finite (``ValueError``) and
@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import momentum_coefficients
 from .evolve import (
     EULER,
     EVEN_NAIVE,
@@ -70,8 +71,8 @@ from .kernels import (
 )
 from .lattice import make_lattice
 from .observables import (
+    _check_parseval,
     count_local_maxima,
-    field_spectra,
     high_band_fraction,
     m_step_increase_exact,
     momentum_expectation,
@@ -271,8 +272,9 @@ def paper_table_run(
     steps = record_steps(n_steps, record_every)
     lattice = make_lattice(N_SITES)
     state = table_state(lattice, shape, seed)
-    initial = field_spectra(state)
+    initial = momentum_coefficients(lattice, state.c)
     occupation = np.abs(initial) ** 2
+    _check_parseval(occupation, norm_m(state))
     var_m = var_v = 0.0
     if n_steps > 0:
         check_tau_bound(tau, lattice)

@@ -21,15 +21,21 @@ def _temp_file(path: str) -> tuple[int, str]:
     return tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
 
 
-def _target_mode(path: str) -> int:
-    """The permission bits ``open(path, "w")`` would leave ``path``
-    with: its own when it exists, otherwise 0o666 less the umask."""
+def _target(path: str) -> tuple[str, int | None]:
+    """The file that ``path`` names, symbolic links followed, and the
+    permission bits ``open(path, "w")`` would leave it with: its own
+    when it exists, otherwise 0o666 less the umask.  The bits are
+    ``None`` for a file that is neither regular nor a directory (a
+    device, a FIFO), which is written in place rather than replaced."""
+    target = os.path.realpath(path)
     try:
-        return stat.S_IMODE(os.stat(path).st_mode)
+        mode = os.stat(target).st_mode
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
-        return 0o666 & ~umask
+        return target, 0o666 & ~umask
+    special = not (stat.S_ISREG(mode) or stat.S_ISDIR(mode))
+    return target, None if special else stat.S_IMODE(mode)
 
 
 def _naming(exc: OSError, path: str) -> OSError:
@@ -39,12 +45,19 @@ def _naming(exc: OSError, path: str) -> OSError:
 
 def check_writable(path: str) -> None:
     """Raise the ``OSError`` that ``atomic_write_text`` would raise for
-    ``path`` when its directory cannot take a new file or ``path`` is a
-    directory.  Creates and removes one temporary file."""
+    ``path`` when its directory cannot take a new file, ``path`` is a
+    directory, or ``path`` is a file it writes in place and may not
+    write.  Creates and removes one temporary file next to the regular
+    file that ``path`` names or links to."""
     try:
-        if os.path.isdir(path):
+        target, mode = _target(path)
+        if os.path.isdir(target):
             raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        fd, tmp = _temp_file(path)
+        if mode is None:
+            if not os.access(target, os.W_OK):
+                raise OSError(errno.EACCES, os.strerror(errno.EACCES), path)
+            return
+        fd, tmp = _temp_file(target)
         os.close(fd)
         os.unlink(tmp)
     except OSError as exc:
@@ -69,16 +82,23 @@ def check_directory(path: str) -> None:
 def atomic_write_text(path: str, text: str) -> None:
     """Write whole-file via a temp file and rename, so readers never
     observe a partial file.  The file gets the mode ``open(path, "w")``
-    would give it.  An ``OSError`` names ``path``, not the temporary
-    file."""
+    would give it.  A symbolic link is followed: the file it names is
+    replaced and the link stays.  A target that exists and is not a
+    regular file (a device, a FIFO) is written in place, as
+    ``open(path, "w")`` would.  An ``OSError`` names ``path``, not the
+    temporary file."""
     try:
-        mode = _target_mode(path)
-        fd, tmp = _temp_file(path)
+        target, mode = _target(path)
+        if mode is None:
+            with open(target, "w") as handle:
+                handle.write(text)
+            return
+        fd, tmp = _temp_file(target)
         try:
             with os.fdopen(fd, "w") as handle:
                 os.fchmod(handle.fileno(), mode)
                 handle.write(text)
-            os.replace(tmp, path)
+            os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)

@@ -26,12 +26,12 @@ Every observable is written over the last axis of its arrays, so a
 whole block of states (a ``FieldState`` with one state per row) is
 measured at once.
 ``conserved_columns`` is the one place that formula is evaluated: it
-gives M, the drift and <P> of every row, from the coefficient rows
-c_hat_0 m^n that ``evolve.propagate_blocks`` built the rows from, or
-else from ``field_spectra`` (two batched real-input transforms, of the
-a rows and of the b rows), and checks Parseval on every row against
-the site-space M.  ``snapshots`` calls it and adds the position
-columns: the circular moments and the shape residual.
+gives M, the drift and <P> of every row, from the coefficient rows that
+``evolve.propagate_blocks`` yields with every block, or else from
+``basis.momentum_coefficients`` of the rows (two batched real-input
+transforms, of the a rows and of the b rows), and checks Parseval on
+every row against the site-space M.  ``snapshots`` calls it and adds
+the position columns: the circular moments and the shape residual.
 ``snapshot`` and the single-state functions are the same code on a
 state of shape (N,); they raise ``ValueError`` for a block.
 
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import momentum_coefficients, to_momentum_basis
+from .basis import momentum_coefficients
 from .kernels import ConsistencyError
 from .lattice import Lattice
 from .state import (
@@ -84,24 +84,6 @@ def _check_parseval(occupation: np.ndarray, m_sites) -> None:
         )
 
 
-def field_spectra(state: FieldState) -> np.ndarray:
-    """The unbiased-basis coefficients c_hat = a_hat + i b_hat of each
-    row.
-
-    The real fields a and b are transformed one at a time, by real-input
-    FFTs, so c_hat_-k = conj(a_hat_k) + i conj(b_hat_k) holds exactly
-    and a real state's occupation is exactly even in kappa when b = 0.
-    Raises ``ConsistencyError`` when the spectrum fails the Parseval
-    check against the site-space M.
-    """
-    lattice = state.lattice
-    a_hat = momentum_coefficients(lattice, state.a)
-    b_hat = momentum_coefficients(lattice, state.b)
-    coefficients = a_hat + 1j * b_hat
-    _check_parseval(np.abs(coefficients) ** 2, norm_m(state))
-    return coefficients
-
-
 def conserved_columns(
     state: FieldState, coefficients: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,15 +92,15 @@ def conserved_columns(
 
     ``coefficients`` are the rows' unbiased-basis coefficients c_hat
     when the caller already holds them; without them they come from
-    ``field_spectra``.  ``momentum_values()`` is symmetric, so -k is
-    the reversed row, and a row whose occupation is even in kappa, as
-    the real-input spectrum of b = 0 is, has both exactly 0.0.  The
+    ``momentum_coefficients``.  ``momentum_values()`` is symmetric, so
+    -k is the reversed row, and a row whose occupation is even in kappa,
+    as the real-input spectrum of b = 0 is, has both exactly 0.0.  The
     occupation is checked against the site-space M of every row
     (Parseval, ``ConsistencyError``).
     """
     lattice = state.lattice
     if coefficients is None:
-        coefficients = field_spectra(state)
+        coefficients = momentum_coefficients(lattice, state.c)
     occupation = np.abs(coefficients) ** 2
     m_sites = norm_m(state)
     _check_parseval(occupation, m_sites)
@@ -163,7 +145,7 @@ def spectral_series(
 
 
 def drift_velocity(state: FieldState) -> float:
-    """Drift velocity 4 g sum a_s b_r G(s-r), from the field spectra.
+    """Drift velocity 4 g sum a_s b_r G(s-r), from the momentum occupation.
 
     Exactly 0.0 when b = 0.
     """
@@ -261,7 +243,7 @@ def count_local_maxima(distribution: np.ndarray, prominence: float = 1e-6) -> in
 def high_band_fraction(state: FieldState) -> float:
     """Fraction of M carried by momenta in the outer half of the band."""
     _require_one_state(state, "high_band_fraction")
-    occupation = to_momentum_basis(state).occupation()
+    occupation = np.abs(momentum_coefficients(state.lattice, state.c)) ** 2
     kappa = state.lattice.momentum_values()
     outer = np.abs(kappa) > np.max(np.abs(kappa)) / 2.0
     total = float(np.sum(occupation))
@@ -277,10 +259,10 @@ def m_step_increase_exact(state: FieldState, tau: float) -> float:
     Identical to what the reaction step produces, for any tau.
     """
     _require_one_state(state, "m_step_increase_exact")
-    spectrum = to_momentum_basis(state)
+    occupation = np.abs(momentum_coefficients(state.lattice, state.c)) ** 2
     kappa = state.lattice.momentum_values()
     g = state.lattice.reciprocal_constant
-    return float(tau * tau * g**4 * np.sum(kappa**4 * spectrum.occupation()))
+    return float(tau * tau * g**4 * np.sum(kappa**4 * occupation))
 
 
 def quartic_moment_coefficient(lattice) -> float:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import direct_coefficients
 from ringfield import (
     from_momentum_basis,
     make_lattice,
@@ -9,6 +10,8 @@ from ringfield import (
     state_from_amplitudes,
     to_momentum_basis,
 )
+from ringfield.basis import momentum_coefficients
+from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, propagate_blocks
 from ringfield.lattice import make_even_lattice
 
 RNG = np.random.default_rng(11)
@@ -77,3 +80,37 @@ class TestEvenBasis:
         slot = list(lat.momentum_values()).index(kappa0)
         assert occupation[slot] == pytest.approx(1.0, abs=1e-12)
         assert np.sum(occupation) == pytest.approx(1.0, abs=1e-12)
+
+
+def _lattice(n):
+    return make_lattice(n) if n % 2 else make_even_lattice(n)
+
+
+class TestDirectSum:
+    """The FFT path against the O(N^2) sum, which takes no FFT."""
+
+    @pytest.mark.parametrize("n", [3, 5, 21, 801, 4, 6, 100, 800])
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_coefficients_match_the_direct_sum(self, n, field):
+        lattice = _lattice(n)
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(3, n))
+        if field == "complex":
+            rows = rows + 1j * rng.normal(size=(3, n))
+        for amplitudes in (rows[0], rows):  # one state and a block
+            oracle = direct_coefficients(lattice, amplitudes)
+            coefficients = momentum_coefficients(lattice, amplitudes)
+            assert coefficients.shape == oracle.shape == amplitudes.shape
+            assert np.max(np.abs(coefficients - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n, kind", [(21, EULER), (21, EXACT), (20, EVEN_NAIVE), (20, EXACT)])
+@pytest.mark.parametrize("steps", [[0], [0, 5]], ids=["no step", "steps"])
+def test_step_zero_row_carries_the_state_spectrum(n, kind, steps):
+    """The coefficient row ``propagate_blocks`` yields at n = 0 is the
+    state's own spectrum, bit for bit."""
+    state = random_state(_lattice(n), 7)
+    (_ns, _block, coefficients), *_rest = propagate_blocks(state, kind, 1e-3, steps)
+    expected = to_momentum_basis(state).coefficients
+    assert coefficients.shape == (len(steps), n)
+    assert coefficients[0].tobytes() == expected.tobytes()

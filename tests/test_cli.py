@@ -52,6 +52,14 @@ class TestRunCommand:
                      "--n-steps", "1"])
         assert code == 3
 
+    def test_tau_warning_is_one_line(self, capsys):
+        code = main(["run", "--n-sites", "101", "--width", "5", "--tau", "0.01",
+                     "--n-steps", "10", "--record-every", "5"])
+        assert code == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: tau * g^2 * N^2 = 0.395 > 0.1; conservation will degrade visibly"
+        ]
+
     def test_bad_shape_exit_code(self):
         assert main(["run", "--n-sites", "101", "--width", "900"]) == 2
 

@@ -3,7 +3,7 @@ initial spectrum and reports, to the oracle gate, the numbers a full
 ``run`` records from its blocks of states; its site-space checks still
 fire.
 
-Also: the real-input transform against the complex one, the tabulated
+Also: real rows against their complex cast, the tabulated
 kernel oracle sums against complex exponentials, and the bound on the
 dense site-matrix caches."""
 
@@ -36,7 +36,7 @@ from ringfield.experiments import (
 )
 from ringfield.kernels import f_site_matrix, g_site_matrix, kernel_f
 from ringfield.lattice import make_even_lattice
-from ringfield.observables import conserved_columns, field_spectra, spectral_series
+from ringfield.observables import conserved_columns, spectral_series
 
 TABLE_CASES = [
     (shape, tau, n_steps)
@@ -154,7 +154,7 @@ def test_spectral_series_matches_the_block_path(monkeypatch, n):
     state = random_state(lattice, n)
     tau = 1e-3
     steps = list(range(0, 401, 10))
-    occupation = np.abs(field_spectra(state)) ** 2
+    occupation = np.abs(momentum_coefficients(lattice, state.c)) ** 2
     log_magnitude = propagator(lattice, EULER, tau).log_multiplier.real
     m_total, momentum = spectral_series(lattice, occupation, log_magnitude, steps)
     m_oracle, drift_oracle = _block_path_columns(state, tau, steps)
@@ -168,7 +168,7 @@ def test_spectral_series_memory_stays_flat():
     two output columns and the steps take 2.4 MB."""
     lattice = make_lattice(101)
     state = random_state(lattice, 1)
-    occupation = np.abs(field_spectra(state)) ** 2
+    occupation = np.abs(momentum_coefficients(lattice, state.c)) ** 2
     log_magnitude = propagator(lattice, EULER, 1e-6).log_multiplier.real
     steps = range(100_000)
     tracemalloc.start()
@@ -203,14 +203,14 @@ def test_final_row_one_step_off_raises(monkeypatch):
 
 
 def test_corrupted_forward_transform_raises(monkeypatch):
-    original = ringfield.observables.momentum_coefficients
+    original = ringfield.experiments.momentum_coefficients
 
     def drop_largest(lattice, amplitudes):
         coefficients = original(lattice, amplitudes)
         coefficients[np.argmax(np.abs(coefficients))] = 0.0
         return coefficients
 
-    monkeypatch.setattr(ringfield.observables, "momentum_coefficients", drop_largest)
+    monkeypatch.setattr(ringfield.experiments, "momentum_coefficients", drop_largest)
     with pytest.raises(ConsistencyError, match="Parseval"):
         paper_table_run("gaussian", 1e-3, n_steps=50)
 

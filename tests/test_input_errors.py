@@ -13,7 +13,7 @@ import pytest
 import ringfield.cli
 from ringfield import RunConfig, read_state_csv, read_state_json, read_timeseries_csv
 from ringfield.cli import main
-from ringfield.ioutil import atomic_write_text
+from ringfield.ioutil import atomic_write_text, check_writable
 from ringfield.series import TIMESERIES_CSV_HEADER
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -290,6 +290,47 @@ def test_overwritten_output_file_keeps_its_mode(tmp_path):
     atomic_write_text(str(path), "new\n")
     assert path.read_text() == "new\n"
     assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+
+def test_symlinked_output_writes_the_file_it_names(tmp_path):
+    real = tmp_path / "real.csv"
+    real.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    check_writable(str(link))
+    atomic_write_text(str(link), "new\n")
+    assert link.is_symlink() and real.read_text() == "new\n"
+    dangling = tmp_path / "dangling.csv"
+    dangling.symlink_to(tmp_path / "target.csv")
+    atomic_write_text(str(dangling), "x\n")
+    assert dangling.is_symlink() and (tmp_path / "target.csv").read_text() == "x\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "dangling.csv", "link.csv", "real.csv", "target.csv"]
+
+
+def test_run_csv_through_a_symlink_keeps_the_link(tmp_path):
+    real = tmp_path / "series.csv"
+    real.write_text("stale\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert main(["run", *SMALL, "--n-steps", "2", "--record-every", "1",
+                 "--csv", str(link)]) == 0
+    assert link.is_symlink()
+    assert real.read_text().splitlines()[0] == TIMESERIES_CSV_HEADER
+
+
+def test_fifo_output_is_written_in_place(tmp_path):
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        check_writable(str(fifo))
+        atomic_write_text(str(fifo), "step\n1\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.read(reader, 100) == b"step\n1\n"
+    finally:
+        os.close(reader)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
 
 
 @pytest.mark.parametrize("payload, match", [

@@ -248,28 +248,29 @@ def fft_calls(monkeypatch):
 
 @pytest.mark.parametrize("scheme", ["euler", "exact"])
 def test_run_takes_one_inverse_transform_per_block(fft_calls, scheme):
-    """One forward transform of the initial state, one inverse transform
-    per block, and real-input transforms only for the step-0 row: the
-    recorded rows are measured from the coefficients ``run`` builds."""
+    """One forward transform of the initial state (its two real-input
+    FFTs) and one inverse transform per block: the recorded rows, the
+    step-0 row among them, are measured from the coefficients ``run``
+    builds."""
     lattice = make_lattice(4001)
     state = gaussian_state(lattice, 0, 50.0, 20)
     series = run(state, EvolutionConfig(scheme=scheme), 100, record_every=5)
     assert len(series.snapshots) == 21
     rows = max(1, RECORD_BLOCK_BYTES // (16 * 4001))
-    assert fft_calls["fft"] == [(4001,)]
+    assert fft_calls["fft"] == []
     assert len(fft_calls["ifft"]) == math.ceil(21 / rows)
     assert fft_calls["rfft"] == [(4001,), (4001,)]
 
 
 def test_compare_takes_one_inverse_transform_per_block_and_scheme(fft_calls):
-    """``compare`` measures both schemes from their coefficient rows: one
-    forward and one inverse transform per block for each scheme, and
-    real-input transforms only for the step-0 rows."""
+    """``compare`` measures both schemes from their coefficient rows: for
+    each scheme one forward transform (two real-input FFTs) and one
+    inverse transform per block."""
     config = RunConfig(n_sites=4001, width=50.0, n_steps=100, record_every=5)
     state = gaussian_state(make_lattice(4001), 0, 50.0, 20)
     assert len(_compare_rows(state, config)) == 21
     rows = max(1, RECORD_BLOCK_BYTES // (16 * 4001))
-    assert fft_calls["fft"] == [(4001,)] * 2
+    assert fft_calls["fft"] == []
     assert len(fft_calls["ifft"]) == 2 * math.ceil(21 / rows)
     assert fft_calls["rfft"] == [(4001,)] * 4
 
