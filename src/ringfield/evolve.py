@@ -274,11 +274,15 @@ def propagate_blocks(
 
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
     """The state after ``n_steps`` steps of one kind (one row of
-    ``propagate_blocks``); n = 0 returns ``state`` itself."""
+    ``propagate_blocks``); n = 0 returns ``state`` itself, with no
+    transform and no check of ``kind`` or ``step``."""
+    if n_steps == 0:
+        _require_one_state(state, "evolution")
+        return state
     if _takes_linearised_step(kind, (n_steps,)):
         check_tau_bound(step, state.lattice, stacklevel=2)
     _steps, block, _coefficients = next(_power_blocks(state, kind, step, [n_steps]))
-    return state if n_steps == 0 else block.row(0)
+    return block.row(0)
 
 
 def euler_step(state: FieldState, tau: float) -> FieldState:

@@ -201,13 +201,20 @@ def uniform_state(
     return boost(base, velocity)
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0 (got {seed})")
+
+
 def random_state(lattice: Lattice, seed: int) -> FieldState:
     """Normalised state with both fields i.i.d. uniform on [-1, 1].
 
     Draws come from numpy's PCG64 generator (``np.random.default_rng``),
     whose stream for a given seed is stable across platforms, so equal
-    seeds give bit-identical states.
+    seeds give bit-identical states.  Raises ``ValueError`` for a
+    negative seed.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, lattice.n_sites)
     b = rng.uniform(-1.0, 1.0, lattice.n_sites)

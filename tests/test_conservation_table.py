@@ -116,7 +116,7 @@ def complex_exp_sums(n):
     return d, ((k**2) @ phases / n).real, (1j * (k @ phases) / n).real
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 21, 101])
+@pytest.mark.parametrize("n", [3, 5, 7, 21, 101, 801])
 def test_tabulated_oracle_sums_match_complex_exponentials(n):
     lattice = make_lattice(n)
     d, f_sums, g_sums = _direct_kernel_sums(lattice)

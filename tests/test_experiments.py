@@ -102,6 +102,23 @@ class TestKernelOracle:
         failing = [c.name for c in report.checks if not c.passed]
         assert any("kernel F" in name for name in failing)
 
+    @pytest.mark.parametrize("kernel, name", [("kernel_f", "kernel F"), ("kernel_g", "kernel G")])
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_closed_form_wrong_on_one_side_fails(self, monkeypatch, kernel, name, side):
+        """A closed form that is wrong only at negative (or only at
+        positive) displacements must fail: the direct sums at d and -d
+        are taken separately."""
+        closed_form = getattr(ringfield.experiments, kernel)
+
+        def one_sided(d, lattice):
+            value = closed_form(d, lattice)
+            return value + 1e-6 * lattice.n_sites * (side * np.asarray(d) > 0)
+
+        monkeypatch.setattr(ringfield.experiments, kernel, one_sided)
+        report = kernel_oracle_check(n_sites_list=(3, 21, 801))
+        failing = [c.name for c in report.checks if not c.passed]
+        assert failing == [f"{name} closed form vs spectral sum"]
+
 
 class TestPaperTableRun:
     def test_short_run_is_ungated(self):

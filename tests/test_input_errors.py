@@ -40,6 +40,11 @@ EXIT_CODES = [
     (["compare", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
     (["compare", *SMALL, "--lattice-constant", "inf"], 2),
     (["compare", "--n-sites", "101", "--shape", "uniform", "--width", "inf"], 2),
+    (["compare", *SMALL, "--tau", "0"], 2),
+    (["compare", *SMALL, "--tau", "-1"], 2),
+    (["compare", *SMALL, "--tau", "nan"], 2),
+    (["run", *SMALL, "--shape", "random", "--seed", "-1"], 2),
+    (["compare", *SMALL, "--shape", "random", "--seed", "-1"], 2),
     (["paper-table", "--steps", "-1"], 2),
     (["paper-table", "--seed", "-1"], 2),
     (["even-odd", "--tau", "0"], 2),
@@ -75,6 +80,13 @@ def test_config_file_values_are_validated(tmp_path, capsys):
     cfg.write_text("n_sites = 101\nwidth = 5.0\nrecord_every = 0\n")
     assert main(["run", "--config", str(cfg)]) == 2
     assert "record_every" in capsys.readouterr().err
+
+
+def test_compare_validates_the_config_scheme(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scheme = bogus\n")
+    assert main(["compare", *SMALL, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: scheme must be euler|exact (got 'bogus')\n"
 
 
 def test_unknown_parity_mode_names_the_key(tmp_path, capsys):
@@ -172,16 +184,35 @@ def test_exact_scheme_overflow_prints_one_line():
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
-def test_negative_seed_prints_one_line():
-    # a fresh interpreter, so tau warnings of rows that ran would reach stderr
+def _assert_negative_seed_is_named(argv):
+    # a fresh interpreter, so warnings of any work done would reach stderr
     env = {**os.environ, "PYTHONPATH": SRC}
-    argv = ["paper-table", "--seed", "-1"]
     proc = subprocess.run([sys.executable, "-m", "ringfield.cli", *argv],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 2
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: seed"), proc.stderr
+    assert proc.stderr == "error: seed must be >= 0 (got -1)\n"
     assert proc.stdout == ""
+
+
+def test_negative_seed_prints_one_line():
+    _assert_negative_seed_is_named(["paper-table", "--seed", "-1"])
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_negative_random_seed_prints_one_line(command):
+    _assert_negative_seed_is_named([command, *SMALL, "--shape", "random", "--seed", "-1"])
+
+
+@pytest.mark.parametrize("tau", ["0", "-1", "nan"])
+def test_compare_checks_tau_before_any_work(monkeypatch, capsys, tau):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("compare built a state before checking tau")
+
+    monkeypatch.setattr(ringfield.cli, "build_state", forbidden)
+    assert main(["compare", *SMALL, "--tau", tau]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: tau must be positive (got {float(tau)})\n"
+    assert captured.out == ""
 
 
 UNWRITABLE = [

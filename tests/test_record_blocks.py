@@ -275,6 +275,20 @@ def test_compare_takes_one_inverse_transform_per_block_and_scheme(fft_calls):
     assert fft_calls["rfft"] == [(4001,)] * 4
 
 
+@pytest.mark.parametrize("kind, step", [(EULER, 1e-3), (EXACT, 0.1), (EVEN_NAIVE, 1e-3),
+                                        (EULER, 1.0), ("no such kind", float("nan"))])
+@pytest.mark.parametrize("n", [801, 800])
+def test_advance_by_zero_steps_takes_no_transform(fft_calls, kind, step, n):
+    """n = 0 hands back the state itself: no transform, and neither the
+    kind nor the step (here one far past the tau bound) is checked."""
+    lattice = make_lattice(n) if n % 2 else make_even_lattice(n)
+    state = random_state(lattice, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert advance(state, kind, step, 0) is state
+    assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
+
+
 # tau g^2 N^2 = 5e-3 (2 pi)^2 = 0.197: above the warning threshold, below the limit
 WARN_TAU = 5e-3
 WARN_LATTICE = make_lattice(801)
