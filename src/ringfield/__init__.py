@@ -10,7 +10,7 @@ identities, including the even-size demonstration mode where the
 correspondence breaks.
 """
 
-from .basis import MomentumSpectrum, from_momentum_basis, to_momentum_basis
+from .basis import MomentumSpectrum, to_momentum_basis
 from .config import RunConfig, parse_config_text, read_config
 from .evolve import (
     EvolutionConfig,
@@ -18,7 +18,6 @@ from .evolve import (
     advance,
     euler_step,
     exact_step,
-    make_even_lattice,
     run,
     translate,
     translate_spectral,
@@ -34,14 +33,8 @@ from .experiments import (
     paper_table_run,
     qualitative_shape_run,
 )
-from .kernels import (
-    ConsistencyError,
-    kernel_f,
-    kernel_f_spectral,
-    kernel_g,
-    kernel_g_spectral,
-)
-from .lattice import Lattice, make_lattice, wrap_index
+from .kernels import ConsistencyError, kernel_f, kernel_g
+from .lattice import Lattice, make_even_lattice, make_lattice, wrap_index
 from .observables import (
     ObservableSnapshot,
     count_local_maxima,
@@ -62,7 +55,6 @@ from .state import (
     combined_distribution,
     gaussian_state,
     norm_m,
-    normalize,
     random_state,
     read_state_csv,
     read_state_json,

@@ -54,6 +54,7 @@ steps a whole block of states at once through its row-wise form,
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ import numpy as np
 
 from .basis import momentum_coefficients, site_amplitudes
 from .kernels import f_site_matrix, kernel_f
-from .lattice import EVEN, ODD, Lattice, make_even_lattice, wrap_index  # noqa: F401  (re-export)
+from .lattice import EVEN, ODD, Lattice, wrap_index
 from .observables import RECORD_BLOCK_BYTES, snapshots
 from .series import TimeSeries
 from .state import FieldState, _new_state, _require_one_state, state_from_amplitudes
@@ -83,6 +84,11 @@ class TimestepBoundError(ValueError):
     """Time step too large for the linearised reaction step."""
 
 
+def _check_tau(tau: float) -> None:
+    if not tau > 0:  # NaN too
+        raise ValueError(f"tau must be positive (got {tau})")
+
+
 @dataclass(frozen=True)
 class EvolutionConfig:
     """How to step a state forward: the time step and the scheme (the
@@ -94,8 +100,7 @@ class EvolutionConfig:
     scheme: str = EULER
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive (got {self.tau})")
+        _check_tau(self.tau)
         if self.scheme not in (EULER, EXACT):
             raise ValueError(f"scheme must be euler|exact (got {self.scheme!r})")
 
@@ -228,6 +233,9 @@ def _power_blocks(
     """``propagate_blocks`` without the tau bound check."""
     lattice = state.lattice
     _require_one_state(state, "evolution")
+    for n in steps:
+        if not isinstance(n, numbers.Integral) or n < 0:
+            raise ValueError(f"step counts must be integers >= 0 (got {n!r})")
     at_zero = np.asarray(steps) == 0
     prop = None if at_zero.all() else propagator(lattice, kind, step)
     initial = momentum_coefficients(lattice, state.c) if prop is None else prop.forward(state)
@@ -263,8 +271,10 @@ def propagate_blocks(
     coefficients by a forward transform of the rows.  The linearised
     kinds check ``check_tau_bound`` here, once, when some n >= 1; the
     propagator is built only then, so a list of zeros needs no valid
-    multiplier.  Raises ``ValueError`` when a row leaves the finite
-    floats, or when ``state`` is a block of rows rather than one state.
+    multiplier.  Raises ``ValueError``, before any transform, for a
+    count that is not an integer >= 0 (a Python or numpy integer), or
+    when ``state`` is a block of rows rather than one state; and when a
+    row leaves the finite floats.
     """
     steps = list(steps)
     if _takes_linearised_step(kind, steps):
@@ -274,9 +284,9 @@ def propagate_blocks(
 
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
     """The state after ``n_steps`` steps of one kind (one row of
-    ``propagate_blocks``); n = 0 returns ``state`` itself, with no
-    transform and no check of ``kind`` or ``step``."""
-    if n_steps == 0:
+    ``propagate_blocks``, with its checks); n = 0 returns ``state``
+    itself, with no transform and no check of ``kind`` or ``step``."""
+    if n_steps == 0 and isinstance(n_steps, numbers.Integral):
         _require_one_state(state, "evolution")
         return state
     if _takes_linearised_step(kind, (n_steps,)):
@@ -286,7 +296,11 @@ def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> Fiel
 
 
 def euler_step(state: FieldState, tau: float) -> FieldState:
-    """One reaction step, reference O(N^2) implementation."""
+    """One reaction step, reference O(N^2) implementation.
+
+    Builds the dense F, so it raises ``ValueError`` before any
+    allocation for N > ``kernels.SITE_MATRIX_MAX_SITES``.
+    """
     if state.lattice.parity != ODD:
         raise ValueError(f"euler_step requires a {ODD}-parity lattice")
     check_tau_bound(tau, state.lattice, stacklevel=2)

@@ -51,12 +51,12 @@ from .evolve import (
     EULER,
     EVEN_NAIVE,
     EXACT,
+    _check_tau,
     _dense_euler_step,
     advance,
     check_tau_bound,
     euler_step,
     exact_step,
-    make_even_lattice,
     propagate_blocks,
     propagator,
     record_steps,
@@ -69,7 +69,7 @@ from .kernels import (
     kernel_f,
     kernel_g,
 )
-from .lattice import make_lattice
+from .lattice import make_even_lattice, make_lattice
 from .observables import (
     _check_parseval,
     count_local_maxima,
@@ -230,11 +230,6 @@ def _relative_variation(values) -> float:
     if first == 0.0:
         return float(np.max(np.abs(values - first)))
     return float(np.max(np.abs(values - first)) / abs(first))
-
-
-def _check_tau(tau: float) -> None:
-    if not tau > 0:  # NaN too
-        raise ValueError(f"tau must be positive (got {tau})")
 
 
 # site-space M after the final step against the closed form, relative to max(1, M)

@@ -21,8 +21,10 @@ kappa^2 and i kappa, and reads the closed-form F only for the naive
 even-mode step's eigenvalues.  The rest are oracles: the closed forms
 build the dense site matrices of the library reference step
 ``euler_step`` and of ``verify``'s identity suite (``run`` builds
-none), and the spectral forms are direct sums (no fast transform) that
-check them.  There is no precomputed table.
+none), for N up to ``SITE_MATRIX_MAX_SITES``.  The package holds no
+spectral form: the direct sums that check the closed forms are
+``experiments._direct_kernel_sums`` (``verify``'s kernel oracle) and
+the tests' own.  There is no precomputed table.
 
 For odd N both kernels are N-periodic, so evaluating them at unwrapped
 displacements ``s - r`` in ``[-2L, 2L]`` equals evaluating at wrapped
@@ -32,11 +34,11 @@ exactly the sign structure of the sign-corrected even-mode evolution.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
-from .lattice import EVEN, ODD, Lattice, wrap_index
+from .lattice import EVEN, Lattice, wrap_index
 
 
 class ConsistencyError(RuntimeError):
@@ -79,48 +81,36 @@ def kernel_g(d, lattice: Lattice):
     return out
 
 
-def _require_odd(lattice: Lattice, what: str) -> None:
-    if lattice.parity != ODD:
-        raise ValueError(f"{what} is defined for odd lattices only")
-
-
-def kernel_f_spectral(d: int, lattice: Lattice) -> float:
-    """F(d) by direct summation of (1/N) sum_k k^2 e^{i 2 pi k d / N}.
-
-    Independent verification path for the closed form.  Raises
-    ``ConsistencyError`` if the imaginary residue exceeds 1e-9 * N^2.
-    """
-    _require_odd(lattice, "kernel_f_spectral")
-    n = lattice.n_sites
-    k = np.arange(-lattice.half_width, lattice.half_width + 1)
-    total = np.sum(k.astype(float) ** 2 * np.exp(2j * np.pi * k * d / n)) / n
-    if abs(total.imag) > 1e-9 * n * n:
-        raise ConsistencyError(
-            f"spectral F({d}) has imaginary residue {total.imag:.3e} on N={n}"
-        )
-    return float(total.real)
-
-
-def kernel_g_spectral(d: int, lattice: Lattice) -> float:
-    """G(d) by direct summation of (i/N) sum_k k e^{i 2 pi k d / N}."""
-    _require_odd(lattice, "kernel_g_spectral")
-    n = lattice.n_sites
-    k = np.arange(-lattice.half_width, lattice.half_width + 1)
-    total = 1j * np.sum(k.astype(float) * np.exp(2j * np.pi * k * d / n)) / n
-    if abs(total.imag) > 1e-9 * n:
-        raise ConsistencyError(
-            f"spectral G({d}) has imaginary residue {total.imag:.3e} on N={n}"
-        )
-    return float(total.real)
-
-
 # only the oracles build dense matrices (``euler_step``, the identity suite,
 # the tests); one takes 8 N^2 bytes (128 MB at N = 4001), so each of the two
 # builders keeps only the matrices of its two most recent lattices
 SITE_MATRIX_CACHE_SIZE = 2
+# largest lattice the builders accept: ``euler_step`` peaks at about
+# 33 N^2 bytes (21 MB at N = 801, 132 MB at N = 2001, 8.4 GB at
+# N = 16001), so a larger N is refused before anything is allocated
+SITE_MATRIX_MAX_SITES = 4001
 
 
-@lru_cache(maxsize=SITE_MATRIX_CACHE_SIZE)
+def _site_matrix_builder(build):
+    """``build`` cached like ``lru_cache``, refusing a lattice of more
+    than ``SITE_MATRIX_MAX_SITES`` sites before the cache is consulted."""
+    cached = lru_cache(maxsize=SITE_MATRIX_CACHE_SIZE)(build)
+
+    @wraps(build)
+    def builder(lattice: Lattice) -> np.ndarray:
+        if lattice.n_sites > SITE_MATRIX_MAX_SITES:
+            raise ValueError(
+                f"dense site matrices are built for N <= {SITE_MATRIX_MAX_SITES} "
+                f"only (got N = {lattice.n_sites})"
+            )
+        return cached(lattice)
+
+    builder.cache_info = cached.cache_info
+    builder.cache_clear = cached.cache_clear
+    return builder
+
+
+@_site_matrix_builder
 def f_site_matrix(lattice: Lattice) -> np.ndarray:
     """Dense matrix F([s - r]) over all site pairs, wrapped modulo N.
 
@@ -135,7 +125,7 @@ def f_site_matrix(lattice: Lattice) -> np.ndarray:
     return mat
 
 
-@lru_cache(maxsize=SITE_MATRIX_CACHE_SIZE)
+@_site_matrix_builder
 def g_site_matrix(lattice: Lattice) -> np.ndarray:
     """Dense matrix G(s - r) over all site pairs, unwrapped displacements."""
     sites = lattice.sites()

@@ -65,8 +65,7 @@ def make_lattice(n_sites: int, lattice_constant: float = 1.0) -> Lattice:
 
     Raises ``ValueError`` for even or too-small ``n_sites`` or a
     ``lattice_constant`` that is not positive and finite (an infinite
-    one would give g = 0); the even variant is available only through
-    ``make_even_lattice`` in the evolution module.
+    one would give g = 0); the even variant is ``make_even_lattice``.
     """
     n_sites = int(n_sites)
     if n_sites < 3 or n_sites % 2 == 0:

@@ -124,7 +124,7 @@ def combined_distribution(state: FieldState) -> np.ndarray:
     return state.a**2 + state.b**2
 
 
-def normalize(state: FieldState) -> FieldState:
+def _normalize(state: FieldState) -> FieldState:
     """Rescale both fields so that M = 1."""
     _require_one_state(state, "normalize")
     total = norm_m(state)
@@ -180,7 +180,7 @@ def gaussian_state(
         raise ValueError(f"sigma must lie in (0, {lattice.half_width}] (got {sigma})")
     offsets = _cyclic_offsets(lattice, center)
     profile = np.exp(-(offsets.astype(float) ** 2) / (4.0 * sigma * sigma))
-    base = normalize(_new_state(lattice, profile, np.zeros_like(profile)))
+    base = _normalize(_new_state(lattice, profile, np.zeros_like(profile)))
     velocity = 2.0 * lattice.reciprocal_constant * velocity_index
     return boost(base, velocity)
 
@@ -196,7 +196,7 @@ def uniform_state(
         )
     offsets = _cyclic_offsets(lattice, center)
     profile = (np.abs(offsets) <= half_width).astype(float)
-    base = normalize(_new_state(lattice, profile, np.zeros_like(profile)))
+    base = _normalize(_new_state(lattice, profile, np.zeros_like(profile)))
     velocity = 2.0 * lattice.reciprocal_constant * velocity_index
     return boost(base, velocity)
 
@@ -218,7 +218,7 @@ def random_state(lattice: Lattice, seed: int) -> FieldState:
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, lattice.n_sites)
     b = rng.uniform(-1.0, 1.0, lattice.n_sites)
-    return normalize(_new_state(lattice, a, b))
+    return _normalize(_new_state(lattice, a, b))
 
 
 def build_state(lattice: Lattice, spec: StateSpec) -> FieldState:

@@ -11,8 +11,10 @@ from pathlib import Path
 import pytest
 
 import ringfield
+import ringfield.basis
 import ringfield.evolve
 import ringfield.experiments
+import ringfield.kernels
 import ringfield.observables
 import ringfield.state
 from ringfield import EvolutionConfig, FieldState, RunConfig, gaussian_state, make_lattice, run
@@ -43,9 +45,18 @@ def test_no_kernel_table_exports():
         (ringfield.experiments, "tau_degradation_run"),
         (ringfield.observables, "momentum_distribution"),
         (ringfield.observables, "m_step_increase_confined_estimate"),
+        # second paths to a job other code does: direct kernel sums, the
+        # inverse state transform and a constructor helper
+        (ringfield.kernels, "kernel_f_spectral"),
+        (ringfield.kernels, "kernel_g_spectral"),
+        (ringfield.basis, "from_momentum_basis"),
+        (ringfield.state, "normalize"),
     ):
         assert not hasattr(ringfield, name), name
         assert not hasattr(module, name), name
+    assert not hasattr(ringfield.MomentumSpectrum, "occupation")
+    # the even lattice comes from ``lattice``, not re-exported by ``evolve``
+    assert not hasattr(ringfield.evolve, "make_even_lattice")
 
 
 @pytest.mark.parametrize("procedure, parameters", [

@@ -4,8 +4,8 @@ initial spectrum and reports, to the oracle gate, the numbers a full
 fire.
 
 Also: real rows against their complex cast, the tabulated
-kernel oracle sums against complex exponentials, and the bound on the
-dense site-matrix caches."""
+kernel oracle sums against complex exponentials, and the bounds on the
+dense site matrices: two cached lattices, and no N past the cap."""
 
 import tracemalloc
 import warnings
@@ -15,10 +15,13 @@ import pytest
 
 import ringfield.evolve
 import ringfield.experiments
+import ringfield.kernels
 import ringfield.observables
 from ringfield import (
     ConsistencyError,
     EvolutionConfig,
+    euler_step,
+    gaussian_state,
     make_lattice,
     paper_table_grid,
     paper_table_run,
@@ -34,7 +37,7 @@ from ringfield.experiments import (
     _relative_variation,
     table_state,
 )
-from ringfield.kernels import f_site_matrix, g_site_matrix, kernel_f
+from ringfield.kernels import SITE_MATRIX_MAX_SITES, f_site_matrix, g_site_matrix, kernel_f
 from ringfield.lattice import make_even_lattice
 from ringfield.observables import conserved_columns, spectral_series
 
@@ -133,6 +136,40 @@ def test_site_matrix_caches_stay_bounded():
         g_site_matrix(make_lattice(n))
     assert f_site_matrix.cache_info().currsize <= 2
     assert g_site_matrix.cache_info().currsize <= 2
+
+
+DENSE_BUILDERS = {
+    "euler_step": lambda state: euler_step(state, 1e-3),
+    "f_site_matrix": lambda state: f_site_matrix(state.lattice),
+    "g_site_matrix": lambda state: g_site_matrix(state.lattice),
+}
+
+
+def _refuses_without_allocating(build, state, cap):
+    caches = (f_site_matrix.cache_info(), g_site_matrix.cache_info())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"N <= {cap} only") as info:
+            build(state)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "\n" not in str(info.value)
+    assert peak < 2**20
+    assert (f_site_matrix.cache_info(), g_site_matrix.cache_info()) == caches
+
+
+@pytest.mark.parametrize("name", DENSE_BUILDERS)
+def test_dense_builders_refuse_lattices_past_the_cap(monkeypatch, name):
+    build = DENSE_BUILDERS[name]
+    assert SITE_MATRIX_MAX_SITES == 4001
+    too_large = gaussian_state(make_lattice(SITE_MATRIX_MAX_SITES + 2), 0, 5.0)
+    _refuses_without_allocating(build, too_large, SITE_MATRIX_MAX_SITES)
+    # a lattice at the cap is built; shown on a lowered cap, so that no
+    # test builds a matrix past N = 801
+    monkeypatch.setattr(ringfield.kernels, "SITE_MATRIX_MAX_SITES", 21)
+    build(gaussian_state(make_lattice(21), 0, 2.0))
+    _refuses_without_allocating(build, gaussian_state(make_lattice(23), 0, 2.0), 21)
 
 
 def _block_path_columns(state, tau, steps):

@@ -10,13 +10,7 @@ import cmath
 import numpy as np
 import pytest
 
-from ringfield import (
-    kernel_f,
-    kernel_f_spectral,
-    kernel_g,
-    kernel_g_spectral,
-    make_lattice,
-)
+from ringfield import kernel_f, kernel_g, make_lattice
 from ringfield.lattice import make_even_lattice
 
 
@@ -91,27 +85,30 @@ class TestClosedForms:
 
 
 class TestSpectralOracle:
-    def test_f_spectral_n3(self):
-        lat = make_lattice(3)
-        assert kernel_f_spectral(1, lat) == pytest.approx(-1 / 3, abs=1e-12)
+    """The closed forms against values of the spectral sums, frozen here
+    or summed in the test."""
 
-    def test_f_spectral_n5(self):
+    def test_f_n3_frozen_sum(self):
+        lat = make_lattice(3)
+        assert kernel_f(1, lat) == pytest.approx(-1 / 3, abs=1e-12)
+
+    def test_f_n5_frozen_sum(self):
         lat = make_lattice(5)
         expected = -np.cos(np.pi / 5) / (2 * np.sin(np.pi / 5) ** 2)
-        assert kernel_f_spectral(1, lat) == pytest.approx(-1.1708203932499369, abs=1e-12)
-        assert kernel_f_spectral(1, lat) == pytest.approx(expected, abs=1e-12)
+        assert kernel_f(1, lat) == pytest.approx(-1.1708203932499369, abs=1e-12)
+        assert kernel_f(1, lat) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 5, 21, 101])
-    def test_f_spectral_zero_is_sum_of_squares(self, n):
+    def test_f_zero_is_sum_of_squares(self, n):
         lat = make_lattice(n)
-        assert kernel_f_spectral(0, lat) == pytest.approx((n * n - 1) / 12, rel=1e-12)
+        assert kernel_f(0, lat) == pytest.approx((n * n - 1) / 12, rel=1e-12)
 
-    def test_g_spectral_values(self):
+    def test_g_frozen_sums(self):
         lat3 = make_lattice(3)
-        assert kernel_g_spectral(1, lat3) == pytest.approx(-0.5773502691896258, abs=1e-12)
-        assert kernel_g_spectral(0, lat3) == pytest.approx(0.0, abs=1e-15)
+        assert kernel_g(1, lat3) == pytest.approx(-0.5773502691896258, abs=1e-12)
+        assert kernel_g(0, lat3) == pytest.approx(0.0, abs=1e-15)
         lat5 = make_lattice(5)
-        assert kernel_g_spectral(2, lat5) == pytest.approx(0.5257311121191336, abs=1e-12)
+        assert kernel_g(2, lat5) == pytest.approx(0.5257311121191336, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 5, 7, 21, 101, 801])
     def test_closed_forms_match_spectral_sums(self, n):
@@ -126,13 +123,6 @@ class TestSpectralOracle:
         g_spec = (1j * (k @ phases) / n).real
         assert np.max(np.abs(kernel_f(d, lat) - f_spec)) < 1e-9 * f0
         assert np.max(np.abs(kernel_g(d, lat) - g_spec)) < 1e-9 * n
-
-    def test_spectral_rejects_even_lattice(self):
-        lat = make_even_lattice(8)
-        with pytest.raises(ValueError):
-            kernel_f_spectral(1, lat)
-        with pytest.raises(ValueError):
-            kernel_g_spectral(1, lat)
 
 
 class TestKernelTable:

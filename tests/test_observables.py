@@ -97,7 +97,7 @@ class TestBoostShift:
 class TestMomentumDistribution:
     def test_plane_wave_is_delta(self):
         state = plane_wave(LAT, -77)
-        dist = to_momentum_basis(state).occupation()
+        dist = np.abs(to_momentum_basis(state).coefficients) ** 2
         slot = -77 + LAT.half_width
         assert dist[slot] == pytest.approx(1.0, abs=1e-12)
         assert np.sum(dist) == pytest.approx(1.0, abs=1e-12)

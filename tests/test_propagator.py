@@ -6,6 +6,7 @@ FFT step written out in this file, the dense O(N^2) ``euler_step``, and
 the dense naive even-mode step that used to be the production code.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from ringfield.evolve import (
     EVEN_NAIVE,
     EXACT,
     advance,
+    propagate_blocks,
     propagator,
 )
 from ringfield.kernels import f_site_matrix
@@ -187,6 +189,43 @@ def test_propagator_rejects_bad_input():
         propagator(LAT, EVEN_NAIVE, 1e-3)
     with pytest.raises(ValueError, match="not finite"):
         propagator(make_lattice(101, 1e-300), EXACT, 1e-3)
+
+
+SMALL = gaussian_state(make_lattice(101), 0, 5.0, 3)
+BAD_STEP_COUNTS = [
+    # tau g^2 N^2 = 39.5 is far past the bound, which only n > 0 checks
+    ("advance", EULER, 1.0, -1),
+    ("advance", EULER, 1e-3, -1),
+    ("advance", EULER, 1e-3, 2.5),
+    ("advance", EULER, 1e-3, 0.0),
+    ("advance", EXACT, 0.1, -1),
+    ("advance", EXACT, 0.1, 0.5),
+    ("propagate_blocks", EULER, 1e-3, [0, -1]),
+    ("propagate_blocks", EULER, 1e-3, [0, 2.5]),
+    ("propagate_blocks", EXACT, 0.1, [np.int64(-2)]),
+]
+
+
+@pytest.mark.parametrize("call, kind, step, count", BAD_STEP_COUNTS,
+                         ids=[f"{c} {k} {s:g} {n}" for c, k, s, n in BAD_STEP_COUNTS])
+def test_step_counts_must_be_non_negative_integers(monkeypatch, call, kind, step, count):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a transform ran before the step count was checked")
+
+    for name in ("fft", "ifft", "rfft"):
+        monkeypatch.setattr(np.fft, name, forbidden)
+    bad = count if call == "advance" else count[-1]
+    with pytest.raises(ValueError, match=re.escape(f"(got {bad!r})")):
+        if call == "advance":
+            advance(SMALL, kind, step, count)
+        else:
+            list(propagate_blocks(SMALL, kind, step, count))
+
+
+def test_numpy_integer_step_counts_count():
+    expected = advance(SMALL, EULER, 1e-3, 7).amplitudes()
+    for count in (np.int64(7), np.int32(7), np.uint8(7)):
+        assert np.array_equal(advance(SMALL, EULER, 1e-3, count).amplitudes(), expected)
 
 
 def test_overflowing_power_raises_value_error():

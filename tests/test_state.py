@@ -16,7 +16,6 @@ from ringfield import (
     make_lattice,
     momentum_expectation,
     norm_m,
-    normalize,
     position_mean,
     position_spread,
     random_state,
@@ -35,7 +34,7 @@ from ringfield.observables import (
     snapshot,
     snapshots,
 )
-from ringfield.state import _new_state
+from ringfield.state import _new_state, _normalize
 
 LAT = make_lattice(801)
 RNG = np.random.default_rng(5)
@@ -163,13 +162,13 @@ class TestNormalise:
         lat3 = make_lattice(3)
         state = _new_state(lat3, np.array([2.0, 0, 0]), np.zeros(3))
         assert norm_m(state) == 4.0
-        np.testing.assert_allclose(normalize(state).a, [1.0, 0, 0], atol=0)
+        np.testing.assert_allclose(_normalize(state).a, [1.0, 0, 0], atol=0)
 
     def test_zero_state_rejected(self):
         lat3 = make_lattice(3)
         state = _new_state(lat3, np.zeros(3), np.zeros(3))
         with pytest.raises(DegenerateStateError):
-            normalize(state)
+            _normalize(state)
 
     def test_combined_distribution_sums_to_one(self):
         state = gaussian_state(LAT, 0, 10.0, 20)
@@ -276,7 +275,7 @@ class TestBlocks:
                 operation()
 
     SINGLE_STATE_MEASUREMENTS = {
-        "normalize": normalize,
+        "normalize": _normalize,
         "drift_velocity": drift_velocity,
         "momentum_expectation": momentum_expectation,
         "position_mean": position_mean,
