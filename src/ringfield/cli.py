@@ -5,7 +5,8 @@ Subcommands:
     run          evolve one configured state, write the observable CSV
     verify       kernel-oracle and identity suites, exit 0 iff green
     paper-table  the 3 shapes x 3 time steps conservation grid
-    compare      reaction step vs exact unitary from the same state
+    compare      reaction step vs exact unitary from the same state, in
+                 closed form (``experiments.compare_rows``)
     even-odd     parity demonstration report
 
 Exit codes: 0 success, 1 failed checks, 2 invalid configuration,
@@ -24,13 +25,12 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from .config import RunConfig, read_config
-from .evolve import EULER, EXACT, TimestepBoundError, propagate_blocks, record_steps, run
+from .evolve import TimestepBoundError, run
 from .experiments import (
     IDENTITY_N_LIST,
     KERNEL_ORACLE_N_LIST,
+    compare_rows,
     even_odd_comparison,
     identity_suite,
     kernel_oracle_check,
@@ -39,7 +39,6 @@ from .experiments import (
 )
 from .ioutil import atomic_write_text, check_directory, check_writable, fmt
 from .kernels import ConsistencyError
-from .observables import conserved_columns
 from .state import build_state, write_state_csv
 
 EXIT_OK = 0
@@ -157,18 +156,7 @@ def _cmd_paper_table(args) -> int:
 
 
 def _compare_rows(state, config: RunConfig) -> list[tuple]:
-    steps = record_steps(config.n_steps, config.record_every)
-    rows = []
-    for (chunk, euler, euler_hat), (_chunk, exact, exact_hat) in zip(
-        propagate_blocks(state, EULER, config.tau, steps),
-        propagate_blocks(state, EXACT, config.tau, steps),
-    ):
-        deviation = np.linalg.norm(euler.c - exact.c, axis=-1)
-        m_euler, drift_euler, _momentum = conserved_columns(euler, euler_hat)
-        m_exact, drift_exact, _momentum = conserved_columns(exact, exact_hat)
-        columns = (deviation, m_euler, m_exact, drift_euler, drift_exact)
-        rows.extend(zip(chunk, *(column.tolist() for column in columns)))
-    return rows
+    return compare_rows(state, config.tau, config.n_steps, config.record_every)
 
 
 def _cmd_compare(args) -> int:

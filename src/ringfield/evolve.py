@@ -24,31 +24,23 @@ evolution: its unitary reference is ``exact_step`` on the even lattice,
 whose half-integer basis carries the sign-corrected translation, and
 the two part ways once amplitude crosses the index seam.
 
-So n steps are one multiplier raised to the power n.
-``propagate_blocks`` transforms the initial state once and builds only
-the rows asked for, a block of rows at a time: the rows c_hat_0 m^n for
-the block's steps n go through one batched inverse transform, and the
-block comes with those coefficient rows (at n = 0, m^0 = 1, c_hat_0
-itself).  ``run``, ``compare`` and the shape experiment hand them to
-``observables.snapshots`` or ``conserved_columns``, which take <P> and
-<V> from them, so a record costs one transform.  The inverse transform
-is still checked on every row: the row's summed occupation must match
-the M of its amplitudes (Parseval).  The naive even-mode step multiplies
-coefficients of the storage-order DFT, not of the momentum basis, so
-its blocks take the momentum coefficients of their rows by one batched
-forward transform.  A block holds at most ``RECORD_BLOCK_BYTES`` of
-amplitudes, or one row where a row alone is larger, so memory stays
-flat as the record count grows.
-A block is a ``FieldState`` of rows; a checkpoint copies its row, so
-it does not keep the block alive.  The lattice alone selects the
-linearised step: Euler on an odd lattice, the naive even-mode step on
-an even one.  ``advance`` takes n steps of any kind, ``exact_step`` and
-``translate_spectral`` are n = 1 of the same propagator, and ``run``
-has no other path.  The direct O(N^2) correlation ``euler_step`` is the
-paper's site-space step, kept as the independent reference the fast
-path is checked against: the tests iterate it, and the identity suite
-steps a whole block of states at once through its row-wise form,
-``_dense_euler_step``.
+So n steps are one multiplier raised to the power n.  ``run``
+transforms the initial state once and builds only the rows it records,
+a block (a ``FieldState`` of at most ``RECORD_BLOCK_BYTES``, or one
+row) at a time (``_power_blocks``): the rows c_hat_0 m^n go through one
+batched inverse transform, and ``observables.snapshots`` measures <P>
+and <V> from those coefficient rows, checking Parseval on every row.
+So a record costs one transform, and memory stays flat as the record
+count grows.  The naive even-mode step multiplies coefficients of the
+storage-order DFT, so its blocks take their momentum coefficients by
+one batched forward transform.  ``compare`` and the conservation table
+build no rows: their columns are closed forms in c_hat_0
+(``experiments``).  The lattice alone selects the linearised step.
+``advance`` takes n steps of any kind, and ``exact_step`` and
+``translate_spectral`` are n = 1 of it.  The direct O(N^2) correlation
+``euler_step`` is the paper's site-space step, kept as the independent
+reference: the tests iterate it, and the identity suite steps a block
+of states at once through its row-wise form, ``_dense_euler_step``.
 """
 
 from __future__ import annotations
@@ -160,12 +152,6 @@ class Propagator:
     log_multiplier: np.ndarray
     storage_dft: bool = False
 
-    def forward(self, state: FieldState) -> np.ndarray:
-        """Coefficients of ``state`` in this propagator's basis."""
-        if self.storage_dft:
-            return np.fft.fft(state.c)
-        return momentum_coefficients(self.lattice, state.c)
-
     def amplitudes_after(
         self, coefficients: np.ndarray, steps
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -222,15 +208,15 @@ def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
     return Propagator(lattice, log_m, storage_dft=kind == EVEN_NAIVE)
 
 
-def _block_rows(lattice: Lattice) -> int:
-    """Rows per block: ``RECORD_BLOCK_BYTES`` of complex amplitudes."""
-    return max(1, RECORD_BLOCK_BYTES // (np.dtype(complex).itemsize * lattice.n_sites))
-
-
 def _power_blocks(
     state: FieldState, kind: str, step: float, steps: list[int]
 ) -> Iterator[tuple[list[int], FieldState, np.ndarray]]:
-    """``propagate_blocks`` without the tau bound check."""
+    """Yield ``(ns, block, coefficients)`` for the n of ``steps``, a block
+    at a time (module docstring); a row at n = 0 holds ``state`` and its
+    c_hat_0 exactly.  The propagator is built only when some n >= 1; the
+    caller checks the tau bound.  Raises ``ValueError``, before any
+    transform, for a count that is not an integer >= 0 or a ``state``
+    that is a block, and for a row that leaves the finite floats."""
     lattice = state.lattice
     _require_one_state(state, "evolution")
     for n in steps:
@@ -238,8 +224,9 @@ def _power_blocks(
             raise ValueError(f"step counts must be integers >= 0 (got {n!r})")
     at_zero = np.asarray(steps) == 0
     prop = None if at_zero.all() else propagator(lattice, kind, step)
-    initial = momentum_coefficients(lattice, state.c) if prop is None else prop.forward(state)
-    rows = _block_rows(lattice)
+    naive = prop is not None and prop.storage_dft
+    initial = np.fft.fft(state.c) if naive else momentum_coefficients(lattice, state.c)
+    rows = max(1, RECORD_BLOCK_BYTES // (np.dtype(complex).itemsize * lattice.n_sites))
     for lo in range(0, len(steps), rows):
         chunk, zero = steps[lo:lo + rows], at_zero[lo:lo + rows]
         if prop is None:  # every row is n = 0
@@ -249,43 +236,16 @@ def _power_blocks(
             evolved, amplitudes = prop.amplitudes_after(initial, chunk)
             amplitudes[zero] = state.c
         block = state_from_amplitudes(lattice, amplitudes)
-        if prop is not None and prop.storage_dft:
+        if naive:
             evolved = momentum_coefficients(lattice, block.c)
         yield chunk, block, evolved
 
 
-def propagate_blocks(
-    state: FieldState, kind: str, step: float, steps: Iterable[int]
-) -> Iterator[tuple[list[int], FieldState, np.ndarray]]:
-    """Yield ``(ns, block, coefficients)``: the states after n steps for
-    each n of ``steps``, a block (a ``FieldState`` of rows) at a time,
-    in order, with the unbiased-basis coefficients of its rows.
-
-    Every row is one power of the same multiplier: one forward
-    transform, then one batched inverse transform per block of at most
-    ``RECORD_BLOCK_BYTES`` (or one row).  ``coefficients`` are the rows
-    c_hat_0 m^n the block was built from, which ``conserved_columns``
-    and ``snapshots`` measure without a transform; a row at n = 0 holds
-    ``state`` exactly and c_hat_0 = ``momentum_coefficients`` of it.
-    The naive even-mode step (storage-order DFT) takes its blocks'
-    coefficients by a forward transform of the rows.  The linearised
-    kinds check ``check_tau_bound`` here, once, when some n >= 1; the
-    propagator is built only then, so a list of zeros needs no valid
-    multiplier.  Raises ``ValueError``, before any transform, for a
-    count that is not an integer >= 0 (a Python or numpy integer), or
-    when ``state`` is a block of rows rather than one state; and when a
-    row leaves the finite floats.
-    """
-    steps = list(steps)
-    if _takes_linearised_step(kind, steps):
-        check_tau_bound(step, state.lattice, stacklevel=2)
-    return _power_blocks(state, kind, step, steps)
-
-
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
     """The state after ``n_steps`` steps of one kind (one row of
-    ``propagate_blocks``, with its checks); n = 0 returns ``state``
-    itself, with no transform and no check of ``kind`` or ``step``."""
+    ``_power_blocks``, after the tau bound check); n = 0 returns
+    ``state`` itself, with no transform and no check of ``kind`` or
+    ``step``."""
     if n_steps == 0 and isinstance(n_steps, numbers.Integral):
         _require_one_state(state, "evolution")
         return state
@@ -370,12 +330,9 @@ def run(
 
     Snapshots are taken at step 0, every ``record_every`` steps and at
     the final step.  ``checkpoint_every`` > 0 additionally stores full
-    states at those steps.  Only those rows are built, a block at a
-    time (``propagate_blocks``), each row one power of the step
-    multiplier; each block is measured by one ``snapshots`` call, from
-    the momentum coefficients it comes with.  The lattice picks the
-    Euler or the naive even-mode step.  The tau bound is checked once,
-    when a step is taken.
+    states at those steps.  Only those rows are built, a block at a time
+    (module docstring).  The lattice picks the Euler or the naive
+    even-mode step.  The tau bound is checked once, when a step is taken.
     """
     steps = record_steps(n_steps, record_every)
     lattice = state.lattice

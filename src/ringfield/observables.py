@@ -24,21 +24,17 @@ circle and linear moments stop meaning anything once a packet wraps.
 
 Every observable is written over the last axis of its arrays, so a
 whole block of states (a ``FieldState`` with one state per row) is
-measured at once.
-``conserved_columns`` is the one place that formula is evaluated: it
-gives M, the drift and <P> of every row, from the coefficient rows that
-``evolve.propagate_blocks`` yields with every block, or else from
-``basis.momentum_coefficients`` of the rows (two batched real-input
-transforms, of the a rows and of the b rows), and checks Parseval on
-every row against the site-space M.  ``snapshots`` calls it and adds
-the position columns: the circular moments and the shape residual.
+measured at once.  ``conserved_columns`` evaluates that formula on every
+row, from the coefficient rows ``run`` builds its blocks from or from
+``basis.momentum_coefficients``, and checks Parseval on every row
+against the site-space M; ``snapshots`` adds the position columns.
 ``snapshot`` and the single-state functions are the same code on a
 state of shape (N,); they raise ``ValueError`` for a block.
 
 A step that multiplies every momentum coefficient by m scales the
 occupation by |m|^2, so M and <P> after any number of steps follow from
-the initial occupation alone; ``spectral_series`` evaluates them there,
-with no transform at all.  The conservation table needs nothing else.
+the initial occupation alone: ``spectral_series`` evaluates them there,
+from the same odd part, with no transform at all.
 """
 
 from __future__ import annotations
@@ -114,23 +110,19 @@ def conserved_columns(
 def spectral_series(
     lattice: Lattice, occupation: np.ndarray, log_magnitude: np.ndarray, steps
 ) -> tuple[np.ndarray, np.ndarray]:
-    """M and <P> after n steps, for each n of ``steps``, from the initial
-    occupation alone.
+    """M(n) = sum_k |c_hat_0,k|^2 |m_k|^(2n) and <P>(n) for each n of
+    ``steps``, from ``occupation`` |c_hat_0|^2 and ``log_magnitude``
+    ln|m|, both ordered like ``lattice.momentum_values()``.
 
-    n steps multiply each unbiased-basis coefficient by m^n, so
-
-        M(n)   = sum_k |c_hat_0,k|^2 |m_k|^(2n),
-        <P>(n) = g sum_k kappa |c_hat_0,k|^2 |m_k|^(2n).
-
-    ``occupation`` is |c_hat_0|^2 and ``log_magnitude`` ln|m| per
-    momentum (the real part of ``Propagator.log_multiplier``), both
-    ordered like ``lattice.momentum_values()``.  The weights
-    exp(2 n ln|m|) are built ``RECORD_BLOCK_BYTES`` of rows (or one row)
-    at a time, so memory stays flat as the number of steps grows.
-    Raises ``ValueError`` when a value leaves the finite floats.
+    |m_k| = |m_-k|, so <P> sums the odd part of the occupation, as
+    ``conserved_columns`` does: an even occupation has <P> exactly 0.0.
+    The weights exp(2 n ln|m|) are built ``RECORD_BLOCK_BYTES`` of rows
+    (or one row) at a time, so memory stays flat as the step count
+    grows.  Raises ``ValueError`` when a value leaves the finite floats.
     """
     steps = np.asarray(steps, dtype=float)
-    moments = np.stack((occupation, lattice.momentum_values() * occupation), axis=-1)
+    odd_part = lattice.momentum_values() * (occupation - occupation[::-1]) / 2.0
+    moments = np.stack((occupation, odd_part), axis=-1)
     twice = 2.0 * np.asarray(log_magnitude, dtype=float)
     rows = max(1, RECORD_BLOCK_BYTES // (np.dtype(float).itemsize * lattice.n_sites))
     series = np.empty((steps.size, 2))

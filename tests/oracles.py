@@ -1,5 +1,6 @@
 """Independent evaluations that the tests hold the package against."""
 
+from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -59,3 +60,68 @@ def identity_m_drift_residual(n_sites_list, states_per_n, seed, tau) -> float:
                 predicted = tau**2 * g**4 * float(np.real(np.vdot(c, conv @ c)))
                 worst_m = max(worst_m, abs(measured - predicted) / abs(predicted))
     return worst_m
+
+
+def _complex_product(p, q):
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
+def _complex_power(z, n):
+    """z^n by repeated squaring, in the current decimal context."""
+    result = (Decimal(1), Decimal(0))
+    while n:
+        if n & 1:
+            result = _complex_product(result, z)
+        z = _complex_product(z, z)
+        n >>= 1
+    return result
+
+
+def _cos_sin(theta):
+    """cos and sin of a decimal angle by their Taylor series, summed
+    until a term falls below the context's precision.  A large angle
+    loses digits to cancellation; the callers' angles are below 10."""
+    cos, sin = Decimal(0), Decimal(0)
+    term, k = Decimal(1), 0  # theta^k / k!
+    floor = Decimal(10) ** -(getcontext().prec + 5)
+    while abs(term) > floor or k < 2:
+        if k % 2 == 0:
+            cos += term if k % 4 == 0 else -term
+        else:
+            sin += term if k % 4 == 1 else -term
+        k += 1
+        term = term * theta / k
+    return cos, sin
+
+
+def deviation_decimal(occupation, x, steps, digits=50) -> list:
+    """sqrt(sum_k occ_k |(1 - i x_k)^n - exp(-i n x_k)|^2) for each n of
+    ``steps`` (ascending, from 0), in ``decimal`` at ``digits`` digits.
+
+    ``occupation`` and ``x`` are float64 and are converted exactly.  The
+    power of the Euler multiplier is taken by repeated squaring and the
+    exact phase by Taylor series of cos and sin; both are carried from
+    one step count to the next.  Shares neither the expm1 formula nor
+    float64 rounding with the package.
+    """
+    with localcontext() as context:
+        context.prec = digits
+        totals = [Decimal(0)] * len(steps)
+        for occ, xk in zip(np.asarray(occupation, float), np.asarray(x, float)):
+            if occ == 0.0:
+                continue
+            occ, xk = Decimal(float(occ)), Decimal(float(xk))
+            euler, exact, done = (Decimal(1), Decimal(0)), (Decimal(1), Decimal(0)), 0
+            factors = {}
+            for row, n in enumerate(steps):
+                gap = n - done
+                if gap not in factors:
+                    cos, sin = _cos_sin(gap * xk)
+                    factors[gap] = (_complex_power((Decimal(1), -xk), gap), (cos, -sin))
+                power, rotation = factors[gap]
+                euler = _complex_product(euler, power)
+                exact = _complex_product(exact, rotation)
+                done = n
+                real, imag = euler[0] - exact[0], euler[1] - exact[1]
+                totals[row] += occ * (real * real + imag * imag)
+        return [total.sqrt() for total in totals]

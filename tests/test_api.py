@@ -36,12 +36,14 @@ def _public_functions():
 def test_no_kernel_table_exports():
     for name in ("KernelTable", "build_kernel_table", "momentum_expectation_spectral"):
         assert not hasattr(ringfield, name), name
-    # one-step wrappers of ``advance``, a per-state ``propagate_blocks``
+    # one-step wrappers of ``advance``, a per-state ``propagate_blocks``,
+    # ``propagate_blocks`` itself once ``compare`` became a closed form,
     # and procedures only the tests called
     for module, name in (
         (ringfield.evolve, "euler_step_spectral"),
         (ringfield.evolve, "even_naive_step"),
         (ringfield.evolve, "propagate"),
+        (ringfield.evolve, "propagate_blocks"),
         (ringfield.experiments, "tau_degradation_run"),
         (ringfield.observables, "momentum_distribution"),
         (ringfield.observables, "m_step_increase_confined_estimate"),

@@ -10,7 +10,7 @@ from ringfield import (
     to_momentum_basis,
 )
 from ringfield.basis import momentum_coefficients, site_amplitudes
-from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, propagate_blocks
+from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, _power_blocks
 from ringfield.lattice import make_even_lattice
 
 RNG = np.random.default_rng(11)
@@ -108,10 +108,10 @@ class TestDirectSum:
 @pytest.mark.parametrize("n, kind", [(21, EULER), (21, EXACT), (20, EVEN_NAIVE), (20, EXACT)])
 @pytest.mark.parametrize("steps", [[0], [0, 5]], ids=["no step", "steps"])
 def test_step_zero_row_carries_the_state_spectrum(n, kind, steps):
-    """The coefficient row ``propagate_blocks`` yields at n = 0 is the
+    """The coefficient row ``_power_blocks`` yields at n = 0 is the
     state's own spectrum, bit for bit."""
     state = random_state(_lattice(n), 7)
-    (_ns, _block, coefficients), *_rest = propagate_blocks(state, kind, 1e-3, steps)
+    (_ns, _block, coefficients), *_rest = _power_blocks(state, kind, 1e-3, steps)
     expected = to_momentum_basis(state).coefficients
     assert coefficients.shape == (len(steps), n)
     assert coefficients[0].tobytes() == expected.tobytes()

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+import ringfield.experiments
 from ringfield.cli import main
 from ringfield.series import TIMESERIES_CSV_HEADER
 
@@ -165,6 +168,27 @@ class TestCompareCommand:
         devs = [float(r[1]) for r in rows]
         assert devs[0] == 0.0
         assert devs[-1] > devs[1] > 0.0
+
+    def test_zero_steps_give_one_row_and_build_no_propagator(self, monkeypatch, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a propagator was built")
+
+        monkeypatch.setattr(ringfield.experiments, "propagator", forbidden)
+        assert main(["compare", "--n-sites", "101", "--width", "5", "--n-steps", "0"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert header == "step,deviation,m_euler,m_exact,drift_euler,drift_exact"
+        assert row.split(",")[:2] == ["0", "0.0"]
+
+    @pytest.mark.parametrize("n_steps", ["0", "20"])
+    def test_state_without_momentum_has_exactly_zero_drift(self, capsys, n_steps):
+        assert main([
+            "compare", "--shape", "uniform", "--width", "5", "--velocity-index", "0",
+            "--n-sites", "101", "--n-steps", n_steps, "--record-every", "5",
+        ]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == int(n_steps) // 5 + 1
+        assert rows[0][1] == "0.0"
+        assert all(row[4:] == ["0.0", "0.0"] for row in rows)
 
 
 class TestEvenOddCommand:

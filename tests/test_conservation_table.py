@@ -29,7 +29,7 @@ from ringfield import (
     run,
 )
 from ringfield.basis import momentum_coefficients
-from ringfield.evolve import EULER, propagate_blocks, propagator
+from ringfield.evolve import EULER, _power_blocks, propagator
 from ringfield.experiments import (
     TABLE_SHAPES,
     TABLE_TAUS,
@@ -176,7 +176,7 @@ def _block_path_columns(state, tau, steps):
     """M and <V> of every recorded state, built a block at a time and
     measured in site space (the table's path before the closed form)."""
     m_total, drift = [], []
-    for _chunk, block, _coefficients in propagate_blocks(state, EULER, tau, steps):
+    for _chunk, block, _coefficients in _power_blocks(state, EULER, tau, steps):
         m_block, drift_block, _momentum = conserved_columns(block)
         m_total.append(m_block)
         drift.append(drift_block)

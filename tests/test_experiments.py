@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 import ringfield.experiments
 from ringfield import (
+    TimestepBoundError,
     confined_drift_diagnostic,
     euler_step,
     even_odd_comparison,
@@ -144,6 +146,17 @@ class TestOrderOfAccuracy:
         for key, value in report.metrics.items():
             if key.startswith("order:"):
                 assert value == pytest.approx(2.0, abs=0.1)
+
+    def test_its_deliberate_step_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert order_of_accuracy_run().passed
+
+    def test_the_hard_tau_limit_still_raises(self, monkeypatch):
+        # tau g^2 N^2 = 0.02 (2 pi)^2 = 0.79, past the limit of 0.5
+        monkeypatch.setattr(ringfield.experiments, "ORDER_TAUS", (2e-2, 1e-2))
+        with pytest.raises(TimestepBoundError):
+            order_of_accuracy_run()
 
 
 class TestEvenOddComparison:

@@ -177,9 +177,10 @@ class TestSnapshot:
 class TestMDriftDiagnostics:
     def test_exact_formula_matches_measured_step(self):
         state = gaussian_state(LAT, 0, 10.0, 20)
-        tau = 4e-3
+        tau = 4e-3  # tau g^2 N^2 = 0.158, past the warning threshold on purpose
         predicted = m_step_increase_exact(state, tau)
-        stepped = euler_step(state, tau)
+        with pytest.warns(UserWarning, match=r"tau \* g\^2 \* N\^2 = 0\.158"):
+            stepped = euler_step(state, tau)
         measured = norm_m(stepped) - norm_m(state)
         assert measured == pytest.approx(predicted, rel=1e-5)
 

@@ -27,8 +27,8 @@ from ringfield.evolve import (
     EULER,
     EVEN_NAIVE,
     EXACT,
+    _power_blocks,
     advance,
-    propagate_blocks,
     propagator,
 )
 from ringfield.kernels import f_site_matrix
@@ -200,9 +200,9 @@ BAD_STEP_COUNTS = [
     ("advance", EULER, 1e-3, 0.0),
     ("advance", EXACT, 0.1, -1),
     ("advance", EXACT, 0.1, 0.5),
-    ("propagate_blocks", EULER, 1e-3, [0, -1]),
-    ("propagate_blocks", EULER, 1e-3, [0, 2.5]),
-    ("propagate_blocks", EXACT, 0.1, [np.int64(-2)]),
+    ("_power_blocks", EULER, 1e-3, [0, -1]),
+    ("_power_blocks", EULER, 1e-3, [0, 2.5]),
+    ("_power_blocks", EXACT, 0.1, [np.int64(-2)]),
 ]
 
 
@@ -219,7 +219,7 @@ def test_step_counts_must_be_non_negative_integers(monkeypatch, call, kind, step
         if call == "advance":
             advance(SMALL, kind, step, count)
         else:
-            list(propagate_blocks(SMALL, kind, step, count))
+            list(_power_blocks(SMALL, kind, step, count))
 
 
 def test_numpy_integer_step_counts_count():

@@ -1,8 +1,9 @@
-"""Record blocks: ``run`` and ``compare`` measure their records a block
-of rows at a time.  Every row must equal an independent evaluation of
-the same state built on its own, the guards must still fire row by row,
-no block may exceed ``RECORD_BLOCK_BYTES``, and the tau-bound warning
-must name the caller."""
+"""Record blocks: ``run`` measures its records a block of rows at a
+time, and ``compare`` evaluates its rows in closed form, a block of
+rows at a time.  Every row must equal an independent evaluation of the
+same state built on its own, the guards must still fire, no block may
+exceed ``RECORD_BLOCK_BYTES``, and the tau-bound warning must name the
+caller."""
 
 import math
 import warnings
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import ringfield.evolve
+import ringfield.experiments
 import ringfield.observables
 from ringfield import (
     ConsistencyError,
@@ -25,8 +27,9 @@ from ringfield import (
     run,
     uniform_state,
 )
+from ringfield.basis import momentum_coefficients
 from ringfield.cli import _compare_rows
-from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, RECORD_BLOCK_BYTES, propagate_blocks
+from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, RECORD_BLOCK_BYTES
 from ringfield.ioutil import fmt
 from ringfield.kernels import g_site_matrix
 from ringfield.observables import (
@@ -36,6 +39,8 @@ from ringfield.observables import (
     position_spread,
 )
 from ringfield.state import norm_m
+
+from oracles import deviation_decimal
 
 BLOCK_RTOL = 1e-12  # of each column's maximum
 TAU = 1e-3
@@ -146,12 +151,14 @@ COMPARE_COLUMNS = ("deviation", "m_euler", "m_exact", "drift_euler", "drift_exac
 
 @pytest.mark.parametrize("n_sites", [3, 21, 801])
 def test_compare_rows_match_states_built_one_at_a_time(monkeypatch, n_sites):
-    """Every column of ``compare``, measured a block at a time from the
-    coefficient rows, against states built on their own and the dense
-    G double sums."""
+    """Every column of ``compare``, evaluated in closed form a block of
+    rows at a time, against states built on their own and the dense G
+    double sums."""
     if n_sites < 100:
-        # 3 rows per block, so the 11 records below split 3 + 3 + 3 + 2
-        monkeypatch.setattr(ringfield.evolve, "RECORD_BLOCK_BYTES", 3 * 16 * n_sites)
+        # 3 rows of float weights per block, so the 11 records below split
+        # 3 + 3 + 3 + 2 in both the M/<P> series and the deviation
+        for module in (ringfield.observables, ringfield.experiments):
+            monkeypatch.setattr(module, "RECORD_BLOCK_BYTES", 3 * 8 * n_sites)
         n_steps, record_every = 20, 2
     else:
         n_steps, record_every = 100, 1
@@ -173,6 +180,52 @@ def test_compare_rows_match_states_built_one_at_a_time(monkeypatch, n_sites):
     scale = np.max(np.abs(oracle), axis=0)
     gap = np.max(np.abs(measured - oracle), axis=0)
     assert np.all(gap <= BLOCK_RTOL * scale), dict(zip(COMPARE_COLUMNS, gap / scale))
+
+
+DEVIATION_RTOL = 1e-14  # relative, per row
+DEVIATION_CASES = {
+    "default": (RunConfig(), None),
+    "wide": (RunConfig(n_sites=4001, width=50.0, n_steps=100, record_every=5), None),
+    "random": (RunConfig(n_sites=21, n_steps=20, record_every=2), 7),
+}
+
+
+@pytest.mark.parametrize("case", DEVIATION_CASES)
+def test_compare_deviation_matches_the_decimal_oracle(case):
+    """The deviation column against a 50-digit evaluation of
+    (1 - i x)^n - exp(-i n x) from the same float64 occupation and x."""
+    config, seed = DEVIATION_CASES[case]
+    lattice = config.lattice()
+    state = random_state(lattice, seed) if seed is not None else gaussian_state(
+        lattice, config.center, config.width, config.velocity_index)
+    rows = _compare_rows(state, config)
+    occupation = np.abs(momentum_coefficients(lattice, state.c)) ** 2
+    g, kappa = lattice.reciprocal_constant, lattice.momentum_values()
+    x = config.tau * g * g * (kappa * kappa)
+    oracle = deviation_decimal(occupation, x, [row[0] for row in rows])
+    assert rows[0][1] == 0.0 == oracle[0]
+    gaps = [abs(row[1] - float(want)) / float(want) for row, want in zip(rows[1:], oracle[1:])]
+    assert max(gaps) <= DEVIATION_RTOL
+
+
+@pytest.mark.parametrize("scheme", ["euler", "exact"])
+def test_compare_final_state_one_step_off_raises(monkeypatch, scheme):
+    """The site-space checks at the final step: an Euler state one step
+    short misses its M, an exact one (whose M is the same) misses the
+    closed-form deviation."""
+    original = ringfield.evolve.Propagator.amplitudes_after
+
+    def one_step_short(self, coefficients, steps):
+        exact = not np.any(self.log_multiplier.real)
+        if exact == (scheme == "exact"):
+            steps = [n - 1 for n in steps]
+        return original(self, coefficients, steps)
+
+    monkeypatch.setattr(ringfield.evolve.Propagator, "amplitudes_after", one_step_short)
+    state = gaussian_state(make_lattice(801), 0, 10.0, 20)
+    match = "closed-form deviation" if scheme == "exact" else "spectral prediction"
+    with pytest.raises(ConsistencyError, match=match):
+        _compare_rows(state, RunConfig())
 
 
 def test_corrupted_transform_of_a_late_row_raises(monkeypatch):
@@ -262,17 +315,18 @@ def test_run_takes_one_inverse_transform_per_block(fft_calls, scheme):
     assert fft_calls["rfft"] == [(4001,), (4001,)]
 
 
-def test_compare_takes_one_inverse_transform_per_block_and_scheme(fft_calls):
-    """``compare`` measures both schemes from their coefficient rows: for
-    each scheme one forward transform (two real-input FFTs) and one
-    inverse transform per block."""
-    config = RunConfig(n_sites=4001, width=50.0, n_steps=100, record_every=5)
+@pytest.mark.parametrize("record_every, n_records", [(5, 21), (1, 101), (100, 2)])
+def test_compare_takes_one_inverse_transform_per_scheme(fft_calls, record_every, n_records):
+    """``compare`` evaluates its rows in closed form from one forward
+    transform (two real-input FFTs), whatever the record count, and
+    builds one state per scheme, the final one, for its site-space
+    checks."""
+    config = RunConfig(n_sites=4001, width=50.0, n_steps=100, record_every=record_every)
     state = gaussian_state(make_lattice(4001), 0, 50.0, 20)
-    assert len(_compare_rows(state, config)) == 21
-    rows = max(1, RECORD_BLOCK_BYTES // (16 * 4001))
+    assert len(_compare_rows(state, config)) == n_records
     assert fft_calls["fft"] == []
-    assert len(fft_calls["ifft"]) == 2 * math.ceil(21 / rows)
-    assert fft_calls["rfft"] == [(4001,)] * 4
+    assert len(fft_calls["ifft"]) <= 2
+    assert fft_calls["rfft"] == [(4001,)] * 2
 
 
 @pytest.mark.parametrize("kind, step", [(EULER, 1e-3), (EXACT, 0.1), (EVEN_NAIVE, 1e-3),
@@ -296,7 +350,6 @@ WARN_STATE = gaussian_state(WARN_LATTICE, 0, 10.0, 20)
 WARNING_CALLS = {
     "run": lambda: run(WARN_STATE, EvolutionConfig(tau=WARN_TAU), 10),
     "advance": lambda: advance(WARN_STATE, EULER, WARN_TAU, 10),
-    "propagate_blocks": lambda: propagate_blocks(WARN_STATE, EULER, WARN_TAU, [0, 10]),
     "euler_step": lambda: euler_step(WARN_STATE, WARN_TAU),
 }
 
