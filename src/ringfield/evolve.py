@@ -11,18 +11,19 @@ kappa^2, so one Euler step multiplies the momentum coefficients by
 m = 1 - i tau g^2 kappa^2.  The same holds for every operator applied
 here (``propagator`` builds each multiplier):
 
-* Euler step          1 - i tau g^2 kappa^2
+* Euler step          1 - i tau g^2 kappa^2    (odd lattice)
+                      1 - i tau g^2 lambda_k   (even lattice)
 * exact step          exp(-i g^2 kappa^2 t), valid for any t
 * translation         exp(-2 pi i kappa m / N) by m sites
-* even naive step     1 - i tau g^2 lambda_k
 
-The naive even-mode step wraps F modulo N on an even lattice.  That
-matrix is a circulant, so it is diagonal in the plain integer DFT of the
-storage order (not in the half-integer basis), with eigenvalues lambda,
-the DFT of its first column.  It is deliberately not the quantum
-evolution: its unitary reference is ``exact_step`` on the even lattice,
-whose half-integer basis carries the sign-corrected translation, and
-the two part ways once amplitude crosses the index seam.
+On an even lattice the same reaction rule wraps F modulo N: the naive
+even-mode step.  That matrix is a circulant, so it is diagonal in the
+plain integer DFT of the storage order (not in the half-integer basis),
+with eigenvalues lambda, the DFT of its first column.  It is
+deliberately not the quantum evolution: its unitary reference is
+``exact_step`` on the even lattice, whose half-integer basis carries
+the sign-corrected translation, and the two part ways once amplitude
+crosses the index seam.
 
 So n steps are one multiplier raised to the power n.  ``run``
 transforms the initial state once and builds only the rows it records,
@@ -31,16 +32,16 @@ row) at a time (``_power_blocks``): the rows c_hat_0 m^n go through one
 batched inverse transform, and ``observables.snapshots`` measures <P>
 and <V> from those coefficient rows, checking Parseval on every row.
 So a record costs one transform, and memory stays flat as the record
-count grows.  The naive even-mode step multiplies coefficients of the
-storage-order DFT, so its blocks take their momentum coefficients by
-one batched forward transform.  ``compare`` and the conservation table
-build no rows: their columns are closed forms in c_hat_0
-(``experiments``).  The lattice alone selects the linearised step.
-``advance`` takes n steps of any kind, and ``exact_step`` and
-``translate_spectral`` are n = 1 of it.  The direct O(N^2) correlation
-``euler_step`` is the paper's site-space step, kept as the independent
-reference: the tests iterate it, and the identity suite steps a block
-of states at once through its row-wise form, ``_dense_euler_step``.
+count grows.  The Euler step of an even lattice multiplies
+coefficients of the storage-order DFT, so its blocks take their
+momentum coefficients by one batched forward transform.  ``compare``
+and the conservation table build no rows: their columns are closed
+forms in c_hat_0 (``experiments``).  ``advance`` takes n steps of any
+kind, and ``exact_step`` and ``translate_spectral`` are n = 1 of it.
+The direct O(N^2) correlation ``euler_step`` is the paper's site-space
+step, kept as the independent reference on both parities: the tests
+iterate it, and the identity suite steps a block of states at once
+through its row-wise form, ``_dense_euler_step``.
 """
 
 from __future__ import annotations
@@ -55,17 +56,14 @@ import numpy as np
 
 from .basis import momentum_coefficients, site_amplitudes
 from .kernels import f_site_matrix, kernel_f
-from .lattice import EVEN, ODD, Lattice, wrap_index
+from .lattice import EVEN, Lattice, wrap_index
 from .observables import RECORD_BLOCK_BYTES, snapshots
 from .series import TimeSeries
 from .state import FieldState, _new_state, _require_one_state, state_from_amplitudes
 
 EULER = "euler"
 EXACT = "exact"
-EVEN_NAIVE = "even_naive"
 TRANSLATE = "translate"
-# the step kinds that linearise the unitary, guarded by check_tau_bound
-LINEARISED = (EULER, EVEN_NAIVE)
 
 # hard ceiling and warning threshold for tau * g^2 * N^2 (= tau (2 pi / a)^2)
 TAU_HARD_LIMIT = 0.5
@@ -84,9 +82,9 @@ def _check_tau(tau: float) -> None:
 @dataclass(frozen=True)
 class EvolutionConfig:
     """How to step a state forward: the time step and the scheme (the
-    linearised reaction step or the exact unitary).  The state's lattice
-    fixes the parity, so an even lattice takes the naive even-mode step.
-    Every scheme runs as powers of one multiplier (``propagator``)."""
+    linearised reaction step or the exact unitary).  On an even lattice
+    the Euler scheme is the naive even-mode step.  Every scheme runs as
+    powers of one multiplier (``propagator``)."""
 
     tau: float = 1e-3
     scheme: str = EULER
@@ -124,7 +122,7 @@ def check_tau_bound(tau: float, lattice: Lattice, stacklevel: int = 1) -> None:
 
 def _takes_linearised_step(kind: str, steps: Iterable[int]) -> bool:
     """Whether ``steps`` needs a linearised step, so the tau bound applies."""
-    return kind in LINEARISED and any(n > 0 for n in steps)
+    return kind == EULER and any(n > 0 for n in steps)
 
 
 def _naive_f_spectrum(lattice: Lattice) -> np.ndarray:
@@ -174,28 +172,25 @@ class Propagator:
 def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
     """The per-step multiplier of one step kind on ``lattice``.
 
-    ``step`` is the time step tau for ``euler`` and ``even_naive``, the
-    time t for ``exact`` and the number of sites for ``translate``.
-    The linearised multipliers 1 - i x are stored as
-    ln|m| + i arg m = log1p(x^2) / 2 - i atan(x).  Raises ``ValueError``
-    for an unknown kind, the wrong lattice parity (``euler`` needs an
-    odd lattice, ``even_naive`` an even one) or a multiplier that is
-    not finite, as when g^2 overflows.  Does not check the tau bound.
+    ``step`` is the time step tau for ``euler``, the time t for
+    ``exact`` and the number of sites for ``translate``.  The Euler
+    multiplier 1 - i x, x = tau g^2 kappa^2 (tau g^2 lambda on an even
+    lattice, module docstring), is stored as ln|m| + i arg m =
+    log1p(x^2) / 2 - i atan(x).  Raises ``ValueError`` for an unknown
+    kind or a multiplier that is not finite, as when g^2 overflows.
+    Does not check the tau bound.
     """
     n = lattice.n_sites
     g = lattice.reciprocal_constant
     kappa = lattice.momentum_values()
+    naive = kind == EULER and lattice.parity == EVEN
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == EXACT:
             log_m = -1j * (g * kappa) ** 2 * step
         elif kind == TRANSLATE:
             log_m = -2j * np.pi * kappa * step / n
-        elif kind in LINEARISED:
-            parity = ODD if kind == EULER else EVEN
-            if lattice.parity != parity:
-                raise ValueError(f"the {kind} step requires a {parity}-parity lattice")
-            eigen = kappa * kappa if kind == EULER else _naive_f_spectrum(lattice)
-            x = step * g * g * eigen
+        elif kind == EULER:
+            x = step * g * g * (_naive_f_spectrum(lattice) if naive else kappa * kappa)
             log_m = 0.5 * np.log1p(x * x) - 1j * np.arctan(x)
         else:
             raise ValueError(f"unknown step kind {kind!r}")
@@ -205,7 +200,7 @@ def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
             f"{kind} multiplier is not finite (g = {g:.3e}, step = {step:g})"
         )
     log_m.setflags(write=False)
-    return Propagator(lattice, log_m, storage_dft=kind == EVEN_NAIVE)
+    return Propagator(lattice, log_m, storage_dft=naive)
 
 
 def _power_blocks(
@@ -258,11 +253,10 @@ def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> Fiel
 def euler_step(state: FieldState, tau: float) -> FieldState:
     """One reaction step, reference O(N^2) implementation.
 
-    Builds the dense F, so it raises ``ValueError`` before any
+    On an even lattice F wraps modulo N, so this is the naive even-mode
+    step.  Builds the dense F, so it raises ``ValueError`` before any
     allocation for N > ``kernels.SITE_MATRIX_MAX_SITES``.
     """
-    if state.lattice.parity != ODD:
-        raise ValueError(f"euler_step requires a {ODD}-parity lattice")
     check_tau_bound(tau, state.lattice, stacklevel=2)
     return _new_state(state.lattice, *_dense_euler_step(state.lattice, state.a, state.b, tau))
 
@@ -309,12 +303,13 @@ def record_steps(n_steps: int, record_every: int) -> list[int]:
     """The steps a run records: 0, every ``record_every`` steps and
     ``n_steps``, ascending.
 
-    Raises ``ValueError`` for ``n_steps < 0`` or ``record_every < 1``.
+    Raises ``ValueError`` unless ``n_steps`` is an integer >= 0 and
+    ``record_every`` an integer >= 1.
     """
-    if n_steps < 0:
-        raise ValueError("n_steps must be >= 0")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
+    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
+        raise ValueError(f"n_steps must be an integer >= 0 (got {n_steps!r})")
+    if not isinstance(record_every, numbers.Integral) or record_every < 1:
+        raise ValueError(f"record_every must be an integer >= 1 (got {record_every!r})")
     return sorted({n_steps, *range(0, n_steps + 1, record_every)})
 
 
@@ -331,8 +326,8 @@ def run(
     Snapshots are taken at step 0, every ``record_every`` steps and at
     the final step.  ``checkpoint_every`` > 0 additionally stores full
     states at those steps.  Only those rows are built, a block at a time
-    (module docstring).  The lattice picks the Euler or the naive
-    even-mode step.  The tau bound is checked once, when a step is taken.
+    (module docstring).  The tau bound is checked once, when a step is
+    taken.
     """
     steps = record_steps(n_steps, record_every)
     lattice = state.lattice
@@ -342,7 +337,7 @@ def run(
 
     if checkpoint_every > 0:
         steps = sorted({*steps, *record_steps(n_steps, checkpoint_every)})
-    kind = EXACT if config.scheme == EXACT else EVEN_NAIVE if lattice.parity == EVEN else EULER
+    kind = config.scheme
     if _takes_linearised_step(kind, steps):
         check_tau_bound(config.tau, lattice, stacklevel=2)
 

@@ -118,7 +118,8 @@ def spectral_series(
     ``conserved_columns`` does: an even occupation has <P> exactly 0.0.
     The weights exp(2 n ln|m|) are built ``RECORD_BLOCK_BYTES`` of rows
     (or one row) at a time, so memory stays flat as the step count
-    grows.  Raises ``ValueError`` when a value leaves the finite floats.
+    grows, and each row is reduced alone, bitwise independent of its
+    block.  Raises ``ValueError`` when a value leaves the finite floats.
     """
     steps = np.asarray(steps, dtype=float)
     odd_part = lattice.momentum_values() * (occupation - occupation[::-1]) / 2.0
@@ -130,7 +131,8 @@ def spectral_series(
         for lo in range(0, steps.size, rows):
             weights = np.multiply.outer(steps[lo:lo + rows], twice)
             np.exp(weights, out=weights)
-            np.matmul(weights, moments, out=series[lo:lo + rows])
+            # stacked 1 x N products: BLAS sums a lone row another way
+            np.matmul(weights[:, None, :], moments, out=series[lo:lo + rows, None, :])
     if not np.all(np.isfinite(series)):
         raise ValueError("the spectral M or <P> leaves the finite floats")
     return series[:, 0], lattice.reciprocal_constant * series[:, 1]

@@ -5,6 +5,7 @@ the measured numbers (run with ``pytest -s`` to see every line).  All
 tolerances are pinned here; nothing is deferred to later calibration.
 """
 
+import re
 import time
 
 import numpy as np
@@ -40,9 +41,15 @@ def _report(number: int, title: str, ok: bool, details: str) -> None:
 
 @pytest.fixture(scope="session")
 def conservation_grid():
+    """The table, with the tau-bound warnings its two larger steps must
+    raise: tau g^2 N^2 = 0.197 and 0.395, above the 0.1 threshold."""
     start = time.perf_counter()
-    grid = paper_table_grid(n_steps=1000, seed=0)
-    return grid, time.perf_counter() - start
+    with pytest.warns(UserWarning, match=r"tau \* g\^2 \* N\^2") as caught:
+        grid = paper_table_grid(n_steps=1000, seed=0)
+    elapsed = time.perf_counter() - start
+    stiffness = {re.search(r"= (\S+) >", str(w.message)).group(1) for w in caught}
+    assert stiffness == {"0.197", "0.395"}
+    return grid, elapsed
 
 
 def _grid_value(grid, shape, tau):

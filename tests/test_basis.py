@@ -10,7 +10,7 @@ from ringfield import (
     to_momentum_basis,
 )
 from ringfield.basis import momentum_coefficients, site_amplitudes
-from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, _power_blocks
+from ringfield.evolve import EULER, EXACT, _power_blocks
 from ringfield.lattice import make_even_lattice
 
 RNG = np.random.default_rng(11)
@@ -105,7 +105,7 @@ class TestDirectSum:
             assert np.max(np.abs(coefficients - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
-@pytest.mark.parametrize("n, kind", [(21, EULER), (21, EXACT), (20, EVEN_NAIVE), (20, EXACT)])
+@pytest.mark.parametrize("n, kind", [(21, EULER), (21, EXACT), (20, EULER), (20, EXACT)])
 @pytest.mark.parametrize("steps", [[0], [0, 5]], ids=["no step", "steps"])
 def test_step_zero_row_carries_the_state_spectrum(n, kind, steps):
     """The coefficient row ``_power_blocks`` yields at n = 0 is the

@@ -29,10 +29,11 @@ from ringfield import (
     run,
 )
 from ringfield.basis import momentum_coefficients
-from ringfield.evolve import EULER, _power_blocks, propagator
+from ringfield.evolve import EULER, _power_blocks, propagator, record_steps
 from ringfield.experiments import (
     TABLE_SHAPES,
     TABLE_TAUS,
+    _deviation_series,
     _direct_kernel_sums,
     _relative_variation,
     table_state,
@@ -170,6 +171,31 @@ def test_dense_builders_refuse_lattices_past_the_cap(monkeypatch, name):
     monkeypatch.setattr(ringfield.kernels, "SITE_MATRIX_MAX_SITES", 21)
     build(gaussian_state(make_lattice(21), 0, 2.0))
     _refuses_without_allocating(build, gaussian_state(make_lattice(23), 0, 2.0), 21)
+
+
+@pytest.mark.parametrize("n, block_rows", [(801, None), (21, 3)])
+def test_spectral_rows_do_not_depend_on_their_block(monkeypatch, n, block_rows):
+    """Every row of ``spectral_series`` and of the closed-form deviation
+    is bitwise that step evaluated alone, whichever block it lands in,
+    so a row of ``compare --n-steps 0`` prints as the same row of the
+    default ``compare``."""
+    if block_rows is not None:
+        for module in (ringfield.observables, ringfield.experiments):
+            monkeypatch.setattr(module, "RECORD_BLOCK_BYTES", block_rows * 8 * n)
+    lattice = make_lattice(n)
+    tau = 1e-3
+    steps = record_steps(1000, 10)
+    x = tau * lattice.reciprocal_constant**2 * lattice.momentum_values() ** 2
+    log_magnitude = propagator(lattice, EULER, tau).log_multiplier.real
+    sigma = min(10.0, lattice.half_width / 2)
+    for state in (gaussian_state(lattice, 0, sigma, 3), random_state(lattice, n)):
+        occupation = np.abs(momentum_coefficients(lattice, state.c)) ** 2
+        m_total, momentum = spectral_series(lattice, occupation, log_magnitude, steps)
+        deviation = _deviation_series(occupation, x, steps)
+        for row, count in enumerate(steps):
+            m_alone, momentum_alone = spectral_series(lattice, occupation, log_magnitude, [count])
+            assert (m_total[row], momentum[row]) == (m_alone[0], momentum_alone[0]), count
+            assert deviation[row] == _deviation_series(occupation, x, [count])[0], count
 
 
 def _block_path_columns(state, tau, steps):

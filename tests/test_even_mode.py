@@ -18,7 +18,7 @@ from ringfield import (
     translate,
     translate_spectral,
 )
-from ringfield.evolve import EVEN_NAIVE
+from ringfield.evolve import EULER
 from ringfield.lattice import make_even_lattice
 from ringfield.state import _new_state
 
@@ -32,21 +32,10 @@ def basis_state(lattice, site):
 
 
 class TestGuards:
-    def test_even_step_rejects_odd_lattice(self):
-        state = random_state(make_lattice(5), 0)
-        with pytest.raises(ValueError):
-            advance(state, EVEN_NAIVE, 1e-3)
-
-    def test_euler_step_rejects_even_lattice(self):
-        lattice = make_even_lattice(8)
-        state = random_state(lattice, 0)
-        with pytest.raises(ValueError):
-            euler_step(state, 1e-3)
-
     def test_zero_state_fixed(self):
         lattice = make_even_lattice(8)
         state = _new_state(lattice, np.zeros(8), np.zeros(8))
-        stepped = advance(state, EVEN_NAIVE, 1e-3)
+        stepped = advance(state, EULER, 1e-3)
         assert np.all(stepped.a == 0) and np.all(stepped.b == 0)
 
 
@@ -85,7 +74,7 @@ class TestNaiveVsExact:
         lattice = make_even_lattice(800)
         state = gaussian_state(lattice, 0, 5.0)
         tau = 1e-3
-        naive = advance(state, EVEN_NAIVE, tau)
+        naive = advance(state, EULER, tau)
         reference = exact_step(state, tau)
         deviation = np.linalg.norm(naive.amplitudes() - reference.amplitudes())
         assert deviation < 1e-8  # pure linearisation error, O(tau^2)
@@ -96,7 +85,7 @@ class TestNaiveVsExact:
         odd = make_lattice(801)
         tau = 1e-3
         dev_even = np.linalg.norm(
-            advance(gaussian_state(even, 0, 5.0), EVEN_NAIVE, tau).amplitudes()
+            advance(gaussian_state(even, 0, 5.0), EULER, tau).amplitudes()
             - exact_step(gaussian_state(even, 0, 5.0), tau).amplitudes()
         )
         dev_odd = np.linalg.norm(
@@ -113,14 +102,14 @@ class TestNaiveVsExact:
         lattice = make_even_lattice(4)
         state = basis_state(lattice, lattice.site_max)
         tau = 1e-3
-        naive = advance(state, EVEN_NAIVE, tau)
+        naive = advance(state, EULER, tau)
         reference = exact_step(state, tau)
         deviation = np.linalg.norm(naive.amplitudes() - reference.amplitudes())
         assert deviation > 0.5 * tau
         # a basis state at label 0 never reaches past the seam on N=4
         centred = basis_state(lattice, 0)
         deviation_centred = np.linalg.norm(
-            advance(centred, EVEN_NAIVE, tau).amplitudes()
+            advance(centred, EULER, tau).amplitudes()
             - exact_step(centred, tau).amplitudes()
         )
         assert deviation_centred < 0.01 * deviation
@@ -129,7 +118,7 @@ class TestNaiveVsExact:
         lattice = make_even_lattice(800)
         state = gaussian_state(lattice, lattice.site_min, 5.0)
         tau = 1e-3
-        naive = advance(state, EVEN_NAIVE, tau)
+        naive = advance(state, EULER, tau)
         reference = exact_step(state, tau)
         deviation = np.linalg.norm(naive.amplitudes() - reference.amplitudes())
         assert deviation > 1e-5  # first order in tau, not second
@@ -138,7 +127,7 @@ class TestNaiveVsExact:
         lattice = make_even_lattice(100)
         state = random_state(lattice, 5)
         tau = 1e-3
-        stepped = advance(state, EVEN_NAIVE, tau)
+        stepped = advance(state, EULER, tau)
         assert norm_m(stepped) == pytest.approx(1.0, abs=1e-3)
 
     def test_exact_step_unitary_on_even(self):

@@ -2,8 +2,8 @@
 
 Every step kind is one multiplier per Fourier coefficient, so n steps
 are one power of it.  The oracles here step explicitly: a plain numpy
-FFT step written out in this file, the dense O(N^2) ``euler_step``, and
-the dense naive even-mode step that used to be the production code.
+FFT step written out in this file and the dense O(N^2) ``euler_step``,
+which on an even lattice is the naive even-mode step.
 """
 
 import re
@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ringfield.kernels
 from ringfield import (
     EvolutionConfig,
     TimestepBoundError,
@@ -25,14 +26,12 @@ from ringfield import (
 )
 from ringfield.evolve import (
     EULER,
-    EVEN_NAIVE,
     EXACT,
     _power_blocks,
     advance,
     propagator,
 )
-from ringfield.kernels import f_site_matrix
-from ringfield.state import _new_state, state_from_amplitudes
+from ringfield.state import state_from_amplitudes
 
 LAT = make_lattice(801)
 EVEN = make_even_lattice(800)
@@ -54,18 +53,6 @@ def explicit_fft_steps(state, multiplier, n_steps: int) -> np.ndarray:
     for _ in range(n_steps):
         amps = np.fft.ifft(np.fft.fft(amps) * multiplier)
     return amps
-
-
-def dense_even_naive_step(state, tau: float):
-    """The naive even-mode reaction step as the dense circulant F."""
-    fmat = f_site_matrix(state.lattice)
-    scale = tau * state.lattice.reciprocal_constant**2
-    created_b = fmat @ state.a  # evaluate both sums before touching either field
-    return _new_state(
-        state.lattice,
-        state.a + scale * (fmat @ state.b),
-        state.b - scale * created_b,
-    )
 
 
 @pytest.mark.filterwarnings("ignore:tau \\* g\\^2:UserWarning")
@@ -104,21 +91,37 @@ def test_exact_power_equals_100_explicit_steps(shape):
     assert relative_gap(power, reference) <= 1e-12
 
 
-@pytest.mark.parametrize("center", [0, EVEN.site_min])
-def test_even_naive_power_equals_100_dense_steps(center):
-    state = gaussian_state(EVEN, center, 5.0)
-    stepped = state
-    for _ in range(100):
-        stepped = dense_even_naive_step(stepped, 1e-3)
-    assert relative_gap(advance(state, EVEN_NAIVE, 1e-3, 100), stepped.amplitudes()) <= 1e-12
+EVEN_SIZES = [8, 20, 100, 800]
 
 
-def test_even_naive_random_state_against_dense():
-    state = random_state(EVEN, 9)
+@pytest.mark.parametrize("at_seam", [False, True], ids=["centred", "seam"])
+@pytest.mark.parametrize("n", EVEN_SIZES)
+def test_even_naive_power_equals_100_dense_steps(n, at_seam):
+    """On an even lattice ``euler_step`` is the naive circulant step,
+    and ``advance`` its power."""
+    lattice = make_even_lattice(n)
+    state = gaussian_state(lattice, lattice.site_min if at_seam else 0, min(5.0, n / 4))
     stepped = state
     for _ in range(100):
-        stepped = dense_even_naive_step(stepped, 1e-3)
-    assert relative_gap(advance(state, EVEN_NAIVE, 1e-3, 100), stepped.amplitudes()) <= 1e-12
+        stepped = euler_step(stepped, 1e-3)
+    assert relative_gap(advance(state, EULER, 1e-3, 100), stepped.amplitudes()) <= 1e-12
+
+
+@pytest.mark.parametrize("n", EVEN_SIZES)
+def test_even_naive_random_state_against_dense(n):
+    state = random_state(make_even_lattice(n), 9)
+    stepped = state
+    for _ in range(100):
+        stepped = euler_step(stepped, 1e-3)
+    assert relative_gap(advance(state, EULER, 1e-3, 100), stepped.amplitudes()) <= 1e-12
+
+
+def test_euler_step_on_an_even_lattice_keeps_its_guards(monkeypatch):
+    with pytest.raises(TimestepBoundError):
+        euler_step(gaussian_state(EVEN, 0, 5.0), OVER_BOUND)
+    monkeypatch.setattr(ringfield.kernels, "SITE_MATRIX_MAX_SITES", 21)
+    with pytest.raises(ValueError, match="N <= 21 only"):
+        euler_step(gaussian_state(make_even_lattice(22), 0, 2.0), 1e-3)
 
 
 @pytest.mark.parametrize("kind", [EULER, EXACT])
@@ -183,12 +186,16 @@ def test_run_transforms_once_per_record(monkeypatch):
 def test_propagator_rejects_bad_input():
     with pytest.raises(ValueError, match="unknown step kind"):
         propagator(LAT, "rk4", 1e-3)
-    with pytest.raises(ValueError, match="odd-parity"):
-        propagator(EVEN, EULER, 1e-3)
-    with pytest.raises(ValueError, match="even-parity"):
-        propagator(LAT, EVEN_NAIVE, 1e-3)
     with pytest.raises(ValueError, match="not finite"):
         propagator(make_lattice(101, 1e-300), EXACT, 1e-3)
+
+
+@pytest.mark.parametrize("lattice", [LAT, EVEN], ids=["odd", "even"])
+def test_even_naive_is_not_a_step_kind(lattice):
+    """The lattice picks the naive circulant; ``even_naive`` names only
+    the parity mode of a run configuration."""
+    with pytest.raises(ValueError, match="unknown step kind 'even_naive'"):
+        advance(gaussian_state(lattice, 0, 5.0), "even_naive", 1e-3, 10)
 
 
 SMALL = gaussian_state(make_lattice(101), 0, 5.0, 3)
@@ -238,5 +245,5 @@ def test_overflowing_power_raises_value_error():
 
 def test_zero_state_stays_zero():
     state = state_from_amplitudes(EVEN, np.zeros(EVEN.n_sites))
-    stepped = advance(state, EVEN_NAIVE, 1e-3, 50)
+    stepped = advance(state, EULER, 1e-3, 50)
     assert np.all(stepped.a == 0) and np.all(stepped.b == 0)

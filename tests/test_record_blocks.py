@@ -6,6 +6,7 @@ exceed ``RECORD_BLOCK_BYTES``, and the tau-bound warning must name the
 caller."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -29,7 +30,8 @@ from ringfield import (
 )
 from ringfield.basis import momentum_coefficients
 from ringfield.cli import _compare_rows
-from ringfield.evolve import EULER, EVEN_NAIVE, EXACT, RECORD_BLOCK_BYTES
+from ringfield.experiments import compare_rows, paper_table_run
+from ringfield.evolve import EULER, EXACT, RECORD_BLOCK_BYTES
 from ringfield.ioutil import fmt
 from ringfield.kernels import g_site_matrix
 from ringfield.observables import (
@@ -58,7 +60,7 @@ METHODS = {
     "exact": (EvolutionConfig(tau=TAU, scheme="exact"), EXACT),
     # the default run, held against iterated dense ``euler_step``
     "reference": (EvolutionConfig(tau=TAU), None),
-    "even-naive": (EvolutionConfig(tau=TAU), EVEN_NAIVE),
+    "even-naive": (EvolutionConfig(tau=TAU), EULER),
 }
 CASES = [
     (method, n) for method in ("euler", "exact", "reference") for n in (3, 5, 21, 801)
@@ -329,8 +331,8 @@ def test_compare_takes_one_inverse_transform_per_scheme(fft_calls, record_every,
     assert fft_calls["rfft"] == [(4001,)] * 2
 
 
-@pytest.mark.parametrize("kind, step", [(EULER, 1e-3), (EXACT, 0.1), (EVEN_NAIVE, 1e-3),
-                                        (EULER, 1.0), ("no such kind", float("nan"))])
+@pytest.mark.parametrize("kind, step", [(EULER, 1e-3), (EXACT, 0.1), (EULER, 1.0),
+                                        ("no such kind", float("nan"))])
 @pytest.mark.parametrize("n", [801, 800])
 def test_advance_by_zero_steps_takes_no_transform(fft_calls, kind, step, n):
     """n = 0 hands back the state itself: no transform, and neither the
@@ -340,6 +342,29 @@ def test_advance_by_zero_steps_takes_no_transform(fft_calls, kind, step, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert advance(state, kind, step, 0) is state
+    assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
+
+
+SMALL_STATE = gaussian_state(make_lattice(101), 0, 5.0, 3)
+RECORDING_CALLERS = {
+    "run": lambda n, every: run(SMALL_STATE, EvolutionConfig(), n, every),
+    "compare_rows": lambda n, every: compare_rows(SMALL_STATE, TAU, n, every),
+    "paper_table_run": lambda n, every: paper_table_run("gaussian", TAU, n, record_every=every),
+}
+
+
+@pytest.mark.parametrize("n_steps, record_every, bad", [
+    (2.5, 1, "n_steps"), (10.0, 2, "n_steps"), (10, 2.5, "record_every"),
+    (10, np.float64(2.0), "record_every"),
+])
+@pytest.mark.parametrize("caller", RECORDING_CALLERS)
+def test_recorded_step_counts_must_be_integers(fft_calls, caller, n_steps, record_every, bad):
+    """A count that is not an integer fails with a ``ValueError`` that
+    names it, before any transform."""
+    value = n_steps if bad == "n_steps" else record_every
+    with pytest.raises(ValueError, match=re.escape(f"{bad} must be an integer >= ")) as info:
+        RECORDING_CALLERS[caller](n_steps, record_every)
+    assert str(info.value).endswith(f"(got {value!r})")
     assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
 
 
