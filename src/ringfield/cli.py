@@ -155,10 +155,6 @@ def _cmd_paper_table(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _compare_rows(state, config: RunConfig) -> list[tuple]:
-    return compare_rows(state, config.tau, config.n_steps, config.record_every)
-
-
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
     if config.parity_mode != "odd_standard":
@@ -166,7 +162,7 @@ def _cmd_compare(args) -> int:
     config.evolution()  # checks tau before any work
     _check_outputs(config.csv_path)
     state = build_state(config.lattice(), config.state_spec())
-    rows = _compare_rows(state, config)
+    rows = compare_rows(state, config.tau, config.n_steps, config.record_every)
     lines = ["step,deviation,m_euler,m_exact,drift_euler,drift_exact"]
     for row in rows:
         lines.append(str(row[0]) + "," + ",".join(fmt(x) for x in row[1:]))

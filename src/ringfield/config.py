@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .evolve import EvolutionConfig
+from .evolve import EvolutionConfig, _check_count
 from .ioutil import atomic_write_text, fmt
 from .lattice import Lattice, make_even_lattice, make_lattice
 from .state import StateSpec
@@ -39,14 +39,9 @@ class RunConfig:
     checkpoint_dir: str = ""
 
     def __post_init__(self):
-        if self.n_steps < 0:
-            raise ValueError(f"n_steps must be >= 0 (got {self.n_steps})")
-        if self.record_every < 1:
-            raise ValueError(f"record_every must be >= 1 (got {self.record_every})")
-        if self.checkpoint_every < 0:
-            raise ValueError(
-                f"checkpoint_every must be >= 0 (got {self.checkpoint_every})"
-            )
+        _check_count("n_steps", self.n_steps, 0)
+        _check_count("record_every", self.record_every, 1)
+        _check_count("checkpoint_every", self.checkpoint_every, 0)
 
     def lattice(self) -> Lattice:
         if self.parity_mode == "even_naive":

@@ -27,21 +27,21 @@ crosses the index seam.
 
 So n steps are one multiplier raised to the power n.  ``run``
 transforms the initial state once and builds only the rows it records,
-a block (a ``FieldState`` of at most ``RECORD_BLOCK_BYTES``, or one
-row) at a time (``_power_blocks``): the rows c_hat_0 m^n go through one
-batched inverse transform, and ``observables.snapshots`` measures <P>
-and <V> from those coefficient rows, checking Parseval on every row.
-So a record costs one transform, and memory stays flat as the record
-count grows.  The Euler step of an even lattice multiplies
-coefficients of the storage-order DFT, so its blocks take their
-momentum coefficients by one batched forward transform.  ``compare``
-and the conservation table build no rows: their columns are closed
-forms in c_hat_0 (``experiments``).  ``advance`` takes n steps of any
-kind, and ``exact_step`` and ``translate_spectral`` are n = 1 of it.
-The direct O(N^2) correlation ``euler_step`` is the paper's site-space
-step, kept as the independent reference on both parities: the tests
-iterate it, and the identity suite steps a block of states at once
-through its row-wise form, ``_dense_euler_step``.
+a block (``observables.row_blocks``) at a time (``_power_blocks``): the
+rows c_hat_0 m^n go through one batched inverse transform, and
+``observables.snapshots`` measures <P> and <V> from those coefficient
+rows, checking Parseval on every row.  So a record costs one transform,
+and memory stays flat as the record count grows.  The Euler step of an
+even lattice multiplies coefficients of the storage-order DFT, so its
+blocks take their momentum coefficients by one batched forward
+transform.  ``compare`` and the conservation table build no rows: their
+columns are closed forms in c_hat_0 (``experiments``).  ``advance``
+takes n steps of any kind, and ``exact_step`` and ``translate_spectral``
+are n = 1 of it.  Every step count passes ``_check_count`` before any
+transform.  The direct O(N^2) correlation ``euler_step`` is the paper's
+site-space step, kept as the independent reference on both parities:
+the tests iterate it, and the identity suite steps a block of states at
+once through its row-wise form, ``_dense_euler_step``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 from .basis import momentum_coefficients, site_amplitudes
 from .kernels import f_site_matrix, kernel_f
 from .lattice import EVEN, Lattice, wrap_index
-from .observables import RECORD_BLOCK_BYTES, snapshots
+from .observables import row_blocks, snapshots
 from .series import TimeSeries
 from .state import FieldState, _new_state, _require_one_state, state_from_amplitudes
 
@@ -77,6 +77,13 @@ class TimestepBoundError(ValueError):
 def _check_tau(tau: float) -> None:
     if not tau > 0:  # NaN too
         raise ValueError(f"tau must be positive (got {tau})")
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer (a
+    Python or numpy one) >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum} (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -215,15 +222,13 @@ def _power_blocks(
     lattice = state.lattice
     _require_one_state(state, "evolution")
     for n in steps:
-        if not isinstance(n, numbers.Integral) or n < 0:
-            raise ValueError(f"step counts must be integers >= 0 (got {n!r})")
+        _check_count("step count", n, 0)
     at_zero = np.asarray(steps) == 0
     prop = None if at_zero.all() else propagator(lattice, kind, step)
     naive = prop is not None and prop.storage_dft
     initial = np.fft.fft(state.c) if naive else momentum_coefficients(lattice, state.c)
-    rows = max(1, RECORD_BLOCK_BYTES // (np.dtype(complex).itemsize * lattice.n_sites))
-    for lo in range(0, len(steps), rows):
-        chunk, zero = steps[lo:lo + rows], at_zero[lo:lo + rows]
+    for rows in row_blocks(len(steps), np.dtype(complex).itemsize * lattice.n_sites):
+        chunk, zero = steps[rows], at_zero[rows]
         if prop is None:  # every row is n = 0
             evolved = np.broadcast_to(initial, (len(chunk), lattice.n_sites))
             amplitudes = np.broadcast_to(state.c, evolved.shape)
@@ -241,7 +246,8 @@ def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> Fiel
     ``_power_blocks``, after the tau bound check); n = 0 returns
     ``state`` itself, with no transform and no check of ``kind`` or
     ``step``."""
-    if n_steps == 0 and isinstance(n_steps, numbers.Integral):
+    _check_count("n_steps", n_steps, 0)
+    if n_steps == 0:
         _require_one_state(state, "evolution")
         return state
     if _takes_linearised_step(kind, (n_steps,)):
@@ -306,10 +312,8 @@ def record_steps(n_steps: int, record_every: int) -> list[int]:
     Raises ``ValueError`` unless ``n_steps`` is an integer >= 0 and
     ``record_every`` an integer >= 1.
     """
-    if not isinstance(n_steps, numbers.Integral) or n_steps < 0:
-        raise ValueError(f"n_steps must be an integer >= 0 (got {n_steps!r})")
-    if not isinstance(record_every, numbers.Integral) or record_every < 1:
-        raise ValueError(f"record_every must be an integer >= 1 (got {record_every!r})")
+    _check_count("n_steps", n_steps, 0)
+    _check_count("record_every", record_every, 1)
     return sorted({n_steps, *range(0, n_steps + 1, record_every)})
 
 
@@ -323,34 +327,29 @@ def run(
 ) -> TimeSeries:
     """Evolve a state, recording observables as it goes.
 
-    Snapshots are taken at step 0, every ``record_every`` steps and at
-    the final step.  ``checkpoint_every`` > 0 additionally stores full
-    states at those steps.  Only those rows are built, a block at a time
-    (module docstring).  The tau bound is checked once, when a step is
-    taken.
+    Snapshots are taken at the ``record_steps`` of ``record_every``, and
+    ``checkpoint_every`` > 0 also stores full states at its own.  Only
+    those rows are built, a block at a time (module docstring).  The tau
+    bound is checked once, when a step is taken; a count that is not an
+    integer >= 0 (``record_every`` >= 1) raises ``ValueError`` first.
     """
-    steps = record_steps(n_steps, record_every)
-    lattice = state.lattice
-
-    def due(step: int, every: int) -> bool:
-        return every > 0 and (step % every == 0 or step == n_steps)
-
-    if checkpoint_every > 0:
-        steps = sorted({*steps, *record_steps(n_steps, checkpoint_every)})
-    kind = config.scheme
-    if _takes_linearised_step(kind, steps):
-        check_tau_bound(config.tau, lattice, stacklevel=2)
+    recorded = set(record_steps(n_steps, record_every))
+    _check_count("checkpoint_every", checkpoint_every, 0)
+    stored = set(record_steps(n_steps, checkpoint_every) if checkpoint_every else ())
+    steps = sorted(recorded | stored)
+    if _takes_linearised_step(config.scheme, steps):
+        check_tau_bound(config.tau, state.lattice, stacklevel=2)
 
     records = []
     checkpoints: dict[int, FieldState] = {}
-    for chunk, block, coefficients in _power_blocks(state, kind, config.tau, steps):
-        recorded = [row for row, step in enumerate(chunk) if due(step, record_every)]
-        if recorded:
-            rows, spectra = block, coefficients
-            if len(recorded) < len(chunk):
-                rows, spectra = block.row(recorded), coefficients[recorded]
-            records.extend(snapshots(rows, [chunk[row] for row in recorded], spectra))
+    for chunk, block, coefficients in _power_blocks(state, config.scheme, config.tau, steps):
+        rows = [row for row, step in enumerate(chunk) if step in recorded]
+        if rows:
+            measured, spectra = block, coefficients
+            if len(rows) < len(chunk):
+                measured, spectra = block.row(rows), coefficients[rows]
+            records.extend(snapshots(measured, [chunk[row] for row in rows], spectra))
         for row, step in enumerate(chunk):
-            if due(step, checkpoint_every):
+            if step in stored:
                 checkpoints[step] = state if step == 0 else block.row(row)
     return TimeSeries(snapshots=tuple(records), checkpoints=checkpoints)

@@ -51,6 +51,7 @@ from .evolve import (
     EULER,
     EXACT,
     EvolutionConfig,
+    _check_count,
     _check_tau,
     _dense_euler_step,
     advance,
@@ -71,8 +72,8 @@ from .kernels import (
 )
 from .lattice import make_even_lattice, make_lattice
 from .observables import (
-    RECORD_BLOCK_BYTES,
     _check_parseval,
+    _spectral_rows,
     count_local_maxima,
     high_band_fraction,
     m_step_increase_exact,
@@ -281,8 +282,8 @@ def paper_table_run(
 
     The tau bound is checked once when a step is taken; ``n_steps = 0``
     reports a variation of 0.0 and builds no propagator.  Raises
-    ``ValueError`` for a negative seed, a tau that is not positive, a
-    negative ``n_steps`` or a ``record_every`` below 1, before any work.
+    ``ValueError`` for a negative seed, a tau that is not positive or a
+    bad step count (``evolve.record_steps``), before any work.
     """
     _check_seed(seed)
     _check_tau(tau)
@@ -389,25 +390,18 @@ def _deviation_series(occupation: np.ndarray, x: np.ndarray, steps) -> np.ndarra
 
     With n delta = u - i v, |expm1(n delta)|^2 = expm1(u)^2 +
     4 e^u sin^2(v / 2): two non-negative terms, so nothing cancels.
-    Built ``RECORD_BLOCK_BYTES`` of rows (or one row) at a time, and
-    each row reduced on its own, as in ``spectral_series``; raises
+    Summed row by row (``observables._spectral_rows``), which raises
     ``ValueError`` when a value leaves the finite floats.
     """
-    steps = np.asarray(steps, dtype=float)[:, None]
     log_magnitude = 0.5 * np.log1p(x * x)
     half_phase = 0.5 * (np.arctan(x) - x)
-    rows = max(1, RECORD_BLOCK_BYTES // (np.dtype(float).itemsize * x.size))
-    squares = np.empty(len(steps))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, len(steps), rows):
-            n = steps[lo:lo + rows]
-            growth = np.expm1(n * log_magnitude)
-            turn = np.sin(n * half_phase)
-            terms = growth * growth + 4.0 * (1.0 + growth) * turn * turn
-            np.matmul(terms[:, None, :], occupation, out=squares[lo:lo + rows, None])
-    if not np.all(np.isfinite(squares)):
-        raise ValueError("the deviation leaves the finite floats")
-    return np.sqrt(squares)
+
+    def terms(n: np.ndarray) -> np.ndarray:
+        growth = np.expm1(n * log_magnitude)
+        turn = np.sin(n * half_phase)
+        return growth * growth + 4.0 * (1.0 + growth) * turn * turn
+
+    return np.sqrt(_spectral_rows(steps, terms, occupation[:, None])[:, 0])
 
 
 def compare_rows(state: FieldState, tau: float, n_steps: int, record_every: int) -> list[tuple]:
@@ -419,8 +413,8 @@ def compare_rows(state: FieldState, tau: float, n_steps: int, record_every: int)
     At the final step the distance between the two states must match
     the deviation to ``FINAL_DEVIATION_RTOL`` (``ConsistencyError``).
     ``n_steps = 0`` gives one row, deviation 0.0, and builds no
-    propagator.  Raises ``ValueError`` for a tau that is not positive, a
-    negative ``n_steps`` or a ``record_every`` below 1, before any work.
+    propagator.  Raises ``ValueError`` for a tau that is not positive or
+    a bad step count (``evolve.record_steps``), before any work.
     """
     _check_tau(tau)
     steps = record_steps(n_steps, record_every)
@@ -796,12 +790,11 @@ def even_odd_comparison(
     sign for far-side creation and its deviation blows past the odd one
     by orders of magnitude.
 
-    Raises ``ValueError`` unless ``tau`` > 0 and ``n_steps`` >= 1, and
-    when a deviation the ratios divide by vanishes.
+    Raises ``ValueError`` unless ``tau`` > 0 and ``n_steps`` is an integer
+    >= 1, and when a deviation the ratios divide by vanishes.
     """
     _check_tau(tau)
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1 (got {n_steps})")
+    _check_count("n_steps", n_steps, 1)
     even = make_even_lattice(n_even)
     odd = make_lattice(n_odd)
 

@@ -34,11 +34,13 @@ state of shape (N,); they raise ``ValueError`` for a block.
 A step that multiplies every momentum coefficient by m scales the
 occupation by |m|^2, so M and <P> after any number of steps follow from
 the initial occupation alone: ``spectral_series`` evaluates them there,
-from the same odd part, with no transform at all.
+from the same odd part, row by row (``_spectral_rows``, which sums
+``compare``'s deviation too), with no transform at all.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +56,32 @@ from .state import (
     norm_m,
 )
 
-# bytes of one block of rows: complex amplitudes in ``evolve``'s record
-# blocks (5 rows at N = 801, one from N = 2049 on), real weights in
-# ``spectral_series``.  Building a block takes about three and a half
-# block-sized arrays at once (tracemalloc, 4 rows at N = 4001: 0.86 MB
-# for a 0.24 MB block), and measuring it from its coefficient rows about
-# three more (0.70 MB), next to the block and its coefficients.  So
-# larger blocks raise the peak memory of large-N runs, while most of the
-# batching gain at N = 801 is already there at 5 rows.
+# bytes of one block of rows, read only by ``row_blocks``: complex
+# amplitudes in ``evolve``'s record blocks (5 rows at N = 801, one from
+# N = 2049 on), real weights in ``_spectral_rows``.  Building a record
+# block takes about three and a half block-sized arrays at once
+# (tracemalloc, 4 rows at N = 4001: 0.86 MB for a 0.24 MB block), and
+# measuring it from its coefficient rows about three more (0.70 MB), next
+# to the block and its coefficients.  So larger blocks raise the peak
+# memory of large-N runs, while most of the batching gain at N = 801 is
+# already there at 5 rows.
 RECORD_BLOCK_BYTES = 64 * 1024
 
 # spread is reported from the resultant length R of the circular first
 # moment; R is floored to keep log() finite for spread-less (flat) states
 _MIN_RESULTANT = 1e-300
+
+
+def row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
+    """Slices of ``range(n_rows)`` of at most ``RECORD_BLOCK_BYTES`` of
+    rows of ``row_bytes`` each (or of one row, when a row is larger)."""
+    rows = max(1, RECORD_BLOCK_BYTES // row_bytes)
+    return (slice(lo, lo + rows) for lo in range(0, n_rows, rows))
+
+
+def _odd_part(lattice: Lattice, occupation: np.ndarray) -> np.ndarray:
+    """kappa (|c_hat_k|^2 - |c_hat_-k|^2) per row; -k is the reversed row."""
+    return lattice.momentum_values() * (occupation - occupation[..., ::-1])
 
 
 def _check_parseval(occupation: np.ndarray, m_sites) -> None:
@@ -88,8 +103,7 @@ def conserved_columns(
 
     ``coefficients`` are the rows' unbiased-basis coefficients c_hat
     when the caller already holds them; without them they come from
-    ``momentum_coefficients``.  ``momentum_values()`` is symmetric, so
-    -k is the reversed row, and a row whose occupation is even in kappa,
+    ``momentum_coefficients``.  A row whose occupation is even in kappa,
     as the real-input spectrum of b = 0 is, has both exactly 0.0.  The
     occupation is checked against the site-space M of every row
     (Parseval, ``ConsistencyError``).
@@ -100,10 +114,7 @@ def conserved_columns(
     occupation = np.abs(coefficients) ** 2
     m_sites = norm_m(state)
     _check_parseval(occupation, m_sites)
-    kappa = lattice.momentum_values()
-    drift = lattice.reciprocal_constant * np.sum(
-        kappa * (occupation - occupation[..., ::-1]), axis=-1
-    )
+    drift = lattice.reciprocal_constant * np.sum(_odd_part(lattice, occupation), axis=-1)
     return m_sites, drift, drift / 2.0
 
 
@@ -116,26 +127,31 @@ def spectral_series(
 
     |m_k| = |m_-k|, so <P> sums the odd part of the occupation, as
     ``conserved_columns`` does: an even occupation has <P> exactly 0.0.
-    The weights exp(2 n ln|m|) are built ``RECORD_BLOCK_BYTES`` of rows
-    (or one row) at a time, so memory stays flat as the step count
-    grows, and each row is reduced alone, bitwise independent of its
-    block.  Raises ``ValueError`` when a value leaves the finite floats.
+    Summed row by row (``_spectral_rows``), which raises ``ValueError``
+    when a value leaves the finite floats.
     """
-    steps = np.asarray(steps, dtype=float)
-    odd_part = lattice.momentum_values() * (occupation - occupation[::-1]) / 2.0
-    moments = np.stack((occupation, odd_part), axis=-1)
+    moments = np.stack((occupation, _odd_part(lattice, occupation) / 2.0), axis=-1)
     twice = 2.0 * np.asarray(log_magnitude, dtype=float)
-    rows = max(1, RECORD_BLOCK_BYTES // (np.dtype(float).itemsize * lattice.n_sites))
-    series = np.empty((steps.size, 2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, steps.size, rows):
-            weights = np.multiply.outer(steps[lo:lo + rows], twice)
-            np.exp(weights, out=weights)
-            # stacked 1 x N products: BLAS sums a lone row another way
-            np.matmul(weights[:, None, :], moments, out=series[lo:lo + rows, None, :])
-    if not np.all(np.isfinite(series)):
-        raise ValueError("the spectral M or <P> leaves the finite floats")
+    series = _spectral_rows(steps, lambda n: np.exp(n * twice), moments)
     return series[:, 0], lattice.reciprocal_constant * series[:, 1]
+
+
+def _spectral_rows(steps, terms, moments: np.ndarray) -> np.ndarray:
+    """``terms(n) @ moments`` for the counts n of ``steps``, shape (S, K):
+    ``terms`` maps a column of counts (R, 1) to its weights (R, N), and
+    ``moments`` is (N, K).  The weights are built a block of rows at a
+    time (``row_blocks``), so memory stays flat as the step count grows,
+    and each row is reduced alone, so its bits do not depend on its
+    block.  Raises ``ValueError`` when a value leaves the finite floats."""
+    steps = np.asarray(steps, dtype=float)[:, None]
+    series = np.empty((len(steps), 1, moments.shape[1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows in row_blocks(len(steps), np.dtype(float).itemsize * len(moments)):
+            # stacked 1 x N products: BLAS sums a lone row another way
+            np.matmul(terms(steps[rows])[:, None, :], moments, out=series[rows])
+    if not np.all(np.isfinite(series)):
+        raise ValueError("a spectral series (M, <P> or the deviation) leaves the finite floats")
+    return series[:, 0, :]
 
 
 def drift_velocity(state: FieldState) -> float:

@@ -180,8 +180,7 @@ def test_spectral_rows_do_not_depend_on_their_block(monkeypatch, n, block_rows):
     so a row of ``compare --n-steps 0`` prints as the same row of the
     default ``compare``."""
     if block_rows is not None:
-        for module in (ringfield.observables, ringfield.experiments):
-            monkeypatch.setattr(module, "RECORD_BLOCK_BYTES", block_rows * 8 * n)
+        monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", block_rows * 8 * n)
     lattice = make_lattice(n)
     tau = 1e-3
     steps = record_steps(1000, 10)

@@ -123,9 +123,10 @@ def test_unknown_flag_is_an_argparse_error(argv, capsys):
 
 @pytest.mark.parametrize("field, value", [
     ("n_steps", -1), ("record_every", 0), ("checkpoint_every", -3),
+    ("n_steps", 2.5), ("record_every", 2.0), ("checkpoint_every", 0.5),
 ])
 def test_run_config_rejects(field, value):
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=f"{field} must be an integer >= .* [(]got {value}[)]"):
         RunConfig(**{field: value})
 
 
@@ -234,7 +235,7 @@ def test_unwritable_output_fails_before_any_work(monkeypatch, tmp_path, capsys, 
     monkeypatch.setattr(ringfield.cli, "paper_table_grid", forbidden)
     monkeypatch.setattr(ringfield.cli, "even_odd_comparison", forbidden)
     monkeypatch.setattr(ringfield.cli, "run", forbidden)
-    monkeypatch.setattr(ringfield.cli, "_compare_rows", forbidden)
+    monkeypatch.setattr(ringfield.cli, "compare_rows", forbidden)
     paths = {"missing": str(tmp_path / "no" / "out.json"), "directory": str(tmp_path)}
     argv = [arg.format(**paths) for arg in argv]
     assert main(argv) == 2

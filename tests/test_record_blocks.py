@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import ringfield.evolve
-import ringfield.experiments
 import ringfield.observables
 from ringfield import (
     ConsistencyError,
@@ -29,12 +28,12 @@ from ringfield import (
     uniform_state,
 )
 from ringfield.basis import momentum_coefficients
-from ringfield.cli import _compare_rows
 from ringfield.experiments import compare_rows, paper_table_run
-from ringfield.evolve import EULER, EXACT, RECORD_BLOCK_BYTES
+from ringfield.evolve import EULER, EXACT
 from ringfield.ioutil import fmt
 from ringfield.kernels import g_site_matrix
 from ringfield.observables import (
+    RECORD_BLOCK_BYTES,
     ObservableSnapshot,
     gaussian_shape_residual,
     position_mean,
@@ -111,7 +110,7 @@ def test_rows_match_states_built_one_at_a_time(monkeypatch, method, n_sites):
     lattice = make_even_lattice(n_sites) if n_sites % 2 == 0 else make_lattice(n_sites)
     if n_sites < 100:
         # 3 rows per block, so the 11 records below split 3 + 3 + 3 + 2
-        monkeypatch.setattr(ringfield.evolve, "RECORD_BLOCK_BYTES", 3 * 16 * n_sites)
+        monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", 3 * 16 * n_sites)
         n_steps, record_every = 20, 2
     else:
         # 5 rows per block at the default size: 101 records split 20 x 5 + 1
@@ -159,14 +158,12 @@ def test_compare_rows_match_states_built_one_at_a_time(monkeypatch, n_sites):
     if n_sites < 100:
         # 3 rows of float weights per block, so the 11 records below split
         # 3 + 3 + 3 + 2 in both the M/<P> series and the deviation
-        for module in (ringfield.observables, ringfield.experiments):
-            monkeypatch.setattr(module, "RECORD_BLOCK_BYTES", 3 * 8 * n_sites)
+        monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", 3 * 8 * n_sites)
         n_steps, record_every = 20, 2
     else:
         n_steps, record_every = 100, 1
-    config = RunConfig(n_sites=n_sites, tau=TAU, n_steps=n_steps, record_every=record_every)
     state = random_state(make_lattice(n_sites), 7)
-    rows = _compare_rows(state, config)
+    rows = compare_rows(state, TAU, n_steps, record_every)
     steps = [row[0] for row in rows]
     assert steps == sorted({n_steps, *range(0, n_steps + 1, record_every)})
 
@@ -200,7 +197,7 @@ def test_compare_deviation_matches_the_decimal_oracle(case):
     lattice = config.lattice()
     state = random_state(lattice, seed) if seed is not None else gaussian_state(
         lattice, config.center, config.width, config.velocity_index)
-    rows = _compare_rows(state, config)
+    rows = compare_rows(state, config.tau, config.n_steps, config.record_every)
     occupation = np.abs(momentum_coefficients(lattice, state.c)) ** 2
     g, kappa = lattice.reciprocal_constant, lattice.momentum_values()
     x = config.tau * g * g * (kappa * kappa)
@@ -227,7 +224,7 @@ def test_compare_final_state_one_step_off_raises(monkeypatch, scheme):
     state = gaussian_state(make_lattice(801), 0, 10.0, 20)
     match = "closed-form deviation" if scheme == "exact" else "spectral prediction"
     with pytest.raises(ConsistencyError, match=match):
-        _compare_rows(state, RunConfig())
+        compare_rows(state, TAU, 1000, 10)
 
 
 def test_corrupted_transform_of_a_late_row_raises(monkeypatch):
@@ -323,12 +320,39 @@ def test_compare_takes_one_inverse_transform_per_scheme(fft_calls, record_every,
     transform (two real-input FFTs), whatever the record count, and
     builds one state per scheme, the final one, for its site-space
     checks."""
-    config = RunConfig(n_sites=4001, width=50.0, n_steps=100, record_every=record_every)
     state = gaussian_state(make_lattice(4001), 0, 50.0, 20)
-    assert len(_compare_rows(state, config)) == n_records
+    assert len(compare_rows(state, TAU, 100, record_every)) == n_records
     assert fft_calls["fft"] == []
     assert len(fft_calls["ifft"]) <= 2
     assert fft_calls["rfft"] == [(4001,)] * 2
+
+
+def test_one_block_size_splits_every_loop(monkeypatch, fft_calls):
+    """``RECORD_BLOCK_BYTES`` is patched in ``observables`` alone, and it
+    splits all three row-block loops alike: ``run``'s inverse transforms,
+    and the rows that ``compare``'s M/<P> series and its deviation each
+    reduce.  A loop that sized its own blocks would take all 11 records
+    at once."""
+    n = 21
+    bound = 3 * 16 * n
+    monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", bound)
+    state = random_state(make_lattice(n), 7)
+    assert len(run(state, EvolutionConfig(), 20, 2).snapshots) == 11
+    run_rows = [shape[0] for shape in fft_calls["ifft"]]
+
+    # rows per reduction: the series reduces against the (N, 2) moments
+    # M and <P>, the deviation against the occupation alone
+    reduced = {"series": [], "deviation": []}
+    original = np.matmul
+
+    def recorded_matmul(a, b, *args, **kwargs):
+        reduced["series" if np.shape(b) == (n, 2) else "deviation"].append(len(a))
+        return original(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recorded_matmul)
+    assert len(compare_rows(state, TAU, 20, 2)) == 11
+    # 3 complex rows or 6 float rows per block
+    assert (run_rows, reduced) == ([3, 3, 3, 2], {"series": [6, 5], "deviation": [6, 5]})
 
 
 @pytest.mark.parametrize("kind, step", [(EULER, 1e-3), (EXACT, 0.1), (EULER, 1.0),
@@ -365,6 +389,16 @@ def test_recorded_step_counts_must_be_integers(fft_calls, caller, n_steps, recor
     with pytest.raises(ValueError, match=re.escape(f"{bad} must be an integer >= ")) as info:
         RECORDING_CALLERS[caller](n_steps, record_every)
     assert str(info.value).endswith(f"(got {value!r})")
+    assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
+
+
+@pytest.mark.parametrize("checkpoint_every", [2.5, -1])
+def test_checkpoint_every_is_checked_by_name(fft_calls, checkpoint_every):
+    """``run`` checks ``checkpoint_every`` as a count of its own, an
+    integer >= 0 (0 stores no state), before any transform."""
+    message = f"checkpoint_every must be an integer >= 0 (got {checkpoint_every!r})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(SMALL_STATE, EvolutionConfig(), 10, 5, checkpoint_every=checkpoint_every)
     assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
 
 
