@@ -46,9 +46,8 @@ class MomentumSpectrum:
 
 @lru_cache(maxsize=32)
 def _basis_tables(lattice: Lattice):
-    """Per-lattice slot indices and phases of the transform pair.
+    """Per-lattice phases of the transform pair.
 
-    ``slots`` maps each momentum to its inverse-FFT input index;
     ``offset`` is the storage-offset phase exp(-2 pi i kappa site_min / N)
     and ``unoffset`` its inverse; ``untwist`` restores the extra half
     wave of an even lattice after the inverse FFT (``None`` on odd
@@ -57,11 +56,10 @@ def _basis_tables(lattice: Lattice):
     n = lattice.n_sites
     kappa = lattice.momentum_values()
     even = lattice.parity == EVEN
-    slots = (kappa - 0.5 * even).astype(int) % n
     offset = np.exp(-2j * np.pi * kappa * lattice.site_min / n)
     unoffset = np.exp(2j * np.pi * kappa * lattice.site_min / n)
     untwist = np.exp(1j * np.pi * np.arange(n) / n) if even else None
-    tables = (slots, offset, unoffset, untwist)
+    tables = (offset, unoffset, untwist)
     for table in tables:
         if table is not None:
             table.setflags(write=False)
@@ -83,7 +81,7 @@ def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarra
     if np.iscomplexobj(amplitudes):
         return (momentum_coefficients(lattice, np.real(amplitudes))
                 + 1j * momentum_coefficients(lattice, np.imag(amplitudes)))
-    _slots, offset, _unoffset, _untwist = _basis_tables(lattice)
+    offset, _unoffset, _untwist = _basis_tables(lattice)
     n = lattice.n_sites
     if lattice.parity == EVEN:
         positive = np.fft.rfft(amplitudes, 2 * n)[..., 1::2]
@@ -101,10 +99,9 @@ def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarra
 def site_amplitudes(lattice: Lattice, coefficients: np.ndarray) -> np.ndarray:
     """Inverse of ``momentum_coefficients``, along the last axis."""
     n = lattice.n_sites
-    slots, _offset, unoffset, untwist = _basis_tables(lattice)
-    packed = np.empty(np.shape(coefficients), dtype=complex)
-    packed[..., slots] = coefficients * unoffset
-    amplitudes = np.fft.ifft(packed)
+    _offset, unoffset, untwist = _basis_tables(lattice)
+    # ifftshift puts momentum kappa at FFT input index kappa mod N (kappa - 1/2 if even)
+    amplitudes = np.fft.ifft(np.fft.ifftshift(coefficients * unoffset, axes=-1))
     amplitudes *= sqrt(n)
     if untwist is not None:
         amplitudes *= untwist

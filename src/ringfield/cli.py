@@ -13,8 +13,8 @@ Exit codes: 0 success, 1 failed checks, 2 invalid configuration,
 3 numerical guard violation.  ``main`` maps the errors of every
 subcommand: ``TimestepBoundError`` and ``ConsistencyError`` to 3, any
 other ``ValueError`` or an ``OSError`` to 2, each with one ``error:``
-line on stderr.  A warning, such as the tau bound's, is printed as one
-``warning:`` line on stderr and does not change the exit code.
+line on stderr.  A ``UserWarning`` (the tau bound's) prints as one
+``warning:`` line on stderr under any filter and keeps the exit code.
 """
 
 from __future__ import annotations
@@ -240,6 +240,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _warn
+        warnings.simplefilter("default", UserWarning)  # also under -W error
         try:
             return args.func(args)
         except (TimestepBoundError, ConsistencyError) as exc:

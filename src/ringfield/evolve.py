@@ -37,7 +37,9 @@ blocks take their momentum coefficients by one batched forward
 transform.  ``compare`` and the conservation table build no rows: their
 columns are closed forms in c_hat_0 (``experiments``).  ``advance``
 takes n steps of any kind, and ``exact_step`` and ``translate_spectral``
-are n = 1 of it.  Every step count passes ``_check_count`` before any
+are n = 1 of it.  Every step count passes ``_check_count``, and every
+linearised step the tau bound (``check_tau_bound``, called where the
+step is built: ``propagator`` and ``_dense_euler_step``), before any
 transform.  The direct O(N^2) correlation ``euler_step`` is the paper's
 site-space step, kept as the independent reference on both parities:
 the tests iterate it, and the identity suite steps a block of states at
@@ -48,8 +50,9 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,13 +105,12 @@ class EvolutionConfig:
             raise ValueError(f"scheme must be euler|exact (got {self.scheme!r})")
 
 
-def check_tau_bound(tau: float, lattice: Lattice, stacklevel: int = 1) -> None:
+def check_tau_bound(tau: float, lattice: Lattice) -> None:
     """Enforce tau g^2 N^2 < 0.5, warning above 0.1.
 
     A stiffness too large for a float (a vanishing lattice constant)
-    counts as infinite and fails the bound.  The warning is attributed
-    to the caller of this function at ``stacklevel`` 1, to its caller
-    at 2, and so on.
+    counts as infinite and fails the bound.  The warning names the
+    innermost caller outside this package, as ``logging`` finds its own.
     """
     try:
         stiffness = tau * lattice.reciprocal_constant**2 * lattice.n_sites**2
@@ -120,16 +122,14 @@ def check_tau_bound(tau: float, lattice: Lattice, stacklevel: int = 1) -> None:
             "the linearised step is meaningless at this size"
         )
     if stiffness > TAU_WARN_LIMIT:
+        frame, stacklevel = sys._getframe(1), 2
+        while frame.f_back and f"{frame.f_globals.get('__name__')}.".startswith("ringfield."):
+            frame, stacklevel = frame.f_back, stacklevel + 1
         warnings.warn(
             f"tau * g^2 * N^2 = {stiffness:.3f} > {TAU_WARN_LIMIT}; "
             "conservation will degrade visibly",
-            stacklevel=stacklevel + 1,
+            stacklevel=stacklevel,
         )
-
-
-def _takes_linearised_step(kind: str, steps: Iterable[int]) -> bool:
-    """Whether ``steps`` needs a linearised step, so the tau bound applies."""
-    return kind == EULER and any(n > 0 for n in steps)
 
 
 def _naive_f_spectrum(lattice: Lattice) -> np.ndarray:
@@ -185,7 +185,7 @@ def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
     lattice, module docstring), is stored as ln|m| + i arg m =
     log1p(x^2) / 2 - i atan(x).  Raises ``ValueError`` for an unknown
     kind or a multiplier that is not finite, as when g^2 overflows.
-    Does not check the tau bound.
+    The Euler kind checks the tau bound first.
     """
     n = lattice.n_sites
     g = lattice.reciprocal_constant
@@ -197,6 +197,7 @@ def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
         elif kind == TRANSLATE:
             log_m = -2j * np.pi * kappa * step / n
         elif kind == EULER:
+            check_tau_bound(step, lattice)
             x = step * g * g * (_naive_f_spectrum(lattice) if naive else kappa * kappa)
             log_m = 0.5 * np.log1p(x * x) - 1j * np.arctan(x)
         else:
@@ -215,8 +216,8 @@ def _power_blocks(
 ) -> Iterator[tuple[list[int], FieldState, np.ndarray]]:
     """Yield ``(ns, block, coefficients)`` for the n of ``steps``, a block
     at a time (module docstring); a row at n = 0 holds ``state`` and its
-    c_hat_0 exactly.  The propagator is built only when some n >= 1; the
-    caller checks the tau bound.  Raises ``ValueError``, before any
+    c_hat_0 exactly.  The propagator, and with it the tau bound check,
+    is built only when some n >= 1.  Raises ``ValueError``, before any
     transform, for a count that is not an integer >= 0 or a ``state``
     that is a block, and for a row that leaves the finite floats."""
     lattice = state.lattice
@@ -243,15 +244,12 @@ def _power_blocks(
 
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
     """The state after ``n_steps`` steps of one kind (one row of
-    ``_power_blocks``, after the tau bound check); n = 0 returns
-    ``state`` itself, with no transform and no check of ``kind`` or
-    ``step``."""
+    ``_power_blocks``); n = 0 returns ``state`` itself, with no
+    transform and no check of ``kind`` or ``step``."""
     _check_count("n_steps", n_steps, 0)
     if n_steps == 0:
         _require_one_state(state, "evolution")
         return state
-    if _takes_linearised_step(kind, (n_steps,)):
-        check_tau_bound(step, state.lattice, stacklevel=2)
     _steps, block, _coefficients = next(_power_blocks(state, kind, step, [n_steps]))
     return block.row(0)
 
@@ -263,21 +261,21 @@ def euler_step(state: FieldState, tau: float) -> FieldState:
     step.  Builds the dense F, so it raises ``ValueError`` before any
     allocation for N > ``kernels.SITE_MATRIX_MAX_SITES``.
     """
-    check_tau_bound(tau, state.lattice, stacklevel=2)
     return _new_state(state.lattice, *_dense_euler_step(state.lattice, state.a, state.b, tau))
 
 
 def _dense_euler_step(
     lattice: Lattice, a: np.ndarray, b: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``euler_step`` on raw fields, without its checks: the stepped
-    ``(a, b)``.
+    """``euler_step`` on raw fields: the stepped ``(a, b)``, after the
+    tau bound check.
 
     The fields hold one state per row with the sites on the last axis,
     shape (R, N) or (N,).  F acts on each row as a stacked matrix-vector
     product, which gives every row bitwise the result of ``F @ row``;
     the equivalent ``a @ F.T`` is one matrix product and does not.
     """
+    check_tau_bound(tau, lattice)
     fmat = f_site_matrix(lattice)
     scale = tau * lattice.reciprocal_constant**2
     created_a = np.matmul(fmat, b[..., None])[..., 0]
@@ -329,16 +327,14 @@ def run(
 
     Snapshots are taken at the ``record_steps`` of ``record_every``, and
     ``checkpoint_every`` > 0 also stores full states at its own.  Only
-    those rows are built, a block at a time (module docstring).  The tau
-    bound is checked once, when a step is taken; a count that is not an
+    those rows are built, a block at a time (module docstring), by one
+    propagator, which checks the tau bound.  A count that is not an
     integer >= 0 (``record_every`` >= 1) raises ``ValueError`` first.
     """
     recorded = set(record_steps(n_steps, record_every))
     _check_count("checkpoint_every", checkpoint_every, 0)
     stored = set(record_steps(n_steps, checkpoint_every) if checkpoint_every else ())
     steps = sorted(recorded | stored)
-    if _takes_linearised_step(config.scheme, steps):
-        check_tau_bound(config.tau, state.lattice, stacklevel=2)
 
     records = []
     checkpoints: dict[int, FieldState] = {}

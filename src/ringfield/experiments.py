@@ -35,7 +35,8 @@ site space (``_euler_series``): c_hat_0 must carry the site-space M
 transform, must be finite (``ValueError``) and carry the predicted M to
 ``FINAL_M_RTOL`` (``ConsistencyError``).  ``compare_rows`` builds the
 exact final state too and holds it to M_0 and to the deviation.  The
-tests hold the table against the M and <V> that ``run`` records.
+tests hold the table against the M and <V> that ``run`` records.  No
+procedure checks the tau bound itself: the steps ``evolve`` builds do.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ from .evolve import (
     _check_tau,
     _dense_euler_step,
     advance,
-    check_tau_bound,
     euler_step,
     exact_step,
     propagator,
@@ -83,11 +83,12 @@ from .observables import (
 )
 from .state import (
     FieldState,
+    StateSpec,
     _check_seed,
+    build_state,
     combined_distribution,
     gaussian_state,
     norm_m,
-    random_state,
     state_from_amplitudes,
     uniform_state,
 )
@@ -216,13 +217,11 @@ def _band_check(
 
 def table_state(lattice, shape: str, seed: int = DEFAULT_SEED) -> FieldState:
     """Initial state used for one row of the conservation table."""
-    if shape == "gaussian":
-        return gaussian_state(lattice, 0, GAUSSIAN_SIGMA, GAUSSIAN_VELOCITY_INDEX)
-    if shape == "uniform":
-        return uniform_state(lattice, 0, UNIFORM_HALF_WIDTH, UNIFORM_VELOCITY_INDEX)
-    if shape == "random":
-        return random_state(lattice, seed)
-    raise ValueError(f"unknown table shape {shape!r}")
+    params = {
+        "gaussian": {"width": GAUSSIAN_SIGMA, "velocity_index": GAUSSIAN_VELOCITY_INDEX},
+        "uniform": {"width": UNIFORM_HALF_WIDTH, "velocity_index": UNIFORM_VELOCITY_INDEX},
+    }.get(shape, {})  # the random shape takes neither
+    return build_state(lattice, StateSpec(shape, seed=seed, **params))
 
 
 def _relative_variation(values) -> float:
@@ -252,17 +251,16 @@ def _check_final_m(lattice, amplitudes: np.ndarray, predicted: float, n_steps: i
 def _euler_series(state: FieldState, tau: float, steps: list[int]):
     """c_hat_0, its occupation, M, <P> and the amplitudes after the last
     of ``steps`` (ascending, from 0) under the Euler step, checked as the
-    module docstring says; no step taken gives ``None`` amplitudes and
-    builds no propagator."""
+    module docstring says.  The propagator (the tau bound) comes first;
+    no step taken gives ``None`` amplitudes and builds no propagator."""
     lattice = state.lattice
+    prop = propagator(lattice, EULER, tau) if steps[-1] else None
     initial = momentum_coefficients(lattice, state.c)
     occupation = np.abs(initial) ** 2
     _check_parseval(occupation, norm_m(state))
-    if steps[-1] == 0:  # m^0 = 1 for any multiplier
+    if prop is None:  # m^0 = 1 for any multiplier
         m_total, momentum = spectral_series(lattice, occupation, np.zeros(lattice.n_sites), steps)
         return initial, occupation, m_total, momentum, None
-    check_tau_bound(tau, lattice)
-    prop = propagator(lattice, EULER, tau)
     m_total, momentum = spectral_series(lattice, occupation, prop.log_multiplier.real, steps)
     _rows, (final,) = prop.amplitudes_after(initial, steps[-1:])
     _check_final_m(lattice, final, m_total[-1], steps[-1])
@@ -280,8 +278,8 @@ def paper_table_run(
     reaction process and report the observed variation of M and <V>,
     in closed form at the steps ``run`` records (module docstring).
 
-    The tau bound is checked once when a step is taken; ``n_steps = 0``
-    reports a variation of 0.0 and builds no propagator.  Raises
+    The propagator checks the tau bound before any transform;
+    ``n_steps = 0`` reports a variation of 0.0 and builds none.  Raises
     ``ValueError`` for a negative seed, a tau that is not positive or a
     bad step count (``evolve.record_steps``), before any work.
     """
@@ -463,7 +461,7 @@ def identity_suite(
     ``states_per_n`` random states of a lattice, each at both
     normalisations, form one block of rows, which takes one dense
     reference step of ``IDENTITY_TAU`` (``_dense_euler_step``, bitwise
-    ``euler_step`` on every row) after one tau bound check; both the
+    ``euler_step`` on every row, tau bound check included); both the
     block and the stepped block must be finite (``ValueError``).
     """
     rng = np.random.default_rng(seed)
@@ -501,7 +499,6 @@ def identity_suite(
         block = state_from_amplitudes(
             lattice, np.concatenate([amps * np.sqrt(m_target) for m_target in (1.0, 7.0)])
         )
-        check_tau_bound(tau, lattice)
         stepped_a, stepped_b = _dense_euler_step(lattice, block.a, block.b, tau)
         stepped = state_from_amplitudes(lattice, stepped_a + 1j * stepped_b)
         measured = norm_m(stepped) - norm_m(block)
@@ -727,7 +724,7 @@ def qualitative_shape_run() -> ExperimentReport:
     maxima_after = count_local_maxima(combined_distribution(stepped))
 
     # random state: descriptive smoothness metrics only
-    rough = random_state(lattice, DEFAULT_SEED)
+    rough = table_state(lattice, "random")
     rough_before = _roughness(rough)
     band_before = high_band_fraction(rough)
     rough_after_state = advance(rough, EULER, 1e-3, 1000)

@@ -60,46 +60,51 @@ class Lattice:
         return np.arange(-self.half_width, self.half_width) + 0.5
 
 
-def make_lattice(n_sites: int, lattice_constant: float = 1.0) -> Lattice:
-    """Build the standard odd-site cyclic lattice.
-
-    Raises ``ValueError`` for even or too-small ``n_sites`` or a
-    ``lattice_constant`` that is not positive and finite (an infinite
-    one would give g = 0); the even variant is ``make_even_lattice``.
-    """
-    n_sites = int(n_sites)
-    if n_sites < 3 or n_sites % 2 == 0:
+def _build(n_sites, lattice_constant: float, parity: str) -> Lattice:
+    """The lattice of ``parity``; raises ``ValueError`` for an ``n_sites``
+    that ``int()`` would change (nothing is truncated), of the wrong
+    parity or too small, or a ``lattice_constant`` that is not positive
+    and finite (an infinite one would give g = 0)."""
+    try:
+        n = int(n_sites)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != n_sites:
+        raise ValueError(f"n_sites must be a whole number (got {n_sites!r})")
+    if parity == ODD and (n < 3 or n % 2 == 0):
         raise ValueError(
-            f"n_sites must be an odd integer >= 3 (got {n_sites}); "
+            f"n_sites must be an odd integer >= 3 (got {n}); "
             "the standard model requires an odd number of sites"
         )
+    if parity == EVEN and (n < 4 or n % 2 == 1):
+        raise ValueError(f"even-mode lattice needs an even n_sites >= 4 (got {n})")
     if not 0 < lattice_constant < inf:
         raise ValueError(f"lattice_constant must be positive and finite (got {lattice_constant})")
     return Lattice(
-        n_sites=n_sites,
+        n_sites=n,
         lattice_constant=float(lattice_constant),
-        half_width=(n_sites - 1) // 2,
-        reciprocal_constant=2.0 * pi / (n_sites * lattice_constant),
+        half_width=n // 2,
+        reciprocal_constant=2.0 * pi / (n * lattice_constant),
+        parity=parity,
     )
+
+
+def make_lattice(n_sites: int, lattice_constant: float = 1.0) -> Lattice:
+    """Build the standard odd-site cyclic lattice.
+
+    Raises ``ValueError`` for an ``n_sites`` that is not a whole number,
+    even or too small, or a ``lattice_constant`` that is not positive
+    and finite; the even variant is ``make_even_lattice``.
+    """
+    return _build(n_sites, lattice_constant, ODD)
 
 
 def make_even_lattice(n_sites: int, lattice_constant: float = 1.0) -> Lattice:
     """Build the even-site lattice used by the demonstration mode.
 
-    Site labels run over ``-N/2 .. N/2 - 1``.
+    Site labels run over ``-N/2 .. N/2 - 1``; checked like ``make_lattice``.
     """
-    n_sites = int(n_sites)
-    if n_sites < 4 or n_sites % 2 == 1:
-        raise ValueError(f"even-mode lattice needs an even n_sites >= 4 (got {n_sites})")
-    if not 0 < lattice_constant < inf:
-        raise ValueError(f"lattice_constant must be positive and finite (got {lattice_constant})")
-    return Lattice(
-        n_sites=n_sites,
-        lattice_constant=float(lattice_constant),
-        half_width=n_sites // 2,
-        reciprocal_constant=2.0 * pi / (n_sites * lattice_constant),
-        parity=EVEN,
-    )
+    return _build(n_sites, lattice_constant, EVEN)
 
 
 def wrap_index(s, lattice: Lattice):

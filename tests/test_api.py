@@ -103,6 +103,16 @@ def test_the_lattice_fixes_the_parity():
     assert not hasattr(ringfield.evolve, "ODD_STANDARD")
 
 
+def test_the_tau_bound_is_checked_where_the_step_is_built():
+    # ``propagator`` and ``_dense_euler_step`` check it; no caller decides
+    # when it applies, and the warning finds its caller without a stacklevel
+    assert not hasattr(ringfield.evolve, "_takes_linearised_step")
+    assert not hasattr(ringfield.experiments, "check_tau_bound")
+    assert list(inspect.signature(ringfield.evolve.check_tau_bound).parameters) == [
+        "tau", "lattice"
+    ]
+
+
 def test_run_options_after_record_every_are_keyword_only():
     state = gaussian_state(make_lattice(21), 0, 2.0)
     with pytest.raises(TypeError):

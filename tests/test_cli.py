@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -62,6 +63,20 @@ class TestRunCommand:
         assert capsys.readouterr().err.splitlines() == [
             "warning: tau * g^2 * N^2 = 0.395 > 0.1; conservation will degrade visibly"
         ]
+
+    @pytest.mark.parametrize("argv, lines", [
+        (["run", "--n-sites", "101", "--width", "5", "--tau", "0.01"], 1),
+        (["paper-table", "--steps", "10"], 2),
+    ], ids=["run", "paper-table"])
+    def test_tau_warning_is_one_line_under_an_error_filter(self, argv, lines, capsys):
+        """A filter that turns warnings into errors (``-W error``) changes
+        neither the exit code nor the one ``warning:`` line per message."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == lines
+        assert all(line.startswith("warning: tau * g^2 * N^2 = ") for line in err)
 
     def test_bad_shape_exit_code(self):
         assert main(["run", "--n-sites", "101", "--width", "900"]) == 2

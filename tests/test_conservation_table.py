@@ -8,7 +8,6 @@ kernel oracle sums against complex exponentials, and the bounds on the
 dense site matrices: two cached lattices, and no N past the cap."""
 
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -286,15 +285,6 @@ def test_zero_steps_build_no_propagator(monkeypatch):
         report = paper_table_run(shape, 1e-2, n_steps=0)
         assert report.metrics["relative variation of M"] == 0.0
         assert report.metrics["relative variation of <V>"] == 0.0
-
-
-def test_tau_warning_names_the_experiments_module():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        paper_table_run("gaussian", 5e-3, n_steps=10)
-    tau_warnings = [w for w in caught if "tau * g^2 * N^2" in str(w.message)]
-    assert len(tau_warnings) == 1
-    assert tau_warnings[0].filename == ringfield.experiments.__file__
 
 
 def test_negative_seed_is_rejected_before_any_row(monkeypatch):

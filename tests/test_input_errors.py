@@ -57,7 +57,6 @@ EXIT_CODES = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv, expected", EXIT_CODES, ids=[" ".join(a) for a, _ in EXIT_CODES])
 def test_exit_code(argv, expected, capsys):
     # an exception escaping main() is what prints a traceback
@@ -373,6 +372,10 @@ def test_fifo_output_is_written_in_place(tmp_path):
     ({"parity": "odd", "n_sites": 3, "lattice_constant": 1.0, "a": [0, 1], "b": [0, 0]},
      "one entry per site"),
     ([1, 2, 3], ""),
+    ({"parity": "odd", "n_sites": 3.5, "lattice_constant": 1.0, "a": [0, 1, 0], "b": [0, 0, 0]},
+     r"n_sites must be a whole number \(got 3\.5\)"),
+    ({"parity": "even", "n_sites": 4.5, "lattice_constant": 1.0,
+      "a": [0, 1, 0, 0], "b": [0, 0, 0, 0]}, r"n_sites must be a whole number \(got 4\.5\)"),
     ({"parity": "bogus", "n_sites": 3, "lattice_constant": 1.0,
       "a": [0, 1, 0], "b": [0, 0, 0]}, "parity must be odd|even"),
 ])

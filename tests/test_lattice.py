@@ -63,6 +63,23 @@ def test_spacing_must_be_positive_and_finite(maker, n, spacing):
         maker(n, spacing)
 
 
+@pytest.mark.parametrize("maker, n", [
+    (make_lattice, 801.9), (make_lattice, 801.5), (make_even_lattice, 800.5),
+    (make_lattice, math.inf), (make_even_lattice, math.nan), (make_lattice, "801"),
+], ids=["odd 801.9", "odd 801.5", "even 800.5", "odd inf", "even nan", "odd str"])
+def test_size_is_never_truncated(maker, n):
+    # int() would have built N = 801 (or 800) from the fractional sizes
+    with pytest.raises(ValueError, match=r"n_sites must be a whole number \(got "):
+        maker(n)
+
+
+@pytest.mark.parametrize("maker, n", [(make_lattice, 801.0), (make_even_lattice, np.int64(800))],
+                         ids=["odd", "even"])
+def test_whole_size_of_another_type_is_accepted(maker, n):
+    lattice = maker(n)
+    assert lattice.n_sites == n and type(lattice.n_sites) is int
+
+
 class TestWrapIndex:
     def test_one_past_edge(self):
         lat = make_lattice(801)

@@ -18,6 +18,7 @@ from ringfield import (
     ConsistencyError,
     EvolutionConfig,
     RunConfig,
+    TimestepBoundError,
     advance,
     euler_step,
     gaussian_state,
@@ -28,7 +29,12 @@ from ringfield import (
     uniform_state,
 )
 from ringfield.basis import momentum_coefficients
-from ringfield.experiments import compare_rows, paper_table_run
+from ringfield.experiments import (
+    compare_rows,
+    even_odd_comparison,
+    paper_table_grid,
+    paper_table_run,
+)
 from ringfield.evolve import EULER, EXACT
 from ringfield.ioutil import fmt
 from ringfield.kernels import g_site_matrix
@@ -407,17 +413,64 @@ WARN_TAU = 5e-3
 WARN_LATTICE = make_lattice(801)
 WARN_STATE = gaussian_state(WARN_LATTICE, 0, 10.0, 20)
 WARNING_CALLS = {
-    "run": lambda: run(WARN_STATE, EvolutionConfig(tau=WARN_TAU), 10),
-    "advance": lambda: advance(WARN_STATE, EULER, WARN_TAU, 10),
-    "euler_step": lambda: euler_step(WARN_STATE, WARN_TAU),
+    "run": (lambda: run(WARN_STATE, EvolutionConfig(tau=WARN_TAU), 10), 1),
+    "advance": (lambda: advance(WARN_STATE, EULER, WARN_TAU, 10), 1),
+    "euler_step": (lambda: euler_step(WARN_STATE, WARN_TAU), 1),
+    "paper_table_run": (lambda: paper_table_run("gaussian", WARN_TAU, n_steps=10), 1),
+    # three shapes at each of the two time steps past the threshold
+    "paper_table_grid": (lambda: paper_table_grid(n_steps=10), 6),
+    "compare_rows": (lambda: compare_rows(WARN_STATE, WARN_TAU, 10, 5), 1),
+    # the Euler step on both lattices, confined and wrapped
+    "even_odd_comparison": (lambda: even_odd_comparison(n_steps=1, tau=WARN_TAU), 4),
 }
 
 
 @pytest.mark.parametrize("name", WARNING_CALLS)
 def test_tau_warning_names_the_caller(name):
+    """However deep inside the package the linearised step is built,
+    its tau warning names the code that called into the package."""
+    call, expected = WARNING_CALLS[name]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        WARNING_CALLS[name]()
+        call()
     tau_warnings = [w for w in caught if "tau * g^2 * N^2" in str(w.message)]
-    assert len(tau_warnings) == 1
-    assert tau_warnings[0].filename == __file__
+    assert len(tau_warnings) == expected
+    assert {w.filename for w in tau_warnings} == {__file__}
+
+
+# tau g^2 N^2 = 0.02 (2 pi)^2 = 0.79, past the limit of 0.5
+LIMIT_TAU = 0.02
+EVEN_STATE = gaussian_state(make_even_lattice(100), 0, 5.0)
+OVER_LIMIT_CALLS = {
+    "run": lambda: run(SMALL_STATE, EvolutionConfig(tau=LIMIT_TAU), 10),
+    "advance": lambda: advance(SMALL_STATE, EULER, LIMIT_TAU, 10),
+    "advance even": lambda: advance(EVEN_STATE, EULER, LIMIT_TAU, 10),
+    "euler_step": lambda: euler_step(SMALL_STATE, LIMIT_TAU),
+    "paper_table_run": lambda: paper_table_run("gaussian", LIMIT_TAU, n_steps=10),
+    "compare_rows": lambda: compare_rows(SMALL_STATE, LIMIT_TAU, 10, 5),
+    "even_odd_comparison": lambda: even_odd_comparison(n_steps=1, tau=LIMIT_TAU),
+}
+
+
+@pytest.mark.parametrize("name", OVER_LIMIT_CALLS)
+def test_tau_limit_fails_before_any_transform(monkeypatch, fft_calls, name):
+    """Where the linearised step is built, the bound comes first: no
+    transform (not even the naive even-mode spectrum) and no dense F."""
+    def forbidden(lattice):
+        raise AssertionError("dense F built")
+
+    monkeypatch.setattr(ringfield.evolve, "f_site_matrix", forbidden)
+    with pytest.raises(TimestepBoundError):
+        OVER_LIMIT_CALLS[name]()
+    assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
+
+
+def test_tau_warning_survives_a_frame_without_a_module_name():
+    """The caller search reads ``__name__`` from each frame's globals
+    and must not fail where there is none."""
+    namespace = {"run": run, "state": WARN_STATE, "config": EvolutionConfig(tau=WARN_TAU)}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        exec("run(state, config, 10)", namespace)
+    assert "__name__" not in namespace
+    assert [str(w.message).startswith("tau * g^2 * N^2") for w in caught] == [True]
