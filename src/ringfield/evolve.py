@@ -28,14 +28,15 @@ crosses the index seam.
 So n steps are one multiplier raised to the power n.  ``run``
 transforms the initial state once and builds only the rows it records,
 a block (``observables.row_blocks``) at a time (``_power_blocks``): the
-rows c_hat_0 m^n go through one batched inverse transform, and
-``observables.snapshots`` measures <P> and <V> from those coefficient
-rows, checking Parseval on every row.  So a record costs one transform,
-and memory stays flat as the record count grows.  The Euler step of an
-even lattice multiplies coefficients of the storage-order DFT, so its
-blocks take their momentum coefficients by one batched forward
-transform.  ``compare`` and the conservation table build no rows: their
-columns are closed forms in c_hat_0 (``experiments``).  ``advance``
+rows c_hat_0 m^n go through one batched inverse transform, so a record
+costs one transform, and memory stays flat as the record count grows.
+Its M and <P> columns come from one ``observables.spectral_series`` of
+|c_hat_0|^2 whenever the step is diagonal in the unbiased basis, the
+reduction behind ``compare``'s and the conservation table's closed
+forms (``experiments``), which build no rows.  ``m_total`` is the
+measured site-space M of each row, held to that series (Parseval).  The
+naive even Euler step multiplies the storage-order DFT instead, so each
+of its rows reduces its own occupation.  ``advance``
 takes n steps of any kind, and ``exact_step`` and ``translate_spectral``
 are n = 1 of it.  Every step count passes ``_check_count``, and every
 linearised step the tau bound (``check_tau_bound``, called where the
@@ -60,7 +61,7 @@ import numpy as np
 from .basis import momentum_coefficients, site_amplitudes
 from .kernels import f_site_matrix, kernel_f
 from .lattice import EVEN, Lattice, wrap_index
-from .observables import row_blocks, snapshots
+from .observables import row_blocks, snapshots, spectral_series
 from .series import TimeSeries
 from .state import FieldState, _new_state, _require_one_state, state_from_amplitudes
 
@@ -157,12 +158,10 @@ class Propagator:
     log_multiplier: np.ndarray
     storage_dft: bool = False
 
-    def amplitudes_after(
-        self, coefficients: np.ndarray, steps
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The coefficient rows ``coefficients * m**n``, one per n of
-        ``steps``, and their site amplitudes by one batched inverse
-        transform.
+    def amplitudes_after(self, coefficients: np.ndarray, steps) -> np.ndarray:
+        """The site amplitudes of the coefficient rows
+        ``coefficients * m**n``, one per n of ``steps``, by one batched
+        inverse transform.
 
         Unchecked: a row that overflowed holds non-finite values, which
         ``state_from_amplitudes`` rejects.
@@ -172,8 +171,8 @@ class Propagator:
             np.exp(evolved, out=evolved)
             np.multiply(coefficients, evolved, out=evolved)
             if self.storage_dft:
-                return evolved, np.fft.ifft(evolved)
-            return evolved, site_amplitudes(self.lattice, evolved)
+                return np.fft.ifft(evolved)
+            return site_amplitudes(self.lattice, evolved)
 
 
 def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
@@ -213,13 +212,15 @@ def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
 
 def _power_blocks(
     state: FieldState, kind: str, step: float, steps: list[int]
-) -> Iterator[tuple[list[int], FieldState, np.ndarray]]:
-    """Yield ``(ns, block, coefficients)`` for the n of ``steps``, a block
-    at a time (module docstring); a row at n = 0 holds ``state`` and its
-    c_hat_0 exactly.  The propagator, and with it the tau bound check,
-    is built only when some n >= 1.  Raises ``ValueError``, before any
+) -> tuple[Propagator | None, np.ndarray, Iterator[tuple[slice, FieldState]]]:
+    """The propagator for the n of ``steps`` (``None``, with no tau bound
+    check, unless some n >= 1), the c_hat_0 of ``state`` that it
+    multiplies, and an iterator of ``(rows, block)``: a slice of
+    ``steps`` and its states, a block at a time (module docstring), with
+    ``state`` exactly at n = 0.  Raises ``ValueError``, before any
     transform, for a count that is not an integer >= 0 or a ``state``
-    that is a block, and for a row that leaves the finite floats."""
+    that is a block, and, while iterating, for a row that leaves the
+    finite floats."""
     lattice = state.lattice
     _require_one_state(state, "evolution")
     for n in steps:
@@ -228,18 +229,17 @@ def _power_blocks(
     prop = None if at_zero.all() else propagator(lattice, kind, step)
     naive = prop is not None and prop.storage_dft
     initial = np.fft.fft(state.c) if naive else momentum_coefficients(lattice, state.c)
-    for rows in row_blocks(len(steps), np.dtype(complex).itemsize * lattice.n_sites):
-        chunk, zero = steps[rows], at_zero[rows]
-        if prop is None:  # every row is n = 0
-            evolved = np.broadcast_to(initial, (len(chunk), lattice.n_sites))
-            amplitudes = np.broadcast_to(state.c, evolved.shape)
-        else:
-            evolved, amplitudes = prop.amplitudes_after(initial, chunk)
-            amplitudes[zero] = state.c
-        block = state_from_amplitudes(lattice, amplitudes)
-        if naive:
-            evolved = momentum_coefficients(lattice, block.c)
-        yield chunk, block, evolved
+
+    def blocks():
+        for rows in row_blocks(len(steps), np.dtype(complex).itemsize * lattice.n_sites):
+            if prop is None:  # every row is n = 0
+                amplitudes = np.broadcast_to(state.c, (len(steps[rows]), lattice.n_sites))
+            else:
+                amplitudes = prop.amplitudes_after(initial, steps[rows])
+                amplitudes[at_zero[rows]] = state.c
+            yield rows, state_from_amplitudes(lattice, amplitudes)
+
+    return prop, initial, blocks()
 
 
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
@@ -250,8 +250,8 @@ def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> Fiel
     if n_steps == 0:
         _require_one_state(state, "evolution")
         return state
-    _steps, block, _coefficients = next(_power_blocks(state, kind, step, [n_steps]))
-    return block.row(0)
+    _prop, _initial, blocks = _power_blocks(state, kind, step, [n_steps])
+    return next(blocks)[1].row(0)
 
 
 def euler_step(state: FieldState, tau: float) -> FieldState:
@@ -328,23 +328,30 @@ def run(
     Snapshots are taken at the ``record_steps`` of ``record_every``, and
     ``checkpoint_every`` > 0 also stores full states at its own.  Only
     those rows are built, a block at a time (module docstring), by one
-    propagator, which checks the tau bound.  A count that is not an
-    integer >= 0 (``record_every`` >= 1) raises ``ValueError`` first.
+    propagator, which checks the tau bound; their <P> and <V> come from
+    one ``spectral_series`` on the diagonal steps, as ``compare``'s do.
+    A count that is not an integer >= 0 (``record_every`` >= 1) raises
+    ``ValueError`` first.
     """
     recorded = set(record_steps(n_steps, record_every))
     _check_count("checkpoint_every", checkpoint_every, 0)
     stored = set(record_steps(n_steps, checkpoint_every) if checkpoint_every else ())
     steps = sorted(recorded | stored)
+    prop, initial, blocks = _power_blocks(state, config.scheme, config.tau, steps)
+    spectral = None
+    if prop is None or not prop.storage_dft:  # diagonal in the unbiased basis
+        log_m = np.zeros(len(initial)) if prop is None else prop.log_multiplier.real  # m^0 = 1
+        spectral = np.stack(spectral_series(state.lattice, np.abs(initial) ** 2, log_m, steps))
 
     records = []
     checkpoints: dict[int, FieldState] = {}
-    for chunk, block, coefficients in _power_blocks(state, config.scheme, config.tau, steps):
-        rows = [row for row, step in enumerate(chunk) if step in recorded]
-        if rows:
-            measured, spectra = block, coefficients
-            if len(rows) < len(chunk):
-                measured, spectra = block.row(rows), coefficients[rows]
-            records.extend(snapshots(measured, [chunk[row] for row in rows], spectra))
+    for rows, block in blocks:
+        chunk = steps[rows]
+        kept = [row for row, step in enumerate(chunk) if step in recorded]
+        if kept:
+            measured = block if len(kept) == len(chunk) else block.row(kept)
+            columns = None if spectral is None else spectral[:, rows][:, kept]
+            records.extend(snapshots(measured, [chunk[row] for row in kept], columns))
         for row, step in enumerate(chunk):
             if step in stored:
                 checkpoints[step] = state if step == 0 else block.row(row)

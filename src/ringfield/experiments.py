@@ -257,12 +257,12 @@ def _euler_series(state: FieldState, tau: float, steps: list[int]):
     prop = propagator(lattice, EULER, tau) if steps[-1] else None
     initial = momentum_coefficients(lattice, state.c)
     occupation = np.abs(initial) ** 2
-    _check_parseval(occupation, norm_m(state))
-    if prop is None:  # m^0 = 1 for any multiplier
-        m_total, momentum = spectral_series(lattice, occupation, np.zeros(lattice.n_sites), steps)
+    _check_parseval(np.sum(occupation), norm_m(state))
+    log_m = np.zeros(lattice.n_sites) if prop is None else prop.log_multiplier.real  # m^0 = 1
+    m_total, momentum = spectral_series(lattice, occupation, log_m, steps)
+    if prop is None:
         return initial, occupation, m_total, momentum, None
-    m_total, momentum = spectral_series(lattice, occupation, prop.log_multiplier.real, steps)
-    _rows, (final,) = prop.amplitudes_after(initial, steps[-1:])
+    (final,) = prop.amplitudes_after(initial, steps[-1:])
     _check_final_m(lattice, final, m_total[-1], steps[-1])
     return initial, occupation, m_total, momentum, final
 
@@ -424,7 +424,7 @@ def compare_rows(state: FieldState, tau: float, n_steps: int, record_every: int)
         g, kappa = lattice.reciprocal_constant, lattice.momentum_values()
         x = tau * g * g * (kappa * kappa)  # as ``propagator`` builds the Euler step
         deviation = _deviation_series(occupation, x, steps)
-        _rows, (exact,) = propagator(lattice, EXACT, tau).amplitudes_after(initial, steps[-1:])
+        (exact,) = propagator(lattice, EXACT, tau).amplitudes_after(initial, steps[-1:])
         _check_final_m(lattice, exact, m_exact, n_steps)
         gap = np.linalg.norm(final - exact) - deviation[-1]
         if not abs(gap) <= FINAL_DEVIATION_RTOL * max(1.0, np.sqrt(m_euler[-1])):

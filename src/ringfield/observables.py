@@ -22,20 +22,22 @@ with no N x N matrix.  The double sums over the dense
 Position mean and spread are circular moments, since the lattice is a
 circle and linear moments stop meaning anything once a packet wraps.
 
-Every observable is written over the last axis of its arrays, so a
-whole block of states (a ``FieldState`` with one state per row) is
-measured at once.  ``conserved_columns`` evaluates that formula on every
-row, from the coefficient rows ``run`` builds its blocks from or from
-``basis.momentum_coefficients``, and checks Parseval on every row
-against the site-space M; ``snapshots`` adds the position columns.
-``snapshot`` and the single-state functions are the same code on a
-state of shape (N,); they raise ``ValueError`` for a block.
-
 A step that multiplies every momentum coefficient by m scales the
 occupation by |m|^2, so M and <P> after any number of steps follow from
-the initial occupation alone: ``spectral_series`` evaluates them there,
-from the same odd part, row by row (``_spectral_rows``, which sums
-``compare``'s deviation too), with no transform at all.
+the initial occupation alone.  ``spectral_series`` evaluates them
+there, row by row (``_spectral_rows``, which sums ``compare``'s
+deviation too), and is the one reduction behind every command's <V>
+and <P>.  A state with no such history (one state, or a row of the
+naive even Euler step) reduces its own occupation through it at n = 0.
+
+Every observable is written over the last axis of its arrays, so a
+whole block of states (a ``FieldState`` with one state per row) is
+measured at once.  ``snapshots`` holds each row's site-space M to its
+spectral M (Parseval): ``run``'s ``m_total`` is the measured M and
+``compare``'s ``m_euler`` the spectral prediction, and the gap between
+them is how far the measured M drifts.  ``snapshot`` and the
+single-state functions are the same code on a state of shape (N,);
+they raise ``ValueError`` for a block.
 """
 
 from __future__ import annotations
@@ -59,10 +61,9 @@ from .state import (
 # bytes of one block of rows, read only by ``row_blocks``: complex
 # amplitudes in ``evolve``'s record blocks (5 rows at N = 801, one from
 # N = 2049 on), real weights in ``_spectral_rows``.  Building a record
-# block takes about three and a half block-sized arrays at once
-# (tracemalloc, 4 rows at N = 4001: 0.86 MB for a 0.24 MB block), and
-# measuring it from its coefficient rows about three more (0.70 MB), next
-# to the block and its coefficients.  So larger blocks raise the peak
+# block takes about three block-sized arrays at once (tracemalloc, 4 rows
+# at N = 4001: 0.78 MB for a 0.26 MB block), and measuring its position
+# columns about three more (0.74 MB).  So larger blocks raise the peak
 # memory of large-N runs, while most of the batching gain at N = 801 is
 # already there at 5 rows.
 RECORD_BLOCK_BYTES = 64 * 1024
@@ -79,43 +80,15 @@ def row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
     return (slice(lo, lo + rows) for lo in range(0, n_rows, rows))
 
 
-def _odd_part(lattice: Lattice, occupation: np.ndarray) -> np.ndarray:
-    """kappa (|c_hat_k|^2 - |c_hat_-k|^2) per row; -k is the reversed row."""
-    return lattice.momentum_values() * (occupation - occupation[..., ::-1])
-
-
-def _check_parseval(occupation: np.ndarray, m_sites) -> None:
-    """``ConsistencyError`` when the summed occupation of a row misses
-    its site-space M by more than 1e-10 max(1, M): a broken transform."""
-    gap = np.sum(occupation, axis=-1) - m_sites
+def _check_parseval(m_spectral, m_sites) -> None:
+    """``ConsistencyError`` when the spectral M of a row misses its
+    site-space M by more than 1e-10 max(1, M): a broken transform."""
+    gap = m_spectral - m_sites
     broken = np.flatnonzero(np.abs(gap) > 1e-10 * np.maximum(1.0, m_sites))
     if broken.size:
         raise ConsistencyError(
-            f"momentum occupation differs from M by {gap.flat[broken[0]]:.3e} (Parseval)"
+            f"spectral M differs from the site-space M by {gap.flat[broken[0]]:.3e} (Parseval)"
         )
-
-
-def conserved_columns(
-    state: FieldState, coefficients: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """M, <V> and <P> of each row, the last two from the momentum
-    occupation (see the module docstring), so <V> = 2 <P> bitwise.
-
-    ``coefficients`` are the rows' unbiased-basis coefficients c_hat
-    when the caller already holds them; without them they come from
-    ``momentum_coefficients``.  A row whose occupation is even in kappa,
-    as the real-input spectrum of b = 0 is, has both exactly 0.0.  The
-    occupation is checked against the site-space M of every row
-    (Parseval, ``ConsistencyError``).
-    """
-    lattice = state.lattice
-    if coefficients is None:
-        coefficients = momentum_coefficients(lattice, state.c)
-    occupation = np.abs(coefficients) ** 2
-    m_sites = norm_m(state)
-    _check_parseval(occupation, m_sites)
-    drift = lattice.reciprocal_constant * np.sum(_odd_part(lattice, occupation), axis=-1)
-    return m_sites, drift, drift / 2.0
 
 
 def spectral_series(
@@ -125,12 +98,13 @@ def spectral_series(
     ``steps``, from ``occupation`` |c_hat_0|^2 and ``log_magnitude``
     ln|m|, both ordered like ``lattice.momentum_values()``.
 
-    |m_k| = |m_-k|, so <P> sums the odd part of the occupation, as
-    ``conserved_columns`` does: an even occupation has <P> exactly 0.0.
-    Summed row by row (``_spectral_rows``), which raises ``ValueError``
-    when a value leaves the finite floats.
+    |m_k| = |m_-k|, so <P> sums the odd part of the occupation (-k is
+    the reversed row): an even occupation has <P> exactly 0.0.  Summed
+    row by row (``_spectral_rows``), which raises ``ValueError`` when a
+    value leaves the finite floats.
     """
-    moments = np.stack((occupation, _odd_part(lattice, occupation) / 2.0), axis=-1)
+    odd = lattice.momentum_values() * (occupation - occupation[::-1]) / 2.0
+    moments = np.stack((occupation, odd), axis=-1)
     twice = 2.0 * np.asarray(log_magnitude, dtype=float)
     series = _spectral_rows(steps, lambda n: np.exp(n * twice), moments)
     return series[:, 0], lattice.reciprocal_constant * series[:, 1]
@@ -154,13 +128,31 @@ def _spectral_rows(steps, terms, moments: np.ndarray) -> np.ndarray:
     return series[:, 0, :]
 
 
-def drift_velocity(state: FieldState) -> float:
-    """Drift velocity 4 g sum a_s b_r G(s-r), from the momentum occupation.
+def _measured_columns(block: FieldState, spectral=None) -> tuple[np.ndarray, np.ndarray]:
+    """The site-space M and the <P> of each row of ``block``, flat, from
+    ``spectral``, the rows' spectral M and <P> (``run``'s prediction from
+    c_hat_0), or else from ``spectral_series`` at n = 0 on each row's
+    own occupation, a row at a time, so each row is bitwise what it
+    gives alone.  ``ConsistencyError`` when a row's spectral M misses
+    its M (Parseval)."""
+    lattice = block.lattice
+    if spectral is None:
+        occupation = np.abs(momentum_coefficients(lattice, block.c)) ** 2
+        unit = np.zeros(lattice.n_sites)  # ln|m| of m = 1: no step
+        rows = [spectral_series(lattice, row, unit, [0])
+                for row in occupation.reshape(-1, lattice.n_sites)]
+        spectral = [np.concatenate(column) for column in zip(*rows)]
+    m_spectral, momentum = spectral
+    m_sites = np.reshape(norm_m(block), -1)
+    _check_parseval(m_spectral, m_sites)
+    return m_sites, momentum
 
-    Exactly 0.0 when b = 0.
-    """
+
+def drift_velocity(state: FieldState) -> float:
+    """Drift velocity 4 g sum a_s b_r G(s-r): exactly twice
+    ``momentum_expectation``, so exactly 0.0 when b = 0."""
     _require_one_state(state, "drift_velocity")
-    return float(conserved_columns(state)[1])
+    return 2.0 * float(_measured_columns(state)[1][0])
 
 
 def momentum_expectation(state: FieldState) -> float:
@@ -171,7 +163,7 @@ def momentum_expectation(state: FieldState) -> float:
     ``ConsistencyError`` when the spectrum fails the Parseval check.
     """
     _require_one_state(state, "momentum_expectation")
-    return float(conserved_columns(state)[2])
+    return float(_measured_columns(state)[1][0])
 
 
 def _circular_moments(
@@ -298,29 +290,27 @@ class ObservableSnapshot:
     shape_residual: float
 
 
-def snapshots(
-    block: FieldState, steps, coefficients: np.ndarray | None = None
-) -> list[ObservableSnapshot]:
+def snapshots(block: FieldState, steps, spectral=None) -> list[ObservableSnapshot]:
     """Measure all reported observables of every row of a block.
 
     ``steps`` labels the rows in order, one label per row (``ValueError``
-    otherwise).  ``coefficients``, the rows' unbiased-basis coefficients
-    when the caller holds them, spare the forward transforms
-    (``conserved_columns``).  The spectra and the combined distribution
-    are each computed once per block and shared by the observables that
-    need them.  Raises ``ConsistencyError`` when a row fails the
-    Parseval check and ``DegenerateStateError`` when a row has M = 0.
+    otherwise).  ``spectral``, the rows' spectral M and <P> when the
+    caller holds them, spares the forward transform
+    (``_measured_columns``); <V> = 2 <P>.  The combined distribution is
+    computed once per block and shared by the position columns.  Raises
+    ``ConsistencyError`` when a row fails the Parseval check and
+    ``DegenerateStateError`` when a row has M = 0.
     """
     lattice = block.lattice
     steps = list(steps)
     n_rows = block.c.size // lattice.n_sites
     if len(steps) != n_rows:
         raise ValueError(f"{len(steps)} step labels for a block of {n_rows} rows")
-    m_total, drift, momentum = conserved_columns(block, coefficients)
+    m_total, momentum = _measured_columns(block, spectral)
     density = combined_distribution(block)
     mean, spread = _circular_moments(lattice, density)
     residual = _shape_residual(lattice, density, mean, spread)
-    columns = (m_total, drift, momentum, mean, spread, residual)
+    columns = (m_total, 2.0 * momentum, momentum, mean, spread, residual)
     rows = zip(*(np.reshape(column, -1).tolist() for column in columns))
     return [ObservableSnapshot(int(step), *row) for step, row in zip(steps, rows)]
 

@@ -159,11 +159,13 @@ def _cyclic_offsets(lattice: Lattice, center: int) -> np.ndarray:
     return wrap_index(lattice.sites() - center, lattice)
 
 
-def _check_center(lattice: Lattice, center: int) -> None:
-    if not (lattice.site_min <= center <= lattice.site_max):
-        raise ValueError(
-            f"center {center} outside site range [{lattice.site_min}, {lattice.site_max}]"
-        )
+def _check_in_band(lattice: Lattice, center: int, velocity_index: int) -> None:
+    """Both must be site labels: for m, the representatives of m mod N
+    (a larger |m| only aliases, and its boost phase loses digits)."""
+    for name, value in (("center", center), ("velocity_index", velocity_index)):
+        if not (lattice.site_min <= value <= lattice.site_max):
+            bounds = f"[{lattice.site_min}, {lattice.site_max}]"
+            raise ValueError(f"{name} {value} outside site range {bounds}")
 
 
 def gaussian_state(
@@ -174,8 +176,9 @@ def gaussian_state(
     Amplitude profile a_s = exp(-d^2 / (4 sigma^2)) with d the minimal
     cyclic distance to ``center``, so the combined distribution has
     standard deviation sigma.  Boosted by v = 2 g * velocity_index.
+    ``ValueError`` unless the center and the velocity index are sites.
     """
-    _check_center(lattice, center)
+    _check_in_band(lattice, center, velocity_index)
     if not (0.0 < sigma <= lattice.half_width):
         raise ValueError(f"sigma must lie in (0, {lattice.half_width}] (got {sigma})")
     offsets = _cyclic_offsets(lattice, center)
@@ -189,7 +192,7 @@ def uniform_state(
     lattice: Lattice, center: int, half_width: int, velocity_index: int = 0
 ) -> FieldState:
     """Normalised flat window of 2 W + 1 sites with quantised drift."""
-    _check_center(lattice, center)
+    _check_in_band(lattice, center, velocity_index)
     if not (1 <= half_width <= lattice.half_width):
         raise ValueError(
             f"half_width must lie in [1, {lattice.half_width}] (got {half_width})"
@@ -299,18 +302,18 @@ def _read_state_table(path: str) -> np.ndarray:
 
 
 def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
-    """Load a (site, a, b) checkpoint; lattice parity is inferred from
-    the site labels."""
+    """Load a (site, a, b) checkpoint, inferring the lattice parity from
+    the site labels; a malformed file raises ``ValueError`` naming it."""
     table = _read_state_table(path)
     sites, a, b = table.T
     maker = make_lattice if len(sites) % 2 == 1 else make_even_lattice
     try:
         lattice = maker(len(sites), lattice_constant)
+        if not np.array_equal(sites, lattice.sites()):
+            raise ValueError("site column is not the canonical label order")
+        return _new_state(lattice, a, b)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-    if not np.array_equal(sites, lattice.sites()):
-        raise ValueError(f"{path}: site column is not the canonical label order")
-    return _new_state(lattice, a, b)
 
 
 def state_to_json_obj(state: FieldState) -> dict:

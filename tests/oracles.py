@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 
 from ringfield import euler_step, make_lattice, norm_m, state_from_amplitudes
+from ringfield.basis import momentum_coefficients
 from ringfield.kernels import f_site_matrix
 
 
@@ -35,6 +36,16 @@ def momentum_expectation_spectral(state) -> float:
     kappa = state.lattice.momentum_values()
     occupation = np.abs(direct_coefficients(state.lattice, state.c)) ** 2
     return float(state.lattice.reciprocal_constant * np.sum(kappa * occupation))
+
+
+def odd_part_drift(state) -> np.ndarray:
+    """<V> of each row of a block of states by a plain per-row sum of
+    the occupation's odd part, g sum_k kappa (|c_hat_k|^2 - |c_hat_-k|^2)
+    (-k is the reversed row), without the Parseval check."""
+    lattice = state.lattice
+    occupation = np.abs(momentum_coefficients(lattice, state.c)) ** 2
+    odd = lattice.momentum_values() * (occupation - occupation[..., ::-1])
+    return lattice.reciprocal_constant * np.sum(odd, axis=-1)
 
 
 def identity_m_drift_residual(n_sites_list, states_per_n, seed, tau) -> float:

@@ -108,10 +108,14 @@ class TestDirectSum:
 @pytest.mark.parametrize("n, kind", [(21, EULER), (21, EXACT), (20, EULER), (20, EXACT)])
 @pytest.mark.parametrize("steps", [[0], [0, 5]], ids=["no step", "steps"])
 def test_step_zero_row_carries_the_state_spectrum(n, kind, steps):
-    """The coefficient row ``_power_blocks`` yields at n = 0 is the
-    state's own spectrum, bit for bit."""
+    """The c_hat_0 that ``_power_blocks`` builds its rows from (and
+    ``run`` its spectral series) is the state's own spectrum, bit for
+    bit; the naive even-lattice Euler step multiplies the storage-order
+    DFT.  The row at n = 0 is the state itself."""
     state = random_state(_lattice(n), 7)
-    (_ns, _block, coefficients), *_rest = _power_blocks(state, kind, 1e-3, steps)
-    expected = to_momentum_basis(state).coefficients
-    assert coefficients.shape == (len(steps), n)
-    assert coefficients[0].tobytes() == expected.tobytes()
+    _prop, initial, blocks = _power_blocks(state, kind, 1e-3, steps)
+    naive = n % 2 == 0 and kind == EULER and steps[-1] > 0
+    expected = np.fft.fft(state.c) if naive else to_momentum_basis(state).coefficients
+    assert initial.tobytes() == expected.tobytes()
+    _rows, block = next(blocks)
+    assert block.c[0].tobytes() == state.c.tobytes()

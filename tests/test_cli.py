@@ -206,6 +206,32 @@ class TestCompareCommand:
         assert all(row[4:] == ["0.0", "0.0"] for row in rows)
 
 
+ONE_DRIFT_CONFIGS = [
+    [],
+    ["--shape", "random", "--seed", "2"],
+    ["--n-sites", "4001", "--width", "50"],
+]
+
+
+@pytest.mark.parametrize("config", ONE_DRIFT_CONFIGS, ids=lambda c: " ".join(c) or "default")
+def test_run_and_compare_print_one_drift(tmp_path, config):
+    """``run`` and ``compare`` reduce the drift of the same Euler
+    evolution by the same spectral series, so every row prints the same
+    digits, and <P> is half of it."""
+    series, rows = tmp_path / "series.csv", tmp_path / "compare.csv"
+    assert main(["run", *config, "--csv", str(series)]) == 0
+    assert main(["compare", *config, "--csv", str(rows)]) == 0
+    ran = [line.split(",") for line in series.read_text().splitlines()]
+    compared = [line.split(",") for line in rows.read_text().splitlines()]
+    assert (ran[0][:4], compared[0][4]) == (
+        ["step", "m_total", "drift_velocity", "momentum_expectation"], "drift_euler")
+    assert [row[0] for row in ran] == [row[0] for row in compared]
+    assert len(ran) == 102
+    for run_row, compare_row in zip(ran[1:], compared[1:]):
+        assert run_row[2] == compare_row[4], run_row[0]
+        assert float(run_row[3]) == float(compare_row[4]) / 2.0, run_row[0]
+
+
 class TestEvenOddCommand:
     def test_report_written(self, tmp_path, capsys):
         # canonical lattice sizes; shortened run (the deviation ratio is

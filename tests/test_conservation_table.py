@@ -39,7 +39,10 @@ from ringfield.experiments import (
 )
 from ringfield.kernels import SITE_MATRIX_MAX_SITES, f_site_matrix, g_site_matrix, kernel_f
 from ringfield.lattice import make_even_lattice
-from ringfield.observables import conserved_columns, spectral_series
+from ringfield.observables import spectral_series
+from ringfield.state import norm_m
+
+from oracles import odd_part_drift
 
 TABLE_CASES = [
     (shape, tau, n_steps)
@@ -198,12 +201,13 @@ def test_spectral_rows_do_not_depend_on_their_block(monkeypatch, n, block_rows):
 
 def _block_path_columns(state, tau, steps):
     """M and <V> of every recorded state, built a block at a time and
-    measured in site space (the table's path before the closed form)."""
+    measured from its own occupation (the table's path before the closed
+    form)."""
     m_total, drift = [], []
-    for _chunk, block, _coefficients in _power_blocks(state, EULER, tau, steps):
-        m_block, drift_block, _momentum = conserved_columns(block)
-        m_total.append(m_block)
-        drift.append(drift_block)
+    _prop, _initial, blocks = _power_blocks(state, EULER, tau, steps)
+    for _rows, block in blocks:
+        m_total.append(norm_m(block))
+        drift.append(odd_part_drift(block))
     return np.concatenate(m_total), np.concatenate(drift)
 
 

@@ -11,7 +11,16 @@ from pathlib import Path
 import pytest
 
 import ringfield.cli
-from ringfield import RunConfig, read_state_csv, read_state_json, read_timeseries_csv
+from ringfield import (
+    RunConfig,
+    gaussian_state,
+    make_even_lattice,
+    make_lattice,
+    read_state_csv,
+    read_state_json,
+    read_timeseries_csv,
+    uniform_state,
+)
 from ringfield.cli import main
 from ringfield.ioutil import atomic_write_text, check_writable
 from ringfield.series import TIMESERIES_CSV_HEADER
@@ -35,12 +44,19 @@ EXIT_CODES = [
       "--n-sites", "100"], 2),
     (["run", "--n-sites", "101", "--shape", "uniform", "--width", "inf"], 2),
     (["run", "--n-sites", "101", "--shape", "uniform", "--width", "2.5"], 2),
+    (["run", "--velocity-index", "100000000000000000000", "--n-steps", "0"], 2),
+    (["run", "--velocity-index", "801020", "--n-steps", "0"], 2),
+    (["run", *SMALL, "--velocity-index", "51", "--n-steps", "0"], 2),
+    (["run", *SMALL, "--velocity-index", "-50", "--n-steps", "0"], 0),
+    (["run", "--shape", "uniform", "--width", "5", "--parity-mode", "even_naive",
+      "--n-sites", "100", "--velocity-index", "50", "--n-steps", "0"], 2),
     (["verify", "--max-n", "2"], 2),
     (["compare", *SMALL, "--record-every", "0"], 2),
     (["compare", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300"], 3),
     (["compare", *SMALL, "--lattice-constant", "inf"], 2),
     (["compare", "--n-sites", "101", "--shape", "uniform", "--width", "inf"], 2),
     (["compare", *SMALL, "--tau", "0"], 2),
+    (["compare", *SMALL, "--velocity-index", "-51"], 2),
     (["compare", *SMALL, "--tau", "-1"], 2),
     (["compare", *SMALL, "--tau", "nan"], 2),
     (["run", *SMALL, "--shape", "random", "--seed", "-1"], 2),
@@ -154,6 +170,32 @@ def test_bad_checkpoint_value_names_path(tmp_path):
     path.write_text("site,a,b\n-1,0.5,0.0\n0,one,0.0\n1,0.5,0.0\n")
     with pytest.raises(ValueError, match=r"state\.csv: .*'one'"):
         read_state_csv(str(path))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("column", ["a", "b"])
+def test_non_finite_checkpoint_value_names_path(tmp_path, column, value):
+    path = tmp_path / "state.csv"
+    row = f"0,{value},0.0" if column == "a" else f"0,0.5,{value}"
+    path.write_text(f"site,a,b\n-1,0.5,0.0\n{row}\n1,0.5,0.0\n")
+    with pytest.raises(ValueError, match=r"state\.csv: field values must be finite$"):
+        read_state_csv(str(path))
+
+
+@pytest.mark.parametrize("lattice", [make_lattice(101), make_even_lattice(100)],
+                         ids=["odd", "even"])
+@pytest.mark.parametrize("build", [
+    lambda lattice, m: gaussian_state(lattice, 0, 5.0, m),
+    lambda lattice, m: uniform_state(lattice, 0, 5, m),
+], ids=["gaussian", "uniform"])
+def test_velocity_index_must_be_a_site_label(lattice, build):
+    """m and m + N give the same state in exact arithmetic, so only the
+    representatives of m mod N, the site labels, are accepted."""
+    for m in (lattice.site_min, lattice.site_max):
+        build(lattice, m)
+    for m in (lattice.site_min - 1, lattice.site_max + 1, 20 + 1000 * lattice.n_sites, 10**20):
+        with pytest.raises(ValueError, match=f"^velocity_index {m} outside site range"):
+            build(lattice, m)
 
 
 @pytest.mark.parametrize("row", ["10,1.0,0.0", "10,1.0,0.0,0.0,0.0,1.0,0.0,9"])

@@ -260,21 +260,22 @@ def test_overflowing_row_raises_value_error():
 
 def test_blocks_stay_within_the_byte_bound(monkeypatch):
     """The blocks that ``run`` inverse-transforms and hands to
-    ``snapshots``, with their coefficient rows, stay within the bound.
-    ``snapshots`` is replaced by a recorder: it measures exactly the
-    block it is given, and its cost at this size is not what is
-    tested."""
+    ``snapshots`` stay within the bound, and each comes with the
+    spectral M and <P> of its own rows, not with block-sized
+    coefficient rows.  ``snapshots`` is replaced by a recorder: it
+    measures exactly the block it is given, and its cost at this size
+    is not what is tested."""
     lattice = make_lattice(4001)
-    ifft_shapes, observed_bytes, coefficient_bytes = [], [], []
+    ifft_shapes, observed_bytes, spectral_shapes = [], [], []
     original = np.fft.ifft
 
     def recorded_ifft(a, *args, **kwargs):
         ifft_shapes.append(np.shape(a))
         return original(a, *args, **kwargs)
 
-    def recorded_snapshots(block, steps, coefficients=None):
+    def recorded_snapshots(block, steps, spectral=None):
         observed_bytes.append(block.c.nbytes)
-        coefficient_bytes.append(coefficients.nbytes)
+        spectral_shapes.append((np.shape(spectral), len(steps)))
         return [ObservableSnapshot(int(step), *[0.0] * 6) for step in steps]
 
     monkeypatch.setattr(np.fft, "ifft", recorded_ifft)
@@ -286,7 +287,7 @@ def test_blocks_stay_within_the_byte_bound(monkeypatch):
     assert len(ifft_shapes) == len(observed_bytes) == math.ceil(2001 / rows)
     assert max(math.prod(shape) * 16 for shape in ifft_shapes) <= RECORD_BLOCK_BYTES
     assert max(observed_bytes) <= RECORD_BLOCK_BYTES
-    assert coefficient_bytes == observed_bytes
+    assert all(shape == (2, rows) for shape, rows in spectral_shapes)
 
 
 @pytest.fixture
