@@ -16,7 +16,6 @@ from .evolve import (
     EvolutionConfig,
     TimestepBoundError,
     advance,
-    euler_step,
     exact_step,
     run,
     translate,

@@ -41,10 +41,9 @@ takes n steps of any kind, and ``exact_step`` and ``translate_spectral``
 are n = 1 of it.  Every step count passes ``_check_count``, and every
 linearised step the tau bound (``check_tau_bound``, called where the
 step is built: ``propagator`` and ``_dense_euler_step``), before any
-transform.  The direct O(N^2) correlation ``euler_step`` is the paper's
-site-space step, kept as the independent reference on both parities:
-the tests iterate it, and the identity suite steps a block of states at
-once through its row-wise form, ``_dense_euler_step``.
+transform.  The paper's site-space step on both parities, the direct
+O(N^2) correlation ``_dense_euler_step``, is on no public path: it is
+the reference of ``verify``'s identity suite and of the tests.
 """
 
 from __future__ import annotations
@@ -59,11 +58,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import momentum_coefficients, site_amplitudes
-from .kernels import f_site_matrix, kernel_f
-from .lattice import EVEN, Lattice, wrap_index
+from .kernels import _euler_x, f_site_matrix
+from .lattice import EVEN, Lattice
 from .observables import row_blocks, snapshots, spectral_series
 from .series import TimeSeries
-from .state import FieldState, _new_state, _require_one_state, state_from_amplitudes
+from .state import FieldState, _require_one_state, state_from_amplitudes
 
 EULER = "euler"
 EXACT = "exact"
@@ -133,17 +132,6 @@ def check_tau_bound(tau: float, lattice: Lattice) -> None:
         )
 
 
-def _naive_f_spectrum(lattice: Lattice) -> np.ndarray:
-    """Eigenvalues of the naive circulant F, in integer DFT order.
-
-    The first column of ``f_site_matrix`` is F at the storage offsets
-    0..N-1 wrapped modulo N; F is even in d, so the circulant is
-    symmetric and its eigenvalues are real.
-    """
-    column = kernel_f(wrap_index(np.arange(lattice.n_sites), lattice), lattice)
-    return np.fft.fft(column).real
-
-
 @dataclass(frozen=True)
 class Propagator:
     """Steps of one kind as a multiplier on Fourier coefficients.
@@ -180,8 +168,8 @@ def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
 
     ``step`` is the time step tau for ``euler``, the time t for
     ``exact`` and the number of sites for ``translate``.  The Euler
-    multiplier 1 - i x, x = tau g^2 kappa^2 (tau g^2 lambda on an even
-    lattice, module docstring), is stored as ln|m| + i arg m =
+    multiplier 1 - i x (``kernels._euler_x``: x = tau g^2 kappa^2, or
+    tau g^2 lambda on an even lattice) is stored as ln|m| + i arg m =
     log1p(x^2) / 2 - i atan(x).  Raises ``ValueError`` for an unknown
     kind or a multiplier that is not finite, as when g^2 overflows.
     The Euler kind checks the tau bound first.
@@ -197,7 +185,7 @@ def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
             log_m = -2j * np.pi * kappa * step / n
         elif kind == EULER:
             check_tau_bound(step, lattice)
-            x = step * g * g * (_naive_f_spectrum(lattice) if naive else kappa * kappa)
+            x = _euler_x(lattice, step)
             log_m = 0.5 * np.log1p(x * x) - 1j * np.arctan(x)
         else:
             raise ValueError(f"unknown step kind {kind!r}")
@@ -254,21 +242,13 @@ def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> Fiel
     return next(blocks)[1].row(0)
 
 
-def euler_step(state: FieldState, tau: float) -> FieldState:
-    """One reaction step, reference O(N^2) implementation.
-
-    On an even lattice F wraps modulo N, so this is the naive even-mode
-    step.  Builds the dense F, so it raises ``ValueError`` before any
-    allocation for N > ``kernels.SITE_MATRIX_MAX_SITES``.
-    """
-    return _new_state(state.lattice, *_dense_euler_step(state.lattice, state.a, state.b, tau))
-
-
 def _dense_euler_step(
     lattice: Lattice, a: np.ndarray, b: np.ndarray, tau: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``euler_step`` on raw fields: the stepped ``(a, b)``, after the
-    tau bound check.
+    """The reaction step as the direct O(N^2) correlation with the dense
+    F (wrapped modulo N on an even lattice: the naive step), on raw
+    fields: the stepped ``(a, b)``, after the tau bound check.  Raises
+    ``ValueError`` before any allocation for N > ``kernels.SITE_MATRIX_MAX_SITES``.
 
     The fields hold one state per row with the sites on the last axis,
     shape (R, N) or (N,).  F acts on each row as a stacked matrix-vector

@@ -56,7 +56,6 @@ from .evolve import (
     _check_tau,
     _dense_euler_step,
     advance,
-    euler_step,
     exact_step,
     propagator,
     record_steps,
@@ -65,6 +64,7 @@ from .evolve import (
 from .ioutil import atomic_write_text
 from .kernels import (
     ConsistencyError,
+    _euler_x,
     f_site_matrix,
     g_site_matrix,
     kernel_f,
@@ -73,11 +73,11 @@ from .kernels import (
 from .lattice import make_even_lattice, make_lattice
 from .observables import (
     _check_parseval,
+    _euler_increase,
     _spectral_rows,
     count_local_maxima,
     high_band_fraction,
     m_step_increase_exact,
-    momentum_expectation,
     quartic_moment_coefficient,
     spectral_series,
 )
@@ -421,9 +421,7 @@ def compare_rows(state: FieldState, tau: float, n_steps: int, record_every: int)
     m_exact = norm_m(state)
     deviation = np.zeros(len(steps))
     if final is not None:
-        g, kappa = lattice.reciprocal_constant, lattice.momentum_values()
-        x = tau * g * g * (kappa * kappa)  # as ``propagator`` builds the Euler step
-        deviation = _deviation_series(occupation, x, steps)
+        deviation = _deviation_series(occupation, _euler_x(lattice, tau), steps)
         (exact,) = propagator(lattice, EXACT, tau).amplitudes_after(initial, steps[-1:])
         _check_final_m(lattice, exact, m_exact, n_steps)
         gap = np.linalg.norm(final - exact) - deviation[-1]
@@ -457,18 +455,17 @@ def identity_suite(
     * the F with F convolution collapses to the k^4 spectral sum;
     * sum_s [F(u-s) G(s-r) - G(u-s) F(s-r)] vanishes.
 
-    Restricted to small odd N where the O(N^3) sums stay cheap.  The
-    ``states_per_n`` random states of a lattice, each at both
-    normalisations, form one block of rows, which takes one dense
-    reference step of ``IDENTITY_TAU`` (``_dense_euler_step``, bitwise
-    ``euler_step`` on every row, tau bound check included); both the
-    block and the stepped block must be finite (``ValueError``).
+    Restricted to small odd N where the O(N^3) matrix products stay
+    cheap; memory is O(N^2), as the k^4 sum is taken per residue d mod N
+    (``_residue_sums``).  The ``states_per_n`` random states of a
+    lattice, each at both normalisations, form one block of rows, which
+    takes one dense reference step of ``IDENTITY_TAU``
+    (``_dense_euler_step``, tau bound check included); both the block
+    and the stepped block must be finite (``ValueError``).
     """
     rng = np.random.default_rng(seed)
     tau = IDENTITY_TAU
-    worst_m = 0.0
-    worst_conv = 0.0
-    worst_comm = 0.0
+    worst_m = worst_conv = worst_comm = 0.0
     for n in n_sites_list:
         lattice = make_lattice(n)
         g = lattice.reciprocal_constant
@@ -476,15 +473,12 @@ def identity_suite(
         gmat = g_site_matrix(lattice)
         conv = fmat @ fmat
 
-        # convolution identity against the direct k^4 sum
-        k = np.arange(-lattice.half_width, lattice.half_width + 1)
+        # convolution identity against the direct k^4 sum at (s - r) mod N,
+        # scaled by its value at d = 0
         sites = lattice.sites()
-        disp = sites[:, None] - sites[None, :]
-        quartic = np.tensordot(
-            k.astype(float) ** 4, np.exp(2j * np.pi * np.multiply.outer(k, disp) / n), axes=1
-        ) / n
-        scale = float(np.sum(k.astype(float) ** 4)) / n
-        worst_conv = float(np.maximum(worst_conv, np.max(np.abs(conv - quartic.real)) / scale))
+        quartic = _residue_sums(lattice, 4, np.cos)
+        residual = np.abs(conv - quartic[(sites[:, None] - sites[None, :]) % n]) / quartic[0]
+        worst_conv = float(np.maximum(worst_conv, np.max(residual)))
 
         # commutator of the two kernels
         f0 = kernel_f(0, lattice)
@@ -537,22 +531,20 @@ KERNEL_G_RTOL = 1e-9
 KERNEL_ORACLE_BLOCK = 256  # displacements per block of the direct sums
 
 
-def _direct_kernel_sums(lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Displacements d in [-2L, 2L] and the direct spectral sums
-    F(d) = (1/N) sum_k k^2 cos(2 pi k d / N) and
-    G(d) = -(1/N) sum_k k sin(2 pi k d / N), the real parts of the
-    complex sums in ``kernels``.
-
-    The phase of k d depends only on k d modulo N, so the cosines and
-    sines are entries of one N-entry table.  Two exact identities cut
-    the work 4x without changing what is summed:
+def _residue_sums(lattice, power: int, trig) -> np.ndarray:
+    """The direct sums (1/N) sum_k k^power trig(2 pi k r / N) over
+    k in [-L, L] for each residue r = 0..N-1: ``trig`` is ``np.cos`` for
+    an even ``power``, ``np.sin`` for an odd one.  The phase of k r
+    depends only on k r modulo N, so the values of ``trig`` are entries
+    of one N-entry table.  Two exact identities cut the work 4x without
+    changing what is summed:
 
     - residues: the table index (k d) mod N is the same for d and
       d +- N, so each sum is a function of r = d mod N.  The N residues
-      0..N-1 are summed once and row d reads ``sums[d % N]``.
-    - +-k pairs: k^2 cos(2 pi k r / N) and k sin(2 pi k r / N) are even
-      in k and vanish at k = 0, so the sum over k in [-L, L] is twice
-      the sum over k = 1..L.
+      0..N-1 are summed once and displacement d reads ``sums[d % N]``.
+    - +-k pairs: k^power trig(2 pi k r / N) is even in k and vanishes
+      at k = 0, so the sum over k in [-L, L] is twice the sum over
+      k = 1..L.
 
     Every residue is summed on its own: r and N - r are not folded
     into one another, so a closed form that is wrong on one side of
@@ -562,20 +554,15 @@ def _direct_kernel_sums(lattice) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     an FFT nor the closed forms.
     """
     n = lattice.n_sites
-    half = lattice.half_width
-    d = np.arange(-2 * half, 2 * half + 1)
-    k = np.arange(1, half + 1)
+    k = np.arange(1, lattice.half_width + 1)
     residues = np.arange(n)
-    angles = 2.0 * np.pi * residues / n
-    cos_table, sin_table = np.cos(angles), np.sin(angles)
-    f_sums = np.empty(n)
-    g_sums = np.empty(n)
+    table = trig(2.0 * np.pi * residues / n)
+    sums = np.empty(n)
     for lo in range(0, n, KERNEL_ORACLE_BLOCK):
         block = slice(lo, lo + KERNEL_ORACLE_BLOCK)
         index = np.multiply.outer(k, residues[block]) % n
-        f_sums[block] = 2 * ((k * k) @ cos_table[index]) / n
-        g_sums[block] = -2 * (k @ sin_table[index]) / n
-    return d, f_sums[d % n], g_sums[d % n]
+        sums[block] = 2 * (k**power @ table[index]) / n
+    return sums
 
 
 def kernel_oracle_check(
@@ -583,19 +570,22 @@ def kernel_oracle_check(
 ) -> ExperimentReport:
     """Closed forms of F and G against their direct spectral sums.
 
-    Checked for every displacement in [-2L, 2L].  The direct sums
-    (``_direct_kernel_sums``) are taken once per residue d mod N and
-    once per +-k pair; both identities are exact, and d and -d are
+    Checked for every displacement d in [-2L, 2L] against the real parts
+    of the complex sums in ``kernels``, F(d) = (1/N) sum_k k^2 cos(2 pi
+    k d / N) and G(d) = -(1/N) sum_k k sin(2 pi k d / N), taken once per
+    residue d mod N and once per +-k pair (``_residue_sums``); both
+    identities are exact, and d and -d are
     summed separately, so a closed form wrong only at negative (or only
     at positive) displacements fails the check.  ``perturbation`` is a
     self-test hook: a nonzero value is added to the closed-form F so the
     check must fail.
     """
-    worst_f = 0.0
-    worst_g = 0.0
+    worst_f = worst_g = 0.0
     for n in n_sites_list:
         lattice = make_lattice(n)
-        d, f_spectral, g_spectral = _direct_kernel_sums(lattice)
+        d = np.arange(-2 * lattice.half_width, 2 * lattice.half_width + 1)
+        f_spectral = _residue_sums(lattice, 2, np.cos)[d % n]
+        g_spectral = -_residue_sums(lattice, 1, np.sin)[d % n]
         f_closed = kernel_f(d, lattice) + perturbation
         g_closed = kernel_g(d, lattice)
         f0 = kernel_f(0, lattice)
@@ -626,8 +616,7 @@ ORDER_TOL = 0.1
 
 
 def _fitted_order(taus, errors) -> float:
-    slope = np.polyfit(np.log(np.asarray(taus)), np.log(np.asarray(errors)), 1)[0]
-    return float(slope)
+    return float(np.polyfit(np.log(np.asarray(taus)), np.log(np.asarray(errors)), 1)[0])
 
 
 def order_of_accuracy_run() -> ExperimentReport:
@@ -636,29 +625,25 @@ def order_of_accuracy_run() -> ExperimentReport:
 
     One linearised step differs from the exact unitary at second order
     in tau, and the per-step changes of M and <P> are exactly quadratic
-    in tau, so all three fitted orders sit at 2.  The largest tau steps
-    past the tau bound's warning threshold on purpose (tau g^2 N^2 =
-    0.158), so that warning is silenced here; the hard limit still raises.
+    in tau, so all three fitted orders sit at 2.  All are closed forms
+    in c_hat_0 (module docstring): the deviation is ``compare_rows``'s
+    at step 1, checks included, relative to sqrt(M).  The largest tau
+    steps past the tau bound's warning threshold on purpose (tau g^2 N^2
+    = 0.158), so that warning is silenced here; the hard limit still
+    raises.
     """
     lattice = make_lattice(N_SITES)
     state = gaussian_state(lattice, 0, GAUSSIAN_SIGMA, GAUSSIAN_VELOCITY_INDEX)
     base_norm = np.sqrt(norm_m(state))
-    p0 = momentum_expectation(state)
-    err_state, err_m, err_p = [], [], []
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"tau \* g\^2 \* N\^2", UserWarning)
-        for tau in ORDER_TAUS:
-            stepped = euler_step(state, tau)
-            reference = exact_step(state, tau)
-            err_state.append(
-                float(np.linalg.norm(stepped.amplitudes() - reference.amplitudes())) / base_norm
-            )
-            err_m.append(abs(norm_m(stepped) - norm_m(state)))
-            err_p.append(abs(momentum_expectation(stepped) - p0))
+        err_state = [compare_rows(state, tau, 1, 1)[1][1] / base_norm for tau in ORDER_TAUS]
+    occupation = np.abs(momentum_coefficients(lattice, state.c)) ** 2
+    err_m, err_p = _euler_increase(lattice, occupation, ORDER_TAUS)
     orders = {
         "one-step euler vs exact": _fitted_order(ORDER_TAUS, err_state),
-        "per-step |dM|": _fitted_order(ORDER_TAUS, err_m),
-        "per-step |d<P>|": _fitted_order(ORDER_TAUS, err_p),
+        "per-step |dM|": _fitted_order(ORDER_TAUS, np.abs(err_m)),
+        "per-step |d<P>|": _fitted_order(ORDER_TAUS, np.abs(err_p)),
     }
     checks = tuple(
         Check(f"fitted order: {key}", value,

@@ -17,14 +17,13 @@ spectral sums over the momentum index,
     G(d) = (i/N) sum_k k   exp(i 2 pi k d / N),
 
 for every odd N.  Production applies F and G in the momentum basis, as
-kappa^2 and i kappa, and reads the closed-form F only for the naive
-even-mode step's eigenvalues.  The rest are oracles: the closed forms
-build the dense site matrices of the library reference step
-``euler_step`` and of ``verify``'s identity suite (``run`` builds
-none), for N up to ``SITE_MATRIX_MAX_SITES``.  The package holds no
-spectral form: the direct sums that check the closed forms are
-``experiments._direct_kernel_sums`` (``verify``'s kernel oracle) and
-the tests' own.  There is no precomputed table.
+kappa^2 and i kappa (``_euler_x``), and reads the closed-form F only
+for the naive even-mode step's eigenvalues.  The rest are oracles: the
+closed forms build the dense site matrices of ``verify``'s identity
+suite and of the tests' reference step, for N up to
+``SITE_MATRIX_MAX_SITES``.  The package holds no spectral form: the
+direct sums that check the closed forms are
+``experiments._residue_sums`` (``verify``) and the tests' own.
 
 For odd N both kernels are N-periodic, so evaluating them at unwrapped
 displacements ``s - r`` in ``[-2L, 2L]`` equals evaluating at wrapped
@@ -81,13 +80,28 @@ def kernel_g(d, lattice: Lattice):
     return out
 
 
-# only the oracles build dense matrices (``euler_step``, the identity suite,
-# the tests); one takes 8 N^2 bytes (128 MB at N = 4001), so each of the two
-# builders keeps only the matrices of its two most recent lattices
+def _euler_x(lattice: Lattice, tau) -> np.ndarray:
+    """x = tau g^2 lambda over the eigenvalues lambda of F, so one Euler
+    step multiplies each coefficient by 1 - i x: kappa^2 on an odd
+    lattice, ordered like ``lattice.momentum_values()``, and on an even
+    one the naive circulant's in integer DFT order, the DFT of F at the
+    storage offsets 0..N-1 wrapped modulo N (real: F is even in d).
+    ``tau`` may be a column, one row of x each, bitwise as if alone."""
+    g = lattice.reciprocal_constant
+    if lattice.parity == EVEN:
+        column = kernel_f(wrap_index(np.arange(lattice.n_sites), lattice), lattice)
+        return tau * g * g * np.fft.fft(column).real
+    kappa = lattice.momentum_values()
+    return tau * g * g * (kappa * kappa)
+
+
+# only the oracles build dense matrices (the identity suite, the tests);
+# one takes 8 N^2 bytes (128 MB at N = 4001), so each of the two builders
+# keeps only the matrices of its two most recent lattices
 SITE_MATRIX_CACHE_SIZE = 2
-# largest lattice the builders accept: ``euler_step`` peaks at about
-# 33 N^2 bytes (21 MB at N = 801, 132 MB at N = 2001, 8.4 GB at
-# N = 16001), so a larger N is refused before anything is allocated
+# largest lattice the builders accept, for ``identity_suite`` and the
+# tests' dense step: it peaks at about 33 N^2 bytes (21 MB at N = 801,
+# 8.4 GB at N = 16001), so a larger N is refused before any allocation
 SITE_MATRIX_MAX_SITES = 4001
 
 

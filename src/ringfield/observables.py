@@ -27,8 +27,10 @@ occupation by |m|^2, so M and <P> after any number of steps follow from
 the initial occupation alone.  ``spectral_series`` evaluates them
 there, row by row (``_spectral_rows``, which sums ``compare``'s
 deviation too), and is the one reduction behind every command's <V>
-and <P>.  A state with no such history (one state, or a row of the
-naive even Euler step) reduces its own occupation through it at n = 0.
+and <P>, and behind their increase over one Euler step
+(``_euler_increase``).  A state with no such history (one state, or a
+row of the naive even Euler step) reduces its own occupation through it
+at n = 0.
 
 Every observable is written over the last axis of its arrays, so a
 whole block of states (a ``FieldState`` with one state per row) is
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import momentum_coefficients
-from .kernels import ConsistencyError
-from .lattice import Lattice
+from .kernels import ConsistencyError, _euler_x
+from .lattice import EVEN, Lattice
 from .state import (
     DegenerateStateError,
     FieldState,
@@ -103,20 +105,33 @@ def spectral_series(
     row by row (``_spectral_rows``), which raises ``ValueError`` when a
     value leaves the finite floats.
     """
-    odd = lattice.momentum_values() * (occupation - occupation[::-1]) / 2.0
-    moments = np.stack((occupation, odd), axis=-1)
     twice = 2.0 * np.asarray(log_magnitude, dtype=float)
-    series = _spectral_rows(steps, lambda n: np.exp(n * twice), moments)
+    return _weighted_moments(lattice, occupation, steps, lambda n: np.exp(n * twice))
+
+
+def _euler_increase(lattice: Lattice, occupation: np.ndarray, taus):
+    """The exact increase of M and <P> over one Euler step of each of
+    ``taus``, sum_k |c_hat_k|^2 x_k^2 and likewise, with ``occupation``
+    ordered like x (``kernels._euler_x``; <P> needs an odd lattice)."""
+    return _weighted_moments(lattice, occupation, taus, lambda tau: _euler_x(lattice, tau) ** 2)
+
+
+def _weighted_moments(lattice: Lattice, occupation: np.ndarray, steps, terms):
+    """M and <P> of ``occupation`` weighted by ``terms`` for each of
+    ``steps`` (``_spectral_rows``); <P> sums its odd part (-k reversed)."""
+    odd = lattice.momentum_values() * (occupation - occupation[::-1]) / 2.0
+    series = _spectral_rows(steps, terms, np.stack((occupation, odd), axis=-1))
     return series[:, 0], lattice.reciprocal_constant * series[:, 1]
 
 
 def _spectral_rows(steps, terms, moments: np.ndarray) -> np.ndarray:
-    """``terms(n) @ moments`` for the counts n of ``steps``, shape (S, K):
-    ``terms`` maps a column of counts (R, 1) to its weights (R, N), and
-    ``moments`` is (N, K).  The weights are built a block of rows at a
-    time (``row_blocks``), so memory stays flat as the step count grows,
-    and each row is reduced alone, so its bits do not depend on its
-    block.  Raises ``ValueError`` when a value leaves the finite floats."""
+    """``terms(n) @ moments`` for the n of ``steps`` (counts or time
+    steps), shape (S, K): ``terms`` maps a column of them (R, 1) to its
+    weights (R, N), and ``moments`` is (N, K).  The weights are built a
+    block of rows at a time (``row_blocks``), so memory stays flat as
+    the step count grows, and each row is reduced alone, so its bits do
+    not depend on its block.  Raises ``ValueError`` when a value leaves
+    the finite floats."""
     steps = np.asarray(steps, dtype=float)[:, None]
     series = np.empty((len(steps), 1, moments.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -256,15 +271,18 @@ def high_band_fraction(state: FieldState) -> float:
 # per-step M drift
 
 def m_step_increase_exact(state: FieldState, tau: float) -> float:
-    """Exact growth of M over one linearised step, tau^2 g^4 sum k^4 |c_hat|^2.
+    """Exact growth of M over one linearised step, sum_k |c_hat_k|^2 x_k^2
+    (``_euler_increase``), tau^2 g^4 sum k^4 |c_hat|^2 on an odd lattice.
 
-    Identical to what the reaction step produces, for any tau.
+    Identical to what the reaction step produces, for any tau.  On an
+    even lattice c_hat is the unitary storage-order DFT, where the naive
+    step is diagonal.
     """
     _require_one_state(state, "m_step_increase_exact")
-    occupation = np.abs(momentum_coefficients(state.lattice, state.c)) ** 2
-    kappa = state.lattice.momentum_values()
-    g = state.lattice.reciprocal_constant
-    return float(tau * tau * g**4 * np.sum(kappa**4 * occupation))
+    lattice, c = state.lattice, state.c
+    naive = lattice.parity == EVEN
+    coefficients = np.fft.fft(c, norm="ortho") if naive else momentum_coefficients(lattice, c)
+    return float(_euler_increase(lattice, np.abs(coefficients) ** 2, [tau])[0][0])
 
 
 def quartic_moment_coefficient(lattice) -> float:

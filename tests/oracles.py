@@ -5,9 +5,21 @@ from functools import lru_cache
 
 import numpy as np
 
-from ringfield import euler_step, make_lattice, norm_m, state_from_amplitudes
+from ringfield import make_lattice, norm_m, state_from_amplitudes
 from ringfield.basis import momentum_coefficients
+from ringfield.evolve import _dense_euler_step
 from ringfield.kernels import f_site_matrix
+from ringfield.state import _new_state
+
+
+def euler_step(state, tau):
+    """One reaction step, reference O(N^2) implementation.
+
+    On an even lattice F wraps modulo N, so this is the naive even-mode
+    step.  Builds the dense F, so it raises ``ValueError`` before any
+    allocation for N > ``kernels.SITE_MATRIX_MAX_SITES``.
+    """
+    return _new_state(state.lattice, *_dense_euler_step(state.lattice, state.a, state.b, tau))
 
 
 @lru_cache(maxsize=4)
@@ -50,7 +62,7 @@ def odd_part_drift(state) -> np.ndarray:
 
 def identity_m_drift_residual(n_sites_list, states_per_n, seed, tau) -> float:
     """The identity suite's worst relative M drift residual, one state
-    at a time: each random state at M = 1 and M = 7 takes one public
+    at a time: each random state at M = 1 and M = 7 takes one
     ``euler_step``, and its measured change of M is held against
     tau^2 g^4 <c, F F c>.  Draws the same random stream as the suite."""
     rng = np.random.default_rng(seed)

@@ -56,6 +56,8 @@ def test_no_kernel_table_exports():
         # the Euler kind takes the naive circulant on an even lattice
         (ringfield.evolve, "EVEN_NAIVE"),
         (ringfield.evolve, "LINEARISED"),
+        # the dense reference step is the tests' oracle (``oracles.euler_step``)
+        (ringfield.evolve, "euler_step"),
     ):
         assert not hasattr(ringfield, name), name
         assert not hasattr(module, name), name

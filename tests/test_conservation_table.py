@@ -19,7 +19,6 @@ import ringfield.observables
 from ringfield import (
     ConsistencyError,
     EvolutionConfig,
-    euler_step,
     gaussian_state,
     make_lattice,
     paper_table_grid,
@@ -28,12 +27,12 @@ from ringfield import (
     run,
 )
 from ringfield.basis import momentum_coefficients
-from ringfield.evolve import EULER, _power_blocks, propagator, record_steps
+from ringfield.evolve import EULER, _dense_euler_step, _power_blocks, propagator, record_steps
 from ringfield.experiments import (
     TABLE_SHAPES,
     TABLE_TAUS,
     _deviation_series,
-    _direct_kernel_sums,
+    _residue_sums,
     _relative_variation,
     table_state,
 )
@@ -113,24 +112,23 @@ def test_zero_rows_give_zero_coefficients(n):
     assert np.all(coefficients == 0.0)
 
 
-def complex_exp_sums(n):
-    """The direct sums with complex exponentials, as ``kernels`` defines them."""
+def complex_exp_sums(n, power):
+    """(1/N) sum_k k^power exp(2 pi i k r / N) for each residue r, with
+    complex exponentials, as ``kernels`` defines the kernels' sums."""
     half = (n - 1) // 2
-    d = np.arange(-2 * half, 2 * half + 1)
     k = np.arange(-half, half + 1).astype(float)
-    phases = np.exp(2j * np.pi * np.multiply.outer(k, d) / n)
-    return d, ((k**2) @ phases / n).real, (1j * (k @ phases) / n).real
+    return (k**power) @ np.exp(2j * np.pi * np.multiply.outer(k, np.arange(n)) / n) / n
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 21, 101, 801])
 def test_tabulated_oracle_sums_match_complex_exponentials(n):
+    """The residue sums of F (k^2, cosine), of G (k, sine) and of the
+    identity suite's F F (k^4, cosine)."""
     lattice = make_lattice(n)
-    d, f_sums, g_sums = _direct_kernel_sums(lattice)
-    d_ref, f_ref, g_ref = complex_exp_sums(n)
-    np.testing.assert_array_equal(d, d_ref)
-    scale = 1e-12 * kernel_f(0, lattice)
-    assert np.max(np.abs(f_sums - f_ref)) <= scale
-    assert np.max(np.abs(g_sums - g_ref)) <= scale
+    for power, trig, part in ((2, np.cos, np.real), (1, np.sin, np.imag), (4, np.cos, np.real)):
+        reference = part(complex_exp_sums(n, power))
+        scale = 1e-12 * (kernel_f(0, lattice) if power < 4 else reference[0])
+        assert np.max(np.abs(_residue_sums(lattice, power, trig) - reference)) <= scale
 
 
 def test_site_matrix_caches_stay_bounded():
@@ -142,7 +140,7 @@ def test_site_matrix_caches_stay_bounded():
 
 
 DENSE_BUILDERS = {
-    "euler_step": lambda state: euler_step(state, 1e-3),
+    "_dense_euler_step": lambda state: _dense_euler_step(state.lattice, state.a, state.b, 1e-3),
     "f_site_matrix": lambda state: f_site_matrix(state.lattice),
     "g_site_matrix": lambda state: g_site_matrix(state.lattice),
 }

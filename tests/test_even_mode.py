@@ -6,7 +6,6 @@ import pytest
 
 from ringfield import (
     advance,
-    euler_step,
     exact_step,
     gaussian_state,
     kernel_f,
@@ -22,7 +21,7 @@ from ringfield.evolve import EULER
 from ringfield.lattice import make_even_lattice
 from ringfield.state import _new_state
 
-from oracles import momentum_expectation_spectral
+from oracles import euler_step, momentum_expectation_spectral
 
 
 def basis_state(lattice, site):

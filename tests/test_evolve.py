@@ -5,7 +5,6 @@ from ringfield import (
     EvolutionConfig,
     TimestepBoundError,
     advance,
-    euler_step,
     exact_step,
     make_lattice,
     norm_m,
@@ -19,6 +18,8 @@ from ringfield import (
 )
 from ringfield.evolve import EULER
 from ringfield.state import _new_state
+
+from oracles import euler_step
 
 LAT = make_lattice(801)
 LAT3 = make_lattice(3)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,20 +9,32 @@ import ringfield.experiments
 from ringfield import (
     TimestepBoundError,
     confined_drift_diagnostic,
-    euler_step,
     even_odd_comparison,
+    gaussian_state,
     identity_suite,
     kernel_oracle_check,
     make_lattice,
+    norm_m,
     order_of_accuracy_run,
     paper_table_run,
     state_from_amplitudes,
 )
+from ringfield.basis import momentum_coefficients
 from ringfield.evolve import _dense_euler_step
-from ringfield.experiments import IDENTITY_TAU, ExperimentReport, _relative_variation
-from ringfield.kernels import f_site_matrix
+from ringfield.experiments import (
+    GAUSSIAN_SIGMA,
+    GAUSSIAN_VELOCITY_INDEX,
+    IDENTITY_TAU,
+    N_SITES,
+    ORDER_TAUS,
+    ExperimentReport,
+    _relative_variation,
+)
+from ringfield.kernels import f_site_matrix, g_site_matrix
 
-from oracles import identity_m_drift_residual
+from oracles import deviation_decimal, euler_step, identity_m_drift_residual
+
+DEVIATION_RTOL = 1e-14  # as ``compare``'s deviation is held
 
 
 class TestRelativeVariation:
@@ -76,6 +89,29 @@ class TestIdentitySuite:
         report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=10)
         drift = next(c for c in report.checks if c.name == "one-step M drift identity")
         assert not drift.passed and not report.passed
+
+    def test_perturbed_f_fails_the_convolution_check(self, monkeypatch):
+        # scaled, not shifted: F's rows sum to 0 (kappa = 0), so F F does
+        # not see a constant added to F at first order
+        original = ringfield.experiments.f_site_matrix
+        monkeypatch.setattr(ringfield.experiments, "f_site_matrix",
+                            lambda lattice: original(lattice) * (1.0 + 1e-6))
+        report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=4)
+        convolution = next(c for c in report.checks if c.name == "F*F convolution identity")
+        assert not convolution.passed and not report.passed
+
+    def test_memory_stays_quadratic_in_n(self):
+        """The direct k^4 sum is taken per residue d mod N, so no
+        (N, N, N) array is built: an N^3 one at N = 101 took 34 MB."""
+        f_site_matrix.cache_clear()
+        g_site_matrix.cache_clear()
+        tracemalloc.start()
+        try:
+            assert identity_suite((101,), states_per_n=1).passed
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_nan_in_the_g_kernel_fails_the_commutator_check(self, monkeypatch):
         original = ringfield.experiments.g_site_matrix
@@ -151,6 +187,21 @@ class TestOrderOfAccuracy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert order_of_accuracy_run().passed
+
+    def test_deviations_match_the_decimal_oracle(self):
+        """The one-step deviations, times sqrt(M) again, against a
+        50-digit evaluation of |(1 - i x) - exp(-i x)| from the same
+        float64 occupation and x (not against the site-space difference
+        of the two states, which cancels)."""
+        report = order_of_accuracy_run()
+        state = gaussian_state(make_lattice(N_SITES), 0, GAUSSIAN_SIGMA, GAUSSIAN_VELOCITY_INDEX)
+        lattice = state.lattice
+        occupation = np.abs(momentum_coefficients(lattice, state.c)) ** 2
+        g, kappa = lattice.reciprocal_constant, lattice.momentum_values()
+        for tau in ORDER_TAUS:
+            (want,) = deviation_decimal(occupation, tau * g * g * (kappa * kappa), [1])
+            got = report.metrics[f"err(tau={tau:g}) euler vs exact"] * np.sqrt(norm_m(state))
+            assert abs(got - float(want)) <= DEVIATION_RTOL * float(want)
 
     def test_the_hard_tau_limit_still_raises(self, monkeypatch):
         # tau g^2 N^2 = 0.02 (2 pi)^2 = 0.79, past the limit of 0.5

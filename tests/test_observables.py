@@ -5,9 +5,9 @@ from ringfield import (
     boost,
     count_local_maxima,
     drift_velocity,
-    euler_step,
     gaussian_shape_residual,
     gaussian_state,
+    make_even_lattice,
     make_lattice,
     momentum_expectation,
     norm_m,
@@ -25,7 +25,7 @@ from ringfield.observables import (
     quartic_moment_coefficient,
 )
 
-from oracles import momentum_expectation_spectral
+from oracles import euler_step, momentum_expectation_spectral
 
 LAT = make_lattice(801)
 
@@ -183,6 +183,13 @@ class TestMDriftDiagnostics:
             stepped = euler_step(state, tau)
         measured = norm_m(stepped) - norm_m(state)
         assert measured == pytest.approx(predicted, rel=1e-5)
+
+    @pytest.mark.parametrize("seed", [None, 2], ids=["gaussian", "random"])
+    def test_exact_formula_matches_the_naive_even_step(self, seed):
+        lattice = make_even_lattice(100)
+        state = gaussian_state(lattice, 0, 5.0, 3) if seed is None else random_state(lattice, seed)
+        measured = norm_m(euler_step(state, 1e-3)) - norm_m(state)
+        assert measured == pytest.approx(m_step_increase_exact(state, 1e-3), rel=1e-6)
 
     def test_diagonal_coefficient_near_limit(self):
         coeff = quartic_moment_coefficient(LAT)

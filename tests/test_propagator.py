@@ -2,7 +2,7 @@
 
 Every step kind is one multiplier per Fourier coefficient, so n steps
 are one power of it.  The oracles here step explicitly: a plain numpy
-FFT step written out in this file and the dense O(N^2) ``euler_step``,
+FFT step written out in this file and the dense O(N^2) ``oracles.euler_step``,
 which on an even lattice is the naive even-mode step.
 """
 
@@ -16,7 +16,6 @@ import ringfield.kernels
 from ringfield import (
     EvolutionConfig,
     TimestepBoundError,
-    euler_step,
     exact_step,
     gaussian_state,
     make_even_lattice,
@@ -32,6 +31,8 @@ from ringfield.evolve import (
     propagator,
 )
 from ringfield.state import state_from_amplitudes
+
+from oracles import euler_step
 
 LAT = make_lattice(801)
 EVEN = make_even_lattice(800)

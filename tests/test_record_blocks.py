@@ -20,7 +20,6 @@ from ringfield import (
     RunConfig,
     TimestepBoundError,
     advance,
-    euler_step,
     gaussian_state,
     make_even_lattice,
     make_lattice,
@@ -35,7 +34,7 @@ from ringfield.experiments import (
     paper_table_grid,
     paper_table_run,
 )
-from ringfield.evolve import EULER, EXACT
+from ringfield.evolve import EULER, EXACT, _dense_euler_step
 from ringfield.ioutil import fmt
 from ringfield.kernels import g_site_matrix
 from ringfield.observables import (
@@ -47,7 +46,7 @@ from ringfield.observables import (
 )
 from ringfield.state import norm_m
 
-from oracles import deviation_decimal
+from oracles import deviation_decimal, euler_step
 
 BLOCK_RTOL = 1e-12  # of each column's maximum
 TAU = 1e-3
@@ -416,7 +415,9 @@ WARN_STATE = gaussian_state(WARN_LATTICE, 0, 10.0, 20)
 WARNING_CALLS = {
     "run": (lambda: run(WARN_STATE, EvolutionConfig(tau=WARN_TAU), 10), 1),
     "advance": (lambda: advance(WARN_STATE, EULER, WARN_TAU, 10), 1),
-    "euler_step": (lambda: euler_step(WARN_STATE, WARN_TAU), 1),
+    "_dense_euler_step": (
+        lambda: _dense_euler_step(WARN_LATTICE, WARN_STATE.a, WARN_STATE.b, WARN_TAU), 1
+    ),
     "paper_table_run": (lambda: paper_table_run("gaussian", WARN_TAU, n_steps=10), 1),
     # three shapes at each of the two time steps past the threshold
     "paper_table_grid": (lambda: paper_table_grid(n_steps=10), 6),
@@ -446,7 +447,9 @@ OVER_LIMIT_CALLS = {
     "run": lambda: run(SMALL_STATE, EvolutionConfig(tau=LIMIT_TAU), 10),
     "advance": lambda: advance(SMALL_STATE, EULER, LIMIT_TAU, 10),
     "advance even": lambda: advance(EVEN_STATE, EULER, LIMIT_TAU, 10),
-    "euler_step": lambda: euler_step(SMALL_STATE, LIMIT_TAU),
+    "_dense_euler_step": lambda: _dense_euler_step(
+        SMALL_STATE.lattice, SMALL_STATE.a, SMALL_STATE.b, LIMIT_TAU
+    ),
     "paper_table_run": lambda: paper_table_run("gaussian", LIMIT_TAU, n_steps=10),
     "compare_rows": lambda: compare_rows(SMALL_STATE, LIMIT_TAU, 10, 5),
     "even_odd_comparison": lambda: even_odd_comparison(n_steps=1, tau=LIMIT_TAU),

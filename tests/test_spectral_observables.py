@@ -1,7 +1,9 @@
 """The spectral momentum and drift observables against their dense
 G-kernel double sums, the Parseval guard, and the bound on memory: the
-run paths never build an N x N kernel matrix."""
+run paths and the experiments outside the identity suite never build an
+N x N kernel matrix."""
 
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,14 @@ from ringfield import (
     uniform_state,
 )
 from ringfield.cli import main
+from ringfield.experiments import (
+    compare_rows,
+    confined_drift_diagnostic,
+    even_odd_comparison,
+    order_of_accuracy_run,
+    paper_table_grid,
+    qualitative_shape_run,
+)
 from ringfield.ioutil import fmt
 from ringfield.kernels import f_site_matrix, g_site_matrix
 
@@ -135,3 +145,31 @@ class TestNoDenseMatrixOnRunPaths:
         ])
         assert code == 0
         assert self._cache_infos() == before
+
+
+GAUSSIAN_801 = gaussian_state(make_lattice(801), 0, 10.0, 20)
+PRODUCTION_PATHS = {
+    "order_of_accuracy_run": order_of_accuracy_run,
+    "paper_table_grid": lambda: paper_table_grid(n_steps=10),
+    "compare_rows": lambda: compare_rows(GAUSSIAN_801, 1e-3, 20, 5),
+    "run odd": lambda: run(GAUSSIAN_801, EvolutionConfig(), 20, 5),
+    "run even": lambda: run(gaussian_state(make_even_lattice(800), 0, 10.0, 20),
+                            EvolutionConfig(), 20, 5),
+    "qualitative_shape_run": qualitative_shape_run,
+    "confined_drift_diagnostic": confined_drift_diagnostic,
+    "even_odd_comparison": lambda: even_odd_comparison(n_steps=1),
+}
+
+
+@pytest.mark.parametrize("name", PRODUCTION_PATHS)
+def test_production_paths_build_no_dense_matrix(name):
+    """Only the identity suite and the test oracles build F or G: the
+    builders are neither called nor read from their caches."""
+    f_site_matrix.cache_clear()
+    g_site_matrix.cache_clear()
+    with warnings.catch_warnings():
+        # the table's two larger time steps pass the warning threshold by design
+        warnings.filterwarnings("ignore", r"tau \* g\^2 \* N\^2", UserWarning)
+        PRODUCTION_PATHS[name]()
+    for info in (f_site_matrix.cache_info(), g_site_matrix.cache_info()):
+        assert (info.hits, info.misses) == (0, 0)
