@@ -157,8 +157,6 @@ def _cmd_paper_table(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
-    if config.parity_mode != "odd_standard":
-        raise ValueError("compare runs on the standard odd lattice")
     config.evolution()  # checks tau before any work
     _check_outputs(config.csv_path)
     state = build_state(config.lattice(), config.state_spec())

@@ -15,8 +15,10 @@ from dataclasses import dataclass, fields
 
 from .evolve import EvolutionConfig, _check_count
 from .ioutil import atomic_write_text, fmt
-from .lattice import Lattice, make_even_lattice, make_lattice
-from .state import StateSpec
+from .lattice import EVEN, ODD, Lattice, _build
+from .state import StateSpec, _check_seed
+
+PARITY_MODES = {"odd_standard": ODD, "even_naive": EVEN}
 
 
 @dataclass(frozen=True)
@@ -42,22 +44,20 @@ class RunConfig:
         _check_count("n_steps", self.n_steps, 0)
         _check_count("record_every", self.record_every, 1)
         _check_count("checkpoint_every", self.checkpoint_every, 0)
+        _check_seed(self.seed)
 
     def lattice(self) -> Lattice:
-        if self.parity_mode == "even_naive":
-            if self.n_sites % 2 != 0:
-                raise ValueError("parity_mode even_naive requires an even n_sites")
-            return make_even_lattice(self.n_sites, self.lattice_constant)
-        if self.parity_mode != "odd_standard":
+        parity = PARITY_MODES.get(self.parity_mode)
+        if parity is None:
             raise ValueError(
                 f"parity_mode must be odd_standard|even_naive (got {self.parity_mode!r})"
             )
-        if self.n_sites % 2 == 0:
+        if parity == ODD and self.n_sites % 2 == 0:
             raise ValueError(
                 "even n_sites is rejected by the standard model; "
                 "pass parity_mode = even_naive to run the demonstration mode"
             )
-        return make_lattice(self.n_sites, self.lattice_constant)
+        return _build(self.n_sites, self.lattice_constant, parity)
 
     def state_spec(self) -> StateSpec:
         return StateSpec(

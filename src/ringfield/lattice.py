@@ -61,10 +61,13 @@ class Lattice:
 
 
 def _build(n_sites, lattice_constant: float, parity: str) -> Lattice:
-    """The lattice of ``parity``; raises ``ValueError`` for an ``n_sites``
-    that ``int()`` would change (nothing is truncated), of the wrong
-    parity or too small, or a ``lattice_constant`` that is not positive
-    and finite (an infinite one would give g = 0)."""
+    """The lattice of ``parity`` (odd or even), the one place a parity
+    becomes a lattice; raises ``ValueError`` for any other parity, an
+    ``n_sites`` that ``int()`` would change (nothing is truncated), of
+    the wrong parity or too small, or a ``lattice_constant`` that is not
+    positive and finite (an infinite one would give g = 0)."""
+    if parity not in (ODD, EVEN):
+        raise ValueError(f"parity must be {ODD}|{EVEN} (got {parity!r})")
     try:
         n = int(n_sites)
     except (TypeError, ValueError, OverflowError):

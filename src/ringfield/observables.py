@@ -34,12 +34,12 @@ at n = 0.
 
 Every observable is written over the last axis of its arrays, so a
 whole block of states (a ``FieldState`` with one state per row) is
-measured at once.  ``snapshots`` holds each row's site-space M to its
-spectral M (Parseval): ``run``'s ``m_total`` is the measured M and
-``compare``'s ``m_euler`` the spectral prediction, and the gap between
-them is how far the measured M drifts.  ``snapshot`` and the
-single-state functions are the same code on a state of shape (N,);
-they raise ``ValueError`` for a block.
+measured at once.  ``_check_parseval``, the one comparison of a
+site-space M with a spectral one, holds each row of ``snapshots`` (and
+the closed forms' final states): ``run``'s ``m_total`` is the measured
+M and ``compare``'s ``m_euler`` the spectral prediction.  ``snapshot``
+and the single-state functions are the same code on a state of shape
+(N,); they raise ``ValueError`` for a block.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
 
 
 def _check_parseval(m_spectral, m_sites) -> None:
-    """``ConsistencyError`` when the spectral M of a row misses its
-    site-space M by more than 1e-10 max(1, M): a broken transform."""
-    gap = m_spectral - m_sites
+    """``ConsistencyError`` when the site-space M of a row misses its
+    spectral M by more than 1e-10 max(1, M): a broken transform or step."""
+    gap = m_sites - m_spectral
     broken = np.flatnonzero(np.abs(gap) > 1e-10 * np.maximum(1.0, m_sites))
     if broken.size:
         raise ConsistencyError(
-            f"spectral M differs from the site-space M by {gap.flat[broken[0]]:.3e} (Parseval)"
+            f"M differs from its spectral prediction by {gap.flat[broken[0]]:.3e} (Parseval)"
         )
 
 
@@ -264,6 +264,8 @@ def high_band_fraction(state: FieldState) -> float:
     kappa = state.lattice.momentum_values()
     outer = np.abs(kappa) > np.max(np.abs(kappa)) / 2.0
     total = float(np.sum(occupation))
+    if total <= 0.0:
+        raise DegenerateStateError("high_band_fraction needs a state with M > 0")
     return float(np.sum(occupation[outer]) / total)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ioutil import atomic_write_text, read_csv_rows
-from .lattice import EVEN, ODD, Lattice, make_even_lattice, make_lattice, wrap_index
+from .lattice import EVEN, ODD, Lattice, _build, wrap_index
 
 
 class DegenerateStateError(ValueError):
@@ -306,9 +306,8 @@ def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
     the site labels; a malformed file raises ``ValueError`` naming it."""
     table = _read_state_table(path)
     sites, a, b = table.T
-    maker = make_lattice if len(sites) % 2 == 1 else make_even_lattice
     try:
-        lattice = maker(len(sites), lattice_constant)
+        lattice = _build(len(sites), lattice_constant, ODD if len(sites) % 2 else EVEN)
         if not np.array_equal(sites, lattice.sites()):
             raise ValueError("site column is not the canonical label order")
         return _new_state(lattice, a, b)
@@ -338,11 +337,7 @@ def read_state_json(path: str) -> FieldState:
     with open(path) as handle:
         try:
             obj = json.load(handle)
-            makers = {ODD: make_lattice, EVEN: make_even_lattice}
-            if obj["parity"] not in makers:
-                raise ValueError(f"parity must be {ODD}|{EVEN} (got {obj['parity']!r})")
-            maker = makers[obj["parity"]]
-            lattice = maker(obj["n_sites"], obj["lattice_constant"])
+            lattice = _build(obj["n_sites"], obj["lattice_constant"], obj["parity"])
             return _new_state(lattice, np.array(obj["a"]), np.array(obj["b"]))
         except KeyError as exc:
             raise ValueError(f"{path}: missing field {exc}") from exc

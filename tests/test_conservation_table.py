@@ -34,6 +34,7 @@ from ringfield.experiments import (
     _deviation_series,
     _residue_sums,
     _relative_variation,
+    compare_rows,
     table_state,
 )
 from ringfield.kernels import SITE_MATRIX_MAX_SITES, f_site_matrix, g_site_matrix, kernel_f
@@ -263,6 +264,34 @@ def test_final_row_one_step_off_raises(monkeypatch):
     monkeypatch.setattr(ringfield.evolve.Propagator, "amplitudes_after", one_step_short)
     with pytest.raises(ConsistencyError, match="spectral prediction"):
         paper_table_run("gaussian", 1e-3)
+
+
+@pytest.mark.parametrize("excess, raises", [(2e-10, True), (5e-11, False)])
+def test_final_row_m_is_held_to_1e_10(monkeypatch, excess, raises):
+    """The final Euler state, scaled so that its M exceeds the spectral
+    prediction (about 1) by ``excess`` relative, fails past 1e-10 only."""
+    original = ringfield.evolve.Propagator.amplitudes_after
+
+    def scaled(self, coefficients, steps):
+        return np.sqrt(1.0 + excess) * original(self, coefficients, steps)
+
+    monkeypatch.setattr(ringfield.evolve.Propagator, "amplitudes_after", scaled)
+    if raises:
+        with pytest.raises(ConsistencyError, match="spectral prediction"):
+            paper_table_run("gaussian", 1e-3)
+    else:
+        assert paper_table_run("gaussian", 1e-3).passed
+
+
+def test_compare_rows_refuses_an_even_lattice_before_any_transform(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a transform or propagator was built")
+
+    state = gaussian_state(make_even_lattice(100), 0, 5.0, 3)
+    monkeypatch.setattr(ringfield.experiments, "momentum_coefficients", forbidden)
+    monkeypatch.setattr(ringfield.experiments, "propagator", forbidden)
+    with pytest.raises(ValueError, match="the closed forms take an odd lattice"):
+        compare_rows(state, 1e-3, 20, 10)
 
 
 def test_corrupted_forward_transform_raises(monkeypatch):

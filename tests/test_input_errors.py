@@ -245,6 +245,27 @@ def test_negative_random_seed_prints_one_line(command):
     _assert_negative_seed_is_named([command, *SMALL, "--shape", "random", "--seed", "-1"])
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_negative_seed_of_a_gaussian_prints_one_line(command):
+    # the default shape never reads the seed, and still rejects a negative one
+    _assert_negative_seed_is_named([command, *SMALL, "--seed", "-1"])
+
+
+def test_negative_seed_in_a_config_file_prints_one_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = -1\n")
+    _assert_negative_seed_is_named(["run", "--config", str(cfg)])
+
+
+def test_compare_on_an_even_lattice_prints_one_line(tmp_path, capsys):
+    cfg = tmp_path / "even.cfg"
+    cfg.write_text("parity_mode = even_naive\nn_sites = 100\n")
+    assert main(["compare", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: the closed forms take an odd lattice\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("tau", ["0", "-1", "nan"])
 def test_compare_checks_tau_before_any_work(monkeypatch, capsys, tau):
     def forbidden(*args, **kwargs):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ringfield import make_lattice, wrap_index
-from ringfield.lattice import make_even_lattice
+from ringfield.lattice import _build, make_even_lattice
 
 
 class TestMakeLattice:
@@ -71,6 +71,11 @@ def test_size_is_never_truncated(maker, n):
     # int() would have built N = 801 (or 800) from the fractional sizes
     with pytest.raises(ValueError, match=r"n_sites must be a whole number \(got "):
         maker(n)
+
+
+def test_unknown_parity_is_rejected():
+    with pytest.raises(ValueError, match=r"parity must be odd\|even \(got 'bogus'\)"):
+        _build(3, 1.0, "bogus")
 
 
 @pytest.mark.parametrize("maker, n", [(make_lattice, 801.0), (make_even_lattice, np.int64(800))],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ringfield import (
+    DegenerateStateError,
     boost,
     count_local_maxima,
     drift_velocity,
@@ -107,6 +108,11 @@ class TestMomentumDistribution:
         centre = plane_wave(LAT, 0)
         assert high_band_fraction(edge) == pytest.approx(1.0, abs=1e-12)
         assert high_band_fraction(centre) == pytest.approx(0.0, abs=1e-12)
+
+    def test_high_band_fraction_of_a_zero_state_raises(self):
+        zero = state_from_amplitudes(make_lattice(21), np.zeros(21))
+        with pytest.raises(DegenerateStateError, match="M > 0"):
+            high_band_fraction(zero)
 
 
 class TestPositionMoments:

@@ -45,6 +45,7 @@ BOUNDED_INTS = {
     "n_steps": st.integers(0, 10**18),
     "record_every": st.integers(1, 10**18),
     "checkpoint_every": st.integers(0, 10**18),
+    "seed": st.integers(0, 10**18),
 }
 run_configs = st.builds(
     RunConfig,
