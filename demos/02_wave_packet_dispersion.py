@@ -9,8 +9,8 @@ stays gaussian, and M and the drift velocity hold still to ~1e-6.
 
 from ringfield import (
     EvolutionConfig,
+    advance,
     combined_distribution,
-    exact_step,
     gaussian_state,
     make_lattice,
     run,
@@ -38,7 +38,7 @@ print(f"relative M variation: {abs(last.m_total - first.m_total) / first.m_total
 
 print("\ncombined distribution before and after t = 100 of exact evolution")
 print("(width sqrt(100 + (t/sigma)^2) -> 14.1 sites, drift 31 sites):")
-late = exact_step(state, 100.0)
+late = advance(state, "exact", 100.0)
 for label, snapshot_state in (("t=0", state), ("t=100", late)):
     density = combined_distribution(snapshot_state)
     peak = density.max()

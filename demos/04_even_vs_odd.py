@@ -12,11 +12,11 @@ seam cannot tell the difference; one parked on the seam immediately can.
 import numpy as np
 
 from ringfield import (
+    advance,
     even_odd_comparison,
     make_even_lattice,
     state_from_amplitudes,
     translate,
-    translate_spectral,
 )
 
 print(__doc__)
@@ -27,7 +27,7 @@ amps = np.zeros(8, dtype=complex)
 amps[-1] = 1.0  # basis state at the last label, s = +3
 border = state_from_amplitudes(lattice, amps)
 rolled = translate(border, 1)
-generated = translate_spectral(border, 1)
+generated = advance(border, "translate", 1)
 print("plain cyclic roll of a border basis state:  ", np.round(rolled.amplitudes().real, 3))
 print("translation generated by the momentum basis:", np.round(generated.amplitudes().real, 3))
 print("the generated translation carries the minus sign across the seam.\n")

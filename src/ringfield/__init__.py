@@ -12,15 +12,7 @@ correspondence breaks.
 
 from .basis import MomentumSpectrum, to_momentum_basis
 from .config import RunConfig, parse_config_text, read_config
-from .evolve import (
-    EvolutionConfig,
-    TimestepBoundError,
-    advance,
-    exact_step,
-    run,
-    translate,
-    translate_spectral,
-)
+from .evolve import EvolutionConfig, TimestepBoundError, advance, run, translate
 from .experiments import (
     ExperimentReport,
     confined_drift_diagnostic,
@@ -34,16 +26,7 @@ from .experiments import (
 )
 from .kernels import ConsistencyError, kernel_f, kernel_g
 from .lattice import Lattice, make_even_lattice, make_lattice, wrap_index
-from .observables import (
-    ObservableSnapshot,
-    count_local_maxima,
-    drift_velocity,
-    gaussian_shape_residual,
-    momentum_expectation,
-    position_mean,
-    position_spread,
-    snapshot,
-)
+from .observables import ObservableSnapshot, count_local_maxima, snapshot
 from .series import TimeSeries, read_timeseries_csv
 from .state import (
     DegenerateStateError,

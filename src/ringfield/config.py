@@ -1,8 +1,10 @@
 """Run configuration: a flat, human-editable key = value format.
 
-Every field of ``RunConfig`` is one line; ``#`` starts a comment.
-Serialising and re-parsing returns an equal config (floats are written
-in shortest round-trip form).  Command-line flags override file values.
+Every field of ``RunConfig`` is one line; a ``#`` that opens a line or
+follows a blank starts a comment.  Serialising and re-parsing returns an
+equal config (floats are written in shortest round-trip form, and
+``to_text`` refuses a value that would not read back).  Command-line
+flags override file values.
 
 Defaults are the headline configuration: 801 sites, unit spacing,
 tau = 1e-3, 1000 steps, observables recorded every 10 steps, drifting
@@ -11,6 +13,7 @@ gaussian initial state.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 
 from .evolve import EvolutionConfig, _check_count
@@ -19,6 +22,7 @@ from .lattice import EVEN, ODD, Lattice, _build
 from .state import StateSpec, _check_seed
 
 PARITY_MODES = {"odd_standard": ODD, "even_naive": EVEN}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,9 @@ class RunConfig:
         for spec in fields(self):
             value = getattr(self, spec.name)
             text = fmt(value) if spec.type == "float" else str(value)
+            read_back = _COMMENT.split(f" {text}", maxsplit=1)[0].strip()
+            if len(text.splitlines()) > 1 or read_back != text:
+                raise ValueError(f"{spec.name} {text!r} would not read back from a config file")
             lines.append(f"{spec.name} = {text}")
         return "\n".join(lines) + "\n"
 
@@ -88,7 +95,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     values = {}
     known = {spec.name: spec for spec in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, maxsplit=1)[0].strip()
         if not line:
             continue
         if "=" not in line:

@@ -20,9 +20,9 @@ On an even lattice the same reaction rule wraps F modulo N: the naive
 even-mode step.  That matrix is a circulant, so it is diagonal in the
 plain integer DFT of the storage order (not in the half-integer basis),
 with eigenvalues lambda, the DFT of its first column.  It is
-deliberately not the quantum evolution: its unitary reference is
-``exact_step`` on the even lattice, whose half-integer basis carries
-the sign-corrected translation, and the two part ways once amplitude
+deliberately not the quantum evolution: its unitary reference is the
+exact step on the even lattice, whose half-integer basis carries the
+sign-corrected translation, and the two part ways once amplitude
 crosses the index seam.
 
 So n steps are one multiplier raised to the power n.  ``run``
@@ -36,14 +36,14 @@ reduction behind ``compare``'s and the conservation table's closed
 forms (``experiments``), which build no rows.  ``m_total`` is the
 measured site-space M of each row, held to that series (Parseval).  The
 naive even Euler step multiplies the storage-order DFT instead, so each
-of its rows reduces its own occupation.  ``advance``
-takes n steps of any kind, and ``exact_step`` and ``translate_spectral``
-are n = 1 of it.  Every step count passes ``_check_count``, and every
-linearised step the tau bound (``check_tau_bound``, called where the
-step is built: ``propagator`` and ``_dense_euler_step``), before any
-transform.  The paper's site-space step on both parities, the direct
-O(N^2) correlation ``_dense_euler_step``, is on no public path: it is
-the reference of ``verify``'s identity suite and of the tests.
+of its rows reduces its own occupation.  ``advance`` is the one step
+function: n steps of any kind.  Every step count passes
+``_check_count``, and every linearised step the tau bound
+(``check_tau_bound``, called where the step is built: ``propagator``
+and ``_dense_euler_step``), before any transform.  The paper's
+site-space step on both parities, the direct O(N^2) correlation
+``_dense_euler_step``, is on no public path: it is the reference of
+``verify``'s identity suite and of the tests.
 """
 
 from __future__ import annotations
@@ -231,8 +231,9 @@ def _power_blocks(
 
 
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
-    """The state after ``n_steps`` steps of one kind (one row of
-    ``_power_blocks``); n = 0 returns ``state`` itself, with no
+    """The state after ``n_steps`` steps of one kind, ``euler``, ``exact``
+    or ``translate``, with ``step`` read as ``propagator`` reads it (one
+    row of ``_power_blocks``); n = 0 returns ``state`` itself, with no
     transform and no check of ``kind`` or ``step``."""
     _check_count("n_steps", n_steps, 0)
     if n_steps == 0:
@@ -263,24 +264,9 @@ def _dense_euler_step(
     return a + scale * created_a, b - scale * created_b
 
 
-def exact_step(state: FieldState, t: float) -> FieldState:
-    """Evolve by the exact unitary exp(-i P^2 t); valid for any t."""
-    return advance(state, EXACT, t)
-
-
 def translate(state: FieldState, steps: int) -> FieldState:
     """Cyclic shift of both fields (of every row) by ``steps`` sites."""
     return state_from_amplitudes(state.lattice, np.roll(state.c, steps, axis=-1))
-
-
-def translate_spectral(state: FieldState, steps: int) -> FieldState:
-    """Translation applied as exp(-i a steps P) in the momentum basis.
-
-    Equal to ``translate`` on odd lattices (the generator property); on
-    even lattices it is the sign-corrected shift that flips amplitude
-    crossing the index seam.
-    """
-    return advance(state, TRANSLATE, steps)
 
 
 def record_steps(n_steps: int, record_every: int) -> list[int]:

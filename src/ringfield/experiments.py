@@ -57,7 +57,6 @@ from .evolve import (
     _check_tau,
     _dense_euler_step,
     advance,
-    exact_step,
     propagator,
     record_steps,
     run,
@@ -442,6 +441,11 @@ EQ_CONVOLUTION_RTOL = 1e-8
 EQ_COMMUTATOR_SCALE = 1e-8
 
 
+def _check_sizes(n_sites_list) -> None:
+    if len(n_sites_list) == 0:  # a report that checked no lattice would pass
+        raise ValueError("n_sites_list must name at least one lattice size")
+
+
 def identity_suite(
     n_sites_list=IDENTITY_N_LIST,
     states_per_n: int = IDENTITY_STATES_PER_N,
@@ -461,8 +465,11 @@ def identity_suite(
     lattice, each at both normalisations, form one block of rows, which
     takes one dense reference step of ``IDENTITY_TAU``
     (``_dense_euler_step``, tau bound check included); both the block
-    and the stepped block must be finite (``ValueError``).
+    and the stepped block must be finite (``ValueError``).  Raises
+    ``ValueError`` first for no lattice or ``states_per_n`` < 1.
     """
+    _check_sizes(n_sites_list)
+    _check_count("states_per_n", states_per_n, 1)
     rng = np.random.default_rng(seed)
     tau = IDENTITY_TAU
     worst_m = worst_conv = worst_comm = 0.0
@@ -578,8 +585,9 @@ def kernel_oracle_check(
     summed separately, so a closed form wrong only at negative (or only
     at positive) displacements fails the check.  ``perturbation`` is a
     self-test hook: a nonzero value is added to the closed-form F so the
-    check must fail.
+    check must fail.  Raises ``ValueError`` first for no lattice.
     """
+    _check_sizes(n_sites_list)
     worst_f = worst_g = 0.0
     for n in n_sites_list:
         lattice = make_lattice(n)
@@ -783,7 +791,7 @@ def even_odd_comparison(
     def deviation(lattice, center) -> float:
         state = gaussian_state(lattice, center, sigma)
         stepped = advance(state, EULER, tau, n_steps)
-        reference = exact_step(state, n_steps * tau)
+        reference = advance(state, EXACT, n_steps * tau)
         return float(np.linalg.norm(stepped.amplitudes() - reference.amplitudes()))
 
     dev_even_confined = deviation(even, 0)

@@ -38,8 +38,9 @@ measured at once.  ``_check_parseval``, the one comparison of a
 site-space M with a spectral one, holds each row of ``snapshots`` (and
 the closed forms' final states): ``run``'s ``m_total`` is the measured
 M and ``compare``'s ``m_euler`` the spectral prediction.  ``snapshot``
-and the single-state functions are the same code on a state of shape
-(N,); they raise ``ValueError`` for a block.
+is the one measurement of a single state, the same code on a state of
+shape (N,); it and the diagnostics of one state raise ``ValueError``
+for a block.
 """
 
 from __future__ import annotations
@@ -163,24 +164,6 @@ def _measured_columns(block: FieldState, spectral=None) -> tuple[np.ndarray, np.
     return m_sites, momentum
 
 
-def drift_velocity(state: FieldState) -> float:
-    """Drift velocity 4 g sum a_s b_r G(s-r): exactly twice
-    ``momentum_expectation``, so exactly 0.0 when b = 0."""
-    _require_one_state(state, "drift_velocity")
-    return 2.0 * float(_measured_columns(state)[1][0])
-
-
-def momentum_expectation(state: FieldState) -> float:
-    """Momentum expectation g sum_k kappa |c_hat_k|^2.
-
-    Equal to the G kernel double sum -i g sum conj(c_s) c_r G(s - r),
-    which is its definition and the test oracle.  Raises
-    ``ConsistencyError`` when the spectrum fails the Parseval check.
-    """
-    _require_one_state(state, "momentum_expectation")
-    return float(_measured_columns(state)[1][0])
-
-
 def _circular_moments(
     lattice: Lattice, density: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -197,21 +180,11 @@ def _circular_moments(
     return mean, spread
 
 
-def position_mean(state: FieldState) -> float:
-    """Circular mean of the combined distribution, in site units."""
-    _require_one_state(state, "position_mean")
-    return float(_circular_moments(state.lattice, combined_distribution(state))[0])
-
-
-def position_spread(state: FieldState) -> float:
-    """Circular standard deviation of the combined distribution (sites)."""
-    _require_one_state(state, "position_spread")
-    return float(_circular_moments(state.lattice, combined_distribution(state))[1])
-
-
 def _shape_residual(
     lattice: Lattice, density: np.ndarray, mean: np.ndarray, spread: np.ndarray
 ) -> np.ndarray:
+    """RMS misfit of each row of ``density`` to a wrapped gaussian of its
+    circular moments (amplitude by least squares), over the row's peak."""
     spread = np.maximum(spread, 1e-9)[..., None]
     n = lattice.n_sites
     offsets = lattice.sites() - mean[..., None]
@@ -226,21 +199,6 @@ def _shape_residual(
     amplitude = np.sum(model * density, axis=-1) / np.sum(model * model, axis=-1)
     rms = np.sqrt(np.mean((density - amplitude[..., None] * model) ** 2, axis=-1))
     return rms / np.max(density, axis=-1)
-
-
-def gaussian_shape_residual(state: FieldState) -> float:
-    """RMS misfit between the combined distribution and its best
-    gaussian, normalised by the peak height.
-
-    The model is a wrapped gaussian centred and sized by the circular
-    moments, with the amplitude fitted by least squares.  Near zero for
-    packets that kept their gaussian profile; order one for anything
-    else.
-    """
-    _require_one_state(state, "gaussian_shape_residual")
-    density = combined_distribution(state)
-    mean, spread = _circular_moments(state.lattice, density)
-    return float(_shape_residual(state.lattice, density, mean, spread))
 
 
 def count_local_maxima(distribution: np.ndarray, prominence: float = 1e-6) -> int:

@@ -18,6 +18,7 @@ read-only, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -160,9 +161,11 @@ def _cyclic_offsets(lattice: Lattice, center: int) -> np.ndarray:
 
 
 def _check_in_band(lattice: Lattice, center: int, velocity_index: int) -> None:
-    """Both must be site labels: for m, the representatives of m mod N
-    (a larger |m| only aliases, and its boost phase loses digits)."""
+    """Both must be integer site labels: for m, the representatives of
+    m mod N (a larger |m| only aliases, and its boost phase loses digits)."""
     for name, value in (("center", center), ("velocity_index", velocity_index)):
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer (got {value!r})")
         if not (lattice.site_min <= value <= lattice.site_max):
             bounds = f"[{lattice.site_min}, {lattice.site_max}]"
             raise ValueError(f"{name} {value} outside site range {bounds}")

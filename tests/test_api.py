@@ -58,6 +58,15 @@ def test_no_kernel_table_exports():
         (ringfield.evolve, "LINEARISED"),
         # the dense reference step is the tests' oracle (``oracles.euler_step``)
         (ringfield.evolve, "euler_step"),
+        # ``advance`` is the one step and ``snapshot`` the one measurement
+        # of a single state: their n = 1 and one-column wrappers
+        (ringfield.evolve, "exact_step"),
+        (ringfield.evolve, "translate_spectral"),
+        (ringfield.observables, "drift_velocity"),
+        (ringfield.observables, "momentum_expectation"),
+        (ringfield.observables, "position_mean"),
+        (ringfield.observables, "position_spread"),
+        (ringfield.observables, "gaussian_shape_residual"),
     ):
         assert not hasattr(ringfield, name), name
         assert not hasattr(module, name), name

@@ -97,6 +97,13 @@ class TestRunCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3  # header + steps 0, 2
 
+    def test_config_csv_path_keeps_its_hash(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"n_sites = 101\nn_steps = 2\ncsv_path = {tmp_path}/a#b.csv  # out\n")
+        assert main(["run", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a#b.csv", "run.cfg"]
+
     def test_checkpoints_written(self, tmp_path):
         out = tmp_path / "series.csv"
         ckdir = tmp_path / "ck"

@@ -6,16 +6,14 @@ import pytest
 
 from ringfield import (
     advance,
-    exact_step,
     gaussian_state,
     kernel_f,
     make_lattice,
-    momentum_expectation,
     norm_m,
     random_state,
+    snapshot,
     state_from_amplitudes,
     translate,
-    translate_spectral,
 )
 from ringfield.evolve import EULER
 from ringfield.lattice import make_even_lattice
@@ -42,7 +40,7 @@ class TestSignCorrection:
     def test_translation_flips_sign_at_seam(self):
         lattice = make_even_lattice(8)
         border = basis_state(lattice, lattice.site_max)
-        moved = translate_spectral(border, 1)
+        moved = advance(border, "translate", 1)
         amps = moved.amplitudes()
         assert amps[0] == pytest.approx(-1.0, abs=1e-12)  # site -N/2, sign flipped
         assert np.max(np.abs(amps[1:])) < 1e-12
@@ -50,7 +48,7 @@ class TestSignCorrection:
     def test_translation_no_flip_inside(self):
         lattice = make_even_lattice(8)
         inner = basis_state(lattice, 0)
-        moved = translate_spectral(inner, 1)
+        moved = advance(inner, "translate", 1)
         amps = moved.amplitudes()
         assert amps[1 - lattice.site_min] == pytest.approx(1.0, abs=1e-12)
 
@@ -58,12 +56,12 @@ class TestSignCorrection:
         lattice = make_even_lattice(8)
         border = basis_state(lattice, lattice.site_max)
         rolled = translate(border, 1)
-        generated = translate_spectral(border, 1)
+        generated = advance(border, "translate", 1)
         assert np.max(np.abs(rolled.amplitudes() - generated.amplitudes())) > 1.9
 
     def test_kernel_momentum_matches_spectral_on_even(self):
         state = random_state(make_even_lattice(100), 3)
-        assert momentum_expectation(state) == pytest.approx(
+        assert snapshot(state, 0).momentum_expectation == pytest.approx(
             momentum_expectation_spectral(state), abs=1e-10
         )
 
@@ -74,7 +72,7 @@ class TestNaiveVsExact:
         state = gaussian_state(lattice, 0, 5.0)
         tau = 1e-3
         naive = advance(state, EULER, tau)
-        reference = exact_step(state, tau)
+        reference = advance(state, "exact", tau)
         deviation = np.linalg.norm(naive.amplitudes() - reference.amplitudes())
         assert deviation < 1e-8  # pure linearisation error, O(tau^2)
 
@@ -85,11 +83,11 @@ class TestNaiveVsExact:
         tau = 1e-3
         dev_even = np.linalg.norm(
             advance(gaussian_state(even, 0, 5.0), EULER, tau).amplitudes()
-            - exact_step(gaussian_state(even, 0, 5.0), tau).amplitudes()
+            - advance(gaussian_state(even, 0, 5.0), "exact", tau).amplitudes()
         )
         dev_odd = np.linalg.norm(
             euler_step(gaussian_state(odd, 0, 5.0), tau).amplitudes()
-            - exact_step(gaussian_state(odd, 0, 5.0), tau).amplitudes()
+            - advance(gaussian_state(odd, 0, 5.0), "exact", tau).amplitudes()
         )
         assert dev_even == pytest.approx(dev_odd, rel=0.05)
 
@@ -102,14 +100,14 @@ class TestNaiveVsExact:
         state = basis_state(lattice, lattice.site_max)
         tau = 1e-3
         naive = advance(state, EULER, tau)
-        reference = exact_step(state, tau)
+        reference = advance(state, "exact", tau)
         deviation = np.linalg.norm(naive.amplitudes() - reference.amplitudes())
         assert deviation > 0.5 * tau
         # a basis state at label 0 never reaches past the seam on N=4
         centred = basis_state(lattice, 0)
         deviation_centred = np.linalg.norm(
             advance(centred, EULER, tau).amplitudes()
-            - exact_step(centred, tau).amplitudes()
+            - advance(centred, "exact", tau).amplitudes()
         )
         assert deviation_centred < 0.01 * deviation
 
@@ -118,7 +116,7 @@ class TestNaiveVsExact:
         state = gaussian_state(lattice, lattice.site_min, 5.0)
         tau = 1e-3
         naive = advance(state, EULER, tau)
-        reference = exact_step(state, tau)
+        reference = advance(state, "exact", tau)
         deviation = np.linalg.norm(naive.amplitudes() - reference.amplitudes())
         assert deviation > 1e-5  # first order in tau, not second
 
@@ -131,7 +129,7 @@ class TestNaiveVsExact:
 
     def test_exact_step_unitary_on_even(self):
         state = random_state(make_even_lattice(100), 6)
-        evolved = exact_step(state, 0.7)
+        evolved = advance(state, "exact", 0.7)
         assert norm_m(evolved) == pytest.approx(norm_m(state), abs=1e-12)
 
     def test_run_supports_exact_scheme_on_even(self):

@@ -5,7 +5,6 @@ from ringfield import (
     EvolutionConfig,
     TimestepBoundError,
     advance,
-    exact_step,
     make_lattice,
     norm_m,
     random_state,
@@ -14,7 +13,6 @@ from ringfield import (
     state_from_amplitudes,
     to_momentum_basis,
     translate,
-    translate_spectral,
 )
 from ringfield.evolve import EULER
 from ringfield.state import _new_state
@@ -53,7 +51,7 @@ class TestEulerStep:
         state = gaussian_state(LAT, 0, 10.0, 20)
         tau = 1e-3
         stepped = euler_step(state, tau)
-        reference = exact_step(state, tau)
+        reference = advance(state, "exact", tau)
         bound = (tau * (LAT.reciprocal_constant * LAT.half_width) ** 2) ** 2 / 2
         assert np.max(np.abs(stepped.amplitudes() - reference.amplitudes())) < bound
 
@@ -87,7 +85,7 @@ class TestEulerStep:
         errs = []
         for tau in (2e-3, 1e-3):
             stepped = euler_step(state, tau)
-            reference = exact_step(state, tau)
+            reference = advance(state, "exact", tau)
             errs.append(np.linalg.norm(stepped.amplitudes() - reference.amplitudes()))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
 
@@ -115,18 +113,18 @@ class TestTauGuard:
 class TestExactStep:
     def test_zero_time_is_identity(self):
         state = random_state(LAT, 1)
-        stepped = exact_step(state, 0.0)
+        stepped = advance(state, "exact", 0.0)
         assert np.max(np.abs(stepped.amplitudes() - state.amplitudes())) < 1e-15
 
     def test_unitarity(self):
         state = random_state(LAT, 2)
         for t in (1e-3, 0.1, 3.0):
-            assert norm_m(exact_step(state, t)) == pytest.approx(norm_m(state), abs=1e-12)
+            assert norm_m(advance(state, "exact", t)) == pytest.approx(norm_m(state), abs=1e-12)
 
     def test_group_property(self):
         state = random_state(LAT, 3)
-        two_hops = exact_step(exact_step(state, 0.4), 0.35)
-        direct = exact_step(state, 0.75)
+        two_hops = advance(advance(state, "exact", 0.4), "exact", 0.35)
+        direct = advance(state, "exact", 0.75)
         assert np.max(np.abs(two_hops.amplitudes() - direct.amplitudes())) < 1e-12
 
 
@@ -150,12 +148,12 @@ class TestTranslate:
     def test_shift_equals_spectral_generator(self, steps):
         state = random_state(LAT, 6)
         rolled = translate(state, steps)
-        generated = translate_spectral(state, steps)
+        generated = advance(state, "translate", steps)
         assert np.max(np.abs(rolled.amplitudes() - generated.amplitudes())) < 1e-10
 
     def test_border_site_spectral(self):
         state = basis_state(LAT, LAT.site_max)
-        generated = translate_spectral(state, 1)
+        generated = advance(state, "translate", 1)
         expected = np.zeros(801, dtype=complex)
         expected[0] = 1.0
         assert np.max(np.abs(generated.amplitudes() - expected)) < 1e-10

@@ -158,6 +158,22 @@ class TestKernelOracle:
         assert failing == [f"{name} closed form vs spectral sum"]
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: identity_suite([3], states_per_n=0), r"states_per_n must be an integer >= 1"),
+    (lambda: identity_suite([]), "at least one lattice"),
+    (lambda: kernel_oracle_check([]), "at least one lattice"),
+], ids=["identity suite without states", "identity suite without lattices",
+        "kernel oracle without lattices"])
+def test_a_report_that_would_check_nothing_raises_before_any_work(monkeypatch, call, message):
+    # an empty report would read PASS
+    def no_work(*args):
+        raise AssertionError("a lattice was built")
+
+    monkeypatch.setattr(ringfield.experiments, "make_lattice", no_work)
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestPaperTableRun:
     def test_short_run_is_ungated(self):
         report = paper_table_run("gaussian", 1e-3, n_steps=50)

@@ -5,15 +5,10 @@ from ringfield import (
     DegenerateStateError,
     boost,
     count_local_maxima,
-    drift_velocity,
-    gaussian_shape_residual,
     gaussian_state,
     make_even_lattice,
     make_lattice,
-    momentum_expectation,
     norm_m,
-    position_mean,
-    position_spread,
     random_state,
     snapshot,
     state_from_amplitudes,
@@ -40,11 +35,11 @@ def plane_wave(lattice, k0):
 class TestDriftVelocity:
     def test_real_state_has_no_drift(self):
         state = uniform_state(LAT, 0, 25, 0)
-        assert drift_velocity(state) == 0.0
+        assert snapshot(state, 0).drift_velocity == 0.0
 
     def test_quantised_boost_value(self):
         state = gaussian_state(LAT, 0, 10.0, 50)
-        assert drift_velocity(state) == pytest.approx(
+        assert snapshot(state, 0).drift_velocity == pytest.approx(
             2 * LAT.reciprocal_constant * 50, abs=1e-6
         )
 
@@ -52,26 +47,27 @@ class TestDriftVelocity:
         lattice = make_lattice(101)
         for seed in range(100):
             state = random_state(lattice, seed)
-            v = drift_velocity(state)
-            p = momentum_expectation(state)
-            assert v == pytest.approx(2 * p, rel=1e-10, abs=1e-12)
+            snap = snapshot(state, 0)
+            assert snap.drift_velocity == pytest.approx(
+                2 * snap.momentum_expectation, rel=1e-10, abs=1e-12
+            )
 
 
 class TestMomentumExpectation:
     def test_real_state_zero(self):
         state = gaussian_state(LAT, 0, 10.0, 0)
-        assert momentum_expectation(state) == pytest.approx(0.0, abs=1e-12)
+        assert snapshot(state, 0).momentum_expectation == pytest.approx(0.0, abs=1e-12)
 
     def test_plane_wave_eigenvalue(self):
         state = plane_wave(LAT, 120)
-        assert momentum_expectation(state) == pytest.approx(
+        assert snapshot(state, 0).momentum_expectation == pytest.approx(
             LAT.reciprocal_constant * 120, abs=1e-10
         )
 
     def test_kernel_vs_spectral_forms(self):
         for seed in range(20):
             state = random_state(LAT, seed)
-            kernel_form = momentum_expectation(state)
+            kernel_form = snapshot(state, 0).momentum_expectation
             spectral_form = momentum_expectation_spectral(state)
             assert kernel_form == pytest.approx(spectral_form, abs=1e-10)
 
@@ -82,17 +78,15 @@ class TestBoostShift:
         m = 50
         v = 2 * LAT.reciprocal_constant * m
         shifted = boost(state, v)
-        assert drift_velocity(shifted) - drift_velocity(state) == pytest.approx(
-            v, abs=1e-6
-        )
+        shift = snapshot(shifted, 0).drift_velocity - snapshot(state, 0).drift_velocity
+        assert shift == pytest.approx(v, abs=1e-6)
 
     def test_shift_composes_from_nonzero_base(self):
         base = gaussian_state(LAT, 0, 10.0, 20)
         v = 2 * LAT.reciprocal_constant * 20
         shifted = boost(base, v)
-        assert drift_velocity(shifted) - drift_velocity(base) == pytest.approx(
-            v, abs=1e-6
-        )
+        shift = snapshot(shifted, 0).drift_velocity - snapshot(base, 0).drift_velocity
+        assert shift == pytest.approx(v, abs=1e-6)
 
 
 class TestMomentumDistribution:
@@ -118,29 +112,29 @@ class TestMomentumDistribution:
 class TestPositionMoments:
     def test_uniform_window_mean_is_center(self):
         state = uniform_state(LAT, 37, 25, 0)
-        assert position_mean(state) == pytest.approx(37.0, abs=1e-6)
+        assert snapshot(state, 0).position_mean == pytest.approx(37.0, abs=1e-6)
 
     def test_gaussian_spread_matches_sigma(self):
         state = gaussian_state(LAT, 0, 10.0, 0)
-        assert position_spread(state) == pytest.approx(10.0, abs=1e-3)
+        assert snapshot(state, 0).position_spread == pytest.approx(10.0, abs=1e-3)
 
     def test_mean_wraps_correctly(self):
         state = gaussian_state(LAT, -395, 5.0, 0)
-        assert position_mean(state) == pytest.approx(-395.0, abs=1e-6)
+        assert snapshot(state, 0).position_mean == pytest.approx(-395.0, abs=1e-6)
 
 
 class TestShapeResidual:
     def test_fresh_gaussian_is_gaussian(self):
         state = gaussian_state(LAT, 0, 10.0, 0)
-        assert gaussian_shape_residual(state) < 1e-3
+        assert snapshot(state, 0).shape_residual < 1e-3
 
     def test_boost_does_not_change_residual(self):
         state = gaussian_state(LAT, 0, 10.0, 35)
-        assert gaussian_shape_residual(state) < 1e-3
+        assert snapshot(state, 0).shape_residual < 1e-3
 
     def test_uniform_window_is_not_gaussian(self):
         state = uniform_state(LAT, 0, 25, 0)
-        assert gaussian_shape_residual(state) > 1e-2
+        assert snapshot(state, 0).shape_residual > 1e-2
 
 
 class TestLocalMaxima:

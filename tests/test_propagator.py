@@ -16,7 +16,6 @@ import ringfield.kernels
 from ringfield import (
     EvolutionConfig,
     TimestepBoundError,
-    exact_step,
     gaussian_state,
     make_even_lattice,
     make_lattice,
@@ -83,7 +82,7 @@ def test_exact_power_equals_100_explicit_steps(shape):
     t = 1e-2
     one_at_a_time = state
     for _ in range(100):
-        one_at_a_time = exact_step(one_at_a_time, t)
+        one_at_a_time = advance(one_at_a_time, "exact", t)
     power = advance(state, EXACT, t, 100)
     assert relative_gap(power, one_at_a_time.amplitudes()) <= 1e-12
     g = LAT.reciprocal_constant

@@ -28,12 +28,21 @@ from ringfield.state import _new_state
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
-# one config line per field: any printable text without the comment
-# marker, and without the surrounding blanks that the parser strips
+
+def _writable(text: str) -> bool:
+    try:
+        RunConfig(csv_path=text).to_text()
+    except ValueError:
+        return False
+    return True
+
+
+# one config line per field: any printable text that ``to_text`` writes;
+# it refuses surrounding blanks and a ``#`` after a blank, which the
+# parser would strip
 config_text = st.text(
-    st.characters(min_codepoint=32, max_codepoint=126, exclude_characters="#"),
-    max_size=20,
-).filter(lambda text: text == text.strip())
+    st.characters(min_codepoint=32, max_codepoint=126), max_size=20
+).filter(_writable)
 config_int = st.integers(-(10**18), 10**18)
 config_float = st.floats(allow_nan=False)
 FIELD_STRATEGIES = {

@@ -25,6 +25,7 @@ from ringfield import (
     make_lattice,
     random_state,
     run,
+    snapshot,
     uniform_state,
 )
 from ringfield.basis import momentum_coefficients
@@ -40,9 +41,6 @@ from ringfield.kernels import g_site_matrix
 from ringfield.observables import (
     RECORD_BLOCK_BYTES,
     ObservableSnapshot,
-    gaussian_shape_residual,
-    position_mean,
-    position_spread,
 )
 from ringfield.state import norm_m
 
@@ -101,11 +99,12 @@ def _oracle_conserved(state):
 
 def _oracle_row(state):
     """Every recorded observable of one state."""
+    snap = snapshot(state, 0)
     return (
         *_oracle_conserved(state),
-        position_mean(state),
-        position_spread(state),
-        gaussian_shape_residual(state),
+        snap.position_mean,
+        snap.position_spread,
+        snap.shape_residual,
     )
 
 

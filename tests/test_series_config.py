@@ -84,6 +84,16 @@ class TestRunConfig:
         config = parse_config_text("# comment\n\ntau = 0.002  # inline\n")
         assert config.tau == 0.002
 
+    def test_hash_inside_a_value_reads_back(self):
+        config = RunConfig(csv_path="out#1.csv", checkpoint_dir="ck#")
+        assert parse_config_text(config.to_text()) == config
+        assert parse_config_text("csv_path = a#b.csv # out\n").csv_path == "a#b.csv"
+
+    @pytest.mark.parametrize("value", ["out #1.csv", "#out.csv", " out.csv", "out.csv\t", "a\nb"])
+    def test_to_text_refuses_a_value_that_would_not_read_back(self, value):
+        with pytest.raises(ValueError, match="would not read back"):
+            RunConfig(csv_path=value).to_text()
+
     def test_file_read_with_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         RunConfig(n_steps=50).write(str(path))

@@ -12,11 +12,9 @@ import ringfield.observables
 from ringfield import (
     ConsistencyError,
     EvolutionConfig,
-    drift_velocity,
     gaussian_state,
     make_even_lattice,
     make_lattice,
-    momentum_expectation,
     random_state,
     run,
     snapshot,
@@ -73,25 +71,18 @@ class TestAgainstDenseOracle:
         amps = state.amplitudes()
         g = lattice.reciprocal_constant
         dense = -1j * g * np.vdot(amps, g_site_matrix(lattice) @ amps)
-        assert _relative_gap(momentum_expectation(state), dense.real) <= ORACLE_RTOL
+        assert _relative_gap(snapshot(state, 0).momentum_expectation, dense.real) <= ORACLE_RTOL
 
     def test_drift_velocity(self, lattice, shape):
         state = STATES[shape](lattice)
         g = lattice.reciprocal_constant
         dense = 4.0 * g * state.a @ (g_site_matrix(lattice) @ state.b)
-        assert _relative_gap(drift_velocity(state), dense) <= ORACLE_RTOL
-
-    def test_snapshot_shares_the_public_values(self, lattice, shape):
-        state = STATES[shape](lattice)
-        snap = snapshot(state, 0)
-        assert snap.momentum_expectation == momentum_expectation(state)
-        assert snap.drift_velocity == drift_velocity(state)
+        assert _relative_gap(snapshot(state, 0).drift_velocity, dense) <= ORACLE_RTOL
 
 
 def test_real_state_drift_prints_as_positive_zero():
     for lattice in LATTICES:
         state = uniform_state(lattice, 0, 1, 0)
-        assert fmt(drift_velocity(state)) == "0.0"
         assert fmt(snapshot(state, 0).drift_velocity) == "0.0"
 
 
@@ -107,19 +98,15 @@ class TestParsevalGuard:
 
         monkeypatch.setattr(ringfield.observables, "momentum_coefficients", drop_largest)
 
-    @pytest.mark.parametrize(
-        "observable", [momentum_expectation, drift_velocity, lambda s: snapshot(s, 0)],
-        ids=["momentum_expectation", "drift_velocity", "snapshot"],
-    )
-    def test_corrupted_spectrum_raises(self, dropped_coefficient, observable):
+    def test_corrupted_spectrum_raises(self, dropped_coefficient):
         state = random_state(make_lattice(101), 3)
         with pytest.raises(ConsistencyError, match="Parseval"):
-            observable(state)
+            snapshot(state, 0)
 
     def test_intact_spectrum_passes_at_large_m(self):
         state = random_state(make_lattice(101), 3)
         scaled = state_from_amplitudes(state.lattice, 1e6 * state.amplitudes())
-        assert np.isfinite(momentum_expectation(scaled))
+        assert np.isfinite(snapshot(scaled, 0).momentum_expectation)
 
 
 class TestNoDenseMatrixOnRunPaths:

@@ -10,14 +10,9 @@ from ringfield import (
     boost,
     build_state,
     combined_distribution,
-    drift_velocity,
-    gaussian_shape_residual,
     gaussian_state,
     make_lattice,
-    momentum_expectation,
     norm_m,
-    position_mean,
-    position_spread,
     random_state,
     read_state_csv,
     read_state_json,
@@ -57,9 +52,10 @@ class TestGaussian:
     def test_drift_velocity_is_quantised(self):
         moving = gaussian_state(LAT, 0, 10.0, 50)
         target = 2 * LAT.reciprocal_constant * 50
-        assert drift_velocity(moving) == pytest.approx(target, abs=1e-6)
+        drift = snapshot(moving, 0).drift_velocity
+        assert drift == pytest.approx(target, abs=1e-6)
         # frozen from the direct double-sum oracle
-        assert drift_velocity(moving) == pytest.approx(0.7844176413457655, abs=1e-12)
+        assert drift == pytest.approx(0.7844176413457655, abs=1e-12)
 
     def test_cyclic_center(self):
         state = gaussian_state(LAT, -400, 5.0, 0)
@@ -94,9 +90,10 @@ class TestUniform:
         # the window's momentum tails reach the band edge, so the drift
         # sits below 2 g m by ~0.8%; value frozen from the double-sum oracle
         state = uniform_state(LAT, 0, 25, 10)
-        assert drift_velocity(state) == pytest.approx(0.15563830375300763, abs=1e-12)
+        drift = snapshot(state, 0).drift_velocity
+        assert drift == pytest.approx(0.15563830375300763, abs=1e-12)
         target = 2 * LAT.reciprocal_constant * 10
-        assert abs(drift_velocity(state) - target) / target < 1e-2
+        assert abs(drift - target) / target < 1e-2
 
     def test_width_validation(self):
         with pytest.raises(ValueError):
@@ -191,6 +188,20 @@ class TestStateSpec:
         with pytest.raises(ValueError):
             build_state(LAT, StateSpec(shape="bogus"))
 
+    @pytest.mark.parametrize("name, build", [
+        ("velocity_index", lambda: gaussian_state(make_lattice(21), 0, 3.0, 1.5)),
+        ("center", lambda: uniform_state(LAT, 0.5, 3, 0)),
+        ("center", lambda: build_state(LAT, StateSpec(center=2.5))),
+    ], ids=["gaussian velocity", "uniform center", "spec center"])
+    def test_site_labels_must_be_integers(self, name, build):
+        # a fractional m jumps the boost phase at the seam
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            build()
+
+    def test_numpy_integer_site_labels_are_accepted(self):
+        labelled = gaussian_state(LAT, np.int64(3), 5.0, np.int32(2))
+        np.testing.assert_array_equal(labelled.c, gaussian_state(LAT, 3, 5.0, 2).c)
+
 
 class TestImmutability:
     def test_fields_are_readonly(self):
@@ -276,11 +287,6 @@ class TestBlocks:
 
     SINGLE_STATE_MEASUREMENTS = {
         "normalize": _normalize,
-        "drift_velocity": drift_velocity,
-        "momentum_expectation": momentum_expectation,
-        "position_mean": position_mean,
-        "position_spread": position_spread,
-        "gaussian_shape_residual": gaussian_shape_residual,
         "high_band_fraction": high_band_fraction,
         "m_step_increase_exact": lambda block: m_step_increase_exact(block, 1e-3),
         "snapshot": lambda block: snapshot(block, 0),
