@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -121,6 +123,55 @@ class TestPositionMoments:
     def test_mean_wraps_correctly(self):
         state = gaussian_state(LAT, -395, 5.0, 0)
         assert snapshot(state, 0).position_mean == pytest.approx(-395.0, abs=1e-6)
+
+
+MOMENT_LATTICES = [make_lattice(n) for n in (5, 21, 801, 4001)] + [
+    make_even_lattice(n) for n in (100, 800)
+]
+
+
+def _seam_packet(lattice):
+    # centred one site inside the seam, so the packet wraps
+    sigma = max(1.0, lattice.half_width / 8.0)
+    return gaussian_state(lattice, int(lattice.sites()[1]), sigma, lattice.half_width // 3)
+
+
+def _seam_window(lattice):
+    return uniform_state(lattice, int(lattice.sites()[1]), max(1, lattice.half_width // 4), 1)
+
+
+MOMENT_STATES = {
+    "random": lambda lattice: random_state(lattice, 5),
+    "seam packet": _seam_packet,
+    "seam window": _seam_window,
+}
+
+
+def _site_sum_moments(state):
+    """Circular mean and spread (sites) of one state, summed site by
+    site in Python floats with ``math.fsum``."""
+    n = state.lattice.n_sites
+    density = [float(a) ** 2 + float(b) ** 2 for a, b in zip(state.a, state.b)]
+    angles = [2.0 * math.pi * int(s) / n for s in state.lattice.sites()]
+    total = math.fsum(density)
+    x = math.fsum(d * math.cos(t) for d, t in zip(density, angles)) / total
+    y = math.fsum(d * math.sin(t) for d, t in zip(density, angles)) / total
+    radius = math.hypot(x, y)
+    to_sites = n / (2.0 * math.pi)
+    return math.atan2(y, x) * to_sites, math.sqrt(-2.0 * math.log(radius)) * to_sites
+
+
+@pytest.mark.parametrize("lattice", MOMENT_LATTICES, ids=lambda lat: f"N{lat.n_sites}")
+@pytest.mark.parametrize("shape", MOMENT_STATES)
+def test_position_moments_match_site_sums(lattice, shape):
+    state = MOMENT_STATES[shape](lattice)
+    snap = snapshot(state, 0)
+    mean, spread = _site_sum_moments(state)
+    n = lattice.n_sites
+    # cyclic gap: a mean on the seam may read as +N/2 or -N/2
+    gap = (snap.position_mean - mean + n / 2.0) % n - n / 2.0
+    assert abs(gap) <= 1e-10 * n
+    assert snap.position_spread == pytest.approx(spread, rel=1e-10)
 
 
 class TestShapeResidual:
