@@ -84,8 +84,8 @@ def _check_tau(tau: float) -> None:
 
 def _check_count(name: str, value, minimum: int) -> None:
     """``ValueError`` naming ``name`` unless ``value`` is an integer (a
-    Python or numpy one) >= ``minimum``."""
-    if not isinstance(value, numbers.Integral) or value < minimum:
+    Python or numpy one, not a bool) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum} (got {value!r})")
 
 
@@ -149,7 +149,8 @@ class Propagator:
     def amplitudes_after(self, coefficients: np.ndarray, steps) -> np.ndarray:
         """The site amplitudes of the coefficient rows
         ``coefficients * m**n``, one per n of ``steps``, by one batched
-        inverse transform.
+        inverse transform: ``coefficients`` is one row for every n, or
+        one row per n.
 
         Unchecked: a row that overflowed holds non-finite values, which
         ``state_from_amplitudes`` rejects.

@@ -38,6 +38,14 @@ finite (``ValueError``) and carry the predicted M (both by
 final state too and holds it to M_0 and to the deviation.  The tests
 hold the table against the M and <V> that ``run`` records.  No
 procedure checks the tau bound itself: the steps ``evolve`` builds do.
+
+No procedure does the same work twice.  The table's grid evaluates its
+nine rows at once (``_table_variations``): one batched forward
+transform of the three states, one propagator per tau, and one block
+of weights |m|^(2n) per tau and block of steps, shared by the three
+shapes; each row is bitwise what ``paper_table_run`` gives alone.  The
+kernel oracle sums F and G from one table index per block of residues
+(``_residue_sums``).
 """
 
 from __future__ import annotations
@@ -243,26 +251,65 @@ def _check_final_m(lattice, amplitudes: np.ndarray, predicted: float) -> None:
     _check_parseval(predicted, norm_m(state_from_amplitudes(lattice, amplitudes)))
 
 
-def _euler_series(state: FieldState, tau: float, steps: list[int]):
-    """c_hat_0, its occupation, M, <P> and the amplitudes after the last
-    of ``steps`` (ascending, from 0) under the Euler step, checked as the
-    module docstring says.  The parity check and the propagator (the tau
-    bound) come first; no step taken gives ``None`` amplitudes and
-    builds no propagator."""
+def _euler_series(state: FieldState, taus, steps: list[int]):
+    """c_hat_0 and its occupation, one row per state of ``state`` (one
+    state or a block), and for each of ``taus`` the rows' M, <P> (one
+    row per state, one column per n of ``steps``, ascending from 0) and
+    amplitudes after the last step under the Euler step, checked as the
+    module docstring says.  The parity check and every propagator (the
+    tau bound) come first; no step taken gives ``None`` amplitudes and
+    builds no propagator.  The rows share the work: one batched forward
+    transform, one block of weights per tau and block of steps
+    (``spectral_series``) and one batched inverse transform per tau."""
     lattice = state.lattice
     if lattice.parity != ODD:
         raise ValueError("the closed forms take an odd lattice")
-    prop = propagator(lattice, EULER, tau) if steps[-1] else None
-    initial = momentum_coefficients(lattice, state.c)
+    props = [propagator(lattice, EULER, tau) if steps[-1] else None for tau in taus]
+    initial = np.reshape(momentum_coefficients(lattice, state.c), (-1, lattice.n_sites))
     occupation = np.abs(initial) ** 2
-    _check_parseval(np.sum(occupation), norm_m(state))
-    log_m = np.zeros(lattice.n_sites) if prop is None else prop.log_multiplier.real  # m^0 = 1
-    m_total, momentum = spectral_series(lattice, occupation, log_m, steps)
-    if prop is None:
-        return initial, occupation, m_total, momentum, None
-    (final,) = prop.amplitudes_after(initial, steps[-1:])
-    _check_final_m(lattice, final, m_total[-1])
-    return initial, occupation, m_total, momentum, final
+    _check_parseval(np.sum(occupation, axis=-1), norm_m(state))
+    series = []
+    for prop in props:
+        log_m = np.zeros(lattice.n_sites) if prop is None else prop.log_multiplier.real  # m^0 = 1
+        m_total, momentum = spectral_series(lattice, occupation, log_m, steps)
+        final = None
+        if prop is not None:
+            final = prop.amplitudes_after(initial, [steps[-1]] * len(initial))  # one n per row
+            _check_final_m(lattice, final, m_total[:, -1])
+        series.append((m_total, momentum, final))
+    return initial, occupation, series
+
+
+def _table_variations(shapes, taus, n_steps: int, seed: int, record_every: int) -> dict:
+    """``{(shape, tau): (relative variation of M, of <V>)}`` for each of
+    ``shapes`` under each of ``taus``, in closed form at the steps
+    ``run`` records (module docstring): the states of all shapes form
+    one block (``_euler_series``).  Raises ``ValueError`` for a negative
+    seed, a tau that is not positive or a bad step count
+    (``evolve.record_steps``), before any work."""
+    _check_seed(seed)
+    for tau in taus:
+        _check_tau(tau)
+    steps = record_steps(n_steps, record_every)
+    lattice = make_lattice(N_SITES)
+    block = state_from_amplitudes(
+        lattice, np.stack([table_state(lattice, shape, seed).c for shape in shapes])
+    )
+    _initial, _occupation, series = _euler_series(block, taus, steps)
+    return {
+        (shape, tau): (_relative_variation(m_row), _relative_variation(2.0 * momentum_row))
+        for tau, (m_total, momentum, _final) in zip(taus, series)
+        for shape, m_row, momentum_row in zip(shapes, m_total, momentum)
+    }
+
+
+def _row_check(shape: str, tau: float, variations, n_steps: int) -> Check:
+    """The band check of one table row on the larger of its variations.
+    The published bands describe the canonical 1000-step run; shorter
+    runs report the same numbers ungated."""
+    band = TABLE_BANDS.get((shape, tau))
+    return _band_check(f"{shape} tau={tau:g} max variation", max(variations), band,
+                       n_steps == 1000)
 
 
 def paper_table_run(
@@ -274,25 +321,15 @@ def paper_table_run(
 ) -> ExperimentReport:
     """One row of the conservation table: evolve one shape with the
     reaction process and report the observed variation of M and <V>,
-    in closed form at the steps ``run`` records (module docstring).
+    in closed form at the steps ``run`` records (module docstring): the
+    one-row case of ``paper_table_grid``.
 
     The propagator checks the tau bound before any transform;
     ``n_steps = 0`` reports a variation of 0.0 and builds none.  Raises
     ``ValueError`` for a negative seed, a tau that is not positive or a
     bad step count (``evolve.record_steps``), before any work.
     """
-    _check_seed(seed)
-    _check_tau(tau)
-    steps = record_steps(n_steps, record_every)
-    state = table_state(make_lattice(N_SITES), shape, seed)
-    _initial, _occupation, m_total, momentum, _final = _euler_series(state, tau, steps)
-    var_m = _relative_variation(m_total)
-    var_v = _relative_variation(2.0 * momentum)
-    worst = max(var_m, var_v)
-    band = TABLE_BANDS.get((shape, tau))
-    # published bands describe the canonical 1000-step run; shorter runs
-    # report the same numbers ungated
-    gated = n_steps == 1000
+    ((var_m, var_v),) = _table_variations((shape,), (tau,), n_steps, seed, record_every).values()
     return ExperimentReport(
         name=f"table: {shape} tau={tau:g}",
         params={
@@ -306,31 +343,32 @@ def paper_table_run(
             "relative variation of M": var_m,
             "relative variation of <V>": var_v,
         },
-        checks=(_band_check(f"{shape} tau={tau:g} max variation", worst, band, gated),),
+        checks=(_row_check(shape, tau, (var_m, var_v), n_steps),),
     )
 
 
 def paper_table_grid(n_steps: int = 1000, seed: int = DEFAULT_SEED) -> ExperimentReport:
-    """Full shapes-by-timesteps conservation grid in one report.
+    """Full shapes-by-timesteps conservation grid in one report, each
+    row bitwise that of ``paper_table_run``.
 
-    Raises ``ValueError`` for a negative seed, before any row evolves.
+    The grid is evaluated once (``_table_variations``): the three
+    states take one batched forward transform, each tau one propagator,
+    all built before any transform, so the tau bound comes first, and
+    each tau's weights |m|^(2n) serve all three shapes.  Raises
+    ``ValueError`` for a negative seed, before any row evolves.
     """
-    _check_seed(seed)
+    variations = _table_variations(TABLE_SHAPES, TABLE_TAUS, n_steps, seed, 10)
     metrics: dict = {}
     checks: list[Check] = []
-    worst: dict[tuple[str, float], float] = {}
     for shape in TABLE_SHAPES:
         for tau in TABLE_TAUS:
-            row = paper_table_run(shape, tau, n_steps=n_steps, seed=seed)
-            var_m = row.metrics["relative variation of M"]
-            var_v = row.metrics["relative variation of <V>"]
+            var_m, var_v = variations[(shape, tau)]
             metrics[f"{shape} tau={tau:g} var M"] = var_m
             metrics[f"{shape} tau={tau:g} var <V>"] = var_v
-            worst[(shape, tau)] = max(var_m, var_v)
-            checks.extend(row.checks)
+            checks.append(_row_check(shape, tau, (var_m, var_v), n_steps))
     if n_steps > 0:
         gated = n_steps == 1000
-        ratio = worst[("random", 5e-3)] / worst[("random", 1e-3)]
+        ratio = max(variations[("random", 5e-3)]) / max(variations[("random", 1e-3)])
         checks.append(
             Check(
                 "random degradation at tau=0.005",
@@ -416,14 +454,16 @@ def compare_rows(state: FieldState, tau: float, n_steps: int, record_every: int)
     _check_tau(tau)
     steps = record_steps(n_steps, record_every)
     lattice = state.lattice
-    initial, occupation, m_euler, momentum, final = _euler_series(state, tau, steps)
+    (initial,), (occupation,), [((m_euler,), (momentum,), final)] = _euler_series(
+        state, [tau], steps
+    )
     m_exact = norm_m(state)
     deviation = np.zeros(len(steps))
     if final is not None:
         deviation = _deviation_series(occupation, _euler_x(lattice, tau), steps)
         (exact,) = propagator(lattice, EXACT, tau).amplitudes_after(initial, steps[-1:])
         _check_final_m(lattice, exact, m_exact)
-        gap = np.linalg.norm(final - exact) - deviation[-1]
+        gap = np.linalg.norm(final[0] - exact) - deviation[-1]
         if not abs(gap) <= FINAL_DEVIATION_RTOL * max(1.0, np.sqrt(m_euler[-1])):
             raise ConsistencyError(
                 f"the states after {n_steps} steps miss the closed-form deviation by {gap:.3e}"
@@ -439,6 +479,14 @@ def compare_rows(state: FieldState, tau: float, n_steps: int, record_every: int)
 EQ_M_DRIFT_RTOL = 1e-10
 EQ_CONVOLUTION_RTOL = 1e-8
 EQ_COMMUTATOR_SCALE = 1e-8
+
+
+def _row_dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_s x_s y_s of each row of ``x`` with the same row of ``y``, as
+    stacked 1 x N by N x 1 products: each is bitwise ``np.dot`` of its
+    rows, so the norms and <c, F F c> below are bitwise those of
+    ``np.linalg.norm`` and ``np.vdot`` row by row."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
 def _check_sizes(n_sites_list) -> None:
@@ -483,7 +531,7 @@ def identity_suite(
         # convolution identity against the direct k^4 sum at (s - r) mod N,
         # scaled by its value at d = 0
         sites = lattice.sites()
-        quartic = _residue_sums(lattice, 4, np.cos)
+        (quartic,) = _residue_sums(lattice, ((4, np.cos),))
         residual = np.abs(conv - quartic[(sites[:, None] - sites[None, :]) % n]) / quartic[0]
         worst_conv = float(np.maximum(worst_conv, np.max(residual)))
 
@@ -496,7 +544,7 @@ def identity_suite(
         # every state at M = 1, then every state at M = 7, one block
         draws = rng.uniform(-1.0, 1.0, (states_per_n, 2, n))
         amps = draws[:, 0] + 1j * draws[:, 1]
-        amps /= np.array([np.linalg.norm(row) for row in amps])[:, None]
+        amps /= np.sqrt(_row_dots(amps.real, amps.real) + _row_dots(amps.imag, amps.imag))[:, None]
         block = state_from_amplitudes(
             lattice, np.concatenate([amps * np.sqrt(m_target) for m_target in (1.0, 7.0)])
         )
@@ -504,7 +552,7 @@ def identity_suite(
         stepped = state_from_amplitudes(lattice, stepped_a + 1j * stepped_b)
         measured = norm_m(stepped) - norm_m(block)
         conv_c = np.matmul(conv, block.c[..., None])[..., 0]  # bitwise conv @ c per row
-        quadratic = np.array([np.vdot(c, fc).real for c, fc in zip(block.c, conv_c)])
+        quadratic = _row_dots(np.conj(block.c), conv_c).real
         predicted = tau**2 * g**4 * quadratic
         residual = np.abs(measured - predicted) / np.abs(predicted)
         worst_m = float(np.max(residual, initial=worst_m))
@@ -538,13 +586,14 @@ KERNEL_G_RTOL = 1e-9
 KERNEL_ORACLE_BLOCK = 256  # displacements per block of the direct sums
 
 
-def _residue_sums(lattice, power: int, trig) -> np.ndarray:
+def _residue_sums(lattice, terms) -> np.ndarray:
     """The direct sums (1/N) sum_k k^power trig(2 pi k r / N) over
-    k in [-L, L] for each residue r = 0..N-1: ``trig`` is ``np.cos`` for
-    an even ``power``, ``np.sin`` for an odd one.  The phase of k r
-    depends only on k r modulo N, so the values of ``trig`` are entries
-    of one N-entry table.  Two exact identities cut the work 4x without
-    changing what is summed:
+    k in [-L, L] for each residue r = 0..N-1, one row per ``(power,
+    trig)`` of ``terms``: ``trig`` is ``np.cos`` for an even ``power``,
+    ``np.sin`` for an odd one.  The phase of k r depends only on k r
+    modulo N, so the values of ``trig`` are entries of one N-entry
+    table, and every row reads the same index (k r) mod N.  Two exact
+    identities cut the work 4x without changing what is summed:
 
     - residues: the table index (k d) mod N is the same for d and
       d +- N, so each sum is a function of r = d mod N.  The N residues
@@ -558,17 +607,22 @@ def _residue_sums(lattice, power: int, trig) -> np.ndarray:
     d = 0 still meets an independent sum there.  The sums run in real
     arithmetic, a block of ``KERNEL_ORACLE_BLOCK`` residues at a time,
     so the index matrix stays L x KERNEL_ORACLE_BLOCK; they use neither
-    an FFT nor the closed forms.
+    an FFT nor the closed forms.  The index is reduced as
+    x - (x // N) N in int64 (k r < N^2 cannot overflow): numpy divides
+    integers by a scalar without a hardware division per entry, which
+    its ``%`` takes.  Each row is bitwise the sum its term alone gives.
     """
     n = lattice.n_sites
     k = np.arange(1, lattice.half_width + 1)
     residues = np.arange(n)
-    table = trig(2.0 * np.pi * residues / n)
-    sums = np.empty(n)
+    rows = [(k**power, trig(2.0 * np.pi * residues / n)) for power, trig in terms]
+    sums = np.empty((len(rows), n))
     for lo in range(0, n, KERNEL_ORACLE_BLOCK):
         block = slice(lo, lo + KERNEL_ORACLE_BLOCK)
-        index = np.multiply.outer(k, residues[block]) % n
-        sums[block] = 2 * (k**power @ table[index]) / n
+        index = np.multiply.outer(k, residues[block])
+        index -= index // n * n  # (k r) mod N
+        for out, (weights, table) in zip(sums, rows):
+            out[block] = 2 * (weights @ table[index]) / n
     return sums
 
 
@@ -580,8 +634,8 @@ def kernel_oracle_check(
     Checked for every displacement d in [-2L, 2L] against the real parts
     of the complex sums in ``kernels``, F(d) = (1/N) sum_k k^2 cos(2 pi
     k d / N) and G(d) = -(1/N) sum_k k sin(2 pi k d / N), taken once per
-    residue d mod N and once per +-k pair (``_residue_sums``); both
-    identities are exact, and d and -d are
+    residue d mod N and once per +-k pair, both from one index
+    (``_residue_sums``); both identities are exact, and d and -d are
     summed separately, so a closed form wrong only at negative (or only
     at positive) displacements fails the check.  ``perturbation`` is a
     self-test hook: a nonzero value is added to the closed-form F so the
@@ -592,8 +646,8 @@ def kernel_oracle_check(
     for n in n_sites_list:
         lattice = make_lattice(n)
         d = np.arange(-2 * lattice.half_width, 2 * lattice.half_width + 1)
-        f_spectral = _residue_sums(lattice, 2, np.cos)[d % n]
-        g_spectral = -_residue_sums(lattice, 1, np.sin)[d % n]
+        f_spectral, g_sums = _residue_sums(lattice, ((2, np.cos), (1, np.sin)))[:, d % n]
+        g_spectral = -g_sums
         f_closed = kernel_f(d, lattice) + perturbation
         g_closed = kernel_g(d, lattice)
         f0 = kernel_f(0, lattice)

@@ -99,7 +99,10 @@ def spectral_series(
 ) -> tuple[np.ndarray, np.ndarray]:
     """M(n) = sum_k |c_hat_0,k|^2 |m_k|^(2n) and <P>(n) for each n of
     ``steps``, from ``occupation`` |c_hat_0|^2 and ``log_magnitude``
-    ln|m|, both ordered like ``lattice.momentum_values()``.
+    ln|m|, both ordered like ``lattice.momentum_values()``.  An
+    occupation of shape (R, N), one row per state, gives columns of
+    shape (R, len(steps)), each row bitwise what it gives alone: the
+    weights |m|^(2n) are built once for all of them.
 
     |m_k| = |m_-k|, so <P> sums the odd part of the occupation (-k is
     the reversed row): an even occupation has <P> exactly 0.0.  Summed
@@ -118,30 +121,38 @@ def _euler_increase(lattice: Lattice, occupation: np.ndarray, taus):
 
 
 def _weighted_moments(lattice: Lattice, occupation: np.ndarray, steps, terms):
-    """M and <P> of ``occupation`` weighted by ``terms`` for each of
-    ``steps`` (``_spectral_rows``); <P> sums its odd part (-k reversed)."""
-    odd = lattice.momentum_values() * (occupation - occupation[::-1]) / 2.0
+    """M and <P> of ``occupation`` (one row, or one per state) weighted
+    by ``terms`` for each of ``steps`` (``_spectral_rows``); <P> sums
+    its odd part (-k reversed)."""
+    odd = lattice.momentum_values() * (occupation - occupation[..., ::-1]) / 2.0
     series = _spectral_rows(steps, terms, np.stack((occupation, odd), axis=-1))
-    return series[:, 0], lattice.reciprocal_constant * series[:, 1]
+    return series[..., 0], lattice.reciprocal_constant * series[..., 1]
 
 
 def _spectral_rows(steps, terms, moments: np.ndarray) -> np.ndarray:
     """``terms(n) @ moments`` for the n of ``steps`` (counts or time
-    steps), shape (S, K): ``terms`` maps a column of them (R, 1) to its
-    weights (R, N), and ``moments`` is (N, K).  The weights are built a
-    block of rows at a time (``row_blocks``), so memory stays flat as
-    the step count grows, and each row is reduced alone, so its bits do
-    not depend on its block.  Raises ``ValueError`` when a value leaves
-    the finite floats."""
+    steps), shape (..., S, K): ``terms`` maps a column of them (R, 1)
+    to its weights (R, N), and ``moments`` is (N, K), or one (N, K)
+    per leading index.  The weights are built a block of rows at a time
+    (``row_blocks``), so memory stays flat as the step count grows, and
+    each row is reduced alone, so its bits do not depend on its block.
+    A block of weights is built once and reduced against each (N, K) of
+    ``moments`` in turn, so each is bitwise what it gives alone; one
+    product against the moments widened to (N, 2K) (the occupations of
+    several states side by side) is not.  Raises ``ValueError`` when a
+    value leaves the finite floats."""
     steps = np.asarray(steps, dtype=float)[:, None]
-    series = np.empty((len(steps), 1, moments.shape[1]))
+    sets = moments.reshape(-1, *moments.shape[-2:])
+    series = np.empty((len(sets), len(steps), 1, moments.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(len(steps), np.dtype(float).itemsize * len(moments)):
-            # stacked 1 x N products: BLAS sums a lone row another way
-            np.matmul(terms(steps[rows])[:, None, :], moments, out=series[rows])
+        for rows in row_blocks(len(steps), np.dtype(float).itemsize * moments.shape[-2]):
+            weights = terms(steps[rows])[:, None, :]
+            for out, moment in zip(series, sets):
+                # stacked 1 x N products: BLAS sums a lone row another way
+                np.matmul(weights, moment, out=out[rows])
     if not np.all(np.isfinite(series)):
         raise ValueError("a spectral series (M, <P> or the deviation) leaves the finite floats")
-    return series[:, 0, :]
+    return series[:, :, 0, :].reshape(moments.shape[:-2] + (len(steps), moments.shape[-1]))
 
 
 def _measured_columns(block: FieldState, spectral=None) -> tuple[np.ndarray, np.ndarray]:

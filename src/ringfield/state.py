@@ -160,12 +160,19 @@ def _cyclic_offsets(lattice: Lattice, center: int) -> np.ndarray:
     return wrap_index(lattice.sites() - center, lattice)
 
 
+def _check_integer(name: str, value) -> None:
+    """``ValueError`` naming ``name`` unless ``value`` is an integer (a
+    Python or numpy one), and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer (got {value!r})")
+
+
 def _check_in_band(lattice: Lattice, center: int, velocity_index: int) -> None:
-    """Both must be integer site labels: for m, the representatives of
-    m mod N (a larger |m| only aliases, and its boost phase loses digits)."""
+    """Both must be integer site labels (not bools): for m, the
+    representatives of m mod N (a larger |m| only aliases, and its boost
+    phase loses digits)."""
     for name, value in (("center", center), ("velocity_index", velocity_index)):
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer (got {value!r})")
+        _check_integer(name, value)
         if not (lattice.site_min <= value <= lattice.site_max):
             bounds = f"[{lattice.site_min}, {lattice.site_max}]"
             raise ValueError(f"{name} {value} outside site range {bounds}")
@@ -194,8 +201,11 @@ def gaussian_state(
 def uniform_state(
     lattice: Lattice, center: int, half_width: int, velocity_index: int = 0
 ) -> FieldState:
-    """Normalised flat window of 2 W + 1 sites with quantised drift."""
+    """Normalised flat window of 2 W + 1 sites with quantised drift.
+    ``ValueError`` unless the center and the velocity index are sites
+    and the half-width W is an integer in [1, L]."""
     _check_in_band(lattice, center, velocity_index)
+    _check_integer("half_width", half_width)
     if not (1 <= half_width <= lattice.half_width):
         raise ValueError(
             f"half_width must lie in [1, {lattice.half_width}] (got {half_width})"

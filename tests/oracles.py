@@ -42,6 +42,24 @@ def direct_coefficients(lattice, c) -> np.ndarray:
     return np.asarray(c) @ _direct_phases(lattice) / np.sqrt(lattice.n_sites)
 
 
+def residue_sums(lattice, power, trig, block):
+    """The direct sums (1/N) sum_k k^power trig(2 pi k r / N) over
+    k in [-L, L] for each residue r = 0..N-1, as twice the sum over
+    k = 1..L, ``block`` residues at a time: one term, with its own
+    index (k r) % N.  Each block reduces like the package's, so the
+    two agree bitwise at the same block size."""
+    n = lattice.n_sites
+    k = np.arange(1, lattice.half_width + 1)
+    residues = np.arange(n)
+    table = trig(2.0 * np.pi * residues / n)
+    sums = np.empty(n)
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        index = np.multiply.outer(k, residues[rows]) % n
+        sums[rows] = 2 * (k**power @ table[index]) / n
+    return sums
+
+
 def momentum_expectation_spectral(state) -> float:
     """Independent spectral evaluation g sum_k kappa |c_hat_k|^2, from
     the direct coefficient sum and without the Parseval check."""

@@ -42,7 +42,7 @@ from ringfield.lattice import make_even_lattice
 from ringfield.observables import spectral_series
 from ringfield.state import norm_m
 
-from oracles import odd_part_drift
+from oracles import odd_part_drift, residue_sums
 
 TABLE_CASES = [
     (shape, tau, n_steps)
@@ -129,7 +129,32 @@ def test_tabulated_oracle_sums_match_complex_exponentials(n):
     for power, trig, part in ((2, np.cos, np.real), (1, np.sin, np.imag), (4, np.cos, np.real)):
         reference = part(complex_exp_sums(n, power))
         scale = 1e-12 * (kernel_f(0, lattice) if power < 4 else reference[0])
-        assert np.max(np.abs(_residue_sums(lattice, power, trig) - reference)) <= scale
+        (sums,) = _residue_sums(lattice, ((power, trig),))
+        assert np.max(np.abs(sums - reference)) <= scale
+
+
+ORACLE_TERMS = ((2, np.cos), (1, np.sin), (4, np.cos))
+
+
+@pytest.mark.parametrize("block", [None, 1, 7, 1000])
+@pytest.mark.parametrize("n", [3, 5, 7, 21, 101, 801])
+def test_shared_index_sums_match_one_term_sums(monkeypatch, n, block):
+    """The sums of F (k^2, cosine), G (k, sine) and F F (k^4, cosine)
+    read one index per block, reduced without ``%``: each row is bitwise
+    the one-term sum with ``%`` at the same block size, and bitwise the
+    row its term gives alone.  The block size only regroups BLAS's sums
+    (``None`` keeps ``KERNEL_ORACLE_BLOCK``)."""
+    lattice = make_lattice(n)
+    default = _residue_sums(lattice, ORACLE_TERMS)
+    if block is not None:
+        monkeypatch.setattr(ringfield.experiments, "KERNEL_ORACLE_BLOCK", block)
+    sums = _residue_sums(lattice, ORACLE_TERMS)
+    for row, (power, trig) in zip(sums, ORACLE_TERMS):
+        one_term = residue_sums(lattice, power, trig, ringfield.experiments.KERNEL_ORACLE_BLOCK)
+        assert np.array_equal(row, one_term), (power, trig)
+        assert np.array_equal(row, _residue_sums(lattice, ((power, trig),))[0]), (power, trig)
+    scale = np.max(np.abs(default), axis=-1, keepdims=True)
+    assert np.all(np.abs(sums - default) <= 1e-14 * scale)
 
 
 def test_site_matrix_caches_stay_bounded():
@@ -299,7 +324,7 @@ def test_corrupted_forward_transform_raises(monkeypatch):
 
     def drop_largest(lattice, amplitudes):
         coefficients = original(lattice, amplitudes)
-        coefficients[np.argmax(np.abs(coefficients))] = 0.0
+        coefficients.flat[np.argmax(np.abs(coefficients))] = 0.0
         return coefficients
 
     monkeypatch.setattr(ringfield.experiments, "momentum_coefficients", drop_largest)
@@ -316,6 +341,36 @@ def test_zero_steps_build_no_propagator(monkeypatch):
         report = paper_table_run(shape, 1e-2, n_steps=0)
         assert report.metrics["relative variation of M"] == 0.0
         assert report.metrics["relative variation of <V>"] == 0.0
+
+
+def test_zero_step_grid_builds_no_propagator(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("propagator built")
+
+    monkeypatch.setattr(ringfield.experiments, "propagator", forbidden)
+    grid = paper_table_grid(n_steps=0)
+    assert len(grid.metrics) == 2 * len(TABLE_SHAPES) * len(TABLE_TAUS)
+    assert set(grid.metrics.values()) == {0.0}
+
+
+@pytest.mark.filterwarnings("ignore:tau \\* g\\^2 \\* N\\^2")
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("n_steps", [0, 10, 1000])
+def test_grid_equals_its_nine_rows(n_steps, seed):
+    """The grid evaluates its rows together, and each is exactly the
+    row ``paper_table_run`` evaluates alone, check included."""
+    grid = paper_table_grid(n_steps, seed)
+    checks = {check.name: check for check in grid.checks}
+    for shape in TABLE_SHAPES:
+        for tau in TABLE_TAUS:
+            row = paper_table_run(shape, tau, n_steps=n_steps, seed=seed)
+            assert (grid.metrics[f"{shape} tau={tau:g} var M"],
+                    grid.metrics[f"{shape} tau={tau:g} var <V>"]) == (
+                row.metrics["relative variation of M"],
+                row.metrics["relative variation of <V>"],
+            ), (shape, tau)
+            (check,) = row.checks
+            assert checks[check.name] == check
 
 
 def test_negative_seed_is_rejected_before_any_row(monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 import ringfield.cli
 from ringfield import (
     RunConfig,
+    advance,
     gaussian_state,
     make_even_lattice,
     make_lattice,
@@ -22,6 +23,7 @@ from ringfield import (
     uniform_state,
 )
 from ringfield.cli import main
+from ringfield.experiments import even_odd_comparison, identity_suite
 from ringfield.ioutil import atomic_write_text, check_writable
 from ringfield.series import TIMESERIES_CSV_HEADER
 
@@ -143,6 +145,24 @@ def test_unknown_flag_is_an_argparse_error(argv, capsys):
 def test_run_config_rejects(field, value):
     with pytest.raises(ValueError, match=f"{field} must be an integer >= .* [(]got {value}[)]"):
         RunConfig(**{field: value})
+
+
+BOOL_COUNTS = {
+    "advance": (lambda: advance(gaussian_state(make_lattice(21), 0, 2.0), "euler", 1e-3, True),
+                "n_steps"),
+    "identity_suite": (lambda: identity_suite([3], states_per_n=True), "states_per_n"),
+    "RunConfig": (lambda: RunConfig(record_every=True), "record_every"),
+    "even_odd_comparison": (lambda: even_odd_comparison(n_steps=True), "n_steps"),
+}
+
+
+@pytest.mark.parametrize("name", BOOL_COUNTS)
+def test_a_bool_is_not_a_count(name):
+    """``True`` is an ``int`` to Python, but no count: it fails the
+    count check with the one-line message, not a step or a traceback."""
+    call, field = BOOL_COUNTS[name]
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= [01] [(]got True[)]$"):
+        call()
 
 
 @pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0.0,7"])

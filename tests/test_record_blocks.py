@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import ringfield.evolve
+import ringfield.experiments
 import ringfield.observables
 from ringfield import (
     ConsistencyError,
@@ -30,6 +31,7 @@ from ringfield import (
 )
 from ringfield.basis import momentum_coefficients
 from ringfield.experiments import (
+    TABLE_TAUS,
     compare_rows,
     even_odd_comparison,
     paper_table_grid,
@@ -418,8 +420,9 @@ WARNING_CALLS = {
         lambda: _dense_euler_step(WARN_LATTICE, WARN_STATE.a, WARN_STATE.b, WARN_TAU), 1
     ),
     "paper_table_run": (lambda: paper_table_run("gaussian", WARN_TAU, n_steps=10), 1),
-    # three shapes at each of the two time steps past the threshold
-    "paper_table_grid": (lambda: paper_table_grid(n_steps=10), 6),
+    # one propagator for all three shapes at each of the two time steps
+    # past the threshold
+    "paper_table_grid": (lambda: paper_table_grid(n_steps=10), 2),
     "compare_rows": (lambda: compare_rows(WARN_STATE, WARN_TAU, 10, 5), 1),
     # the Euler step on both lattices, confined and wrapped
     "even_odd_comparison": (lambda: even_odd_comparison(n_steps=1, tau=WARN_TAU), 4),
@@ -466,6 +469,34 @@ def test_tau_limit_fails_before_any_transform(monkeypatch, fft_calls, name):
     with pytest.raises(TimestepBoundError):
         OVER_LIMIT_CALLS[name]()
     assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
+
+
+def test_grid_checks_every_tau_before_any_transform(monkeypatch, fft_calls):
+    """The grid builds the propagator of each tau, the last one past the
+    limit here, before it transforms any state."""
+    monkeypatch.setattr(ringfield.experiments, "TABLE_TAUS", (1e-3, LIMIT_TAU))
+    with pytest.raises(TimestepBoundError):
+        paper_table_grid(n_steps=10)
+    assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
+
+
+def test_grid_shares_its_transforms_and_propagators(monkeypatch, fft_calls):
+    """The three states take one batched forward transform (the two
+    real-input FFTs of their real and imaginary parts), each tau one
+    propagator and one batched inverse transform, for its final states."""
+    built = []
+    original = ringfield.experiments.propagator
+
+    def counted(lattice, kind, step):
+        built.append((kind, step))
+        return original(lattice, kind, step)
+
+    monkeypatch.setattr(ringfield.experiments, "propagator", counted)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"tau \* g\^2 \* N\^2", UserWarning)
+        paper_table_grid()
+    assert built == [(EULER, tau) for tau in TABLE_TAUS]
+    assert fft_calls == {"fft": [], "ifft": [(3, 801)] * 3, "rfft": [(3, 801)] * 2}
 
 
 def test_tau_warning_survives_a_frame_without_a_module_name():

@@ -198,6 +198,23 @@ class TestStateSpec:
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             build()
 
+    @pytest.mark.parametrize("name, build", [
+        ("center", lambda: gaussian_state(LAT, True, 3.0)),
+        ("velocity_index", lambda: uniform_state(LAT, 0, 3, False)),
+        ("half_width", lambda: uniform_state(make_lattice(21), 0, 2.5)),
+        ("half_width", lambda: uniform_state(LAT, 0, 3.0)),
+        ("half_width", lambda: uniform_state(LAT, 0, True)),
+    ], ids=["bool center", "bool velocity", "fractional half-width", "float half-width",
+            "bool half-width"])
+    def test_bools_and_fractions_are_no_site_counts(self, name, build):
+        # a half-width of 2.5 would build the 5-site window of W = 2
+        with pytest.raises(ValueError, match=f"^{name} must be an integer [(]got "):
+            build()
+
+    def test_numpy_integer_half_width_is_accepted(self):
+        window = uniform_state(LAT, 0, np.int64(25), 0)
+        np.testing.assert_array_equal(window.c, uniform_state(LAT, 0, 25, 0).c)
+
     def test_numpy_integer_site_labels_are_accepted(self):
         labelled = gaussian_state(LAT, np.int64(3), 5.0, np.int32(2))
         np.testing.assert_array_equal(labelled.c, gaussian_state(LAT, 3, 5.0, 2).c)
