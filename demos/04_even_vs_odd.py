@@ -16,7 +16,6 @@ from ringfield import (
     even_odd_comparison,
     make_even_lattice,
     state_from_amplitudes,
-    translate,
 )
 
 print(__doc__)
@@ -26,9 +25,9 @@ lattice = make_even_lattice(8)
 amps = np.zeros(8, dtype=complex)
 amps[-1] = 1.0  # basis state at the last label, s = +3
 border = state_from_amplitudes(lattice, amps)
-rolled = translate(border, 1)
+rolled = np.roll(amps, 1)
 generated = advance(border, "translate", 1)
-print("plain cyclic roll of a border basis state:  ", np.round(rolled.amplitudes().real, 3))
+print("plain cyclic roll of a border basis state:  ", np.round(rolled.real, 3))
 print("translation generated by the momentum basis:", np.round(generated.amplitudes().real, 3))
 print("the generated translation carries the minus sign across the seam.\n")
 

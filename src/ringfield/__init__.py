@@ -12,7 +12,7 @@ correspondence breaks.
 
 from .basis import MomentumSpectrum, to_momentum_basis
 from .config import RunConfig, parse_config_text, read_config
-from .evolve import EvolutionConfig, TimestepBoundError, advance, run, translate
+from .evolve import EvolutionConfig, TimestepBoundError, advance, run
 from .experiments import (
     ExperimentReport,
     confined_drift_diagnostic,
@@ -39,11 +39,9 @@ from .state import (
     norm_m,
     random_state,
     read_state_csv,
-    read_state_json,
     state_from_amplitudes,
     uniform_state,
     write_state_csv,
-    write_state_json,
 )
 
 __version__ = "0.1.0"

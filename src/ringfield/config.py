@@ -16,10 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, fields
 
-from .evolve import EvolutionConfig, _check_count
+from .evolve import EvolutionConfig
 from .ioutil import atomic_write_text, fmt
 from .lattice import EVEN, ODD, Lattice, _build
-from .state import StateSpec, _check_seed
+from .state import StateSpec, _check_integer, _check_seed
 
 PARITY_MODES = {"odd_standard": ODD, "even_naive": EVEN}
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -45,9 +45,9 @@ class RunConfig:
     checkpoint_dir: str = ""
 
     def __post_init__(self):
-        _check_count("n_steps", self.n_steps, 0)
-        _check_count("record_every", self.record_every, 1)
-        _check_count("checkpoint_every", self.checkpoint_every, 0)
+        _check_integer("n_steps", self.n_steps, 0)
+        _check_integer("record_every", self.record_every, 1)
+        _check_integer("checkpoint_every", self.checkpoint_every, 0)
         _check_seed(self.seed)
 
     def lattice(self) -> Lattice:

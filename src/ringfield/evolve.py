@@ -38,7 +38,7 @@ measured site-space M of each row, held to that series (Parseval).  The
 naive even Euler step multiplies the storage-order DFT instead, so each
 of its rows reduces its own occupation.  ``advance`` is the one step
 function: n steps of any kind.  Every step count passes
-``_check_count``, and every linearised step the tau bound
+``state._check_integer``, and every linearised step the tau bound
 (``check_tau_bound``, called where the step is built: ``propagator``
 and ``_dense_euler_step``), before any transform.  The paper's
 site-space step on both parities, the direct O(N^2) correlation
@@ -49,7 +49,6 @@ site-space step on both parities, the direct O(N^2) correlation
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 import warnings
 from collections.abc import Iterator
@@ -62,7 +61,7 @@ from .kernels import _euler_x, f_site_matrix
 from .lattice import EVEN, Lattice
 from .observables import row_blocks, snapshots, spectral_series
 from .series import TimeSeries
-from .state import FieldState, _require_one_state, state_from_amplitudes
+from .state import FieldState, _check_integer, _require_one_state, state_from_amplitudes
 
 EULER = "euler"
 EXACT = "exact"
@@ -80,13 +79,6 @@ class TimestepBoundError(ValueError):
 def _check_tau(tau: float) -> None:
     if not tau > 0:  # NaN too
         raise ValueError(f"tau must be positive (got {tau})")
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    """``ValueError`` naming ``name`` unless ``value`` is an integer (a
-    Python or numpy one, not a bool) >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum} (got {value!r})")
 
 
 @dataclass(frozen=True)
@@ -213,7 +205,7 @@ def _power_blocks(
     lattice = state.lattice
     _require_one_state(state, "evolution")
     for n in steps:
-        _check_count("step count", n, 0)
+        _check_integer("step count", n, 0)
     at_zero = np.asarray(steps) == 0
     prop = None if at_zero.all() else propagator(lattice, kind, step)
     naive = prop is not None and prop.storage_dft
@@ -236,7 +228,7 @@ def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> Fiel
     or ``translate``, with ``step`` read as ``propagator`` reads it (one
     row of ``_power_blocks``); n = 0 returns ``state`` itself, with no
     transform and no check of ``kind`` or ``step``."""
-    _check_count("n_steps", n_steps, 0)
+    _check_integer("n_steps", n_steps, 0)
     if n_steps == 0:
         _require_one_state(state, "evolution")
         return state
@@ -265,11 +257,6 @@ def _dense_euler_step(
     return a + scale * created_a, b - scale * created_b
 
 
-def translate(state: FieldState, steps: int) -> FieldState:
-    """Cyclic shift of both fields (of every row) by ``steps`` sites."""
-    return state_from_amplitudes(state.lattice, np.roll(state.c, steps, axis=-1))
-
-
 def record_steps(n_steps: int, record_every: int) -> list[int]:
     """The steps a run records: 0, every ``record_every`` steps and
     ``n_steps``, ascending.
@@ -277,8 +264,8 @@ def record_steps(n_steps: int, record_every: int) -> list[int]:
     Raises ``ValueError`` unless ``n_steps`` is an integer >= 0 and
     ``record_every`` an integer >= 1.
     """
-    _check_count("n_steps", n_steps, 0)
-    _check_count("record_every", record_every, 1)
+    _check_integer("n_steps", n_steps, 0)
+    _check_integer("record_every", record_every, 1)
     return sorted({n_steps, *range(0, n_steps + 1, record_every)})
 
 
@@ -301,7 +288,7 @@ def run(
     ``ValueError`` first.
     """
     recorded = set(record_steps(n_steps, record_every))
-    _check_count("checkpoint_every", checkpoint_every, 0)
+    _check_integer("checkpoint_every", checkpoint_every, 0)
     stored = set(record_steps(n_steps, checkpoint_every) if checkpoint_every else ())
     steps = sorted(recorded | stored)
     prop, initial, blocks = _power_blocks(state, config.scheme, config.tau, steps)

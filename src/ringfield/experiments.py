@@ -61,7 +61,6 @@ from .evolve import (
     EULER,
     EXACT,
     EvolutionConfig,
-    _check_count,
     _check_tau,
     _dense_euler_step,
     advance,
@@ -92,6 +91,7 @@ from .observables import (
 from .state import (
     FieldState,
     StateSpec,
+    _check_integer,
     _check_seed,
     build_state,
     combined_distribution,
@@ -284,9 +284,9 @@ def _table_variations(shapes, taus, n_steps: int, seed: int, record_every: int) 
     """``{(shape, tau): (relative variation of M, of <V>)}`` for each of
     ``shapes`` under each of ``taus``, in closed form at the steps
     ``run`` records (module docstring): the states of all shapes form
-    one block (``_euler_series``).  Raises ``ValueError`` for a negative
-    seed, a tau that is not positive or a bad step count
-    (``evolve.record_steps``), before any work."""
+    one block (``_euler_series``).  Raises ``ValueError`` for a seed that
+    is not an integer >= 0, a tau that is not positive or a bad step
+    count (``evolve.record_steps``), before any work."""
     _check_seed(seed)
     for tau in taus:
         _check_tau(tau)
@@ -326,8 +326,9 @@ def paper_table_run(
 
     The propagator checks the tau bound before any transform;
     ``n_steps = 0`` reports a variation of 0.0 and builds none.  Raises
-    ``ValueError`` for a negative seed, a tau that is not positive or a
-    bad step count (``evolve.record_steps``), before any work.
+    ``ValueError`` for a seed that is not an integer >= 0, a tau that is
+    not positive or a bad step count (``evolve.record_steps``), before
+    any work.
     """
     ((var_m, var_v),) = _table_variations((shape,), (tau,), n_steps, seed, record_every).values()
     return ExperimentReport(
@@ -355,7 +356,8 @@ def paper_table_grid(n_steps: int = 1000, seed: int = DEFAULT_SEED) -> Experimen
     states take one batched forward transform, each tau one propagator,
     all built before any transform, so the tau bound comes first, and
     each tau's weights |m|^(2n) serve all three shapes.  Raises
-    ``ValueError`` for a negative seed, before any row evolves.
+    ``ValueError`` for a seed that is not an integer >= 0, before any row
+    evolves.
     """
     variations = _table_variations(TABLE_SHAPES, TABLE_TAUS, n_steps, seed, 10)
     metrics: dict = {}
@@ -514,10 +516,12 @@ def identity_suite(
     takes one dense reference step of ``IDENTITY_TAU``
     (``_dense_euler_step``, tau bound check included); both the block
     and the stepped block must be finite (``ValueError``).  Raises
-    ``ValueError`` first for no lattice or ``states_per_n`` < 1.
+    ``ValueError`` first for no lattice, ``states_per_n`` < 1 or a seed
+    that is not an integer >= 0.
     """
     _check_sizes(n_sites_list)
-    _check_count("states_per_n", states_per_n, 1)
+    _check_integer("states_per_n", states_per_n, 1)
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     tau = IDENTITY_TAU
     worst_m = worst_conv = worst_comm = 0.0
@@ -838,7 +842,7 @@ def even_odd_comparison(
     >= 1, and when a deviation the ratios divide by vanishes.
     """
     _check_tau(tau)
-    _check_count("n_steps", n_steps, 1)
+    _check_integer("n_steps", n_steps, 1)
     even = make_even_lattice(n_even)
     odd = make_lattice(n_odd)
 

@@ -158,17 +158,16 @@ def _spectral_rows(steps, terms, moments: np.ndarray) -> np.ndarray:
 def _measured_columns(block: FieldState, spectral=None) -> tuple[np.ndarray, np.ndarray]:
     """The site-space M and the <P> of each row of ``block``, flat, from
     ``spectral``, the rows' spectral M and <P> (``run``'s prediction from
-    c_hat_0), or else from ``spectral_series`` at n = 0 on each row's
-    own occupation, a row at a time, so each row is bitwise what it
-    gives alone.  ``ConsistencyError`` when a row's spectral M misses
-    its M (Parseval)."""
+    c_hat_0), or else from one ``spectral_series`` at n = 0 of the rows'
+    own occupations, which gives each row bitwise what it gives alone.
+    ``ConsistencyError`` when a row's spectral M misses its M
+    (Parseval)."""
     lattice = block.lattice
     if spectral is None:
         occupation = np.abs(momentum_coefficients(lattice, block.c)) ** 2
         unit = np.zeros(lattice.n_sites)  # ln|m| of m = 1: no step
-        rows = [spectral_series(lattice, row, unit, [0])
-                for row in occupation.reshape(-1, lattice.n_sites)]
-        spectral = [np.concatenate(column) for column in zip(*rows)]
+        spectral = [column[:, 0] for column in spectral_series(
+            lattice, occupation.reshape(-1, lattice.n_sites), unit, [0])]
     m_spectral, momentum = spectral
     m_sites = np.reshape(norm_m(block), -1)
     _check_parseval(m_spectral, m_sites)

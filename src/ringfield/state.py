@@ -17,7 +17,6 @@ read-only, so instances can be shared freely across threads.
 
 from __future__ import annotations
 
-import json
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -160,11 +159,13 @@ def _cyclic_offsets(lattice: Lattice, center: int) -> np.ndarray:
     return wrap_index(lattice.sites() - center, lattice)
 
 
-def _check_integer(name: str, value) -> None:
+def _check_integer(name: str, value, minimum: int | None = None) -> None:
     """``ValueError`` naming ``name`` unless ``value`` is an integer (a
-    Python or numpy one), and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer (got {value!r})")
+    Python or numpy one, not a bool), and >= ``minimum`` if one is given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{name} must be an integer{bound} (got {value!r})")
 
 
 def _check_in_band(lattice: Lattice, center: int, velocity_index: int) -> None:
@@ -186,13 +187,20 @@ def gaussian_state(
     Amplitude profile a_s = exp(-d^2 / (4 sigma^2)) with d the minimal
     cyclic distance to ``center``, so the combined distribution has
     standard deviation sigma.  Boosted by v = 2 g * velocity_index.
+    The center's exponent is 0 without a division, and an off-center
+    quotient that overflows, or divides by a 4 sigma^2 that underflowed
+    to 0, is -inf: as sigma -> 0 the packet tends to one site.
     ``ValueError`` unless the center and the velocity index are sites.
     """
     _check_in_band(lattice, center, velocity_index)
     if not (0.0 < sigma <= lattice.half_width):
         raise ValueError(f"sigma must lie in (0, {lattice.half_width}] (got {sigma})")
     offsets = _cyclic_offsets(lattice, center)
-    profile = np.exp(-(offsets.astype(float) ** 2) / (4.0 * sigma * sigma))
+    exponent = np.zeros(lattice.n_sites)
+    with np.errstate(over="ignore", divide="ignore"):
+        np.divide(-(offsets.astype(float) ** 2), 4.0 * sigma * sigma,
+                  out=exponent, where=offsets != 0)
+    profile = np.exp(exponent)
     base = _normalize(_new_state(lattice, profile, np.zeros_like(profile)))
     velocity = 2.0 * lattice.reciprocal_constant * velocity_index
     return boost(base, velocity)
@@ -218,6 +226,9 @@ def uniform_state(
 
 
 def _check_seed(seed: int) -> None:
+    """``ValueError`` unless ``seed`` is an integer (``_check_integer``)
+    >= 0."""
+    _check_integer("seed", seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0 (got {seed})")
 
@@ -227,8 +238,8 @@ def random_state(lattice: Lattice, seed: int) -> FieldState:
 
     Draws come from numpy's PCG64 generator (``np.random.default_rng``),
     whose stream for a given seed is stable across platforms, so equal
-    seeds give bit-identical states.  Raises ``ValueError`` for a
-    negative seed.
+    seeds give bit-identical states.  Raises ``ValueError`` for a seed
+    that is not an integer >= 0.
     """
     _check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -251,7 +262,7 @@ def build_state(lattice: Lattice, spec: StateSpec) -> FieldState:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint formats: CSV columns (site, a, b) and a JSON equivalent
+# checkpoint format: CSV columns (site, a, b)
 
 STATE_CSV_HEADER = "site,a,b"
 
@@ -327,32 +338,3 @@ def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
-
-def state_to_json_obj(state: FieldState) -> dict:
-    _require_one_state(state, "a state checkpoint")
-    return {
-        "n_sites": state.lattice.n_sites,
-        "lattice_constant": state.lattice.lattice_constant,
-        "parity": state.lattice.parity,
-        "a": [float(x) for x in state.a],
-        "b": [float(x) for x in state.b],
-    }
-
-
-def write_state_json(state: FieldState, path: str) -> None:
-    atomic_write_text(path, json.dumps(state_to_json_obj(state), indent=1) + "\n")
-
-
-def read_state_json(path: str) -> FieldState:
-    """Load a checkpoint written by ``write_state_json``; a malformed
-    file, or a parity other than odd or even, raises ``ValueError``
-    naming the path."""
-    with open(path) as handle:
-        try:
-            obj = json.load(handle)
-            lattice = _build(obj["n_sites"], obj["lattice_constant"], obj["parity"])
-            return _new_state(lattice, np.array(obj["a"]), np.array(obj["b"]))
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc

@@ -22,6 +22,13 @@ def euler_step(state, tau):
     return _new_state(state.lattice, *_dense_euler_step(state.lattice, state.a, state.b, tau))
 
 
+def translate(state, steps):
+    """Cyclic shift of both fields (of every row) by ``steps`` sites:
+    the site-space roll that ``advance(state, "translate", steps)``
+    matches on an odd lattice."""
+    return state_from_amplitudes(state.lattice, np.roll(state.c, steps, axis=-1))
+
+
 @lru_cache(maxsize=4)
 def _direct_phases(lattice):
     """exp(-2 pi i kappa s / N), one row per site s and one column per

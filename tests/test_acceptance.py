@@ -27,8 +27,9 @@ from ringfield import (
     run,
     snapshot,
     state_from_amplitudes,
-    translate,
 )
+
+from oracles import translate
 
 LAT = make_lattice(801)
 

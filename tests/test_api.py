@@ -67,6 +67,13 @@ def test_no_kernel_table_exports():
         (ringfield.observables, "position_mean"),
         (ringfield.observables, "position_spread"),
         (ringfield.observables, "gaussian_shape_residual"),
+        # one state file format, the CSV checkpoint
+        (ringfield.state, "state_to_json_obj"),
+        (ringfield.state, "write_state_json"),
+        (ringfield.state, "read_state_json"),
+        # the site-space roll is the tests' oracle (``oracles.translate``)
+        # for ``advance(state, "translate", m)``
+        (ringfield.evolve, "translate"),
     ):
         assert not hasattr(ringfield, name), name
         assert not hasattr(module, name), name

@@ -13,13 +13,12 @@ from ringfield import (
     random_state,
     snapshot,
     state_from_amplitudes,
-    translate,
 )
 from ringfield.evolve import EULER
 from ringfield.lattice import make_even_lattice
 from ringfield.state import _new_state
 
-from oracles import euler_step, momentum_expectation_spectral
+from oracles import euler_step, momentum_expectation_spectral, translate
 
 
 def basis_state(lattice, site):

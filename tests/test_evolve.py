@@ -12,12 +12,11 @@ from ringfield import (
     run,
     state_from_amplitudes,
     to_momentum_basis,
-    translate,
 )
 from ringfield.evolve import EULER
 from ringfield.state import _new_state
 
-from oracles import euler_step
+from oracles import euler_step, translate
 
 LAT = make_lattice(801)
 LAT3 = make_lattice(3)
@@ -129,6 +128,8 @@ class TestExactStep:
 
 
 class TestTranslate:
+    # the first three hold the site-space roll itself, the oracle
+    # (``oracles.translate``) that the spectral generator is held to
     def test_moves_basis_state(self):
         state = basis_state(LAT3, 0)
         moved = translate(state, 1)

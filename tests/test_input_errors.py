@@ -1,13 +1,14 @@
 """Invalid input reaches its documented exit code with a one-line
 message, and malformed checkpoints name the offending line."""
 
-import json
 import os
+import re
 import stat
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ringfield.cli
@@ -17,8 +18,9 @@ from ringfield import (
     gaussian_state,
     make_even_lattice,
     make_lattice,
+    paper_table_grid,
+    random_state,
     read_state_csv,
-    read_state_json,
     read_timeseries_csv,
     uniform_state,
 )
@@ -165,6 +167,32 @@ def test_a_bool_is_not_a_count(name):
         call()
 
 
+BAD_SEEDS = {
+    "random_state": (lambda: random_state(make_lattice(21), 1.5),
+                     "seed must be an integer (got 1.5)"),
+    "paper_table_grid": (lambda: paper_table_grid(10, seed=1.5),
+                         "seed must be an integer (got 1.5)"),
+    "paper_table_grid, bool": (lambda: paper_table_grid(10, seed=True),
+                               "seed must be an integer (got True)"),
+    "RunConfig": (lambda: RunConfig(seed=2.5), "seed must be an integer (got 2.5)"),
+    "identity_suite": (lambda: identity_suite([3], 2, seed=-1), "seed must be >= 0 (got -1)"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SEEDS)
+def test_a_seed_is_a_whole_number_at_least_0(name):
+    """Every seed passes one check before any work: a fraction or a
+    bool is no seed, and numpy never sees a negative one."""
+    call, message = BAD_SEEDS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_numpy_integer_is_a_seed():
+    lattice = make_lattice(21)
+    assert random_state(lattice, np.int64(3)).c.tobytes() == random_state(lattice, 3).c.tobytes()
+
+
 @pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0.0,7"])
 def test_bad_checkpoint_row_names_path_and_line(tmp_path, row):
     path = tmp_path / "state.csv"
@@ -244,6 +272,21 @@ def test_exact_scheme_overflow_prints_one_line():
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--n-sites", "21", "--velocity-index", "1", "--width", "1e-160"], 0),
+    (["run", "--n-sites", "21", "--velocity-index", "1", "--width", "1e-170"], 0),
+    # a one-site packet wraps at once: the wrapped-packet gate fails
+    (["even-odd", "--sigma", "1e-300"], 1),
+], ids=["overflowing quotient", "vanishing 4 sigma^2", "even-odd"])
+def test_vanishing_gaussian_width_runs_without_warnings(argv, code):
+    # a fresh interpreter, so numpy warnings reach stderr as a user sees them
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-m", "ringfield.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == code
+    assert proc.stderr == ""
 
 
 def _assert_negative_seed_is_named(argv):
@@ -445,35 +488,6 @@ def test_fifo_output_is_written_in_place(tmp_path):
     finally:
         os.close(reader)
     assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
-
-
-@pytest.mark.parametrize("payload, match", [
-    ({"n_sites": 3, "lattice_constant": 1.0, "a": [0, 1, 0], "b": [0, 0, 0]},
-     "missing field 'parity'"),
-    ({"parity": "odd", "n_sites": 4, "lattice_constant": 1.0,
-      "a": [0, 1, 0, 0], "b": [0, 0, 0, 0]}, "n_sites"),
-    ({"parity": "odd", "n_sites": 3, "lattice_constant": 1.0, "a": [0, 1], "b": [0, 0]},
-     "one entry per site"),
-    ([1, 2, 3], ""),
-    ({"parity": "odd", "n_sites": 3.5, "lattice_constant": 1.0, "a": [0, 1, 0], "b": [0, 0, 0]},
-     r"n_sites must be a whole number \(got 3\.5\)"),
-    ({"parity": "even", "n_sites": 4.5, "lattice_constant": 1.0,
-      "a": [0, 1, 0, 0], "b": [0, 0, 0, 0]}, r"n_sites must be a whole number \(got 4\.5\)"),
-    ({"parity": "bogus", "n_sites": 3, "lattice_constant": 1.0,
-      "a": [0, 1, 0], "b": [0, 0, 0]}, "parity must be odd|even"),
-])
-def test_bad_state_json_names_path(tmp_path, payload, match):
-    path = tmp_path / "state.json"
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match=r"state\.json: .*" + match):
-        read_state_json(str(path))
-
-
-def test_state_json_syntax_error_names_path(tmp_path):
-    path = tmp_path / "state.json"
-    path.write_text('{"parity": "odd",')
-    with pytest.raises(ValueError, match=r"state\.json: "):
-        read_state_json(str(path))
 
 
 def test_checkpoint_blank_lines_are_skipped(tmp_path):

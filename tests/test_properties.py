@@ -1,6 +1,6 @@
-"""Property tests: the config text, state CSV and state JSON round trips
-are exact for any representable input, and a boost never changes the
-combined distribution."""
+"""Property tests: the config text and state CSV round trips are exact
+for any representable input, and a boost never changes the combined
+distribution."""
 
 import dataclasses
 import os
@@ -19,9 +19,7 @@ from ringfield import (
     make_lattice,
     parse_config_text,
     read_state_csv,
-    read_state_json,
     write_state_csv,
-    write_state_json,
 )
 from ringfield.ioutil import fmt
 from ringfield.state import _new_state
@@ -113,19 +111,6 @@ def test_state_csv_round_trip(state):
         path = os.path.join(directory, "state.csv")
         write_state_csv(state, path)
         back = read_state_csv(path, state.lattice.lattice_constant)
-    assert back.lattice == state.lattice
-    assert _same_bits(back.a, state.a) and _same_bits(back.b, state.b)
-
-
-@PROPERTY_SETTINGS
-@given(field_states())
-@example(EDGE_STATE)
-@example(EDGE_EVEN_STATE)
-def test_state_json_round_trip(state):
-    with tempfile.TemporaryDirectory() as directory:
-        path = os.path.join(directory, "state.json")
-        write_state_json(state, path)
-        back = read_state_json(path)
     assert back.lattice == state.lattice
     assert _same_bits(back.a, state.a) and _same_bits(back.b, state.b)
 

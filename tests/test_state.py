@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -15,11 +13,9 @@ from ringfield import (
     norm_m,
     random_state,
     read_state_csv,
-    read_state_json,
     state_from_amplitudes,
     uniform_state,
     write_state_csv,
-    write_state_json,
 )
 from ringfield.evolve import advance, run
 from ringfield.lattice import make_even_lattice
@@ -71,6 +67,16 @@ class TestGaussian:
             gaussian_state(LAT, 0, 401.0, 0)
         with pytest.raises(ValueError):
             gaussian_state(LAT, 900, 10.0, 0)
+
+
+    @pytest.mark.parametrize("sigma", [1e-160, 1e-170, 1e-300, 5e-324])
+    def test_vanishing_sigma_gives_one_site(self, sigma):
+        # 4 sigma^2 overflows the quotient, or underflows to 0: the
+        # packet is the sigma -> 0 limit, one site, with no warning
+        state = gaussian_state(LAT, 3, sigma, 7)
+        distribution = combined_distribution(state)
+        assert np.flatnonzero(distribution).tolist() == [3 - LAT.site_min]
+        assert norm_m(state) == pytest.approx(1.0, rel=1e-15)
 
 
 class TestUniform:
@@ -297,7 +303,6 @@ class TestBlocks:
         for operation in (lambda: advance(self.BLOCK, "exact", 0.1, 1),
                           lambda: run(self.BLOCK, EvolutionConfig(), 2),
                           lambda: write_state_csv(self.BLOCK, "unused.csv"),
-                          lambda: write_state_json(self.BLOCK, "unused.json"),
                           lambda: _new_state(LAT, self.BLOCK.a, self.BLOCK.b)):
             with pytest.raises(ValueError, match="block of rows|one entry per site"):
                 operation()
@@ -344,16 +349,6 @@ class TestSerialization:
         back = read_state_csv(str(path))
         assert back.lattice.parity == "even"
         np.testing.assert_array_equal(back.a, state.a)
-
-    def test_json_round_trip(self, tmp_path):
-        state = random_state(make_lattice(21), 4)
-        path = tmp_path / "state.json"
-        write_state_json(state, str(path))
-        back = read_state_json(str(path))
-        np.testing.assert_array_equal(back.a, state.a)
-        np.testing.assert_array_equal(back.b, state.b)
-        payload = json.loads(path.read_text())
-        assert payload["n_sites"] == 21
 
     def test_csv_header_guard(self, tmp_path):
         path = tmp_path / "bad.csv"
