@@ -9,10 +9,7 @@ commutation identities are what make M and <V> conserved quantities.
 Run this file to see all of it numerically.
 """
 
-import numpy as np
-
-from ringfield import kernel_f, kernel_g, kernel_oracle_check, make_lattice
-from ringfield.kernels import f_site_matrix, g_site_matrix
+from ringfield import identity_suite, kernel_f, kernel_g, kernel_oracle_check, make_lattice
 
 print(__doc__)
 
@@ -35,21 +32,6 @@ print(f"G is odd:   G(3) + G(-3)  = {kernel_g(3, lattice) + kernel_g(-3, lattice
 print("\n-- closed forms vs direct spectral sums, every displacement --")
 print(kernel_oracle_check((lattice.n_sites,)).to_text(), end="")
 
-print("\n-- convolution identity --")
-fmat = f_site_matrix(lattice)
-conv = fmat @ fmat
-k = np.arange(-lattice.half_width, lattice.half_width + 1).astype(float)
-sites = lattice.sites()
-disp = sites[:, None] - sites[None, :]
-quartic = np.tensordot(
-    k**4, np.exp(2j * np.pi * np.multiply.outer(k, disp) / lattice.n_sites), axes=1
-) / lattice.n_sites
-print("sum_s F(r-s) F(s-u) equals the k^4 spectral sum:")
-print(f"  max residual = {np.max(np.abs(conv - quartic.real)):.2e}")
-
-print("\n-- commutator identity --")
-gmat = g_site_matrix(lattice)
-comm = fmat @ gmat - gmat @ fmat
-print("sum_s [F(u-s) G(s-r) - G(u-s) F(s-r)] vanishes:")
-print(f"  max |commutator| = {np.max(np.abs(comm)):.2e}")
-print("this cancellation is why the drift velocity is conserved to O(tau^2).")
+print("\n-- convolution and commutator identities --")
+print(identity_suite((lattice.n_sites,)).to_text(), end="")
+print("the commutator's cancellation is why the drift velocity is conserved to O(tau^2).")

@@ -21,7 +21,6 @@ from .experiments import (
     kernel_oracle_check,
     order_of_accuracy_run,
     paper_table_grid,
-    paper_table_run,
     qualitative_shape_run,
 )
 from .kernels import ConsistencyError, kernel_f, kernel_g

@@ -100,10 +100,13 @@ class EvolutionConfig:
 def check_tau_bound(tau: float, lattice: Lattice) -> None:
     """Enforce tau g^2 N^2 < 0.5, warning above 0.1.
 
-    A stiffness too large for a float (a vanishing lattice constant)
-    counts as infinite and fails the bound.  The warning names the
-    innermost caller outside this package, as ``logging`` finds its own.
+    A tau that is not positive (NaN too) raises ``ValueError`` first, so
+    a negative or zero step cannot pass under the bound.  A stiffness
+    too large for a float (a vanishing lattice constant) counts as
+    infinite and fails the bound.  The warning names the innermost
+    caller outside this package, as ``logging`` finds its own.
     """
+    _check_tau(tau)
     try:
         stiffness = tau * lattice.reciprocal_constant**2 * lattice.n_sites**2
     except OverflowError:

@@ -40,11 +40,12 @@ hold the table against the M and <V> that ``run`` records.  No
 procedure checks the tau bound itself: the steps ``evolve`` builds do.
 
 No procedure does the same work twice.  The table's grid evaluates its
-nine rows at once (``_table_variations``): one batched forward
+nine rows at once (``paper_table_grid``): one batched forward
 transform of the three states, one propagator per tau, and one block
 of weights |m|^(2n) per tau and block of steps, shared by the three
-shapes; each row is bitwise what ``paper_table_run`` gives alone.  The
-kernel oracle sums F and G from one table index per block of residues
+shapes; each row is bitwise the relative variation of the M and drift
+columns ``compare_rows`` gives for its shape alone.  The kernel oracle
+sums F and G from one table index per block of residues
 (``_residue_sums``).
 """
 
@@ -280,86 +281,35 @@ def _euler_series(state: FieldState, taus, steps: list[int]):
     return initial, occupation, series
 
 
-def _table_variations(shapes, taus, n_steps: int, seed: int, record_every: int) -> dict:
-    """``{(shape, tau): (relative variation of M, of <V>)}`` for each of
-    ``shapes`` under each of ``taus``, in closed form at the steps
-    ``run`` records (module docstring): the states of all shapes form
-    one block (``_euler_series``).  Raises ``ValueError`` for a seed that
-    is not an integer >= 0, a tau that is not positive or a bad step
-    count (``evolve.record_steps``), before any work."""
+def paper_table_grid(n_steps: int = 1000, seed: int = DEFAULT_SEED) -> ExperimentReport:
+    """Full shapes-by-timesteps conservation grid in one report: the
+    relative variation of M and <V> of each shape under each tau, in
+    closed form at the steps ``run`` records every 10 (module
+    docstring), and the band check of each row on the larger of the
+    two.  The published bands describe the canonical 1000-step run;
+    shorter runs report the same numbers ungated.
+
+    The grid is evaluated once (``_euler_series``): the three states
+    form one block, which takes one batched forward transform, each tau
+    one propagator, all built before any transform, so the tau bound
+    comes first, and each tau's weights |m|^(2n) serve all three
+    shapes.  ``n_steps = 0`` reports variations of 0.0 and builds no
+    propagator.  Raises ``ValueError`` for a seed that is not an integer
+    >= 0 or a bad step count (``evolve.record_steps``), before any work.
+    """
     _check_seed(seed)
-    for tau in taus:
-        _check_tau(tau)
-    steps = record_steps(n_steps, record_every)
+    steps = record_steps(n_steps, 10)
     lattice = make_lattice(N_SITES)
     block = state_from_amplitudes(
-        lattice, np.stack([table_state(lattice, shape, seed).c for shape in shapes])
+        lattice, np.stack([table_state(lattice, shape, seed).c for shape in TABLE_SHAPES])
     )
-    _initial, _occupation, series = _euler_series(block, taus, steps)
-    return {
+    _initial, _occupation, series = _euler_series(block, TABLE_TAUS, steps)
+    variations = {
         (shape, tau): (_relative_variation(m_row), _relative_variation(2.0 * momentum_row))
-        for tau, (m_total, momentum, _final) in zip(taus, series)
-        for shape, m_row, momentum_row in zip(shapes, m_total, momentum)
+        for tau, (m_total, momentum, _final) in zip(TABLE_TAUS, series)
+        for shape, m_row, momentum_row in zip(TABLE_SHAPES, m_total, momentum)
     }
-
-
-def _row_check(shape: str, tau: float, variations, n_steps: int) -> Check:
-    """The band check of one table row on the larger of its variations.
-    The published bands describe the canonical 1000-step run; shorter
-    runs report the same numbers ungated."""
-    band = TABLE_BANDS.get((shape, tau))
-    return _band_check(f"{shape} tau={tau:g} max variation", max(variations), band,
-                       n_steps == 1000)
-
-
-def paper_table_run(
-    shape: str,
-    tau: float,
-    n_steps: int = 1000,
-    seed: int = DEFAULT_SEED,
-    record_every: int = 10,
-) -> ExperimentReport:
-    """One row of the conservation table: evolve one shape with the
-    reaction process and report the observed variation of M and <V>,
-    in closed form at the steps ``run`` records (module docstring): the
-    one-row case of ``paper_table_grid``.
-
-    The propagator checks the tau bound before any transform;
-    ``n_steps = 0`` reports a variation of 0.0 and builds none.  Raises
-    ``ValueError`` for a seed that is not an integer >= 0, a tau that is
-    not positive or a bad step count (``evolve.record_steps``), before
-    any work.
-    """
-    ((var_m, var_v),) = _table_variations((shape,), (tau,), n_steps, seed, record_every).values()
-    return ExperimentReport(
-        name=f"table: {shape} tau={tau:g}",
-        params={
-            "shape": shape,
-            "tau": tau,
-            "n_steps": n_steps,
-            "seed": seed,
-            "n_sites": N_SITES,
-        },
-        metrics={
-            "relative variation of M": var_m,
-            "relative variation of <V>": var_v,
-        },
-        checks=(_row_check(shape, tau, (var_m, var_v), n_steps),),
-    )
-
-
-def paper_table_grid(n_steps: int = 1000, seed: int = DEFAULT_SEED) -> ExperimentReport:
-    """Full shapes-by-timesteps conservation grid in one report, each
-    row bitwise that of ``paper_table_run``.
-
-    The grid is evaluated once (``_table_variations``): the three
-    states take one batched forward transform, each tau one propagator,
-    all built before any transform, so the tau bound comes first, and
-    each tau's weights |m|^(2n) serve all three shapes.  Raises
-    ``ValueError`` for a seed that is not an integer >= 0, before any row
-    evolves.
-    """
-    variations = _table_variations(TABLE_SHAPES, TABLE_TAUS, n_steps, seed, 10)
+    gated = n_steps == 1000
     metrics: dict = {}
     checks: list[Check] = []
     for shape in TABLE_SHAPES:
@@ -367,9 +317,9 @@ def paper_table_grid(n_steps: int = 1000, seed: int = DEFAULT_SEED) -> Experimen
             var_m, var_v = variations[(shape, tau)]
             metrics[f"{shape} tau={tau:g} var M"] = var_m
             metrics[f"{shape} tau={tau:g} var <V>"] = var_v
-            checks.append(_row_check(shape, tau, (var_m, var_v), n_steps))
+            checks.append(_band_check(f"{shape} tau={tau:g} max variation", max(var_m, var_v),
+                                      TABLE_BANDS.get((shape, tau)), gated))
     if n_steps > 0:
-        gated = n_steps == 1000
         ratio = max(variations[("random", 5e-3)]) / max(variations[("random", 1e-3)])
         checks.append(
             Check(

@@ -21,18 +21,23 @@ EVEN = "even"
 
 @dataclass(frozen=True)
 class Lattice:
-    """Geometry of a cyclic 1D lattice.
-
-    ``half_width`` is ``(n_sites - 1) // 2`` for odd lattices and
-    ``n_sites // 2`` for even ones; ``reciprocal_constant`` is exactly
-    ``2*pi / (n_sites * lattice_constant)``.
-    """
+    """Geometry of a cyclic 1D lattice: its inputs only, everything else
+    derived from them."""
 
     n_sites: int
     lattice_constant: float
-    half_width: int
-    reciprocal_constant: float
     parity: str = ODD
+
+    @property
+    def half_width(self) -> int:
+        """``(n_sites - 1) // 2`` for odd lattices, ``n_sites // 2`` for
+        even ones."""
+        return self.n_sites // 2
+
+    @property
+    def reciprocal_constant(self) -> float:
+        """Exactly ``2*pi / (n_sites * lattice_constant)``."""
+        return 2.0 * pi / (self.n_sites * self.lattice_constant)
 
     @property
     def site_min(self) -> int:
@@ -83,13 +88,7 @@ def _build(n_sites, lattice_constant: float, parity: str) -> Lattice:
         raise ValueError(f"even-mode lattice needs an even n_sites >= 4 (got {n})")
     if not 0 < lattice_constant < inf:
         raise ValueError(f"lattice_constant must be positive and finite (got {lattice_constant})")
-    return Lattice(
-        n_sites=n,
-        lattice_constant=float(lattice_constant),
-        half_width=n // 2,
-        reciprocal_constant=2.0 * pi / (n * lattice_constant),
-        parity=parity,
-    )
+    return Lattice(n_sites=n, lattice_constant=float(lattice_constant), parity=parity)
 
 
 def make_lattice(n_sites: int, lattice_constant: float = 1.0) -> Lattice:

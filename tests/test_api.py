@@ -74,6 +74,10 @@ def test_no_kernel_table_exports():
         # the site-space roll is the tests' oracle (``oracles.translate``)
         # for ``advance(state, "translate", m)``
         (ringfield.evolve, "translate"),
+        # the conservation table has one entry point, ``paper_table_grid``
+        (ringfield.experiments, "paper_table_run"),
+        (ringfield.experiments, "_table_variations"),
+        (ringfield.experiments, "_row_check"),
     ):
         assert not hasattr(ringfield, name), name
         assert not hasattr(module, name), name
@@ -84,7 +88,7 @@ def test_no_kernel_table_exports():
 
 @pytest.mark.parametrize("procedure, parameters", [
     ("paper_table_grid", ["n_steps", "seed"]),
-    ("paper_table_run", ["shape", "tau", "n_steps", "seed", "record_every"]),
+    ("kernel_oracle_check", ["n_sites_list", "perturbation"]),
     ("order_of_accuracy_run", []),
     ("qualitative_shape_run", []),
     ("confined_drift_diagnostic", []),
@@ -114,6 +118,13 @@ def test_one_state_type():
     for name in ("FieldBlock", "block_from_amplitudes"):
         assert not hasattr(ringfield.state, name), name
     assert [spec.name for spec in dataclasses.fields(FieldState)] == ["lattice", "c"]
+
+
+def test_a_lattice_holds_only_its_inputs():
+    # the half width and the reciprocal constant follow from them
+    assert [spec.name for spec in dataclasses.fields(ringfield.Lattice)] == [
+        "n_sites", "lattice_constant", "parity"
+    ]
 
 
 def test_the_lattice_fixes_the_parity():

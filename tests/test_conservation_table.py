@@ -22,7 +22,6 @@ from ringfield import (
     gaussian_state,
     make_lattice,
     paper_table_grid,
-    paper_table_run,
     random_state,
     run,
 )
@@ -61,24 +60,29 @@ def _within_oracle_gate(value, oracle):
     return abs(value - oracle) <= ORACLE_RTOL * abs(oracle) + ORACLE_ATOL
 
 
-@pytest.mark.filterwarnings("ignore:tau \\* g\\^2 \\* N\\^2")
+# the grid warns at the two time steps past the tau bound's threshold
+IGNORE_TAU_WARNING = pytest.mark.filterwarnings("ignore:tau \\* g\\^2 \\* N\\^2")
+
+
+@IGNORE_TAU_WARNING
 @pytest.mark.parametrize("shape, tau, n_steps", TABLE_CASES)
 def test_table_row_equals_the_run_columns(shape, tau, n_steps):
     """The closed form against the block path of ``run`` (one inverse
     transform per block of states, M and <V> measured on each state)."""
-    report = paper_table_run(shape, tau, n_steps=n_steps)
+    grid = paper_table_grid(n_steps)
     state = table_state(make_lattice(801), shape)
     series = run(state, EvolutionConfig(tau=tau), n_steps, record_every=10)
     assert _within_oracle_gate(
-        report.metrics["relative variation of M"],
+        grid.metrics[f"{shape} tau={tau:g} var M"],
         _relative_variation(series.column("m_total")),
     )
     assert _within_oracle_gate(
-        report.metrics["relative variation of <V>"],
+        grid.metrics[f"{shape} tau={tau:g} var <V>"],
         _relative_variation(series.column("drift_velocity")),
     )
 
 
+@IGNORE_TAU_WARNING
 def test_table_row_measures_no_position_moments(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("position moments measured")
@@ -88,8 +92,8 @@ def test_table_row_measures_no_position_moments(monkeypatch):
     state = table_state(make_lattice(801), "gaussian")
     with pytest.raises(AssertionError, match="position moments"):
         run(state, EvolutionConfig(), 50)  # the patch reaches the full path
-    report = paper_table_run("gaussian", 1e-3, n_steps=50)
-    assert report.metrics["relative variation of M"] > 0.0
+    grid = paper_table_grid(n_steps=50)
+    assert grid.metrics["gaussian tau=0.001 var M"] > 0.0
 
 
 def _lattice(n):
@@ -275,11 +279,15 @@ def test_spectral_series_memory_stays_flat():
 def test_overflowing_table_row_raises_value_error(n_steps):
     # tau g^2 kappa^2 reaches 0.0098, so |m|^2 = 1 + 9.7e-5: after 1.2e7
     # steps M overflows while the amplitudes (|m|^n ~ 1e252) do not,
-    # after 1e8 steps both do
+    # after 1e8 steps both do.  The table's row of the random shape, read
+    # through ``compare_rows``, which shares its closed form and takes a
+    # record interval
+    random = table_state(make_lattice(801), "random")
     with pytest.raises(ValueError, match="finite"):
-        paper_table_run("random", 1e-3, n_steps=n_steps, record_every=n_steps // 10)
+        compare_rows(random, 1e-3, n_steps, n_steps // 10)
 
 
+@IGNORE_TAU_WARNING
 def test_final_row_one_step_off_raises(monkeypatch):
     original = ringfield.evolve.Propagator.amplitudes_after
 
@@ -288,13 +296,15 @@ def test_final_row_one_step_off_raises(monkeypatch):
 
     monkeypatch.setattr(ringfield.evolve.Propagator, "amplitudes_after", one_step_short)
     with pytest.raises(ConsistencyError, match="spectral prediction"):
-        paper_table_run("gaussian", 1e-3)
+        paper_table_grid()
 
 
+@IGNORE_TAU_WARNING
 @pytest.mark.parametrize("excess, raises", [(2e-10, True), (5e-11, False)])
 def test_final_row_m_is_held_to_1e_10(monkeypatch, excess, raises):
-    """The final Euler state, scaled so that its M exceeds the spectral
-    prediction (about 1) by ``excess`` relative, fails past 1e-10 only."""
+    """The final Euler states, scaled so that their M exceeds the
+    spectral prediction (about 1) by ``excess`` relative, fail past
+    1e-10 only."""
     original = ringfield.evolve.Propagator.amplitudes_after
 
     def scaled(self, coefficients, steps):
@@ -303,9 +313,9 @@ def test_final_row_m_is_held_to_1e_10(monkeypatch, excess, raises):
     monkeypatch.setattr(ringfield.evolve.Propagator, "amplitudes_after", scaled)
     if raises:
         with pytest.raises(ConsistencyError, match="spectral prediction"):
-            paper_table_run("gaussian", 1e-3)
+            paper_table_grid()
     else:
-        assert paper_table_run("gaussian", 1e-3).passed
+        assert paper_table_grid().passed
 
 
 def test_compare_rows_refuses_an_even_lattice_before_any_transform(monkeypatch):
@@ -319,6 +329,7 @@ def test_compare_rows_refuses_an_even_lattice_before_any_transform(monkeypatch):
         compare_rows(state, 1e-3, 20, 10)
 
 
+@IGNORE_TAU_WARNING
 def test_corrupted_forward_transform_raises(monkeypatch):
     original = ringfield.experiments.momentum_coefficients
 
@@ -329,18 +340,7 @@ def test_corrupted_forward_transform_raises(monkeypatch):
 
     monkeypatch.setattr(ringfield.experiments, "momentum_coefficients", drop_largest)
     with pytest.raises(ConsistencyError, match="Parseval"):
-        paper_table_run("gaussian", 1e-3, n_steps=50)
-
-
-def test_zero_steps_build_no_propagator(monkeypatch):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("propagator built")
-
-    monkeypatch.setattr(ringfield.experiments, "propagator", forbidden)
-    for shape in TABLE_SHAPES:
-        report = paper_table_run(shape, 1e-2, n_steps=0)
-        assert report.metrics["relative variation of M"] == 0.0
-        assert report.metrics["relative variation of <V>"] == 0.0
+        paper_table_grid(n_steps=50)
 
 
 def test_zero_step_grid_builds_no_propagator(monkeypatch):
@@ -353,24 +353,26 @@ def test_zero_step_grid_builds_no_propagator(monkeypatch):
     assert set(grid.metrics.values()) == {0.0}
 
 
-@pytest.mark.filterwarnings("ignore:tau \\* g\\^2 \\* N\\^2")
+@IGNORE_TAU_WARNING
 @pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("n_steps", [0, 10, 1000])
 def test_grid_equals_its_nine_rows(n_steps, seed):
     """The grid evaluates its rows together, and each is exactly the
-    row ``paper_table_run`` evaluates alone, check included."""
+    relative variation of the Euler M and drift columns ``compare_rows``
+    evaluates for its shape alone, checked on the larger of the two."""
     grid = paper_table_grid(n_steps, seed)
     checks = {check.name: check for check in grid.checks}
+    lattice = make_lattice(801)
     for shape in TABLE_SHAPES:
+        state = table_state(lattice, shape, seed)
         for tau in TABLE_TAUS:
-            row = paper_table_run(shape, tau, n_steps=n_steps, seed=seed)
+            _steps, _deviation, m_euler, _m_exact, drift_euler, _drift_exact = zip(
+                *compare_rows(state, tau, n_steps, 10)
+            )
+            row = (_relative_variation(m_euler), _relative_variation(drift_euler))
             assert (grid.metrics[f"{shape} tau={tau:g} var M"],
-                    grid.metrics[f"{shape} tau={tau:g} var <V>"]) == (
-                row.metrics["relative variation of M"],
-                row.metrics["relative variation of <V>"],
-            ), (shape, tau)
-            (check,) = row.checks
-            assert checks[check.name] == check
+                    grid.metrics[f"{shape} tau={tau:g} var <V>"]) == row, (shape, tau)
+            assert checks[f"{shape} tau={tau:g} max variation"].value == max(row)
 
 
 def test_negative_seed_is_rejected_before_any_row(monkeypatch):
@@ -380,10 +382,5 @@ def test_negative_seed_is_rejected_before_any_row(monkeypatch):
     monkeypatch.setattr(ringfield.experiments, "table_state", forbidden)
     with pytest.raises(ValueError, match="seed"):
         paper_table_grid(seed=-1)
-    with pytest.raises(ValueError, match="seed"):
-        paper_table_run("gaussian", 1e-3, seed=-1)
     with pytest.raises(ValueError, match="n_steps"):
-        paper_table_run("gaussian", 1e-3, n_steps=-1)
-    for tau in (-1e-3, 0.0, float("nan")):
-        with pytest.raises(ValueError, match="tau must be positive"):
-            paper_table_run("gaussian", tau)
+        paper_table_grid(n_steps=-1)

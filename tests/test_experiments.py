@@ -16,7 +16,7 @@ from ringfield import (
     make_lattice,
     norm_m,
     order_of_accuracy_run,
-    paper_table_run,
+    paper_table_grid,
     state_from_amplitudes,
 )
 from ringfield.basis import momentum_coefficients
@@ -174,21 +174,24 @@ def test_a_report_that_would_check_nothing_raises_before_any_work(monkeypatch, c
         call()
 
 
+@pytest.mark.filterwarnings("ignore:tau \\* g\\^2 \\* N\\^2")
 class TestPaperTableRun:
+    """A run of the table, through its one entry point ``paper_table_grid``."""
+
     def test_short_run_is_ungated(self):
-        report = paper_table_run("gaussian", 1e-3, n_steps=50)
+        report = paper_table_grid(n_steps=50)
         assert report.passed  # bands only gate the canonical 1000-step run
         assert all(not c.gated for c in report.checks)
 
     def test_deterministic_reports(self):
-        one = paper_table_run("random", 1e-3, n_steps=20, seed=5)
-        two = paper_table_run("random", 1e-3, n_steps=20, seed=5)
+        one = paper_table_grid(n_steps=20, seed=5)
+        two = paper_table_grid(n_steps=20, seed=5)
         assert json.dumps(one.to_json_obj()) == json.dumps(two.to_json_obj())
 
     def test_zero_steps_zero_variation(self):
-        report = paper_table_run("uniform", 1e-3, n_steps=0)
-        assert report.metrics["relative variation of M"] == 0.0
-        assert report.metrics["relative variation of <V>"] == 0.0
+        report = paper_table_grid(n_steps=0)
+        assert report.metrics["uniform tau=0.001 var M"] == 0.0
+        assert report.metrics["uniform tau=0.001 var <V>"] == 0.0
 
 
 class TestOrderOfAccuracy:

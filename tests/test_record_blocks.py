@@ -35,7 +35,6 @@ from ringfield.experiments import (
     compare_rows,
     even_odd_comparison,
     paper_table_grid,
-    paper_table_run,
 )
 from ringfield.evolve import EULER, EXACT, _dense_euler_step
 from ringfield.ioutil import fmt
@@ -380,7 +379,6 @@ SMALL_STATE = gaussian_state(make_lattice(101), 0, 5.0, 3)
 RECORDING_CALLERS = {
     "run": lambda n, every: run(SMALL_STATE, EvolutionConfig(), n, every),
     "compare_rows": lambda n, every: compare_rows(SMALL_STATE, TAU, n, every),
-    "paper_table_run": lambda n, every: paper_table_run("gaussian", TAU, n, record_every=every),
 }
 
 
@@ -419,7 +417,6 @@ WARNING_CALLS = {
     "_dense_euler_step": (
         lambda: _dense_euler_step(WARN_LATTICE, WARN_STATE.a, WARN_STATE.b, WARN_TAU), 1
     ),
-    "paper_table_run": (lambda: paper_table_run("gaussian", WARN_TAU, n_steps=10), 1),
     # one propagator for all three shapes at each of the two time steps
     # past the threshold
     "paper_table_grid": (lambda: paper_table_grid(n_steps=10), 2),
@@ -452,7 +449,6 @@ OVER_LIMIT_CALLS = {
     "_dense_euler_step": lambda: _dense_euler_step(
         SMALL_STATE.lattice, SMALL_STATE.a, SMALL_STATE.b, LIMIT_TAU
     ),
-    "paper_table_run": lambda: paper_table_run("gaussian", LIMIT_TAU, n_steps=10),
     "compare_rows": lambda: compare_rows(SMALL_STATE, LIMIT_TAU, 10, 5),
     "even_odd_comparison": lambda: even_odd_comparison(n_steps=1, tau=LIMIT_TAU),
 }
@@ -468,6 +464,30 @@ def test_tau_limit_fails_before_any_transform(monkeypatch, fft_calls, name):
     monkeypatch.setattr(ringfield.evolve, "f_site_matrix", forbidden)
     with pytest.raises(TimestepBoundError):
         OVER_LIMIT_CALLS[name]()
+    assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
+
+
+NON_POSITIVE_TAU_CALLS = {
+    "advance": lambda tau: advance(SMALL_STATE, EULER, tau, 3),
+    "advance even": lambda tau: advance(EVEN_STATE, EULER, tau, 3),
+    "_dense_euler_step": lambda tau: _dense_euler_step(
+        SMALL_STATE.lattice, SMALL_STATE.a, SMALL_STATE.b, tau
+    ),
+}
+
+
+@pytest.mark.parametrize("tau", [-10.0, -1e-3, 0.0, float("nan")])
+@pytest.mark.parametrize("name", NON_POSITIVE_TAU_CALLS)
+def test_a_non_positive_tau_fails_before_any_transform(monkeypatch, fft_calls, name, tau):
+    """The tau bound compares the signed stiffness, so a tau that is not
+    positive is refused where the bound is checked, before any
+    transform or dense F: a negative one would pass under the bound."""
+    def forbidden(lattice):
+        raise AssertionError("dense F built")
+
+    monkeypatch.setattr(ringfield.evolve, "f_site_matrix", forbidden)
+    with pytest.raises(ValueError, match=re.escape(f"tau must be positive (got {tau})")):
+        NON_POSITIVE_TAU_CALLS[name](tau)
     assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
 
 
