@@ -13,7 +13,7 @@ Exit codes: 0 success, 1 failed checks, 2 invalid configuration,
 3 numerical guard violation.  ``main`` maps the errors of every
 subcommand: ``TimestepBoundError`` and ``ConsistencyError`` to 3, any
 other ``ValueError`` or an ``OSError`` to 2, each with one ``error:``
-line on stderr.  A ``UserWarning`` (the tau bound's) prints as one
+line on stderr, as a usage error of the parser is.  A ``UserWarning`` (the tau bound's) prints as one
 ``warning:`` line on stderr under any filter and keeps the exit code.
 """
 
@@ -37,7 +37,7 @@ from .experiments import (
     paper_table_grid,
     paper_table_text,
 )
-from .ioutil import atomic_write_text, check_directory, check_writable, fmt
+from .ioutil import atomic_write_text, check_directory, check_writable, csv_text
 from .kernels import ConsistencyError
 from .state import build_state, write_state_csv
 
@@ -161,10 +161,8 @@ def _cmd_compare(args) -> int:
     _check_outputs(config.csv_path)
     state = build_state(config.lattice(), config.state_spec())
     rows = compare_rows(state, config.tau, config.n_steps, config.record_every)
-    lines = ["step,deviation,m_euler,m_exact,drift_euler,drift_exact"]
-    for row in rows:
-        lines.append(str(row[0]) + "," + ",".join(fmt(x) for x in row[1:]))
-    text = "\n".join(lines) + "\n"
+    steps, *columns = zip(*rows)
+    text = csv_text("step,deviation,m_euler,m_exact,drift_euler,drift_exact", steps, columns)
     if config.csv_path:
         atomic_write_text(config.csv_path, text)
     else:
@@ -184,8 +182,16 @@ def _cmd_even_odd(args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (subparsers share the class) print one line, exit 2."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        raise SystemExit(EXIT_BAD_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ringfield",
         description="two-field reaction process on a cyclic lattice",
     )

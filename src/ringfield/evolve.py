@@ -71,6 +71,9 @@ TRANSLATE = "translate"
 TAU_HARD_LIMIT = 0.5
 TAU_WARN_LIMIT = 0.1
 
+# the most steps one record list may hold (run, its checkpoints, compare, the table)
+MAX_RECORDS = 10**6
+
 
 class TimestepBoundError(ValueError):
     """Time step too large for the linearised reaction step."""
@@ -265,10 +268,15 @@ def record_steps(n_steps: int, record_every: int) -> list[int]:
     ``n_steps``, ascending.
 
     Raises ``ValueError`` unless ``n_steps`` is an integer >= 0 and
-    ``record_every`` an integer >= 1.
+    ``record_every`` an integer >= 1, or when the list would hold more
+    than ``MAX_RECORDS`` steps, before building it.
     """
     _check_integer("n_steps", n_steps, 0)
     _check_integer("record_every", record_every, 1)
+    count = n_steps // record_every + 1 + (n_steps % record_every > 0)
+    if count > MAX_RECORDS:
+        raise ValueError(f"{n_steps} steps recorded every {record_every} make {count} "
+                         f"records, more than {MAX_RECORDS}")
     return sorted({n_steps, *range(0, n_steps + 1, record_every)})
 
 

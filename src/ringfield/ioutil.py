@@ -1,5 +1,5 @@
-"""Shared file helpers: exact float text, atomic writes and numbered
-CSV rows."""
+"""Shared file helpers: exact float text, atomic writes and the numeric
+CSV format (a header line, an integer label column, float columns)."""
 
 from __future__ import annotations
 
@@ -8,6 +8,9 @@ import errno
 import os
 import stat
 import tempfile
+import warnings
+
+import numpy as np
 
 
 def fmt(x) -> str:
@@ -107,14 +110,61 @@ def atomic_write_text(path: str, text: str) -> None:
         raise _naming(exc, path) from exc
 
 
-def read_csv_rows(path: str, header: str) -> list[tuple[int, str]]:
-    """The (line number, stripped text) of every non-blank line of a CSV
-    after its header line; ``ValueError`` naming ``path`` when the first
-    non-blank line is not ``header``."""
+def csv_text(header: str, labels, columns) -> str:
+    """A numeric CSV: ``header``, then per label a row of the integer
+    label (``str``) and its value from each column (``fmt``)."""
+    row = ",".join(["{}"] + ["{!r}"] * len(columns)).format
+    # the value lists are held by map's iterators alone, which drop them
+    # once exhausted, before the text is allocated
+    values = (np.asarray(column, dtype=float).tolist() for column in columns)
+    return "\n".join([header, *map(row, labels, *values), ""])
+
+
+def read_csv_table(path: str, header: str) -> tuple[np.ndarray, np.ndarray]:
+    """The integer labels, shape (R,), and float values, shape (R, K - 1),
+    of a numeric CSV whose first non-blank line is ``header`` (K fields).
+
+    One ``np.loadtxt`` parses the body from the open file.  Only when it
+    fails (a bad row, a whitespace-only line, no rows) is the body read
+    line by line, to skip blank lines and to name the first bad line in
+    the ``ValueError``.
+    """
+    dtype = np.dtype([("label", np.int64), ("values", np.float64, (header.count(","),))])
     with open(path) as handle:
-        rows = [(lineno, line.strip())
-                for lineno, line in enumerate(handle.read().splitlines(), start=1)
-                if line.strip()]
-    if not rows or rows[0][1] != header:
-        raise ValueError(f"{path}: expected header {header!r}")
-    return rows[1:]
+        if next((line.strip() for line in handle if line.strip()), None) != header:
+            raise ValueError(f"{path}: expected header {header!r}")
+        table = _load(handle, dtype)
+        if table is None:
+            handle.seek(0)
+            rows = [(n, line.strip()) for n, line in enumerate(handle, 1) if line.strip()][1:]
+            if not rows:
+                raise ValueError(f"{path}: no {header} rows")
+            table = _load([line for _n, line in rows], dtype)
+            if table is None:
+                raise _row_error(path, header, dtype, rows)
+    return table["label"], table["values"]
+
+
+def _load(lines, dtype: np.dtype) -> np.ndarray | None:
+    """The rows of ``dtype`` in ``lines``, or ``None`` when one does not
+    parse or there are none (which ``np.loadtxt`` only warns about)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, UserWarning):
+            return None
+
+
+def _row_error(path: str, header: str, dtype: np.dtype, rows) -> ValueError:
+    """The error for the first (line number, text) row that does not
+    parse alone: a field's ``int`` or ``float`` error, or else the header
+    the row should match."""
+    lineno, line = next(row for row in rows if _load([row[1]], dtype) is None)
+    label, *values = line.split(",")
+    if len(values) == header.count(","):
+        try:
+            int(label), [float(value) for value in values]
+        except ValueError as exc:
+            return ValueError(f"{path}: line {lineno}: {exc}")
+    return ValueError(f"{path}: line {lineno}: expected {header}, got {line!r}")

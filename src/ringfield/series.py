@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .ioutil import atomic_write_text, fmt, read_csv_rows
+from .ioutil import atomic_write_text, csv_text, read_csv_table
 from .observables import ObservableSnapshot
 from .state import FieldState
 
@@ -36,14 +36,8 @@ class TimeSeries:
         return [getattr(snap, name) for snap in self.snapshots]
 
     def to_csv_text(self) -> str:
-        lines = [TIMESERIES_CSV_HEADER]
-        for snap in self.snapshots:
-            lines.append(
-                ",".join(
-                    [str(snap.step)] + [fmt(getattr(snap, col)) for col in _COLUMNS[1:]]
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(TIMESERIES_CSV_HEADER, self.column("step"),
+                        [self.column(name) for name in _COLUMNS[1:]])
 
     def write_csv(self, path: str) -> None:
         atomic_write_text(path, self.to_csv_text())
@@ -62,18 +56,6 @@ class TimeSeries:
 
 
 def read_timeseries_csv(path: str) -> list[ObservableSnapshot]:
-    """Parse a time-series CSV back into snapshots.  A row with the
-    wrong number of fields or a value that does not parse raises
-    ``ValueError`` naming the path and the line."""
-    out = []
-    for lineno, line in read_csv_rows(path, TIMESERIES_CSV_HEADER):
-        parts = line.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise ValueError(
-                f"{path}: line {lineno}: expected {len(_COLUMNS)} fields, got {line!r}"
-            )
-        try:
-            out.append(ObservableSnapshot(int(parts[0]), *map(float, parts[1:])))
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return out
+    """Snapshots from a time-series CSV (``ioutil.read_csv_table``)."""
+    steps, values = read_csv_table(path, TIMESERIES_CSV_HEADER)
+    return [ObservableSnapshot(step, *row) for step, row in zip(steps.tolist(), values.tolist())]

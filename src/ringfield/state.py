@@ -18,12 +18,11 @@ read-only, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import numbers
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text, read_csv_rows
+from .ioutil import atomic_write_text, csv_text, read_csv_table
 from .lattice import EVEN, ODD, Lattice, _build, wrap_index
 
 
@@ -269,72 +268,22 @@ STATE_CSV_HEADER = "site,a,b"
 
 def state_to_csv_text(state: FieldState) -> str:
     _require_one_state(state, "a state checkpoint")
-    rows = map(
-        "{},{!r},{!r}".format,
-        state.lattice.sites().tolist(), state.a.tolist(), state.b.tolist(),
-    )
-    return STATE_CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+    return csv_text(STATE_CSV_HEADER, state.lattice.sites().tolist(), [state.a, state.b])
 
 
 def write_state_csv(state: FieldState, path: str) -> None:
     atomic_write_text(path, state_to_csv_text(state))
 
 
-def _csv_row_error(path: str, rows: list[tuple[int, str]]) -> ValueError:
-    """The error for the first malformed (line number, text) data row."""
-    for lineno, line in rows:
-        fields = line.split(",")
-        if len(fields) != 3:
-            return ValueError(f"{path}: line {lineno}: expected site,a,b, got {line!r}")
-        try:
-            int(fields[0]), float(fields[1]), float(fields[2])
-        except ValueError as exc:
-            return ValueError(f"{path}: line {lineno}: {exc}")
-    return ValueError(f"{path}: unreadable site,a,b rows")
-
-
-def _read_state_table(path: str) -> np.ndarray:
-    """The (site, a, b) rows of a checkpoint, shape (R, 3).
-
-    The body after the header is parsed by one ``np.loadtxt`` over the
-    file.  Only when that fails (a malformed row, a whitespace-only line
-    or no rows at all) is the file read again line by line, which skips
-    blank lines and names the first bad line in its ``ValueError``.
-    """
-    with open(path) as handle:
-        header = next((line.strip() for line in handle if line.strip()), None)
-        if header == STATE_CSV_HEADER:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # an empty body only warns
-                try:
-                    table = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
-                except (ValueError, UserWarning):
-                    table = None
-            if table is not None and table.shape[1] == 3:
-                return table
-    rows = read_csv_rows(path, STATE_CSV_HEADER)
-    if not rows:
-        raise ValueError(f"{path}: no site,a,b rows")
-    try:
-        table = np.loadtxt([line for _lineno, line in rows], delimiter=",",
-                           comments=None, ndmin=2)
-    except ValueError:
-        table = None
-    if table is None or table.shape[1] != 3:
-        raise _csv_row_error(path, rows)
-    return table
-
-
 def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:
     """Load a (site, a, b) checkpoint, inferring the lattice parity from
-    the site labels; a malformed file raises ``ValueError`` naming it."""
-    table = _read_state_table(path)
-    sites, a, b = table.T
+    the site labels; a malformed file raises ``ValueError`` naming it
+    (``ioutil.read_csv_table``)."""
+    sites, values = read_csv_table(path, STATE_CSV_HEADER)
     try:
         lattice = _build(len(sites), lattice_constant, ODD if len(sites) % 2 else EVEN)
         if not np.array_equal(sites, lattice.sites()):
             raise ValueError("site column is not the canonical label order")
-        return _new_state(lattice, a, b)
+        return _new_state(lattice, *values.T)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-

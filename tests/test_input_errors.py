@@ -25,9 +25,11 @@ from ringfield import (
     uniform_state,
 )
 from ringfield.cli import main
+from ringfield.evolve import MAX_RECORDS
 from ringfield.experiments import even_odd_comparison, identity_suite
 from ringfield.ioutil import atomic_write_text, check_writable
-from ringfield.series import TIMESERIES_CSV_HEADER
+from ringfield.series import TIMESERIES_CSV_HEADER, TimeSeries
+from ringfield.state import state_to_csv_text
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -140,6 +142,41 @@ def test_unknown_flag_is_an_argparse_error(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+USAGE_ERRORS = {
+    "bad choice": ["run", "--shape", "blob"],
+    "bad int": ["run", "--n-steps", "1.5"],
+    "unknown flag": ["compare", "--scheme", "exact"],
+    "missing subcommand": [],
+}
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS.values(), ids=USAGE_ERRORS)
+def test_usage_error_prints_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+# each records MAX_RECORDS + 1 steps
+RECORD_BOUND_ARGV = {
+    "run": ["run", *SMALL, "--n-steps", str(MAX_RECORDS), "--record-every", "1"],
+    "run checkpoints": ["run", *SMALL, "--n-steps", str(MAX_RECORDS),
+                        "--record-every", str(MAX_RECORDS), "--checkpoint-every", "1"],
+    "compare": ["compare", *SMALL, "--n-steps", str(MAX_RECORDS), "--record-every", "1"],
+    "paper-table": ["paper-table", "--steps", str(10 * MAX_RECORDS)],
+}
+
+
+@pytest.mark.parametrize("argv", RECORD_BOUND_ARGV.values(), ids=RECORD_BOUND_ARGV)
+def test_record_count_bound_exits_2_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert err[0].endswith(f"records, more than {MAX_RECORDS}")
+
+
 @pytest.mark.parametrize("field, value", [
     ("n_steps", -1), ("record_every", 0), ("checkpoint_every", -3),
     ("n_steps", 2.5), ("record_every", 2.0), ("checkpoint_every", 0.5),
@@ -250,7 +287,8 @@ def test_velocity_index_must_be_a_site_label(lattice, build):
 def test_bad_series_row_names_path_and_line(tmp_path, row):
     path = tmp_path / "series.csv"
     path.write_text(f"{TIMESERIES_CSV_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.0\n\n{row}\n")
-    with pytest.raises(ValueError, match=r"series\.csv: line 4: expected 7 fields"):
+    expected = re.escape(f"series.csv: line 4: expected {TIMESERIES_CSV_HEADER}, got {row!r}")
+    with pytest.raises(ValueError, match=expected):
         read_timeseries_csv(str(path))
 
 
@@ -260,6 +298,58 @@ def test_bad_series_value_names_path_and_line(tmp_path, row):
     path.write_text(f"{TIMESERIES_CSV_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.0\n{row}\n")
     with pytest.raises(ValueError, match=r"series\.csv: line 3: "):
         read_timeseries_csv(str(path))
+
+
+# both numeric CSV readers share one format:
+# (reader, its inverse writer, header, three good rows)
+CSV_FORMATS = {
+    "state": (read_state_csv, state_to_csv_text, "site,a,b",
+              ["-1,0.6,0.0", "0,0.0,0.8", "1,0.0,0.0"]),
+    "series": (read_timeseries_csv, lambda rows: TimeSeries(tuple(rows)).to_csv_text(),
+               TIMESERIES_CSV_HEADER,
+               ["0,1.0,0.0,0.0,0.0,1.0,0.0", "5,1.0,0.1,0.05,0.0,1.0,0.0",
+                "10,1.0,0.2,0.1,0.0,1.0,0.0"]),
+}
+# case -> (file text from header and rows, the message it must raise)
+MALFORMED_CSV = {
+    "wrong field count": (
+        lambda header, rows: f"{header}\n{rows[0]}\n\n{rows[1]},7\n{rows[2]}\n",
+        lambda header, rows: f"line 4: expected {header}, got {rows[1] + ',7'!r}"),
+    "value that does not parse": (
+        lambda header, rows: f"{header}\n{rows[0]}\n{rows[1][:-3]}one\n{rows[2]}\n",
+        lambda header, rows: "line 3: could not convert string to float: 'one'"),
+    "label that is not an integer": (
+        lambda header, rows: f"{header}\n{rows[0]}\n0.0{rows[1][rows[1].index(','):]}\n",
+        lambda header, rows: "line 3: invalid literal for int() with base 10: '0.0'"),
+    "no rows": (
+        lambda header, rows: f"\n{header}\n\n   \n",
+        lambda header, rows: f"no {header} rows"),
+    "wrong header": (
+        lambda header, rows: header.replace(",", ";", 1) + "\n" + "\n".join(rows) + "\n",
+        lambda header, rows: f"expected header {header!r}"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", MALFORMED_CSV)
+@pytest.mark.parametrize("form", CSV_FORMATS)
+def test_malformed_csv_names_path_and_line(tmp_path, form, case):
+    """Both readers refuse the same malformed files with the same
+    message, which names the file and the first bad line."""
+    reader, _writer, header, rows = CSV_FORMATS[form]
+    text, message = MALFORMED_CSV[case]
+    path = tmp_path / "bad.csv"
+    path.write_text(text(header, rows))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message(header, rows)}')}$"):
+        reader(str(path))
+
+
+@pytest.mark.parametrize("form", CSV_FORMATS)
+def test_csv_blank_and_whitespace_lines_are_skipped(tmp_path, form):
+    reader, writer, header, rows = CSV_FORMATS[form]
+    path = tmp_path / "spaced.csv"
+    path.write_text(f"\n{header}\n{rows[0]}\n   \n{rows[1]}\n\t\n\n{rows[2]}\n\n")
+    assert writer(reader(str(path))) == "\n".join([header, *rows]) + "\n"
 
 
 def test_exact_scheme_overflow_prints_one_line():

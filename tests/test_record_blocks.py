@@ -36,7 +36,7 @@ from ringfield.experiments import (
     even_odd_comparison,
     paper_table_grid,
 )
-from ringfield.evolve import EULER, EXACT, _dense_euler_step
+from ringfield.evolve import EULER, EXACT, MAX_RECORDS, _dense_euler_step, record_steps
 from ringfield.ioutil import fmt
 from ringfield.kernels import g_site_matrix
 from ringfield.observables import (
@@ -405,6 +405,39 @@ def test_checkpoint_every_is_checked_by_name(fft_calls, checkpoint_every):
     with pytest.raises(ValueError, match=re.escape(message)):
         run(SMALL_STATE, EvolutionConfig(), 10, 5, checkpoint_every=checkpoint_every)
     assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
+
+
+# each would record MAX_RECORDS + 1 steps
+OVER_RECORD_BOUND = {
+    "record_steps": lambda: record_steps(MAX_RECORDS, 1),
+    "record_steps, with remainder": lambda: record_steps(3 * (MAX_RECORDS - 1) + 1, 3),
+    "run": lambda: run(SMALL_STATE, EvolutionConfig(), MAX_RECORDS, 1),
+    "run checkpoints": lambda: run(SMALL_STATE, EvolutionConfig(), MAX_RECORDS,
+                                   MAX_RECORDS, checkpoint_every=1),
+    "compare_rows": lambda: compare_rows(SMALL_STATE, TAU, MAX_RECORDS, 1),
+    "paper_table_grid": lambda: paper_table_grid(n_steps=10 * MAX_RECORDS),
+}
+
+
+@pytest.mark.parametrize("name", OVER_RECORD_BOUND)
+def test_record_count_above_the_bound_fails_before_any_transform(fft_calls, name):
+    with pytest.raises(ValueError, match=f"make {MAX_RECORDS + 1} records, more than {MAX_RECORDS}$"):
+        OVER_RECORD_BOUND[name]()
+    assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
+
+
+def test_record_bound_counts_the_list_it_refuses(monkeypatch):
+    """The count is the list's length: every list up to the bound is
+    built, and every longer one refused."""
+    monkeypatch.setattr(ringfield.evolve, "MAX_RECORDS", 5)
+    for n_steps in range(30):
+        for record_every in range(1, 12):
+            expected = sorted({n_steps, *range(0, n_steps + 1, record_every)})
+            if len(expected) <= 5:
+                assert record_steps(n_steps, record_every) == expected
+            else:
+                with pytest.raises(ValueError, match=f"make {len(expected)} records"):
+                    record_steps(n_steps, record_every)
 
 
 # tau g^2 N^2 = 5e-3 (2 pi)^2 = 0.197: above the warning threshold, below the limit
