@@ -26,10 +26,10 @@ sign-corrected translation, and the two part ways once amplitude
 crosses the index seam.
 
 So n steps are one multiplier raised to the power n.  ``run``
-transforms the initial state once and builds only the rows it records,
-a block (``observables.row_blocks``) at a time (``_power_blocks``): the
-rows c_hat_0 m^n go through one batched inverse transform, so a record
-costs one transform, and memory stays flat as the record count grows.
+transforms the initial state once and builds and measures only the rows
+it records or checkpoints, a block (``observables.row_blocks``) at a
+time (``_power_blocks``): the rows c_hat_0 m^n go through one batched
+inverse transform, so a row costs one transform and memory stays flat.
 Its M and <P> columns come from one ``observables.spectral_series`` of
 |c_hat_0|^2 whenever the step is diagonal in the unbiased basis, the
 reduction behind ``compare``'s and the conservation table's closed
@@ -38,12 +38,12 @@ measured site-space M of each row, held to that series (Parseval).  The
 naive even Euler step multiplies the storage-order DFT instead, so each
 of its rows reduces its own occupation.  ``advance`` is the one step
 function: n steps of any kind.  Every step count passes
-``state._check_integer``, and every linearised step the tau bound
-(``check_tau_bound``, called where the step is built: ``propagator``
-and ``_dense_euler_step``), before any transform.  The paper's
-site-space step on both parities, the direct O(N^2) correlation
-``_dense_euler_step``, is on no public path: it is the reference of
-``verify``'s identity suite and of the tests.
+``state._check_integer`` (in ``advance`` or ``record_steps``), and every
+linearised step the tau bound (``check_tau_bound``, called where the
+step is built: ``propagator`` and ``_dense_euler_step``), before any
+transform.  The paper's site-space step on both parities, the direct
+O(N^2) correlation ``_dense_euler_step``, is on no public path: it is
+the reference of ``verify``'s identity suite and of the tests.
 """
 
 from __future__ import annotations
@@ -204,14 +204,12 @@ def _power_blocks(
     check, unless some n >= 1), the c_hat_0 of ``state`` that it
     multiplies, and an iterator of ``(rows, block)``: a slice of
     ``steps`` and its states, a block at a time (module docstring), with
-    ``state`` exactly at n = 0.  Raises ``ValueError``, before any
-    transform, for a count that is not an integer >= 0 or a ``state``
-    that is a block, and, while iterating, for a row that leaves the
-    finite floats."""
+    ``state`` exactly at n = 0.  Each n is an integer >= 0, checked by
+    the caller.  Raises ``ValueError``, before any transform, for a
+    ``state`` that is a block, and, while iterating, for a row that
+    leaves the finite floats."""
     lattice = state.lattice
     _require_one_state(state, "evolution")
-    for n in steps:
-        _check_integer("step count", n, 0)
     at_zero = np.asarray(steps) == 0
     prop = None if at_zero.all() else propagator(lattice, kind, step)
     naive = prop is not None and prop.storage_dft
@@ -293,10 +291,11 @@ def run(
     Snapshots are taken at the ``record_steps`` of ``record_every``, and
     ``checkpoint_every`` > 0 also stores full states at its own.  Only
     those rows are built, a block at a time (module docstring), by one
-    propagator, which checks the tau bound; their <P> and <V> come from
-    one ``spectral_series`` on the diagonal steps, as ``compare``'s do.
-    A count that is not an integer >= 0 (``record_every`` >= 1) raises
-    ``ValueError`` first.
+    propagator, which checks the tau bound, and all are measured: a
+    checkpoint passes the Parseval check of a record.  Their <P> and <V>
+    come from one ``spectral_series`` on the diagonal steps, as
+    ``compare``'s do.  A count that is not an integer >= 0
+    (``record_every`` >= 1) raises ``ValueError`` first.
     """
     recorded = set(record_steps(n_steps, record_every))
     _check_integer("checkpoint_every", checkpoint_every, 0)
@@ -311,13 +310,10 @@ def run(
     records = []
     checkpoints: dict[int, FieldState] = {}
     for rows, block in blocks:
-        chunk = steps[rows]
-        kept = [row for row, step in enumerate(chunk) if step in recorded]
-        if kept:
-            measured = block if len(kept) == len(chunk) else block.row(kept)
-            columns = None if spectral is None else spectral[:, rows][:, kept]
-            records.extend(snapshots(measured, [chunk[row] for row in kept], columns))
-        for row, step in enumerate(chunk):
-            if step in stored:
-                checkpoints[step] = state if step == 0 else block.row(row)
+        measured = snapshots(block, steps[rows], None if spectral is None else spectral[:, rows])
+        for row, snap in enumerate(measured):
+            if snap.step in recorded:
+                records.append(snap)
+            if snap.step in stored:
+                checkpoints[snap.step] = state if snap.step == 0 else block.row(row)
     return TimeSeries(snapshots=tuple(records), checkpoints=checkpoints)

@@ -158,13 +158,16 @@ def _load(lines, dtype: np.dtype) -> np.ndarray | None:
 
 def _row_error(path: str, header: str, dtype: np.dtype, rows) -> ValueError:
     """The error for the first (line number, text) row that does not
-    parse alone: a field's ``int`` or ``float`` error, or else the header
-    the row should match."""
+    parse alone: a field's ``int`` or ``float`` error, a label outside
+    the int64 range, or else the header the row should match."""
     lineno, line = next(row for row in rows if _load([row[1]], dtype) is None)
     label, *values = line.split(",")
     if len(values) == header.count(","):
         try:
-            int(label), [float(value) for value in values]
+            number, _floats = int(label), [float(value) for value in values]
         except ValueError as exc:
             return ValueError(f"{path}: line {lineno}: {exc}")
+        bounds = np.iinfo(np.int64)
+        if not bounds.min <= number <= bounds.max:
+            return ValueError(f"{path}: line {lineno}: label {number} is outside the int64 range")
     return ValueError(f"{path}: line {lineno}: expected {header}, got {line!r}")

@@ -375,6 +375,13 @@ def test_grid_equals_its_nine_rows(n_steps, seed):
             assert checks[f"{shape} tau={tau:g} max variation"].value == max(row)
 
 
+@IGNORE_TAU_WARNING
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 7: relvar <V> of a random state is ill-conditioned")
+def test_table_passes_at_seed_1():
+    assert paper_table_grid(seed=1).passed
+
+
 def test_negative_seed_is_rejected_before_any_row(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a row started")

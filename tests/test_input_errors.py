@@ -315,17 +315,32 @@ MALFORMED_CSV = {
     "wrong field count": (
         lambda header, rows: f"{header}\n{rows[0]}\n\n{rows[1]},7\n{rows[2]}\n",
         lambda header, rows: f"line 4: expected {header}, got {rows[1] + ',7'!r}"),
+    "too few fields": (
+        lambda header, rows: f"{header}\n{rows[0]}\n\n0,1.0\n{rows[2]}\n",
+        lambda header, rows: f"line 4: expected {header}, got '0,1.0'"),
     "value that does not parse": (
         lambda header, rows: f"{header}\n{rows[0]}\n{rows[1][:-3]}one\n{rows[2]}\n",
         lambda header, rows: "line 3: could not convert string to float: 'one'"),
     "label that is not an integer": (
         lambda header, rows: f"{header}\n{rows[0]}\n0.0{rows[1][rows[1].index(','):]}\n",
         lambda header, rows: "line 3: invalid literal for int() with base 10: '0.0'"),
+    "fractional label": (
+        lambda header, rows: f"{header}\n{rows[0]}\n1.5{rows[1][rows[1].index(','):]}\n",
+        lambda header, rows: "line 3: invalid literal for int() with base 10: '1.5'"),
+    "label outside the int64 range": (
+        lambda header, rows: f"{header}\n99999999999999999999{rows[0][rows[0].index(','):]}\n",
+        lambda header, rows: "line 2: label 99999999999999999999 is outside the int64 range"),
     "no rows": (
         lambda header, rows: f"\n{header}\n\n   \n",
         lambda header, rows: f"no {header} rows"),
+    "header only": (
+        lambda header, rows: f"{header}\n",
+        lambda header, rows: f"no {header} rows"),
     "wrong header": (
         lambda header, rows: header.replace(",", ";", 1) + "\n" + "\n".join(rows) + "\n",
+        lambda header, rows: f"expected header {header!r}"),
+    "x,y header": (
+        lambda header, rows: "x,y\n1,2\n",
         lambda header, rows: f"expected header {header!r}"),
 }
 

@@ -25,7 +25,6 @@ from ringfield import (
 from ringfield.evolve import (
     EULER,
     EXACT,
-    _power_blocks,
     advance,
     propagator,
 )
@@ -201,32 +200,25 @@ def test_even_naive_is_not_a_step_kind(lattice):
 SMALL = gaussian_state(make_lattice(101), 0, 5.0, 3)
 BAD_STEP_COUNTS = [
     # tau g^2 N^2 = 39.5 is far past the bound, which only n > 0 checks
-    ("advance", EULER, 1.0, -1),
-    ("advance", EULER, 1e-3, -1),
-    ("advance", EULER, 1e-3, 2.5),
-    ("advance", EULER, 1e-3, 0.0),
-    ("advance", EXACT, 0.1, -1),
-    ("advance", EXACT, 0.1, 0.5),
-    ("_power_blocks", EULER, 1e-3, [0, -1]),
-    ("_power_blocks", EULER, 1e-3, [0, 2.5]),
-    ("_power_blocks", EXACT, 0.1, [np.int64(-2)]),
+    (EULER, 1.0, -1),
+    (EULER, 1e-3, -1),
+    (EULER, 1e-3, 2.5),
+    (EULER, 1e-3, 0.0),
+    (EXACT, 0.1, -1),
+    (EXACT, 0.1, 0.5),
 ]
 
 
-@pytest.mark.parametrize("call, kind, step, count", BAD_STEP_COUNTS,
-                         ids=[f"{c} {k} {s:g} {n}" for c, k, s, n in BAD_STEP_COUNTS])
-def test_step_counts_must_be_non_negative_integers(monkeypatch, call, kind, step, count):
+@pytest.mark.parametrize("kind, step, count", BAD_STEP_COUNTS,
+                         ids=[f"advance {k} {s:g} {n}" for k, s, n in BAD_STEP_COUNTS])
+def test_step_counts_must_be_non_negative_integers(monkeypatch, kind, step, count):
     def forbidden(*args, **kwargs):
         raise AssertionError("a transform ran before the step count was checked")
 
     for name in ("fft", "ifft", "rfft"):
         monkeypatch.setattr(np.fft, name, forbidden)
-    bad = count if call == "advance" else count[-1]
-    with pytest.raises(ValueError, match=re.escape(f"(got {bad!r})")):
-        if call == "advance":
-            advance(SMALL, kind, step, count)
-        else:
-            list(_power_blocks(SMALL, kind, step, count))
+    with pytest.raises(ValueError, match=re.escape(f"(got {count!r})")):
+        advance(SMALL, kind, step, count)
 
 
 def test_numpy_integer_step_counts_count():

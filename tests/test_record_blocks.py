@@ -249,6 +249,23 @@ def test_corrupted_transform_of_a_late_row_raises(monkeypatch):
         run(state, EvolutionConfig(), 100, record_every=1)
 
 
+def test_corrupted_checkpoint_at_an_unrecorded_step_raises(monkeypatch):
+    """A checkpoint that is no record is measured too: its row passes
+    the same Parseval check, so a broken step cannot be written as a
+    state unchecked."""
+    original = ringfield.evolve.Propagator.amplitudes_after
+
+    def scale_step_7(self, coefficients, steps):
+        amplitudes = original(self, coefficients, steps)
+        amplitudes[np.asarray(steps) == 7] *= 1 + 1e-6
+        return amplitudes
+
+    monkeypatch.setattr(ringfield.evolve.Propagator, "amplitudes_after", scale_step_7)
+    state = random_state(make_lattice(101), 3)
+    with pytest.raises(ConsistencyError, match="Parseval"):
+        run(state, EvolutionConfig(), 20, record_every=5, checkpoint_every=7)
+
+
 def test_overflowing_row_raises_value_error():
     state = random_state(make_lattice(101), 0)
     with warnings.catch_warnings():

@@ -349,9 +349,3 @@ class TestSerialization:
         back = read_state_csv(str(path))
         assert back.lattice.parity == "even"
         np.testing.assert_array_equal(back.a, state.a)
-
-    def test_csv_header_guard(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x,y\n1,2\n")
-        with pytest.raises(ValueError):
-            read_state_csv(str(path))
