@@ -26,10 +26,11 @@ sign-corrected translation, and the two part ways once amplitude
 crosses the index seam.
 
 So n steps are one multiplier raised to the power n.  ``run``
-transforms the initial state once and builds and measures only the rows
-it records or checkpoints, a block (``observables.row_blocks``) at a
-time (``_power_blocks``): the rows c_hat_0 m^n go through one batched
-inverse transform, so a row costs one transform and memory stays flat.
+transforms the initial state once (``Propagator.coefficients``) and
+builds and measures only the rows it records or checkpoints, a block
+(``observables.row_blocks``) at a time: the rows c_hat_0 m^n go through
+one batched inverse transform (``Propagator.amplitudes_after``), so a
+row costs one transform and memory stays flat.
 Its M and <P> columns come from one ``observables.spectral_series`` of
 |c_hat_0|^2 whenever the step is diagonal in the unbiased basis, the
 reduction behind ``compare``'s and the conservation table's closed
@@ -37,7 +38,7 @@ forms (``experiments``), which build no rows.  ``m_total`` is the
 measured site-space M of each row, held to that series (Parseval).  The
 naive even Euler step multiplies the storage-order DFT instead, so each
 of its rows reduces its own occupation.  ``advance`` is the one step
-function: n steps of any kind.  Every step count passes
+function: n steps of any kind, one power of one row.  Every step count passes
 ``state._check_integer`` (in ``advance`` or ``record_steps``), and every
 linearised step the tau bound (``check_tau_bound``, called where the
 step is built: ``propagator`` and ``_dense_euler_step``), before any
@@ -51,7 +52,6 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +59,7 @@ import numpy as np
 from .basis import momentum_coefficients, site_amplitudes
 from .kernels import _euler_x, f_site_matrix
 from .lattice import EVEN, Lattice
-from .observables import row_blocks, snapshots, spectral_series
+from .observables import row_blocks, snapshot, snapshots, spectral_series
 from .series import TimeSeries
 from .state import FieldState, _check_integer, _require_one_state, state_from_amplitudes
 
@@ -144,6 +144,13 @@ class Propagator:
     log_multiplier: np.ndarray
     storage_dft: bool = False
 
+    def coefficients(self, amplitudes: np.ndarray) -> np.ndarray:
+        """The coefficients of site amplitudes (last axis) that the
+        multiplier acts on: the transform ``amplitudes_after`` inverts."""
+        if self.storage_dft:
+            return np.fft.fft(amplitudes)
+        return momentum_coefficients(self.lattice, amplitudes)
+
     def amplitudes_after(self, coefficients: np.ndarray, steps) -> np.ndarray:
         """The site amplitudes of the coefficient rows
         ``coefficients * m**n``, one per n of ``steps``, by one batched
@@ -197,47 +204,18 @@ def propagator(lattice: Lattice, kind: str, step: float) -> Propagator:
     return Propagator(lattice, log_m, storage_dft=naive)
 
 
-def _power_blocks(
-    state: FieldState, kind: str, step: float, steps: list[int]
-) -> tuple[Propagator | None, np.ndarray, Iterator[tuple[slice, FieldState]]]:
-    """The propagator for the n of ``steps`` (``None``, with no tau bound
-    check, unless some n >= 1), the c_hat_0 of ``state`` that it
-    multiplies, and an iterator of ``(rows, block)``: a slice of
-    ``steps`` and its states, a block at a time (module docstring), with
-    ``state`` exactly at n = 0.  Each n is an integer >= 0, checked by
-    the caller.  Raises ``ValueError``, before any transform, for a
-    ``state`` that is a block, and, while iterating, for a row that
-    leaves the finite floats."""
-    lattice = state.lattice
-    _require_one_state(state, "evolution")
-    at_zero = np.asarray(steps) == 0
-    prop = None if at_zero.all() else propagator(lattice, kind, step)
-    naive = prop is not None and prop.storage_dft
-    initial = np.fft.fft(state.c) if naive else momentum_coefficients(lattice, state.c)
-
-    def blocks():
-        for rows in row_blocks(len(steps), np.dtype(complex).itemsize * lattice.n_sites):
-            if prop is None:  # every row is n = 0
-                amplitudes = np.broadcast_to(state.c, (len(steps[rows]), lattice.n_sites))
-            else:
-                amplitudes = prop.amplitudes_after(initial, steps[rows])
-                amplitudes[at_zero[rows]] = state.c
-            yield rows, state_from_amplitudes(lattice, amplitudes)
-
-    return prop, initial, blocks()
-
-
 def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> FieldState:
     """The state after ``n_steps`` steps of one kind, ``euler``, ``exact``
     or ``translate``, with ``step`` read as ``propagator`` reads it (one
-    row of ``_power_blocks``); n = 0 returns ``state`` itself, with no
-    transform and no check of ``kind`` or ``step``."""
+    power of one row); n = 0 returns ``state`` itself, with no transform
+    and no check of ``kind`` or ``step``."""
     _check_integer("n_steps", n_steps, 0)
+    _require_one_state(state, "evolution")
     if n_steps == 0:
-        _require_one_state(state, "evolution")
         return state
-    _prop, _initial, blocks = _power_blocks(state, kind, step, [n_steps])
-    return next(blocks)[1].row(0)
+    prop = propagator(state.lattice, kind, step)
+    return state_from_amplitudes(
+        state.lattice, prop.amplitudes_after(prop.coefficients(state.c), [n_steps])[0])
 
 
 def _dense_euler_step(
@@ -294,22 +272,32 @@ def run(
     propagator, which checks the tau bound, and all are measured: a
     checkpoint passes the Parseval check of a record.  Their <P> and <V>
     come from one ``spectral_series`` on the diagonal steps, as
-    ``compare``'s do.  A count that is not an integer >= 0
-    (``record_every`` >= 1) raises ``ValueError`` first.
+    ``compare``'s do.  Step 0 is ``state`` itself; zero steps build no
+    propagator and check no tau bound.  A count that is not an integer
+    >= 0 (``record_every`` >= 1) raises ``ValueError`` first.
     """
     recorded = set(record_steps(n_steps, record_every))
     _check_integer("checkpoint_every", checkpoint_every, 0)
     stored = set(record_steps(n_steps, checkpoint_every) if checkpoint_every else ())
+    _require_one_state(state, "evolution")
+    if n_steps == 0:
+        return TimeSeries((snapshot(state, 0),), checkpoints=dict.fromkeys(stored, state))
     steps = sorted(recorded | stored)
-    prop, initial, blocks = _power_blocks(state, config.scheme, config.tau, steps)
+    lattice = state.lattice
+    prop = propagator(lattice, config.scheme, config.tau)
+    initial = prop.coefficients(state.c)
     spectral = None
-    if prop is None or not prop.storage_dft:  # diagonal in the unbiased basis
-        log_m = np.zeros(len(initial)) if prop is None else prop.log_multiplier.real  # m^0 = 1
-        spectral = np.stack(spectral_series(state.lattice, np.abs(initial) ** 2, log_m, steps))
+    if not prop.storage_dft:  # diagonal in the unbiased basis
+        spectral = np.stack(spectral_series(
+            lattice, np.abs(initial) ** 2, prop.log_multiplier.real, steps))
 
     records = []
     checkpoints: dict[int, FieldState] = {}
-    for rows, block in blocks:
+    for rows in row_blocks(len(steps), np.dtype(complex).itemsize * lattice.n_sites):
+        amplitudes = prop.amplitudes_after(initial, steps[rows])
+        if rows.start == 0:
+            amplitudes[0] = state.c  # steps[0] = 0: the state itself, bit for bit
+        block = state_from_amplitudes(lattice, amplitudes)
         measured = snapshots(block, steps[rows], None if spectral is None else spectral[:, rows])
         for row, snap in enumerate(measured):
             if snap.step in recorded:

@@ -159,7 +159,8 @@ def _load(lines, dtype: np.dtype) -> np.ndarray | None:
 def _row_error(path: str, header: str, dtype: np.dtype, rows) -> ValueError:
     """The error for the first (line number, text) row that does not
     parse alone: a field's ``int`` or ``float`` error, a label outside
-    the int64 range, or else the header the row should match."""
+    the int64 range, a field that only ``int`` and ``float`` read (a
+    digit separator: ``1_0``), or else the header the row should match."""
     lineno, line = next(row for row in rows if _load([row[1]], dtype) is None)
     label, *values = line.split(",")
     if len(values) == header.count(","):
@@ -170,4 +171,6 @@ def _row_error(path: str, header: str, dtype: np.dtype, rows) -> ValueError:
         bounds = np.iinfo(np.int64)
         if not bounds.min <= number <= bounds.max:
             return ValueError(f"{path}: line {lineno}: label {number} is outside the int64 range")
+        refused = next(text for text in (label, *values) if _load([text], np.dtype(float)) is None)
+        return ValueError(f"{path}: line {lineno}: cannot parse {refused!r}")
     return ValueError(f"{path}: line {lineno}: expected {header}, got {line!r}")

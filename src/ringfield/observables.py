@@ -56,6 +56,7 @@ from .lattice import EVEN, Lattice
 from .state import (
     DegenerateStateError,
     FieldState,
+    _check_integer,
     _require_one_state,
     combined_distribution,
     norm_m,
@@ -305,6 +306,7 @@ def snapshots(block: FieldState, steps, spectral=None) -> list[ObservableSnapsho
 
 def snapshot(state: FieldState, step: int) -> ObservableSnapshot:
     """Measure all reported observables of one state (``snapshots`` of
-    one row)."""
+    one row).  Raises ``ValueError`` unless ``step`` is an integer >= 0."""
+    _check_integer("step", step, 0)
     _require_one_state(state, "snapshot")
     return snapshots(state, (step,))[0]

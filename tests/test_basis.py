@@ -3,14 +3,17 @@ import pytest
 
 from oracles import direct_coefficients
 from ringfield import (
+    EvolutionConfig,
     make_lattice,
     norm_m,
     random_state,
+    run,
+    snapshot,
     state_from_amplitudes,
     to_momentum_basis,
 )
 from ringfield.basis import momentum_coefficients, site_amplitudes
-from ringfield.evolve import EULER, EXACT, _power_blocks
+from ringfield.evolve import EULER, EXACT, propagator
 from ringfield.lattice import make_even_lattice
 
 RNG = np.random.default_rng(11)
@@ -108,14 +111,19 @@ class TestDirectSum:
 @pytest.mark.parametrize("n, kind", [(21, EULER), (21, EXACT), (20, EULER), (20, EXACT)])
 @pytest.mark.parametrize("steps", [[0], [0, 5]], ids=["no step", "steps"])
 def test_step_zero_row_carries_the_state_spectrum(n, kind, steps):
-    """The c_hat_0 that ``_power_blocks`` builds its rows from (and
-    ``run`` its spectral series) is the state's own spectrum, bit for
-    bit; the naive even-lattice Euler step multiplies the storage-order
-    DFT.  The row at n = 0 is the state itself."""
+    """The c_hat_0 that ``run`` builds its rows (and its spectral
+    series) from is the state's own spectrum, bit for bit; the naive
+    even-lattice Euler step multiplies the storage-order DFT.  The row
+    at n = 0 is the state itself, measured as ``snapshot`` measures it."""
     state = random_state(_lattice(n), 7)
-    _prop, initial, blocks = _power_blocks(state, kind, 1e-3, steps)
-    naive = n % 2 == 0 and kind == EULER and steps[-1] > 0
+    n_steps = steps[-1]
+    if n_steps:
+        initial = propagator(state.lattice, kind, 1e-3).coefficients(state.c)
+    else:
+        initial = momentum_coefficients(state.lattice, state.c)
+    naive = n % 2 == 0 and kind == EULER and n_steps > 0
     expected = np.fft.fft(state.c) if naive else to_momentum_basis(state).coefficients
     assert initial.tobytes() == expected.tobytes()
-    _rows, block = next(blocks)
-    assert block.c[0].tobytes() == state.c.tobytes()
+    series = run(state, EvolutionConfig(1e-3, kind), n_steps, 5, checkpoint_every=5)
+    assert series.snapshots[0] == snapshot(state, 0)
+    assert series.checkpoints[0] is state

@@ -26,7 +26,7 @@ from ringfield import (
     run,
 )
 from ringfield.basis import momentum_coefficients
-from ringfield.evolve import EULER, _dense_euler_step, _power_blocks, propagator, record_steps
+from ringfield.evolve import EULER, _dense_euler_step, propagator, record_steps
 from ringfield.experiments import (
     TABLE_SHAPES,
     TABLE_TAUS,
@@ -38,8 +38,8 @@ from ringfield.experiments import (
 )
 from ringfield.kernels import SITE_MATRIX_MAX_SITES, f_site_matrix, g_site_matrix, kernel_f
 from ringfield.lattice import make_even_lattice
-from ringfield.observables import spectral_series
-from ringfield.state import norm_m
+from ringfield.observables import row_blocks, spectral_series
+from ringfield.state import norm_m, state_from_amplitudes
 
 from oracles import odd_part_drift, residue_sums
 
@@ -231,9 +231,12 @@ def _block_path_columns(state, tau, steps):
     """M and <V> of every recorded state, built a block at a time and
     measured from its own occupation (the table's path before the closed
     form)."""
+    lattice = state.lattice
+    prop = propagator(lattice, EULER, tau)
+    initial = prop.coefficients(state.c)
     m_total, drift = [], []
-    _prop, _initial, blocks = _power_blocks(state, EULER, tau, steps)
-    for _rows, block in blocks:
+    for rows in row_blocks(len(steps), np.dtype(complex).itemsize * lattice.n_sites):
+        block = state_from_amplitudes(lattice, prop.amplitudes_after(initial, steps[rows]))
         m_total.append(norm_m(block))
         drift.append(odd_part_drift(block))
     return np.concatenate(m_total), np.concatenate(drift)

@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
+import ringfield.evolve
 from ringfield import (
     EvolutionConfig,
     TimestepBoundError,
     advance,
+    make_even_lattice,
     make_lattice,
     norm_m,
     random_state,
     gaussian_state,
     run,
+    snapshot,
     state_from_amplitudes,
     to_momentum_basis,
 )
-from ringfield.evolve import EULER
+from ringfield.evolve import EULER, EXACT
 from ringfield.state import _new_state
 
 from oracles import euler_step, translate
@@ -166,6 +169,26 @@ class TestRun:
         series = run(state, EvolutionConfig(), 0, record_every=10)
         assert len(series.snapshots) == 1
         assert series.snapshots[0].step == 0
+
+    @pytest.mark.parametrize("scheme", [EULER, EXACT])
+    @pytest.mark.parametrize("lattice", [make_lattice(101), make_even_lattice(100)],
+                             ids=["odd", "even"])
+    def test_zero_steps_return_before_any_propagator(self, monkeypatch, lattice, scheme):
+        """No step builds no propagator: the one snapshot is the state's
+        own, as at step 0 of a longer run, and its checkpoint the state."""
+        state = gaussian_state(lattice, 0, 5.0, 3)
+        config = EvolutionConfig(scheme=scheme)
+        step_zero = run(state, config, 20, 10).snapshots[0]
+
+        def no_propagator(*_args):
+            raise AssertionError("zero steps built a propagator")
+
+        monkeypatch.setattr(ringfield.evolve, "propagator", no_propagator)
+        series = run(state, config, 0, checkpoint_every=1)
+        assert series.snapshots == (snapshot(state, 0),)
+        assert series.snapshots[0] == step_zero
+        assert series.checkpoints == {0: state}
+        assert series.checkpoints[0] is state
 
     def test_record_every_and_final(self):
         state = gaussian_state(LAT, 0, 10.0, 20)

@@ -22,6 +22,7 @@ from ringfield import (
     random_state,
     read_state_csv,
     read_timeseries_csv,
+    snapshot,
     uniform_state,
 )
 from ringfield.cli import main
@@ -192,6 +193,7 @@ BOOL_COUNTS = {
     "identity_suite": (lambda: identity_suite([3], states_per_n=True), "states_per_n"),
     "RunConfig": (lambda: RunConfig(record_every=True), "record_every"),
     "even_odd_comparison": (lambda: even_odd_comparison(n_steps=True), "n_steps"),
+    "snapshot": (lambda: snapshot(gaussian_state(make_lattice(21), 0, 2.0), True), "step"),
 }
 
 
@@ -202,6 +204,14 @@ def test_a_bool_is_not_a_count(name):
     call, field = BOOL_COUNTS[name]
     with pytest.raises(ValueError, match=f"^{field} must be an integer >= [01] [(]got True[)]$"):
         call()
+
+
+@pytest.mark.parametrize("step", [2.5, "7", -1])
+def test_snapshot_step_is_a_whole_number_at_least_0(step):
+    """A step label is kept as given or refused, never truncated."""
+    state = gaussian_state(make_lattice(21), 0, 2.0)
+    with pytest.raises(ValueError, match=f"^step must be an integer >= 0 [(]got {step!r}[)]$"):
+        snapshot(state, step)
 
 
 BAD_SEEDS = {
@@ -327,6 +337,13 @@ MALFORMED_CSV = {
     "fractional label": (
         lambda header, rows: f"{header}\n{rows[0]}\n1.5{rows[1][rows[1].index(','):]}\n",
         lambda header, rows: "line 3: invalid literal for int() with base 10: '1.5'"),
+    "digit separator in a label": (
+        lambda header, rows: f"{header}\n{rows[0]}\n1_0{rows[1][rows[1].index(','):]}\n",
+        lambda header, rows: "line 3: cannot parse '1_0'"),
+    "digit separator in a value": (
+        lambda header, rows: f"{header}\n{rows[0]}\n{rows[1].split(',')[0]},1_0,"
+                             f"{rows[1].split(',', 2)[2]}\n",
+        lambda header, rows: "line 3: cannot parse '1_0'"),
     "label outside the int64 range": (
         lambda header, rows: f"{header}\n99999999999999999999{rows[0][rows[0].index(','):]}\n",
         lambda header, rows: "line 2: label 99999999999999999999 is outside the int64 range"),
