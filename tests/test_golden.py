@@ -1,6 +1,6 @@
-"""The text reports of ``paper-table`` and ``even-odd``, the ``run`` and
-``compare`` CSV files and the odd and even checkpoints are byte-stable:
-they match the committed fixtures in ``tests/data``."""
+"""The text reports of ``verify``, ``paper-table`` and ``even-odd``, the
+``run`` and ``compare`` CSV files and the odd and even checkpoints are
+byte-stable: they match the committed fixtures in ``tests/data``."""
 
 from pathlib import Path
 
@@ -17,6 +17,8 @@ DATA = Path(__file__).resolve().parent / "data"
 @pytest.mark.parametrize("argv, fixture", [
     (["paper-table"], "paper_table.txt"),
     (["even-odd"], "even_odd.txt"),
+    (["verify"], "verify.txt"),
+    (["verify", "--max-n", "21"], "verify_max_n_21.txt"),
 ])
 def test_stdout_matches_fixture(argv, fixture, capsys):
     assert main(argv) == 0
