@@ -41,10 +41,11 @@ of its rows reduces its own occupation.  ``advance`` is the one step
 function: n steps of any kind, one power of one row.  Every step count passes
 ``state._check_integer`` (in ``advance`` or ``record_steps``), and every
 linearised step the tau bound (``check_tau_bound``, called where the
-step is built: ``propagator`` and ``_dense_euler_step``), before any
-transform.  The paper's site-space step on both parities, the direct
-O(N^2) correlation ``_dense_euler_step``, is on no public path: it is
-the reference of ``verify``'s identity suite and of the tests.
+step is built, in ``propagator``), before any transform.  The
+paper's site-space step, the direct O(N^2) correlation with a dense F,
+is not in this module: ``verify``'s identity suite takes it on its own
+small lattices (``experiments``, N <= ``IDENTITY_MAX_SITES``), and the
+tests' reference copy on both parities is in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import momentum_coefficients, site_amplitudes
-from .kernels import _euler_x, f_site_matrix
+from .kernels import _euler_x
 from .lattice import EVEN, Lattice
 from .observables import row_blocks, snapshot, snapshots, spectral_series
 from .series import TimeSeries
@@ -216,27 +217,6 @@ def advance(state: FieldState, kind: str, step: float, n_steps: int = 1) -> Fiel
     prop = propagator(state.lattice, kind, step)
     return state_from_amplitudes(
         state.lattice, prop.amplitudes_after(prop.coefficients(state.c), [n_steps])[0])
-
-
-def _dense_euler_step(
-    lattice: Lattice, a: np.ndarray, b: np.ndarray, tau: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The reaction step as the direct O(N^2) correlation with the dense
-    F (wrapped modulo N on an even lattice: the naive step), on raw
-    fields: the stepped ``(a, b)``, after the tau bound check.  Raises
-    ``ValueError`` before any allocation for N > ``kernels.SITE_MATRIX_MAX_SITES``.
-
-    The fields hold one state per row with the sites on the last axis,
-    shape (R, N) or (N,).  F acts on each row as a stacked matrix-vector
-    product, which gives every row bitwise the result of ``F @ row``;
-    the equivalent ``a @ F.T`` is one matrix product and does not.
-    """
-    check_tau_bound(tau, lattice)
-    fmat = f_site_matrix(lattice)
-    scale = tau * lattice.reciprocal_constant**2
-    created_a = np.matmul(fmat, b[..., None])[..., 0]
-    created_b = np.matmul(fmat, a[..., None])[..., 0]
-    return a + scale * created_a, b - scale * created_b
 
 
 def record_steps(n_steps: int, record_every: int) -> list[int]:

@@ -36,8 +36,9 @@ state after the final step, built by one inverse transform, must be
 finite (``ValueError``) and carry the predicted M (both by
 ``observables._check_parseval``).  ``compare_rows`` builds the exact
 final state too and holds it to M_0 and to the deviation.  The tests
-hold the table against the M and <V> that ``run`` records.  No
-procedure checks the tau bound itself: the steps ``evolve`` builds do.
+hold the table against the M and <V> that ``run`` records.  The steps
+``evolve`` builds check the tau bound; the one step built here, the
+identity suite's dense Euler step, checks it before any matrix exists.
 
 No procedure does the same work twice.  The table's grid evaluates its
 nine rows at once (``paper_table_grid``): one batched forward
@@ -63,22 +64,15 @@ from .evolve import (
     EXACT,
     EvolutionConfig,
     _check_tau,
-    _dense_euler_step,
     advance,
+    check_tau_bound,
     propagator,
     record_steps,
     run,
 )
 from .ioutil import atomic_write_text
-from .kernels import (
-    ConsistencyError,
-    _euler_x,
-    f_site_matrix,
-    g_site_matrix,
-    kernel_f,
-    kernel_g,
-)
-from .lattice import ODD, make_even_lattice, make_lattice
+from .kernels import ConsistencyError, _euler_x, kernel_f, kernel_g
+from .lattice import ODD, make_even_lattice, make_lattice, wrap_index
 from .observables import (
     _check_parseval,
     _euler_increase,
@@ -130,6 +124,10 @@ RANDOM_DEGRADATION_FACTOR = 10.0
 IDENTITY_N_LIST = (3, 5, 9, 15, 21)
 IDENTITY_STATES_PER_N = 50
 IDENTITY_TAU = 2e-3
+# the largest lattice ``identity_suite`` takes: its dense N x N matrices
+# and their products peak at about 56 N^2 bytes (tracemalloc: 0.6 MB at
+# N = 101, 36 MB at N = 801), so a larger N is refused before any allocation
+IDENTITY_MAX_SITES = 801
 KERNEL_ORACLE_N_LIST = (3, 5, 7, 21, 101, 801)
 
 ORDER_TAUS = (4e-3, 2e-3, 1e-3, 5e-4)
@@ -446,6 +444,18 @@ def _check_sizes(n_sites_list) -> None:
         raise ValueError("n_sites_list must name at least one lattice size")
 
 
+def _dense_reaction_step(fmat: np.ndarray, scale: float, a: np.ndarray, b: np.ndarray):
+    """One reaction step of every row of the fields ``(a, b)``, shape
+    (R, N), as the direct O(N^2) correlation with the dense F ``fmat``:
+    a + scale F b and b - scale F a, with scale = tau g^2.  F acts on
+    each row as a stacked matrix-vector product, which gives every row
+    bitwise the result of ``F @ row``; the equivalent ``a @ F.T`` is one
+    matrix product and does not."""
+    created_a = np.matmul(fmat, b[..., None])[..., 0]
+    created_b = np.matmul(fmat, a[..., None])[..., 0]
+    return a + scale * created_a, b - scale * created_b
+
+
 def identity_suite(
     n_sites_list=IDENTITY_N_LIST,
     states_per_n: int = IDENTITY_STATES_PER_N,
@@ -459,35 +469,47 @@ def identity_suite(
     * the F with F convolution collapses to the k^4 spectral sum;
     * sum_s [F(u-s) G(s-r) - G(u-s) F(s-r)] vanishes.
 
-    Restricted to small odd N where the O(N^3) matrix products stay
-    cheap; memory is O(N^2), as the k^4 sum is taken per residue d mod N
-    (``_residue_sums``).  The ``states_per_n`` random states of a
-    lattice, each at both normalisations, form one block of rows, which
-    takes one dense reference step of ``IDENTITY_TAU``
-    (``_dense_euler_step``, tau bound check included); both the block
-    and the stepped block must be finite (``ValueError``).  Raises
-    ``ValueError`` first for no lattice, ``states_per_n`` < 1 or a seed
-    that is not an integer >= 0.
+    Builds the dense F([s - r]) (wrapped modulo N) and G(s - r) of each
+    lattice from the closed forms, so it takes small odd N only, where
+    the O(N^3) matrix products stay cheap: at most
+    ``IDENTITY_MAX_SITES`` = 801 sites, a peak of about 56 N^2 bytes.
+    The k^4 sum is taken per residue d mod N (``_residue_sums``), so
+    memory is O(N^2).  The ``states_per_n`` random states of a lattice,
+    each at both normalisations, form one block of rows, which takes one
+    dense Euler step of ``IDENTITY_TAU`` (``_dense_reaction_step``);
+    both the block and the stepped block must be finite
+    (``ValueError``).  Raises ``ValueError`` first for no lattice,
+    ``states_per_n`` < 1, a seed that is not an integer >= 0 or a
+    lattice past the cap, and checks the tau bound of every lattice
+    (``check_tau_bound``, ``TimestepBoundError``), before any matrix is
+    built.
     """
     _check_sizes(n_sites_list)
     _check_integer("states_per_n", states_per_n, 1)
     _check_seed(seed)
-    rng = np.random.default_rng(seed)
     tau = IDENTITY_TAU
+    lattices = [make_lattice(n) for n in n_sites_list]
+    for lattice in lattices:
+        if lattice.n_sites > IDENTITY_MAX_SITES:
+            raise ValueError(f"identity_suite builds dense matrices for N <= "
+                             f"{IDENTITY_MAX_SITES} only (got N = {lattice.n_sites})")
+        check_tau_bound(tau, lattice)
+    rng = np.random.default_rng(seed)
     worst_m = worst_conv = worst_comm = 0.0
-    for n in n_sites_list:
-        lattice = make_lattice(n)
+    for lattice in lattices:
+        n = lattice.n_sites
         g = lattice.reciprocal_constant
-        fmat = f_site_matrix(lattice)
-        gmat = g_site_matrix(lattice)
+        sites = lattice.sites()
+        disp = sites[:, None] - sites[None, :]
+        fmat = kernel_f(wrap_index(disp, lattice), lattice)
+        gmat = kernel_g(disp, lattice)
         conv = fmat @ fmat
 
         # convolution identity against the direct k^4 sum at (s - r) mod N,
-        # scaled by its value at d = 0
-        sites = lattice.sites()
+        # scaled by its value at d = 0 (no residual matrix outlives this)
         (quartic,) = _residue_sums(lattice, ((4, np.cos),))
-        residual = np.abs(conv - quartic[(sites[:, None] - sites[None, :]) % n]) / quartic[0]
-        worst_conv = float(np.maximum(worst_conv, np.max(residual)))
+        gap = np.max(np.abs(conv - quartic[disp % n]) / quartic[0])
+        worst_conv = float(np.maximum(worst_conv, gap))
 
         # commutator of the two kernels
         f0 = kernel_f(0, lattice)
@@ -502,7 +524,7 @@ def identity_suite(
         block = state_from_amplitudes(
             lattice, np.concatenate([amps * np.sqrt(m_target) for m_target in (1.0, 7.0)])
         )
-        stepped_a, stepped_b = _dense_euler_step(lattice, block.a, block.b, tau)
+        stepped_a, stepped_b = _dense_reaction_step(fmat, tau * g**2, block.a, block.b)
         stepped = state_from_amplitudes(lattice, stepped_a + 1j * stepped_b)
         measured = norm_m(stepped) - norm_m(block)
         conv_c = np.matmul(conv, block.c[..., None])[..., 0]  # bitwise conv @ c per row

@@ -18,11 +18,12 @@ spectral sums over the momentum index,
 
 for every odd N.  Production applies F and G in the momentum basis, as
 kappa^2 and i kappa (``_euler_x``), and reads the closed-form F only
-for the naive even-mode step's eigenvalues.  The rest are oracles: the
-closed forms build the dense site matrices of ``verify``'s identity
-suite and of the tests' reference step, for N up to
-``SITE_MATRIX_MAX_SITES``.  The package holds no spectral form: the
-direct sums that check the closed forms are
+for the naive even-mode step's eigenvalues.  The rest are oracles, and
+this module builds no N x N matrix.  ``verify``'s identity suite builds
+its own small dense F and G from the closed forms, for N up to
+``experiments.IDENTITY_MAX_SITES``, and the tests' cached dense
+builders and reference step live in ``tests/oracles.py``.  The package
+holds no spectral form: the direct sums that check the closed forms are
 ``experiments._residue_sums`` (``verify``) and the tests' own.
 
 For odd N both kernels are N-periodic, so evaluating them at unwrapped
@@ -32,8 +33,6 @@ exactly the sign structure of the sign-corrected even-mode evolution.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -93,57 +92,3 @@ def _euler_x(lattice: Lattice, tau) -> np.ndarray:
         return tau * g * g * np.fft.fft(column).real
     kappa = lattice.momentum_values()
     return tau * g * g * (kappa * kappa)
-
-
-# only the oracles build dense matrices (the identity suite, the tests);
-# one takes 8 N^2 bytes (128 MB at N = 4001), so each of the two builders
-# keeps only the matrices of its two most recent lattices
-SITE_MATRIX_CACHE_SIZE = 2
-# largest lattice the builders accept, for ``identity_suite`` and the
-# tests' dense step: it peaks at about 33 N^2 bytes (21 MB at N = 801,
-# 8.4 GB at N = 16001), so a larger N is refused before any allocation
-SITE_MATRIX_MAX_SITES = 4001
-
-
-def _site_matrix_builder(build):
-    """``build`` cached like ``lru_cache``, refusing a lattice of more
-    than ``SITE_MATRIX_MAX_SITES`` sites before the cache is consulted."""
-    cached = lru_cache(maxsize=SITE_MATRIX_CACHE_SIZE)(build)
-
-    @wraps(build)
-    def builder(lattice: Lattice) -> np.ndarray:
-        if lattice.n_sites > SITE_MATRIX_MAX_SITES:
-            raise ValueError(
-                f"dense site matrices are built for N <= {SITE_MATRIX_MAX_SITES} "
-                f"only (got N = {lattice.n_sites})"
-            )
-        return cached(lattice)
-
-    builder.cache_info = cached.cache_info
-    builder.cache_clear = cached.cache_clear
-    return builder
-
-
-@_site_matrix_builder
-def f_site_matrix(lattice: Lattice) -> np.ndarray:
-    """Dense matrix F([s - r]) over all site pairs, wrapped modulo N.
-
-    This is the circulant applied by one reaction step.  For even
-    lattices the wrap is the naive periodic one, which is what the
-    even demonstration mode evolves with.
-    """
-    sites = lattice.sites()
-    disp = wrap_index(sites[:, None] - sites[None, :], lattice)
-    mat = kernel_f(disp, lattice)
-    mat.setflags(write=False)
-    return mat
-
-
-@_site_matrix_builder
-def g_site_matrix(lattice: Lattice) -> np.ndarray:
-    """Dense matrix G(s - r) over all site pairs, unwrapped displacements."""
-    sites = lattice.sites()
-    disp = sites[:, None] - sites[None, :]
-    mat = kernel_g(disp, lattice)
-    mat.setflags(write=False)
-    return mat

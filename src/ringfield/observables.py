@@ -17,8 +17,9 @@ odd part of the occupation:
 
     <V> = g sum_k kappa (|c_hat_k|^2 - |c_hat_-k|^2),    <P> = <V> / 2,
 
-with no N x N matrix.  The double sums over the dense
-``g_site_matrix`` stay as the test oracle.
+with no N x N matrix.  The double sums over a dense G stay as the test
+oracle (``tests/oracles.py`` builds it); in the package only ``verify``'s
+identity suite builds G, for N <= ``experiments.IDENTITY_MAX_SITES``.
 Position mean and spread are circular moments, since the lattice is a
 circle and linear moments stop meaning anything once a packet wraps.
 
@@ -282,16 +283,18 @@ class ObservableSnapshot:
 def snapshots(block: FieldState, steps, spectral=None) -> list[ObservableSnapshot]:
     """Measure all reported observables of every row of a block.
 
-    ``steps`` labels the rows in order, one label per row (``ValueError``
-    otherwise).  ``spectral``, the rows' spectral M and <P> when the
-    caller holds them, spares the forward transform
-    (``_measured_columns``); <V> = 2 <P>.  The combined distribution is
-    computed once per block and shared by the position columns.  Raises
-    ``ConsistencyError`` when a row fails the Parseval check and
-    ``DegenerateStateError`` when a row has M = 0.
+    ``steps`` labels the rows in order, one integer >= 0 per row
+    (``ValueError`` otherwise, before any work).  ``spectral``, the
+    rows' spectral M and <P> when the caller holds them, spares the
+    forward transform (``_measured_columns``); <V> = 2 <P>.  The
+    combined distribution is computed once per block and shared by the
+    position columns.  Raises ``ConsistencyError`` when a row fails the
+    Parseval check and ``DegenerateStateError`` when a row has M = 0.
     """
     lattice = block.lattice
     steps = list(steps)
+    for step in steps:
+        _check_integer("step", step, 0)
     n_rows = block.c.size // lattice.n_sites
     if len(steps) != n_rows:
         raise ValueError(f"{len(steps)} step labels for a block of {n_rows} rows")
@@ -307,6 +310,5 @@ def snapshots(block: FieldState, steps, spectral=None) -> list[ObservableSnapsho
 def snapshot(state: FieldState, step: int) -> ObservableSnapshot:
     """Measure all reported observables of one state (``snapshots`` of
     one row).  Raises ``ValueError`` unless ``step`` is an integer >= 0."""
-    _check_integer("step", step, 0)
     _require_one_state(state, "snapshot")
     return snapshots(state, (step,))[0]

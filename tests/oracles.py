@@ -1,23 +1,102 @@
-"""Independent evaluations that the tests hold the package against."""
+"""Independent evaluations that the tests hold the package against.
+
+The dense N x N reference lives here, not in the package: the cached F
+and G site matrices and the direct O(N^2) reaction step built on F.
+"""
 
 from decimal import Decimal, getcontext, localcontext
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
 from ringfield import make_lattice, norm_m, state_from_amplitudes
 from ringfield.basis import momentum_coefficients
-from ringfield.evolve import _dense_euler_step
-from ringfield.kernels import f_site_matrix
+from ringfield.evolve import check_tau_bound
+from ringfield.kernels import kernel_f, kernel_g
+from ringfield.lattice import wrap_index
 from ringfield.state import _new_state
+
+# one dense matrix takes 8 N^2 bytes (128 MB at N = 4001), so each of the
+# two builders keeps only the matrices of its two most recent lattices
+SITE_MATRIX_CACHE_SIZE = 2
+# largest lattice the builders accept: the dense step and the tests built
+# on it peak at about 33 N^2 bytes (21 MB at N = 801, 8.4 GB at
+# N = 16001), so a larger N is refused before any allocation
+SITE_MATRIX_MAX_SITES = 4001
+
+
+def _site_matrix_builder(build):
+    """``build`` cached like ``lru_cache``, refusing a lattice of more
+    than ``SITE_MATRIX_MAX_SITES`` sites before the cache is consulted."""
+    cached = lru_cache(maxsize=SITE_MATRIX_CACHE_SIZE)(build)
+
+    @wraps(build)
+    def builder(lattice):
+        if lattice.n_sites > SITE_MATRIX_MAX_SITES:
+            raise ValueError(
+                f"dense site matrices are built for N <= {SITE_MATRIX_MAX_SITES} "
+                f"only (got N = {lattice.n_sites})"
+            )
+        return cached(lattice)
+
+    builder.cache_info = cached.cache_info
+    builder.cache_clear = cached.cache_clear
+    return builder
+
+
+@_site_matrix_builder
+def f_site_matrix(lattice):
+    """Dense matrix F([s - r]) over all site pairs, wrapped modulo N.
+
+    This is the circulant applied by one reaction step.  For even
+    lattices the wrap is the naive periodic one, which is what the
+    even demonstration mode evolves with.
+    """
+    sites = lattice.sites()
+    disp = wrap_index(sites[:, None] - sites[None, :], lattice)
+    mat = kernel_f(disp, lattice)
+    mat.setflags(write=False)
+    return mat
+
+
+@_site_matrix_builder
+def g_site_matrix(lattice):
+    """Dense matrix G(s - r) over all site pairs, unwrapped displacements."""
+    sites = lattice.sites()
+    disp = sites[:, None] - sites[None, :]
+    mat = kernel_g(disp, lattice)
+    mat.setflags(write=False)
+    return mat
+
+
+def _dense_euler_step(lattice, a, b, tau):
+    """The reaction step as the direct O(N^2) correlation with the dense
+    F (wrapped modulo N on an even lattice: the naive step), on raw
+    fields: the stepped ``(a, b)``, after the tau bound check.  Raises
+    ``ValueError`` before any allocation for N > ``SITE_MATRIX_MAX_SITES``.
+
+    The fields hold one state per row with the sites on the last axis,
+    shape (R, N) or (N,).  F acts on each row as a stacked matrix-vector
+    product, which gives every row bitwise the result of ``F @ row``;
+    the equivalent ``a @ F.T`` is one matrix product and does not.
+    """
+    check_tau_bound(tau, lattice)
+    fmat = f_site_matrix(lattice)
+    scale = tau * lattice.reciprocal_constant**2
+    created_a = np.matmul(fmat, b[..., None])[..., 0]
+    created_b = np.matmul(fmat, a[..., None])[..., 0]
+    return a + scale * created_a, b - scale * created_b
 
 
 def euler_step(state, tau):
-    """One reaction step, reference O(N^2) implementation.
+    """One reaction step, reference O(N^2) implementation: the paper's
+    site-space step on both parities, which the package itself never
+    takes outside ``verify``'s identity suite.
 
     On an even lattice F wraps modulo N, so this is the naive even-mode
     step.  Builds the dense F, so it raises ``ValueError`` before any
-    allocation for N > ``kernels.SITE_MATRIX_MAX_SITES``.
+    allocation for N > ``SITE_MATRIX_MAX_SITES`` (the identity suite's
+    own cap is ``experiments.IDENTITY_MAX_SITES`` = 801).
     """
     return _new_state(state.lattice, *_dense_euler_step(state.lattice, state.a, state.b, tau))
 

@@ -78,6 +78,14 @@ def test_no_kernel_table_exports():
         (ringfield.experiments, "paper_table_run"),
         (ringfield.experiments, "_table_variations"),
         (ringfield.experiments, "_row_check"),
+        # the cached dense F and G builders and the dense step are the
+        # tests' oracles; ``identity_suite`` builds its own small F and G
+        (ringfield.kernels, "f_site_matrix"),
+        (ringfield.kernels, "g_site_matrix"),
+        (ringfield.kernels, "_site_matrix_builder"),
+        (ringfield.kernels, "SITE_MATRIX_CACHE_SIZE"),
+        (ringfield.kernels, "SITE_MATRIX_MAX_SITES"),
+        (ringfield.evolve, "_dense_euler_step"),
     ):
         assert not hasattr(ringfield, name), name
         assert not hasattr(module, name), name
@@ -133,10 +141,15 @@ def test_the_lattice_fixes_the_parity():
 
 
 def test_the_tau_bound_is_checked_where_the_step_is_built():
-    # ``propagator`` and ``_dense_euler_step`` check it; no caller decides
-    # when it applies, and the warning finds its caller without a stacklevel
+    # ``propagator`` checks it, and so does ``identity_suite``, the one
+    # procedure that builds its own (dense) step; no caller decides when
+    # it applies, and the warning finds its caller without a stacklevel
     assert not hasattr(ringfield.evolve, "_takes_linearised_step")
-    assert not hasattr(ringfield.experiments, "check_tau_bound")
+    functions = inspect.getmembers(ringfield.experiments, inspect.isfunction)
+    checking = [name for name, value in functions
+                if value.__module__ == "ringfield.experiments"
+                and "check_tau_bound" in value.__code__.co_names]
+    assert checking == ["identity_suite"]
     assert list(inspect.signature(ringfield.evolve.check_tau_bound).parameters) == [
         "tau", "lattice"
     ]

@@ -5,7 +5,8 @@ fire.
 
 Also: real rows against their complex cast, the tabulated
 kernel oracle sums against complex exponentials, and the bounds on the
-dense site matrices: two cached lattices, and no N past the cap."""
+test oracles' dense site matrices: two cached lattices, and no N past
+the cap."""
 
 import tracemalloc
 
@@ -14,7 +15,6 @@ import pytest
 
 import ringfield.evolve
 import ringfield.experiments
-import ringfield.kernels
 import ringfield.observables
 from ringfield import (
     ConsistencyError,
@@ -26,7 +26,7 @@ from ringfield import (
     run,
 )
 from ringfield.basis import momentum_coefficients
-from ringfield.evolve import EULER, _dense_euler_step, propagator, record_steps
+from ringfield.evolve import EULER, propagator, record_steps
 from ringfield.experiments import (
     TABLE_SHAPES,
     TABLE_TAUS,
@@ -36,12 +36,20 @@ from ringfield.experiments import (
     compare_rows,
     table_state,
 )
-from ringfield.kernels import SITE_MATRIX_MAX_SITES, f_site_matrix, g_site_matrix, kernel_f
+from ringfield.kernels import kernel_f
 from ringfield.lattice import make_even_lattice
 from ringfield.observables import row_blocks, spectral_series
 from ringfield.state import norm_m, state_from_amplitudes
 
-from oracles import odd_part_drift, residue_sums
+import oracles
+from oracles import (
+    SITE_MATRIX_MAX_SITES,
+    _dense_euler_step,
+    f_site_matrix,
+    g_site_matrix,
+    odd_part_drift,
+    residue_sums,
+)
 
 TABLE_CASES = [
     (shape, tau, n_steps)
@@ -198,7 +206,7 @@ def test_dense_builders_refuse_lattices_past_the_cap(monkeypatch, name):
     _refuses_without_allocating(build, too_large, SITE_MATRIX_MAX_SITES)
     # a lattice at the cap is built; shown on a lowered cap, so that no
     # test builds a matrix past N = 801
-    monkeypatch.setattr(ringfield.kernels, "SITE_MATRIX_MAX_SITES", 21)
+    monkeypatch.setattr(oracles, "SITE_MATRIX_MAX_SITES", 21)
     build(gaussian_state(make_lattice(21), 0, 2.0))
     _refuses_without_allocating(build, gaussian_state(make_lattice(23), 0, 2.0), 21)
 

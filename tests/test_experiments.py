@@ -20,19 +20,19 @@ from ringfield import (
     state_from_amplitudes,
 )
 from ringfield.basis import momentum_coefficients
-from ringfield.evolve import _dense_euler_step
 from ringfield.experiments import (
     GAUSSIAN_SIGMA,
     GAUSSIAN_VELOCITY_INDEX,
+    IDENTITY_MAX_SITES,
     IDENTITY_TAU,
     N_SITES,
     ORDER_TAUS,
     ExperimentReport,
+    _dense_reaction_step,
     _relative_variation,
 )
-from ringfield.kernels import f_site_matrix, g_site_matrix
 
-from oracles import deviation_decimal, euler_step, identity_m_drift_residual
+from oracles import deviation_decimal, euler_step, f_site_matrix, identity_m_drift_residual
 
 DEVIATION_RTOL = 1e-14  # as ``compare``'s deviation is held
 
@@ -71,21 +71,22 @@ class TestIdentitySuite:
 
     @pytest.mark.parametrize("n", [3, 21, 101])
     def test_dense_step_on_a_block_is_euler_step_per_row(self, n):
+        """The suite's step of a block is, row by row, bitwise the
+        oracle's ``euler_step``."""
         lattice = make_lattice(n)
         rng = np.random.default_rng(n)
         rows = rng.uniform(-1.0, 1.0, (6, n)) + 1j * rng.uniform(-1.0, 1.0, (6, n))
-        a, b = _dense_euler_step(lattice, rows.real, rows.imag, 1e-4)
+        scale = 1e-4 * lattice.reciprocal_constant**2
+        a, b = _dense_reaction_step(f_site_matrix(lattice), scale, rows.real, rows.imag)
         for row, (row_a, row_b) in enumerate(zip(a, b)):
             one = euler_step(state_from_amplitudes(lattice, rows[row]), 1e-4)
             assert np.array_equal(row_a, one.a) and np.array_equal(row_b, one.b)
 
     def test_dropped_creation_term_fails_the_drift_check(self, monkeypatch):
-        def without_created_b(lattice, a, b, tau):
-            fmat = f_site_matrix(lattice)
-            scale = tau * lattice.reciprocal_constant**2
+        def without_created_b(fmat, scale, a, b):
             return a + scale * np.matmul(fmat, b[..., None])[..., 0], b
 
-        monkeypatch.setattr(ringfield.experiments, "_dense_euler_step", without_created_b)
+        monkeypatch.setattr(ringfield.experiments, "_dense_reaction_step", without_created_b)
         report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=10)
         drift = next(c for c in report.checks if c.name == "one-step M drift identity")
         assert not drift.passed and not report.passed
@@ -93,9 +94,9 @@ class TestIdentitySuite:
     def test_perturbed_f_fails_the_convolution_check(self, monkeypatch):
         # scaled, not shifted: F's rows sum to 0 (kappa = 0), so F F does
         # not see a constant added to F at first order
-        original = ringfield.experiments.f_site_matrix
-        monkeypatch.setattr(ringfield.experiments, "f_site_matrix",
-                            lambda lattice: original(lattice) * (1.0 + 1e-6))
+        original = ringfield.experiments.kernel_f
+        monkeypatch.setattr(ringfield.experiments, "kernel_f",
+                            lambda d, lattice: original(d, lattice) * (1.0 + 1e-6))
         report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=4)
         convolution = next(c for c in report.checks if c.name == "F*F convolution identity")
         assert not convolution.passed and not report.passed
@@ -103,8 +104,6 @@ class TestIdentitySuite:
     def test_memory_stays_quadratic_in_n(self):
         """The direct k^4 sum is taken per residue d mod N, so no
         (N, N, N) array is built: an N^3 one at N = 101 took 34 MB."""
-        f_site_matrix.cache_clear()
-        g_site_matrix.cache_clear()
         tracemalloc.start()
         try:
             assert identity_suite((101,), states_per_n=1).passed
@@ -114,19 +113,55 @@ class TestIdentitySuite:
         assert peak < 4 * 2**20
 
     def test_nan_in_the_g_kernel_fails_the_commutator_check(self, monkeypatch):
-        original = ringfield.experiments.g_site_matrix
+        original = ringfield.experiments.kernel_g
 
-        def with_nan(lattice):
-            gmat = original(lattice).copy()
+        def with_nan(d, lattice):
+            gmat = original(d, lattice)
             if lattice.n_sites == 5:
                 gmat[0, 1] = np.nan
             return gmat
 
-        monkeypatch.setattr(ringfield.experiments, "g_site_matrix", with_nan)
+        monkeypatch.setattr(ringfield.experiments, "kernel_g", with_nan)
         report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=4)
         commutator = next(c for c in report.checks if c.name == "F/G commutator vanishes")
         assert np.isnan(commutator.value)
         assert not commutator.passed and not report.passed
+
+    @staticmethod
+    def _forbid_kernel_matrices(patch):
+        def forbidden(d, lattice):
+            raise AssertionError("dense kernel matrix built")
+
+        patch.setattr(ringfield.experiments, "kernel_f", forbidden)
+        patch.setattr(ringfield.experiments, "kernel_g", forbidden)
+
+    def test_refuses_a_lattice_past_its_cap(self, monkeypatch):
+        """Every lattice is held to the cap before the first matrix of
+        any lattice is built."""
+        assert IDENTITY_MAX_SITES == 801
+        with monkeypatch.context() as patch:
+            self._forbid_kernel_matrices(patch)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="^identity_suite builds dense matrices "
+                                   "for N <= 801 only [(]got N = 803[)]$"):
+                    identity_suite((3, IDENTITY_MAX_SITES + 2), states_per_n=1)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20
+        # a lattice at the cap is built; shown on a lowered cap
+        monkeypatch.setattr(ringfield.experiments, "IDENTITY_MAX_SITES", 21)
+        assert identity_suite((21,), states_per_n=1).passed
+        with pytest.raises(ValueError, match="N <= 21 only"):
+            identity_suite((23,), states_per_n=1)
+
+    def test_checks_the_tau_bound_before_any_matrix(self, monkeypatch):
+        # tau g^2 N^2 = 0.02 (2 pi)^2 = 0.79, past the limit of 0.5
+        self._forbid_kernel_matrices(monkeypatch)
+        monkeypatch.setattr(ringfield.experiments, "IDENTITY_TAU", 0.02)
+        with pytest.raises(TimestepBoundError):
+            identity_suite((3, 5), states_per_n=1)
 
 
 class TestKernelOracle:

@@ -23,12 +23,14 @@ from ringfield import (
     read_state_csv,
     read_timeseries_csv,
     snapshot,
+    state_from_amplitudes,
     uniform_state,
 )
 from ringfield.cli import main
 from ringfield.evolve import MAX_RECORDS
 from ringfield.experiments import even_odd_comparison, identity_suite
 from ringfield.ioutil import atomic_write_text, check_writable
+from ringfield.observables import snapshots
 from ringfield.series import TIMESERIES_CSV_HEADER, TimeSeries
 from ringfield.state import state_to_csv_text
 
@@ -208,10 +210,17 @@ def test_a_bool_is_not_a_count(name):
 
 @pytest.mark.parametrize("step", [2.5, "7", -1])
 def test_snapshot_step_is_a_whole_number_at_least_0(step):
-    """A step label is kept as given or refused, never truncated."""
+    """A step label is kept as given or refused, never truncated: one
+    state's, and every label of a block's."""
     state = gaussian_state(make_lattice(21), 0, 2.0)
-    with pytest.raises(ValueError, match=f"^step must be an integer >= 0 [(]got {step!r}[)]$"):
+    message = f"^step must be an integer >= 0 [(]got {step!r}[)]$"
+    with pytest.raises(ValueError, match=message):
         snapshot(state, step)
+    with pytest.raises(ValueError, match=message):
+        snapshots(state, [step])
+    block = state_from_amplitudes(state.lattice, np.stack([state.c, state.c]))
+    with pytest.raises(ValueError, match=message):
+        snapshots(block, [0, step])
 
 
 BAD_SEEDS = {
@@ -240,14 +249,6 @@ def test_a_numpy_integer_is_a_seed():
     assert random_state(lattice, np.int64(3)).c.tobytes() == random_state(lattice, 3).c.tobytes()
 
 
-@pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0.0,7"])
-def test_bad_checkpoint_row_names_path_and_line(tmp_path, row):
-    path = tmp_path / "state.csv"
-    path.write_text(f"site,a,b\n-1,0.5,0.0\n\n{row}\n1,0.5,0.0\n")
-    with pytest.raises(ValueError, match=r"state\.csv: line 4: expected site,a,b"):
-        read_state_csv(str(path))
-
-
 @pytest.mark.parametrize("text, lattice_constant", [
     ("site,a,b\n0,1.0,0.0\n", 1.0),
     ("site,a,b\n-1,1.0,0.0\n0,0.0,0.0\n", 1.0),
@@ -258,13 +259,6 @@ def test_checkpoint_lattice_error_names_path(tmp_path, text, lattice_constant):
     path.write_text(text)
     with pytest.raises(ValueError, match=r"^.*state\.csv: (n_sites|even-mode|lattice_constant)"):
         read_state_csv(str(path), lattice_constant=lattice_constant)
-
-
-def test_bad_checkpoint_value_names_path(tmp_path):
-    path = tmp_path / "state.csv"
-    path.write_text("site,a,b\n-1,0.5,0.0\n0,one,0.0\n1,0.5,0.0\n")
-    with pytest.raises(ValueError, match=r"state\.csv: .*'one'"):
-        read_state_csv(str(path))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -293,23 +287,6 @@ def test_velocity_index_must_be_a_site_label(lattice, build):
             build(lattice, m)
 
 
-@pytest.mark.parametrize("row", ["10,1.0,0.0", "10,1.0,0.0,0.0,0.0,1.0,0.0,9"])
-def test_bad_series_row_names_path_and_line(tmp_path, row):
-    path = tmp_path / "series.csv"
-    path.write_text(f"{TIMESERIES_CSV_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.0\n\n{row}\n")
-    expected = re.escape(f"series.csv: line 4: expected {TIMESERIES_CSV_HEADER}, got {row!r}")
-    with pytest.raises(ValueError, match=expected):
-        read_timeseries_csv(str(path))
-
-
-@pytest.mark.parametrize("row", ["10,1.0,zero,0.0,0.0,1.0,0.0", "1.5,1.0,0.0,0.0,0.0,1.0,0.0"])
-def test_bad_series_value_names_path_and_line(tmp_path, row):
-    path = tmp_path / "series.csv"
-    path.write_text(f"{TIMESERIES_CSV_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.0\n{row}\n")
-    with pytest.raises(ValueError, match=r"series\.csv: line 3: "):
-        read_timeseries_csv(str(path))
-
-
 # both numeric CSV readers share one format:
 # (reader, its inverse writer, header, three good rows)
 CSV_FORMATS = {
@@ -330,6 +307,10 @@ MALFORMED_CSV = {
         lambda header, rows: f"line 4: expected {header}, got '0,1.0'"),
     "value that does not parse": (
         lambda header, rows: f"{header}\n{rows[0]}\n{rows[1][:-3]}one\n{rows[2]}\n",
+        lambda header, rows: "line 3: could not convert string to float: 'one'"),
+    "first value that does not parse": (
+        lambda header, rows: f"{header}\n{rows[0]}\n{rows[1].split(',')[0]},one,"
+                             f"{rows[1].split(',', 2)[2]}\n{rows[2]}\n",
         lambda header, rows: "line 3: could not convert string to float: 'one'"),
     "label that is not an integer": (
         lambda header, rows: f"{header}\n{rows[0]}\n0.0{rows[1][rows[1].index(','):]}\n",
@@ -610,21 +591,3 @@ def test_fifo_output_is_written_in_place(tmp_path):
     finally:
         os.close(reader)
     assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
-
-
-def test_checkpoint_blank_lines_are_skipped(tmp_path):
-    path = tmp_path / "state.csv"
-    path.write_text("\nsite,a,b\n-1,0.6,0.0\n   \n0,0.0,0.8\n\n1,0.0,0.0\n")
-    state = read_state_csv(str(path))
-    assert state.a.tolist() == [0.6, 0.0, 0.0]
-    assert state.b.tolist() == [0.0, 0.8, 0.0]
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("text", ["site,a,b\n", "\nsite,a,b\n\n   \n"],
-                         ids=["header only", "blank body"])
-def test_checkpoint_without_rows_names_path(tmp_path, text):
-    path = tmp_path / "state.csv"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=r"state\.csv: no site,a,b rows"):
-        read_state_csv(str(path))

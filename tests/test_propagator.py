@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-import ringfield.kernels
 from ringfield import (
     EvolutionConfig,
     TimestepBoundError,
@@ -30,6 +29,7 @@ from ringfield.evolve import (
 )
 from ringfield.state import state_from_amplitudes
 
+import oracles
 from oracles import euler_step
 
 LAT = make_lattice(801)
@@ -118,7 +118,7 @@ def test_even_naive_random_state_against_dense(n):
 def test_euler_step_on_an_even_lattice_keeps_its_guards(monkeypatch):
     with pytest.raises(TimestepBoundError):
         euler_step(gaussian_state(EVEN, 0, 5.0), OVER_BOUND)
-    monkeypatch.setattr(ringfield.kernels, "SITE_MATRIX_MAX_SITES", 21)
+    monkeypatch.setattr(oracles, "SITE_MATRIX_MAX_SITES", 21)
     with pytest.raises(ValueError, match="N <= 21 only"):
         euler_step(gaussian_state(make_even_lattice(22), 0, 2.0), 1e-3)
 

@@ -36,16 +36,16 @@ from ringfield.experiments import (
     even_odd_comparison,
     paper_table_grid,
 )
-from ringfield.evolve import EULER, EXACT, MAX_RECORDS, _dense_euler_step, record_steps
+from ringfield.evolve import EULER, EXACT, MAX_RECORDS, record_steps
 from ringfield.ioutil import fmt
-from ringfield.kernels import g_site_matrix
 from ringfield.observables import (
     RECORD_BLOCK_BYTES,
     ObservableSnapshot,
 )
 from ringfield.state import norm_m
 
-from oracles import deviation_decimal, euler_step
+import oracles
+from oracles import _dense_euler_step, deviation_decimal, euler_step, g_site_matrix
 
 BLOCK_RTOL = 1e-12  # of each column's maximum
 TAU = 1e-3
@@ -461,18 +461,21 @@ def test_record_bound_counts_the_list_it_refuses(monkeypatch):
 WARN_TAU = 5e-3
 WARN_LATTICE = make_lattice(801)
 WARN_STATE = gaussian_state(WARN_LATTICE, 0, 10.0, 20)
+# name -> (call, number of warnings, the file they name)
 WARNING_CALLS = {
-    "run": (lambda: run(WARN_STATE, EvolutionConfig(tau=WARN_TAU), 10), 1),
-    "advance": (lambda: advance(WARN_STATE, EULER, WARN_TAU, 10), 1),
+    "run": (lambda: run(WARN_STATE, EvolutionConfig(tau=WARN_TAU), 10), 1, __file__),
+    "advance": (lambda: advance(WARN_STATE, EULER, WARN_TAU, 10), 1, __file__),
+    # the oracle's dense step is the code that calls into the package
     "_dense_euler_step": (
-        lambda: _dense_euler_step(WARN_LATTICE, WARN_STATE.a, WARN_STATE.b, WARN_TAU), 1
+        lambda: _dense_euler_step(WARN_LATTICE, WARN_STATE.a, WARN_STATE.b, WARN_TAU), 1,
+        oracles.__file__,
     ),
     # one propagator for all three shapes at each of the two time steps
     # past the threshold
-    "paper_table_grid": (lambda: paper_table_grid(n_steps=10), 2),
-    "compare_rows": (lambda: compare_rows(WARN_STATE, WARN_TAU, 10, 5), 1),
+    "paper_table_grid": (lambda: paper_table_grid(n_steps=10), 2, __file__),
+    "compare_rows": (lambda: compare_rows(WARN_STATE, WARN_TAU, 10, 5), 1, __file__),
     # the Euler step on both lattices, confined and wrapped
-    "even_odd_comparison": (lambda: even_odd_comparison(n_steps=1, tau=WARN_TAU), 4),
+    "even_odd_comparison": (lambda: even_odd_comparison(n_steps=1, tau=WARN_TAU), 4, __file__),
 }
 
 
@@ -480,13 +483,13 @@ WARNING_CALLS = {
 def test_tau_warning_names_the_caller(name):
     """However deep inside the package the linearised step is built,
     its tau warning names the code that called into the package."""
-    call, expected = WARNING_CALLS[name]
+    call, expected, filename = WARNING_CALLS[name]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         call()
     tau_warnings = [w for w in caught if "tau * g^2 * N^2" in str(w.message)]
     assert len(tau_warnings) == expected
-    assert {w.filename for w in tau_warnings} == {__file__}
+    assert {w.filename for w in tau_warnings} == {filename}
 
 
 # tau g^2 N^2 = 0.02 (2 pi)^2 = 0.79, past the limit of 0.5
@@ -511,7 +514,7 @@ def test_tau_limit_fails_before_any_transform(monkeypatch, fft_calls, name):
     def forbidden(lattice):
         raise AssertionError("dense F built")
 
-    monkeypatch.setattr(ringfield.evolve, "f_site_matrix", forbidden)
+    monkeypatch.setattr(oracles, "f_site_matrix", forbidden)
     with pytest.raises(TimestepBoundError):
         OVER_LIMIT_CALLS[name]()
     assert fft_calls == {"fft": [], "ifft": [], "rfft": []}
@@ -535,7 +538,7 @@ def test_a_non_positive_tau_fails_before_any_transform(monkeypatch, fft_calls, n
     def forbidden(lattice):
         raise AssertionError("dense F built")
 
-    monkeypatch.setattr(ringfield.evolve, "f_site_matrix", forbidden)
+    monkeypatch.setattr(oracles, "f_site_matrix", forbidden)
     with pytest.raises(ValueError, match=re.escape(f"tau must be positive (got {tau})")):
         NON_POSITIVE_TAU_CALLS[name](tau)
     assert fft_calls == {"fft": [], "ifft": [], "rfft": []}

@@ -1,8 +1,9 @@
 """The spectral momentum and drift observables against their dense
 G-kernel double sums, the Parseval guard, and the bound on memory: the
 run paths and the experiments outside the identity suite never build an
-N x N kernel matrix."""
+N x N matrix (their tracemalloc peak stays far below one)."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,7 +32,8 @@ from ringfield.experiments import (
     qualitative_shape_run,
 )
 from ringfield.ioutil import fmt
-from ringfield.kernels import f_site_matrix, g_site_matrix
+
+from oracles import g_site_matrix
 
 ORACLE_RTOL = 1e-10
 
@@ -109,29 +111,38 @@ class TestParsevalGuard:
         assert np.isfinite(snapshot(scaled, 0).momentum_expectation)
 
 
-class TestNoDenseMatrixOnRunPaths:
-    N_SITES = 4001
+def _traced_peak(call):
+    """``call()``'s result and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def _cache_infos(self):
-        return f_site_matrix.cache_info(), g_site_matrix.cache_info()
+
+class TestNoDenseMatrixOnRunPaths:
+    """At N = 4001 one N x N float64 matrix takes 122 MiB; a run peaks
+    near 1 MiB (0.5 to 1.1 MiB, a first call included)."""
+
+    N_SITES = 4001
+    PEAK_BOUND = 4 * 2**20
 
     def test_library_run(self):
         lattice = make_lattice(self.N_SITES)
         state = gaussian_state(lattice, 0, 50.0, 20)
-        before = self._cache_infos()
-        series = run(state, EvolutionConfig(), 3, record_every=1)
-        assert self._cache_infos() == before
+        series, peak = _traced_peak(lambda: run(state, EvolutionConfig(), 3, record_every=1))
+        assert peak < self.PEAK_BOUND
         assert len(series.snapshots) == 4
 
     @pytest.mark.parametrize("command", ["run", "compare"])
     def test_cli(self, command, tmp_path):
-        before = self._cache_infos()
-        code = main([
+        code, peak = _traced_peak(lambda: main([
             command, "--n-sites", str(self.N_SITES), "--width", "50",
             "--n-steps", "3", "--record-every", "1", "--csv", str(tmp_path / "out.csv"),
-        ])
+        ]))
         assert code == 0
-        assert self._cache_infos() == before
+        assert peak < self.PEAK_BOUND
 
 
 GAUSSIAN_801 = gaussian_state(make_lattice(801), 0, 10.0, 20)
@@ -150,13 +161,12 @@ PRODUCTION_PATHS = {
 
 @pytest.mark.parametrize("name", PRODUCTION_PATHS)
 def test_production_paths_build_no_dense_matrix(name):
-    """Only the identity suite and the test oracles build F or G: the
-    builders are neither called nor read from their caches."""
-    f_site_matrix.cache_clear()
-    g_site_matrix.cache_clear()
+    """Only the identity suite and the test oracles build F or G: every
+    other path, on lattices of up to 801 sites, peaks below half of one
+    801 x 801 float64 matrix (2.4 MiB; the paths peak at 0.2 to 1.2 MiB,
+    a first call included)."""
     with warnings.catch_warnings():
         # the table's two larger time steps pass the warning threshold by design
         warnings.filterwarnings("ignore", r"tau \* g\^2 \* N\^2", UserWarning)
-        PRODUCTION_PATHS[name]()
-    for info in (f_site_matrix.cache_info(), g_site_matrix.cache_info()):
-        assert (info.hits, info.misses) == (0, 0)
+        _result, peak = _traced_peak(PRODUCTION_PATHS[name])
+    assert peak < 4 * 801**2
