@@ -164,6 +164,12 @@ class TestTranslate:
 
 
 class TestRun:
+    def test_zero_steps_single_snapshot(self):
+        state = gaussian_state(LAT, 0, 10.0, 20)
+        series = run(state, EvolutionConfig(), 0, record_every=10)
+        assert len(series.snapshots) == 1
+        assert series.snapshots[0].step == 0
+
     @pytest.mark.parametrize("scheme", [EULER, EXACT])
     @pytest.mark.parametrize("lattice", [make_lattice(101), make_even_lattice(100)],
                              ids=["odd", "even"])

@@ -249,6 +249,14 @@ def test_a_numpy_integer_is_a_seed():
     assert random_state(lattice, np.int64(3)).c.tobytes() == random_state(lattice, 3).c.tobytes()
 
 
+@pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0.0,7"])
+def test_bad_checkpoint_row_names_path_and_line(tmp_path, row):
+    path = tmp_path / "state.csv"
+    path.write_text(f"site,a,b\n-1,0.5,0.0\n\n{row}\n1,0.5,0.0\n")
+    with pytest.raises(ValueError, match=r"state\.csv: line 4: expected site,a,b"):
+        read_state_csv(str(path))
+
+
 @pytest.mark.parametrize("text, lattice_constant", [
     ("site,a,b\n0,1.0,0.0\n", 1.0),
     ("site,a,b\n-1,1.0,0.0\n0,0.0,0.0\n", 1.0),
@@ -285,6 +293,23 @@ def test_velocity_index_must_be_a_site_label(lattice, build):
     for m in (lattice.site_min - 1, lattice.site_max + 1, 20 + 1000 * lattice.n_sites, 10**20):
         with pytest.raises(ValueError, match=f"^velocity_index {m} outside site range"):
             build(lattice, m)
+
+
+@pytest.mark.parametrize("row", ["10,1.0,0.0", "10,1.0,0.0,0.0,0.0,1.0,0.0,9"])
+def test_bad_series_row_names_path_and_line(tmp_path, row):
+    path = tmp_path / "series.csv"
+    path.write_text(f"{TIMESERIES_CSV_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.0\n\n{row}\n")
+    expected = re.escape(f"series.csv: line 4: expected {TIMESERIES_CSV_HEADER}, got {row!r}")
+    with pytest.raises(ValueError, match=expected):
+        read_timeseries_csv(str(path))
+
+
+@pytest.mark.parametrize("row", ["1.5,1.0,0.0,0.0,0.0,1.0,0.0"])
+def test_bad_series_value_names_path_and_line(tmp_path, row):
+    path = tmp_path / "series.csv"
+    path.write_text(f"{TIMESERIES_CSV_HEADER}\n0,1.0,0.0,0.0,0.0,1.0,0.0\n{row}\n")
+    with pytest.raises(ValueError, match=r"series\.csv: line 3: "):
+        read_timeseries_csv(str(path))
 
 
 # both numeric CSV readers share one format:
@@ -591,3 +616,21 @@ def test_fifo_output_is_written_in_place(tmp_path):
     finally:
         os.close(reader)
     assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+
+def test_checkpoint_blank_lines_are_skipped(tmp_path):
+    path = tmp_path / "state.csv"
+    path.write_text("\nsite,a,b\n-1,0.6,0.0\n   \n0,0.0,0.8\n\n1,0.0,0.0\n")
+    state = read_state_csv(str(path))
+    assert state.a.tolist() == [0.6, 0.0, 0.0]
+    assert state.b.tolist() == [0.0, 0.8, 0.0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["site,a,b\n", "\nsite,a,b\n\n   \n"],
+                         ids=["header only", "blank body"])
+def test_checkpoint_without_rows_names_path(tmp_path, text):
+    path = tmp_path / "state.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=r"state\.csv: no site,a,b rows"):
+        read_state_csv(str(path))
