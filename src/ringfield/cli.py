@@ -9,6 +9,11 @@ Subcommands:
                  closed form (``experiments.compare_rows``)
     even-odd     parity demonstration report
 
+``main`` builds the parser of only the subcommand that its first
+argument names (``build_parser``), so a call pays for the options it
+can read; with no first argument, ``-h`` or an unknown name it builds
+them all, for the top-level help and usage errors.
+
 Exit codes: 0 success, 1 failed checks, 2 invalid configuration,
 3 numerical guard violation.  ``main`` maps the errors of every
 subcommand: ``TimestepBoundError`` and ``ConsistencyError`` to 3, any
@@ -190,58 +195,81 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_CONFIG)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    _add_run_overrides(parser)
+    parser.add_argument("--scheme", choices=["euler", "exact"])
+    parser.add_argument("--parity-mode", choices=["odd_standard", "even_naive"],
+                        dest="parity_mode")
+    parser.add_argument("--csv", dest="csv_path", help="observable CSV path (default stdout)")
+    parser.add_argument("--json", dest="json_path", help="also write the series as JSON")
+    parser.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
+    parser.add_argument("--checkpoint-dir", dest="checkpoint_dir")
+    parser.set_defaults(func=_cmd_run)
+
+
+def _add_verify_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--max-n", type=int, default=801,
+                        help="largest lattice to include (default 801)")
+    parser.add_argument("--inject-kernel-error", type=float, default=0.0,
+                        help="self-test hook: offset added to the closed-form "
+                             "kernel so the equivalence check must fail")
+    parser.set_defaults(func=_cmd_verify)
+
+
+def _add_paper_table_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--steps", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--json", help="write the report as JSON")
+    parser.add_argument("--text", help="write the report as text")
+    parser.set_defaults(func=_cmd_paper_table)
+
+
+def _add_compare_options(parser: argparse.ArgumentParser) -> None:
+    _add_run_overrides(parser)
+    parser.add_argument("--csv", dest="csv_path", help="comparison CSV path (default stdout)")
+    parser.set_defaults(func=_cmd_compare)
+
+
+def _add_even_odd_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--n-even", type=int, default=800, dest="n_even")
+    parser.add_argument("--n-odd", type=int, default=801, dest="n_odd")
+    parser.add_argument("--sigma", type=float, default=5.0)
+    parser.add_argument("--steps", type=int, default=100)
+    parser.add_argument("--tau", type=float, default=1e-3)
+    parser.add_argument("--json", help="write the report as JSON")
+    parser.set_defaults(func=_cmd_even_odd)
+
+
+# (name, help, add-options function) of each subcommand, in help order
+_SUBCOMMANDS = (
+    ("run", "evolve a state and write the observable series", _add_run_options),
+    ("verify", "kernel oracle and identity suites", _add_verify_options),
+    ("paper-table", "conservation grid with pass/fail bands", _add_paper_table_options),
+    ("compare", "reaction step vs exact unitary", _add_compare_options),
+    ("even-odd", "even vs odd parity demonstration", _add_even_odd_options),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """A new parser of every subcommand or, when ``command`` names one,
+    of that subcommand alone, which reads that subcommand's command
+    lines as the full parser does.  Any other ``command`` (``None``,
+    ``-h``, an unknown name) gives the full parser, which reports a
+    missing or unknown subcommand and prints the top-level help."""
     parser = _Parser(
         prog="ringfield",
         description="two-field reaction process on a cyclic lattice",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="evolve a state and write the observable series")
-    _add_run_overrides(p_run)
-    p_run.add_argument("--scheme", choices=["euler", "exact"])
-    p_run.add_argument("--parity-mode", choices=["odd_standard", "even_naive"],
-                       dest="parity_mode")
-    p_run.add_argument("--csv", dest="csv_path", help="observable CSV path (default stdout)")
-    p_run.add_argument("--json", dest="json_path", help="also write the series as JSON")
-    p_run.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
-    p_run.add_argument("--checkpoint-dir", dest="checkpoint_dir")
-    p_run.set_defaults(func=_cmd_run)
-
-    p_verify = sub.add_parser("verify", help="kernel oracle and identity suites")
-    p_verify.add_argument("--max-n", type=int, default=801,
-                          help="largest lattice to include (default 801)")
-    p_verify.add_argument("--inject-kernel-error", type=float, default=0.0,
-                          help="self-test hook: offset added to the closed-form "
-                               "kernel so the equivalence check must fail")
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_table = sub.add_parser("paper-table", help="conservation grid with pass/fail bands")
-    p_table.add_argument("--steps", type=int, default=1000)
-    p_table.add_argument("--seed", type=int, default=0)
-    p_table.add_argument("--json", help="write the report as JSON")
-    p_table.add_argument("--text", help="write the report as text")
-    p_table.set_defaults(func=_cmd_paper_table)
-
-    p_cmp = sub.add_parser("compare", help="reaction step vs exact unitary")
-    _add_run_overrides(p_cmp)
-    p_cmp.add_argument("--csv", dest="csv_path", help="comparison CSV path (default stdout)")
-    p_cmp.set_defaults(func=_cmd_compare)
-
-    p_eo = sub.add_parser("even-odd", help="even vs odd parity demonstration")
-    p_eo.add_argument("--n-even", type=int, default=800, dest="n_even")
-    p_eo.add_argument("--n-odd", type=int, default=801, dest="n_odd")
-    p_eo.add_argument("--sigma", type=float, default=5.0)
-    p_eo.add_argument("--steps", type=int, default=100)
-    p_eo.add_argument("--tau", type=float, default=1e-3)
-    p_eo.add_argument("--json", help="write the report as JSON")
-    p_eo.set_defaults(func=_cmd_even_odd)
-
+    named = [entry for entry in _SUBCOMMANDS if entry[0] == command]
+    for name, help_text, add_options in named or _SUBCOMMANDS:
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _warn
         warnings.simplefilter("default", UserWarning)  # also under -W error

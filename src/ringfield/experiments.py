@@ -559,7 +559,7 @@ def identity_suite(
 
 KERNEL_F_RTOL = 1e-9
 KERNEL_G_RTOL = 1e-9
-KERNEL_ORACLE_BLOCK = 256  # displacements per block of the direct sums
+KERNEL_ORACLE_BLOCK = 128  # residues per block of the direct sums
 
 
 def _residue_sums(lattice, terms) -> np.ndarray:
@@ -583,7 +583,12 @@ def _residue_sums(lattice, terms) -> np.ndarray:
     d = 0 still meets an independent sum there.  The sums run in real
     arithmetic, a block of ``KERNEL_ORACLE_BLOCK`` residues at a time,
     so the index matrix stays L x KERNEL_ORACLE_BLOCK; they use neither
-    an FFT nor the closed forms.  The index is reduced as
+    an FFT nor the closed forms.  At N = 801 the index and the gathered
+    table of a 128-wide block take 400 KB each, and a call takes no
+    minor page fault; at 256 wide (800 KB each) a call took about 370
+    and a quarter more time.  The width regroups BLAS's sums, and 128
+    and 256 give bitwise the same sums on every ``KERNEL_ORACLE_N_LIST``
+    lattice (not every width does).  The index is reduced as
     x - (x // N) N in int64 (k r < N^2 cannot overflow): numpy divides
     integers by a scalar without a hardware division per entry, which
     its ``%`` takes.  Each row is bitwise the sum its term alone gives.
@@ -819,9 +824,18 @@ def even_odd_comparison(
     odd = make_lattice(n_odd)
 
     def deviation(lattice, center) -> float:
+        # n Euler steps against one exact step of n tau, as two ``advance``
+        # calls take them, but from one forward transform when both
+        # multipliers act on the unbiased basis; the naive even Euler
+        # step acts on the storage-order DFT instead
         state = gaussian_state(lattice, center, sigma)
-        stepped = advance(state, EULER, tau, n_steps)
-        reference = advance(state, EXACT, n_steps * tau)
+        euler = propagator(lattice, EULER, tau)
+        initial = euler.coefficients(state.c)
+        stepped = state_from_amplitudes(lattice, euler.amplitudes_after(initial, [n_steps])[0])
+        exact = propagator(lattice, EXACT, n_steps * tau)
+        if euler.storage_dft:
+            initial = exact.coefficients(state.c)
+        reference = state_from_amplitudes(lattice, exact.amplitudes_after(initial, [1])[0])
         return float(np.linalg.norm(stepped.amplitudes() - reference.amplitudes()))
 
     dev_even_confined = deviation(even, 0)

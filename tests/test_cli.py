@@ -4,7 +4,8 @@ import warnings
 import pytest
 
 import ringfield.experiments
-from ringfield.cli import main
+import ringfield.cli
+from ringfield.cli import build_parser, main
 from ringfield.series import TIMESERIES_CSV_HEADER
 
 
@@ -250,3 +251,59 @@ class TestEvenOddCommand:
         assert payload["passed"] is True
         out = capsys.readouterr().out
         assert "wrapped packet breaks even mode" in out
+
+
+RUN_OVERRIDES = [
+    "--config", "run.cfg", "--n-sites", "21", "--lattice-constant", "0.5",
+    "--shape", "uniform", "--center", "3", "--width", "4", "--velocity-index", "2",
+    "--seed", "5", "--tau", "1e-4", "--n-steps", "7", "--record-every", "2",
+]
+PARSER_CORPUS = [
+    [], ["-h"], ["-h", "run"], ["--bogus"], ["bogus"], ["ru"],
+    # every option of each subcommand
+    ["run", *RUN_OVERRIDES, "--scheme", "exact", "--parity-mode", "even_naive",
+     "--csv", "a.csv", "--json", "a.json", "--checkpoint-every", "3", "--checkpoint-dir", "ck"],
+    ["run", "--sch", "exact"],
+    ["verify"],
+    ["verify", "--max-n", "21", "--inject-kernel-error", "1e-6"],
+    ["paper-table", "--steps", "3", "--seed", "1", "--json", "t.json", "--text", "t.txt"],
+    ["compare", *RUN_OVERRIDES, "--csv", "c.csv"],
+    ["even-odd", "--n-even", "100", "--n-odd", "101", "--sigma", "4", "--steps", "3",
+     "--tau", "1e-4", "--json", "e.json"],
+    # bad values, missing values and unknown options
+    ["run", "--shape", "blob"], ["run", "--n-sites", "x"], ["verify", "--max-n", "2.5"],
+    ["paper-table", "--steps"], ["even-odd", "--tau", "abc"], ["compare", "--scheme", "exact"],
+    ["run", "--bogus"], ["verify", "extra"], ["run", "run"],
+] + [[name, "-h"] for name in ("run", "verify", "paper-table", "compare", "even-odd")]
+
+
+def _parsed(parser, argv, capsys):
+    """The parsed namespace, or the exit code and what was printed."""
+    try:
+        return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: ",".join(argv) or "no-command")
+def test_subcommand_parser_reads_as_the_full_parser(argv, monkeypatch, capsys):
+    """``main`` builds the parser of the subcommand its first argument
+    names; that parser gives the full parser's namespace, or its exit
+    code, help text and one-line usage error."""
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parsed(build_parser(), argv, capsys)
+    assert _parsed(build_parser(argv[0] if argv else None), argv, capsys) == full
+    if isinstance(full, tuple) and full[0] != 0:
+        assert full[0] == 2 and full[2].count("\n") == 1, full
+
+
+def test_a_subcommand_builds_no_other_subcommand(monkeypatch, capsys):
+    def refuse(parser):
+        raise AssertionError("the run overrides were built")
+
+    monkeypatch.setattr(ringfield.cli, "_add_run_overrides", refuse)
+    assert main(["verify", "--max-n", "21"]) == 0
+    assert capsys.readouterr().out.endswith("verify: all checks passed\n")
+    with pytest.raises(AssertionError, match="run overrides"):
+        build_parser()

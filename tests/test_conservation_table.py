@@ -169,6 +169,21 @@ def test_shared_index_sums_match_one_term_sums(monkeypatch, n, block):
     assert np.all(np.abs(sums - default) <= 1e-14 * scale)
 
 
+ORACLE_TERM_SETS = (((2, np.cos), (1, np.sin)), ((4, np.cos),))
+
+
+@pytest.mark.parametrize("n", ringfield.experiments.KERNEL_ORACLE_N_LIST)
+def test_default_block_sums_bitwise_as_256_wide_blocks(monkeypatch, n):
+    """The kernel check's terms (F, G) and the identity suite's (F F)
+    come out bitwise the same from the default block width as from
+    256-wide blocks, on every lattice the kernel check sums."""
+    lattice = make_lattice(n)
+    default = [_residue_sums(lattice, terms) for terms in ORACLE_TERM_SETS]
+    monkeypatch.setattr(ringfield.experiments, "KERNEL_ORACLE_BLOCK", 256)
+    for sums, terms in zip(default, ORACLE_TERM_SETS):
+        assert np.array_equal(_residue_sums(lattice, terms), sums), terms
+
+
 def test_site_matrix_caches_stay_bounded():
     for n in (3, 5, 7, 9):
         f_site_matrix(make_lattice(n))
