@@ -17,6 +17,11 @@ real-input FFT, which computes only the momenta kappa >= 0 and takes
 the negative ones as their conjugates; complex amplitudes c = a + i b
 take it as the pair a_hat + i b_hat, so a real state's occupation is
 exactly even in kappa.
+
+Each lattice holds one phase table, the storage offset (and an even
+lattice's half-wave untwist); the inverse multiplies by its conjugate.
+The cache keeps two lattices, as many as any command transforms
+(``even-odd``: 800 and 801 sites); more would only hold dead tables.
 """
 
 from __future__ import annotations
@@ -44,26 +49,19 @@ class MomentumSpectrum:
     coefficients: np.ndarray
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=2)
 def _basis_tables(lattice: Lattice):
-    """Per-lattice phases of the transform pair.
-
-    ``offset`` is the storage-offset phase exp(-2 pi i kappa site_min / N)
-    and ``unoffset`` its inverse; ``untwist`` restores the extra half
-    wave of an even lattice after the inverse FFT (``None`` on odd
-    lattices).  All read-only.
-    """
+    """Per-lattice phases of the transform pair, read-only: ``offset``,
+    exp(-2 pi i kappa site_min / N), and ``untwist``, which restores the
+    extra half wave of an even lattice after the inverse FFT (``None``
+    on odd lattices)."""
     n = lattice.n_sites
-    kappa = lattice.momentum_values()
-    even = lattice.parity == EVEN
-    offset = np.exp(-2j * np.pi * kappa * lattice.site_min / n)
-    unoffset = np.exp(2j * np.pi * kappa * lattice.site_min / n)
-    untwist = np.exp(1j * np.pi * np.arange(n) / n) if even else None
-    tables = (offset, unoffset, untwist)
-    for table in tables:
+    offset = np.exp(-2j * np.pi * lattice.momentum_values() * lattice.site_min / n)
+    untwist = np.exp(1j * np.pi * np.arange(n) / n) if lattice.parity == EVEN else None
+    for table in (offset, untwist):
         if table is not None:
             table.setflags(write=False)
-    return tables
+    return offset, untwist
 
 
 def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarray:
@@ -81,7 +79,7 @@ def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarra
     if np.iscomplexobj(amplitudes):
         return (momentum_coefficients(lattice, np.real(amplitudes))
                 + 1j * momentum_coefficients(lattice, np.imag(amplitudes)))
-    offset, _unoffset, _untwist = _basis_tables(lattice)
+    offset, _untwist = _basis_tables(lattice)
     n = lattice.n_sites
     if lattice.parity == EVEN:
         positive = np.fft.rfft(amplitudes, 2 * n)[..., 1::2]
@@ -99,9 +97,9 @@ def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarra
 def site_amplitudes(lattice: Lattice, coefficients: np.ndarray) -> np.ndarray:
     """Inverse of ``momentum_coefficients``, along the last axis."""
     n = lattice.n_sites
-    _offset, unoffset, untwist = _basis_tables(lattice)
+    offset, untwist = _basis_tables(lattice)
     # ifftshift puts momentum kappa at FFT input index kappa mod N (kappa - 1/2 if even)
-    amplitudes = np.fft.ifft(np.fft.ifftshift(coefficients * unoffset, axes=-1))
+    amplitudes = np.fft.ifft(np.fft.ifftshift(coefficients * np.conj(offset), axes=-1))
     amplitudes *= sqrt(n)
     if untwist is not None:
         amplitudes *= untwist

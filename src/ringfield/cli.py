@@ -70,15 +70,12 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> RunConfig:
     """The config file's values (or the defaults), overridden by every
     flag that the subcommand has and the command line sets."""
-    base = RunConfig()
-    if args.config:
-        base = read_config(args.config, base=base)
-    overrides = {
+    flags = {
         field.name: getattr(args, field.name)
         for field in dataclasses.fields(RunConfig)
         if getattr(args, field.name, None) is not None
     }
-    return RunConfig(**{**base.__dict__, **overrides})
+    return dataclasses.replace(read_config(args.config) if args.config else RunConfig(), **flags)
 
 
 def _fail(exc: Exception, code: int) -> int:
@@ -204,7 +201,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", dest="json_path", help="also write the series as JSON")
     parser.add_argument("--checkpoint-every", type=int, dest="checkpoint_every")
     parser.add_argument("--checkpoint-dir", dest="checkpoint_dir")
-    parser.set_defaults(func=_cmd_run)
 
 
 def _add_verify_options(parser: argparse.ArgumentParser) -> None:
@@ -213,7 +209,6 @@ def _add_verify_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--inject-kernel-error", type=float, default=0.0,
                         help="self-test hook: offset added to the closed-form "
                              "kernel so the equivalence check must fail")
-    parser.set_defaults(func=_cmd_verify)
 
 
 def _add_paper_table_options(parser: argparse.ArgumentParser) -> None:
@@ -221,13 +216,11 @@ def _add_paper_table_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", help="write the report as JSON")
     parser.add_argument("--text", help="write the report as text")
-    parser.set_defaults(func=_cmd_paper_table)
 
 
 def _add_compare_options(parser: argparse.ArgumentParser) -> None:
     _add_run_overrides(parser)
     parser.add_argument("--csv", dest="csv_path", help="comparison CSV path (default stdout)")
-    parser.set_defaults(func=_cmd_compare)
 
 
 def _add_even_odd_options(parser: argparse.ArgumentParser) -> None:
@@ -237,16 +230,16 @@ def _add_even_odd_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=100)
     parser.add_argument("--tau", type=float, default=1e-3)
     parser.add_argument("--json", help="write the report as JSON")
-    parser.set_defaults(func=_cmd_even_odd)
 
 
-# (name, help, add-options function) of each subcommand, in help order
+# (name, help, add-options function, handler) of each subcommand, in help order
 _SUBCOMMANDS = (
-    ("run", "evolve a state and write the observable series", _add_run_options),
-    ("verify", "kernel oracle and identity suites", _add_verify_options),
-    ("paper-table", "conservation grid with pass/fail bands", _add_paper_table_options),
-    ("compare", "reaction step vs exact unitary", _add_compare_options),
-    ("even-odd", "even vs odd parity demonstration", _add_even_odd_options),
+    ("run", "evolve a state and write the observable series", _add_run_options, _cmd_run),
+    ("verify", "kernel oracle and identity suites", _add_verify_options, _cmd_verify),
+    ("paper-table", "conservation grid with pass/fail bands", _add_paper_table_options,
+     _cmd_paper_table),
+    ("compare", "reaction step vs exact unitary", _add_compare_options, _cmd_compare),
+    ("even-odd", "even vs odd parity demonstration", _add_even_odd_options, _cmd_even_odd),
 )
 
 
@@ -262,8 +255,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = [entry for entry in _SUBCOMMANDS if entry[0] == command]
-    for name, help_text, add_options in named or _SUBCOMMANDS:
-        add_options(sub.add_parser(name, help=help_text))
+    for name, help_text, add_options, handler in named or _SUBCOMMANDS:
+        subparser = sub.add_parser(name, help=help_text)
+        add_options(subparser)
+        subparser.set_defaults(func=handler)
     return parser
 
 

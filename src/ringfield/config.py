@@ -90,8 +90,8 @@ class RunConfig:
         atomic_write_text(path, self.to_text())
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse the flat format, starting from ``base`` (or the defaults)."""
+def parse_config_text(text: str) -> RunConfig:
+    """Parse the flat format; a key it does not set keeps its default."""
     values = {}
     known = {spec.name: spec for spec in fields(RunConfig)}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -115,10 +115,9 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
                 values[key] = value
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-    merged = {**(base or RunConfig()).__dict__, **values}
-    return RunConfig(**merged)
+    return RunConfig(**values)
 
 
-def read_config(path: str, base: RunConfig | None = None) -> RunConfig:
+def read_config(path: str) -> RunConfig:
     with open(path) as handle:
-        return parse_config_text(handle.read(), base=base)
+        return parse_config_text(handle.read())

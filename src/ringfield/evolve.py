@@ -62,7 +62,7 @@ from .kernels import _euler_x
 from .lattice import EVEN, Lattice
 from .observables import row_blocks, snapshot, snapshots, spectral_series
 from .series import TimeSeries
-from .state import FieldState, _check_integer, _require_one_state, state_from_amplitudes
+from .state import FieldState, _check_integer, _frozen, _require_one_state, state_from_amplitudes
 
 EULER = "euler"
 EXACT = "exact"
@@ -159,7 +159,7 @@ class Propagator:
         one row per n.
 
         Unchecked: a row that overflowed holds non-finite values, which
-        ``state_from_amplitudes`` rejects.
+        ``state._frozen`` rejects.
         """
         evolved = np.asarray(steps, dtype=float)[:, None] * self.log_multiplier
         with np.errstate(over="ignore", invalid="ignore"):
@@ -277,7 +277,7 @@ def run(
         amplitudes = prop.amplitudes_after(initial, steps[rows])
         if rows.start == 0:
             amplitudes[0] = state.c  # steps[0] = 0: the state itself, bit for bit
-        block = state_from_amplitudes(lattice, amplitudes)
+        block = _frozen(lattice, amplitudes)
         measured = snapshots(block, steps[rows], None if spectral is None else spectral[:, rows])
         for row, snap in enumerate(measured):
             if snap.step in recorded:

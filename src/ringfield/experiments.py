@@ -88,11 +88,11 @@ from .state import (
     StateSpec,
     _check_integer,
     _check_seed,
+    _frozen,
     build_state,
     combined_distribution,
     gaussian_state,
     norm_m,
-    state_from_amplitudes,
     uniform_state,
 )
 
@@ -247,7 +247,7 @@ FINAL_DEVIATION_RTOL = 1e-12
 
 def _check_final_m(lattice, amplitudes: np.ndarray, predicted: float) -> None:
     """Finite amplitudes (``ValueError``) that carry the ``predicted`` M."""
-    _check_parseval(predicted, norm_m(state_from_amplitudes(lattice, amplitudes)))
+    _check_parseval(predicted, norm_m(_frozen(lattice, amplitudes)))
 
 
 def _euler_series(state: FieldState, taus, steps: list[int]):
@@ -298,7 +298,7 @@ def paper_table_grid(n_steps: int = 1000, seed: int = DEFAULT_SEED) -> Experimen
     _check_seed(seed)
     steps = record_steps(n_steps, 10)
     lattice = make_lattice(N_SITES)
-    block = state_from_amplitudes(
+    block = _frozen(
         lattice, np.stack([table_state(lattice, shape, seed).c for shape in TABLE_SHAPES])
     )
     _initial, _occupation, series = _euler_series(block, TABLE_TAUS, steps)
@@ -521,11 +521,11 @@ def identity_suite(
         draws = rng.uniform(-1.0, 1.0, (states_per_n, 2, n))
         amps = draws[:, 0] + 1j * draws[:, 1]
         amps /= np.sqrt(_row_dots(amps.real, amps.real) + _row_dots(amps.imag, amps.imag))[:, None]
-        block = state_from_amplitudes(
+        block = _frozen(
             lattice, np.concatenate([amps * np.sqrt(m_target) for m_target in (1.0, 7.0)])
         )
         stepped_a, stepped_b = _dense_reaction_step(fmat, tau * g**2, block.a, block.b)
-        stepped = state_from_amplitudes(lattice, stepped_a + 1j * stepped_b)
+        stepped = _frozen(lattice, stepped_a + 1j * stepped_b)
         measured = norm_m(stepped) - norm_m(block)
         conv_c = np.matmul(conv, block.c[..., None])[..., 0]  # bitwise conv @ c per row
         quadratic = _row_dots(np.conj(block.c), conv_c).real
@@ -831,11 +831,11 @@ def even_odd_comparison(
         state = gaussian_state(lattice, center, sigma)
         euler = propagator(lattice, EULER, tau)
         initial = euler.coefficients(state.c)
-        stepped = state_from_amplitudes(lattice, euler.amplitudes_after(initial, [n_steps])[0])
+        stepped = _frozen(lattice, euler.amplitudes_after(initial, [n_steps])[0])
         exact = propagator(lattice, EXACT, n_steps * tau)
         if euler.storage_dft:
             initial = exact.coefficients(state.c)
-        reference = state_from_amplitudes(lattice, exact.amplitudes_after(initial, [1])[0])
+        reference = _frozen(lattice, exact.amplitudes_after(initial, [1])[0])
         return float(np.linalg.norm(stepped.amplitudes() - reference.amplitudes()))
 
     dev_even_confined = deviation(even, 0)

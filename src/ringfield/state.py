@@ -13,6 +13,9 @@ plays the role of total probability; constructors normalise to M = 1.
 one state, (R, N) for a block of R states, one per row.  States are
 values: every operation returns a new state and the arrays are
 read-only, so instances can be shared freely across threads.
+A caller's array is copied (``state_from_amplitudes``); an array the
+package has just built and holds no other reference to is taken over,
+not copied (``_frozen``), so a block is held once.
 """
 
 from __future__ import annotations
