@@ -1,7 +1,9 @@
 """The text reports of ``verify``, ``paper-table`` and ``even-odd``, the
 ``run`` and ``compare`` CSV files and the odd and even checkpoints are
-byte-stable: they match the committed fixtures in ``tests/data``."""
+byte-stable: they match the committed fixtures in ``tests/data``, or,
+for the large files of the N = 4001 run, their committed sha256."""
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -59,3 +61,36 @@ def test_checkpoint_matches_fixture_and_reads_back(parity, fixture, tmp_path):
 def test_series_fixture_reads_back_to_its_text():
     snapshots = read_timeseries_csv(str(DATA / "run_n101.csv"))
     assert TimeSeries(tuple(snapshots)).to_csv_text() == (DATA / "run_n101.csv").read_text()
+
+
+# the argv of the benchmark's wide run (N = 4001, 21 records, 5 checkpoints),
+# under both schemes and on its even twin; wide_dense.sha256 holds the
+# sha256 of every file each one writes, in ``sha256sum -c`` form, by path
+# relative to the directory the files are written to
+WIDE = ["--n-sites", "4001", "--width", "50", "--center", "123", "--velocity-index", "17",
+        "--n-steps", "100", "--record-every", "5", "--checkpoint-every", "25"]
+WIDE_TWINS = {
+    "euler": ["--scheme", "euler"],
+    "exact": ["--scheme", "exact"],
+    "even-euler": ["--scheme", "euler", "--parity-mode", "even_naive", "--n-sites", "4000"],
+    "even-exact": ["--scheme", "exact", "--parity-mode", "even_naive", "--n-sites", "4000"],
+}
+
+
+def _manifest(name: str) -> dict[str, str]:
+    lines = (DATA / name).read_text().splitlines()
+    return {path: digest for digest, path in (line.split("  ", 1) for line in lines)}
+
+
+@pytest.mark.parametrize("twin", WIDE_TWINS)
+def test_wide_run_outputs_match_manifest(twin, tmp_path):
+    out = tmp_path / twin
+    out.mkdir()
+    assert main(["run", *WIDE, *WIDE_TWINS[twin], "--csv", str(out / "series.csv"),
+                 "--json", str(out / "series.json"), "--checkpoint-dir", str(out)]) == 0
+    written = {f"{twin}/{path.name}": hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+    expected = {path: digest for path, digest in _manifest("wide_dense.sha256").items()
+                if path.startswith(f"{twin}/")}
+    assert len(expected) == 7
+    assert written == expected
