@@ -18,9 +18,12 @@ the negative ones as their conjugates; complex amplitudes c = a + i b
 take it as the pair a_hat + i b_hat, so a real state's occupation is
 exactly even in kappa.
 
-Each lattice holds one phase table, the storage offset (and an even
-lattice's half-wave untwist); the inverse multiplies by its conjugate.
-The cache keeps two lattices, as many as any command transforms
+Each lattice holds one phase table, the conjugate of the storage
+offset in FFT input order (and an even lattice's half-wave untwist):
+the inverse shifts its coefficients into that order once, into the
+array it returns, then multiplies by the table and transforms in place;
+the forward multiplies by the table's conjugate, shifted back.  The
+cache keeps two lattices, as many as any command transforms
 (``even-odd``: 800 and 801 sites); more would only hold dead tables.
 """
 
@@ -51,17 +54,19 @@ class MomentumSpectrum:
 
 @lru_cache(maxsize=2)
 def _basis_tables(lattice: Lattice):
-    """Per-lattice phases of the transform pair, read-only: ``offset``,
-    exp(-2 pi i kappa site_min / N), and ``untwist``, which restores the
-    extra half wave of an even lattice after the inverse FFT (``None``
-    on odd lattices)."""
+    """Per-lattice phases of the transform pair, read-only: ``unoffset``,
+    the conjugate of the storage offset exp(-2 pi i kappa site_min / N)
+    in FFT input order (``ifftshift``), and ``untwist``, which restores
+    the extra half wave of an even lattice after the inverse FFT
+    (``None`` on odd lattices)."""
     n = lattice.n_sites
     offset = np.exp(-2j * np.pi * lattice.momentum_values() * lattice.site_min / n)
+    unoffset = np.fft.ifftshift(np.conj(offset))
     untwist = np.exp(1j * np.pi * np.arange(n) / n) if lattice.parity == EVEN else None
-    for table in (offset, untwist):
+    for table in (unoffset, untwist):
         if table is not None:
             table.setflags(write=False)
-    return offset, untwist
+    return unoffset, untwist
 
 
 def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarray:
@@ -79,7 +84,7 @@ def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarra
     if np.iscomplexobj(amplitudes):
         return (momentum_coefficients(lattice, np.real(amplitudes))
                 + 1j * momentum_coefficients(lattice, np.imag(amplitudes)))
-    offset, _untwist = _basis_tables(lattice)
+    unoffset, _untwist = _basis_tables(lattice)
     n = lattice.n_sites
     if lattice.parity == EVEN:
         positive = np.fft.rfft(amplitudes, 2 * n)[..., 1::2]
@@ -90,16 +95,18 @@ def momentum_coefficients(lattice: Lattice, amplitudes: np.ndarray) -> np.ndarra
     coefficients = np.concatenate((np.conj(negative), positive), axis=-1)
     coefficients /= sqrt(n)
     # undo the storage offset: site s sits at array index s - site_min
-    coefficients *= offset
+    coefficients *= np.conj(np.fft.fftshift(unoffset))
     return coefficients
 
 
 def site_amplitudes(lattice: Lattice, coefficients: np.ndarray) -> np.ndarray:
     """Inverse of ``momentum_coefficients``, along the last axis."""
     n = lattice.n_sites
-    offset, untwist = _basis_tables(lattice)
+    unoffset, untwist = _basis_tables(lattice)
     # ifftshift puts momentum kappa at FFT input index kappa mod N (kappa - 1/2 if even)
-    amplitudes = np.fft.ifft(np.fft.ifftshift(coefficients * np.conj(offset), axes=-1))
+    amplitudes = np.fft.ifftshift(np.asarray(coefficients, dtype=complex), axes=-1)
+    amplitudes *= unoffset
+    np.fft.ifft(amplitudes, out=amplitudes)
     amplitudes *= sqrt(n)
     if untwist is not None:
         amplitudes *= untwist

@@ -42,7 +42,7 @@ from .experiments import (
     paper_table_grid,
     paper_table_text,
 )
-from .ioutil import atomic_write_text, check_directory, check_writable, csv_text
+from .ioutil import atomic_write_text, check_directory, check_writable, csv_blocks
 from .kernels import ConsistencyError
 from .state import build_state, write_state_csv
 
@@ -164,11 +164,11 @@ def _cmd_compare(args) -> int:
     state = build_state(config.lattice(), config.state_spec())
     rows = compare_rows(state, config.tau, config.n_steps, config.record_every)
     steps, *columns = zip(*rows)
-    text = csv_text("step,deviation,m_euler,m_exact,drift_euler,drift_exact", steps, columns)
+    blocks = csv_blocks("step,deviation,m_euler,m_exact,drift_euler,drift_exact", steps, columns)
     if config.csv_path:
-        atomic_write_text(config.csv_path, text)
+        atomic_write_text(config.csv_path, blocks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
     return EXIT_OK
 
 

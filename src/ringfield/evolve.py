@@ -28,9 +28,12 @@ crosses the index seam.
 So n steps are one multiplier raised to the power n.  ``run``
 transforms the initial state once (``Propagator.coefficients``) and
 builds and measures only the rows it records or checkpoints, a block
-(``observables.row_blocks``) at a time: the rows c_hat_0 m^n go through
-one batched inverse transform (``Propagator.amplitudes_after``), so a
-row costs one transform and memory stays flat.
+(``observables.row_blocks``, 256 KiB of rows) at a time: the rows
+c_hat_0 m^n are built in one array and go through one batched inverse
+transform, which ``basis.site_amplitudes`` takes in place in the array
+it returns (``Propagator.amplitudes_after``).  So a row costs its share
+of one FFT call, whose fixed cost at a prime N a block spreads over
+its rows (``observables.RECORD_BLOCK_BYTES``), and memory stays flat.
 Its M and <P> columns come from one ``observables.spectral_series`` of
 |c_hat_0|^2 whenever the step is diagonal in the unbiased basis, the
 reduction behind ``compare``'s and the conservation table's closed
@@ -166,7 +169,7 @@ class Propagator:
             np.exp(evolved, out=evolved)
             np.multiply(coefficients, evolved, out=evolved)
             if self.storage_dft:
-                return np.fft.ifft(evolved)
+                return np.fft.ifft(evolved, out=evolved)
             return site_amplitudes(self.lattice, evolved)
 
 

@@ -823,25 +823,26 @@ def even_odd_comparison(
     even = make_even_lattice(n_even)
     odd = make_lattice(n_odd)
 
-    def deviation(lattice, center) -> float:
+    def deviations(lattice) -> list[float]:
+        # the confined and the wrapped packet as one block of two rows:
         # n Euler steps against one exact step of n tau, as two ``advance``
         # calls take them, but from one forward transform when both
         # multipliers act on the unbiased basis; the naive even Euler
         # step acts on the storage-order DFT instead
-        state = gaussian_state(lattice, center, sigma)
+        block = np.stack([gaussian_state(lattice, center, sigma).c
+                          for center in (0, lattice.site_min)])
         euler = propagator(lattice, EULER, tau)
-        initial = euler.coefficients(state.c)
-        stepped = _frozen(lattice, euler.amplitudes_after(initial, [n_steps])[0])
+        initial = euler.coefficients(block)
+        stepped = _frozen(lattice, euler.amplitudes_after(initial, [n_steps] * 2))
         exact = propagator(lattice, EXACT, n_steps * tau)
         if euler.storage_dft:
-            initial = exact.coefficients(state.c)
-        reference = _frozen(lattice, exact.amplitudes_after(initial, [1])[0])
-        return float(np.linalg.norm(stepped.amplitudes() - reference.amplitudes()))
+            initial = exact.coefficients(block)
+        reference = _frozen(lattice, exact.amplitudes_after(initial, [1] * 2))
+        # row by row: a norm along an axis sums in another order
+        return [float(np.linalg.norm(row)) for row in stepped.c - reference.c]
 
-    dev_even_confined = deviation(even, 0)
-    dev_odd_confined = deviation(odd, 0)
-    dev_even_wrapped = deviation(even, even.site_min)
-    dev_odd_wrapped = deviation(odd, odd.site_min)
+    dev_even_confined, dev_even_wrapped = deviations(even)
+    dev_odd_confined, dev_odd_wrapped = deviations(odd)
     if min(dev_even_confined, dev_odd_confined, dev_odd_wrapped) == 0.0:
         raise ValueError(
             f"the reaction step does not deviate from its reference at tau = {tau:g}"

@@ -9,8 +9,14 @@ import os
 import stat
 import tempfile
 import warnings
+from collections.abc import Iterable, Iterator
 
 import numpy as np
+
+# bytes that one field of a CSV row holds while its block of rows is
+# built: its number as a Python object, its text in the row strings and
+# their list slots (about 78 measured, on rows of a label and two floats)
+_FIELD_BYTES = 80
 
 
 def fmt(x) -> str:
@@ -82,25 +88,28 @@ def check_directory(path: str) -> None:
         raise _naming(exc, path) from exc
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
     """Write whole-file via a temp file and rename, so readers never
-    observe a partial file.  The file gets the mode ``open(path, "w")``
+    observe a partial file.  ``text`` is one string or an iterable of
+    blocks of it, written as they come (``csv_blocks``); a block that
+    raises leaves no file.  The file gets the mode ``open(path, "w")``
     would give it.  A symbolic link is followed: the file it names is
     replaced and the link stays.  A target that exists and is not a
     regular file (a device, a FIFO) is written in place, as
     ``open(path, "w")`` would.  An ``OSError`` names ``path``, not the
     temporary file."""
+    blocks = (text,) if isinstance(text, str) else text
     try:
         target, mode = _target(path)
         if mode is None:
             with open(target, "w") as handle:
-                handle.write(text)
+                handle.writelines(blocks)
             return
         fd, tmp = _temp_file(target)
         try:
             with os.fdopen(fd, "w") as handle:
                 os.fchmod(handle.fileno(), mode)
-                handle.write(text)
+                handle.writelines(blocks)
             os.replace(tmp, target)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -110,14 +119,25 @@ def atomic_write_text(path: str, text: str) -> None:
         raise _naming(exc, path) from exc
 
 
-def csv_text(header: str, labels, columns) -> str:
-    """A numeric CSV: ``header``, then per label a row of the integer
-    label (``str``) and its value from each column (``fmt``)."""
-    row = ",".join(["{}"] + ["{!r}"] * len(columns)).format
-    # the value lists are held by map's iterators alone, which drop them
-    # once exhausted, before the text is allocated
-    values = (np.asarray(column, dtype=float).tolist() for column in columns)
-    return "\n".join([header, *map(row, labels, *values), ""])
+def csv_blocks(header: str, labels, columns) -> Iterator[str]:
+    """A numeric CSV as blocks of text: ``header``, then per label a row
+    of the integer label (``str``) and its value from each column
+    (``fmt``).  The rows come a block at a time (``row_blocks``), each
+    from one ``tolist`` of every column's slice, so the whole text is
+    never built; ``"".join`` gives it."""
+    # imported here: observables imports this module (through state)
+    from .observables import row_blocks
+
+    labels = np.asarray(labels)
+    columns = [np.asarray(column, dtype=float) for column in columns]
+    yield header
+    for rows in row_blocks(len(labels), _FIELD_BYTES * (1 + len(columns))):
+        lines = labels[rows].tolist()
+        for column in columns:
+            lines = [f"{line},{value!r}" for line, value in zip(lines, column[rows].tolist())]
+        yield "\n"
+        yield "\n".join(lines)
+    yield "\n"
 
 
 def read_csv_table(path: str, header: str) -> tuple[np.ndarray, np.ndarray]:

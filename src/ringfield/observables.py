@@ -64,14 +64,19 @@ from .state import (
 )
 
 # bytes of one block of rows, read only by ``row_blocks``: complex
-# amplitudes in ``evolve``'s record blocks (5 rows at N = 801, one from
-# N = 2049 on), real weights in ``_spectral_rows``.  Building a record
-# block takes about three block-sized arrays at once (tracemalloc, 4 rows
-# at N = 4001: 0.78 MB for a 0.26 MB block), and measuring its position
-# columns about three more (0.74 MB).  So larger blocks raise the peak
-# memory of large-N runs, while most of the batching gain at N = 801 is
-# already there at 5 rows.
-RECORD_BLOCK_BYTES = 64 * 1024
+# amplitudes in ``evolve``'s record blocks (20 rows at N = 801, 4 at
+# N = 4001, one from N = 8193 on), real weights in ``_spectral_rows``,
+# and the Python objects of a block of CSV rows (``ioutil.csv_blocks``).
+# A record block is built in place and measured with one scratch block
+# besides its position columns, so its transients are few.  Each batched
+# inverse FFT pays a fixed cost at a prime N (at N = 4001 one row takes
+# 0.27 ms and four 0.79 ms, best of 300 calls on a 2-vCPU Xeon VM), so
+# 21 records take 6 calls of 4 rows instead of 21.
+RECORD_BLOCK_BYTES = 256 * 1024
+
+# exp(-t) rounds to exactly 0.0 in float64 for t > 745.14, where it falls
+# below half the smallest subnormal; the margin covers the rounding of t
+_FAR_IMAGE = 746.0
 
 # spread is reported from the resultant length R of the circular first
 # moment; R is floored to keep log() finite for spread-less (flat) states
@@ -196,21 +201,44 @@ def _shape_residual(
     lattice: Lattice, density: np.ndarray, mean: np.ndarray, spread: np.ndarray
 ) -> np.ndarray:
     """RMS misfit of each row of ``density`` to a wrapped gaussian of its
-    circular moments (amplitude by least squares), over the row's peak."""
-    spread = np.maximum(spread, 1e-9)[..., None]
+    circular moments (amplitude by least squares), over the row's peak.
+
+    Every site lies within N/2 of a row's mean, so the images at +-N add
+    exp(-t) with t >= (N/2)^2 / (2 sigma^2); past ``_FAR_IMAGE``, where
+    exp(-t) rounds to exactly 0.0, they are skipped.  The model is built
+    in its offsets' array, and one scratch array serves every product.
+    """
     n = lattice.n_sites
-    offsets = lattice.sites() - mean[..., None]
-    offsets = (offsets + n / 2.0) % n - n / 2.0
-    model = np.zeros_like(density)
     # C pow, which rounds like a Python float's spread ** 2; x * x can
     # differ by an ulp, and the residual of a near-gaussian packet is
     # rounding noise that would show it in the printed digits
-    variance = np.float_power(spread, 2)
-    for image in (-1, 0, 1):
-        model += np.exp(-((offsets + image * n) ** 2) / (2.0 * variance))
-    amplitude = np.sum(model * density, axis=-1) / np.sum(model * model, axis=-1)
-    rms = np.sqrt(np.mean((density - amplitude[..., None] * model) ** 2, axis=-1))
+    twice_variance = 2.0 * np.float_power(np.maximum(spread, 1e-9), 2)[..., None]
+    offsets = lattice.sites() - mean[..., None]
+    offsets += n / 2.0
+    offsets %= n
+    offsets -= n / 2.0
+    scratch = np.empty_like(offsets)
+    if np.all((n / 2.0) ** 2 / twice_variance > _FAR_IMAGE):
+        model = _gaussian_image(offsets, 0, twice_variance, out=offsets)
+    else:
+        model = np.zeros_like(offsets)
+        for image in (-1, 0, 1):
+            model += _gaussian_image(offsets, image * n, twice_variance, out=scratch)
+    fit = np.sum(np.multiply(model, density, out=scratch), axis=-1)
+    amplitude = fit / np.sum(np.multiply(model, model, out=scratch), axis=-1)
+    np.multiply(amplitude[..., None], model, out=scratch)
+    np.subtract(density, scratch, out=scratch)
+    rms = np.sqrt(np.mean(np.square(scratch, out=scratch), axis=-1))
     return rms / np.max(density, axis=-1)
+
+
+def _gaussian_image(offsets, shift, twice_variance, out):
+    """exp(-(offsets + shift)^2 / (2 sigma^2)) into ``out``."""
+    np.add(offsets, shift, out=out)
+    np.square(out, out=out)
+    np.negative(out, out=out)
+    np.divide(out, twice_variance, out=out)
+    return np.exp(out, out=out)
 
 
 def count_local_maxima(distribution: np.ndarray, prominence: float = 1e-6) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .ioutil import atomic_write_text, csv_text, read_csv_table
+from .ioutil import atomic_write_text, csv_blocks, read_csv_table
 from .observables import ObservableSnapshot
 from .state import FieldState
 
@@ -35,12 +35,15 @@ class TimeSeries:
         """All values of one snapshot field, in step order."""
         return [getattr(snap, name) for snap in self.snapshots]
 
+    def _csv_blocks(self):
+        return csv_blocks(TIMESERIES_CSV_HEADER, self.column("step"),
+                          [self.column(name) for name in _COLUMNS[1:]])
+
     def to_csv_text(self) -> str:
-        return csv_text(TIMESERIES_CSV_HEADER, self.column("step"),
-                        [self.column(name) for name in _COLUMNS[1:]])
+        return "".join(self._csv_blocks())
 
     def write_csv(self, path: str) -> None:
-        atomic_write_text(path, self.to_csv_text())
+        atomic_write_text(path, self._csv_blocks())
 
     def to_json_obj(self) -> dict:
         return {

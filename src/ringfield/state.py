@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import atomic_write_text, csv_text, read_csv_table
+from .ioutil import atomic_write_text, csv_blocks, read_csv_table
 from .lattice import EVEN, ODD, Lattice, _build, wrap_index
 
 
@@ -269,13 +269,17 @@ def build_state(lattice: Lattice, spec: StateSpec) -> FieldState:
 STATE_CSV_HEADER = "site,a,b"
 
 
-def state_to_csv_text(state: FieldState) -> str:
+def _state_csv_blocks(state: FieldState):
     _require_one_state(state, "a state checkpoint")
-    return csv_text(STATE_CSV_HEADER, state.lattice.sites().tolist(), [state.a, state.b])
+    return csv_blocks(STATE_CSV_HEADER, state.lattice.sites(), [state.a, state.b])
+
+
+def state_to_csv_text(state: FieldState) -> str:
+    return "".join(_state_csv_blocks(state))
 
 
 def write_state_csv(state: FieldState, path: str) -> None:
-    atomic_write_text(path, state_to_csv_text(state))
+    atomic_write_text(path, _state_csv_blocks(state))
 
 
 def read_state_csv(path: str, lattice_constant: float = 1.0) -> FieldState:

@@ -12,6 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ringfield.cli
 import ringfield.evolve
 import ringfield.experiments
 import ringfield.observables
@@ -118,7 +119,7 @@ def test_rows_match_states_built_one_at_a_time(monkeypatch, method, n_sites):
         monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", 3 * 16 * n_sites)
         n_steps, record_every = 20, 2
     else:
-        # 5 rows per block at the default size: 101 records split 20 x 5 + 1
+        # 20 rows per block at the default size: 101 records split 5 x 20 + 1
         n_steps, record_every = 100, 1
     state = random_state(lattice, 7)
     series = run(state, config, n_steps, record_every, checkpoint_every=7)
@@ -337,6 +338,42 @@ def test_run_takes_one_inverse_transform_per_block(fft_calls, scheme):
     assert fft_calls["rfft"] == [(4001,), (4001,)]
 
 
+def test_even_odd_takes_one_block_per_lattice(fft_calls):
+    """``even_odd_comparison`` steps its confined and wrapped packets as
+    one block of two rows per lattice: one forward transform per basis
+    (the even Euler step's storage-order DFT, the unbiased basis of the
+    exact step) and one batched inverse transform per scheme.  The
+    one-row FFT builds the naive even step's eigenvalues."""
+    assert even_odd_comparison().passed
+    assert fft_calls == {"fft": [(800,), (2, 800)], "ifft": [(2, 800), (2, 800), (2, 801), (2, 801)],
+                         "rfft": [(2, 800), (2, 800), (2, 801), (2, 801)]}
+
+
+@pytest.mark.parametrize("parity", [["--n-sites", "801"], ["--n-sites", "4001"],
+                                    ["--n-sites", "800", "--parity-mode", "even_naive"]],
+                         ids=["801", "4001", "even-800"])
+@pytest.mark.parametrize("scheme", ["euler", "exact"])
+def test_outputs_do_not_depend_on_the_block_size(monkeypatch, tmp_path, parity, scheme):
+    """``run`` writes the same bytes, series and checkpoints, whether its
+    blocks hold one row or as many as the default size allows: each row
+    is transformed, measured and formatted as it would be alone."""
+    argv = ["run", *parity, "--scheme", scheme, "--width", "20", "--velocity-index", "9",
+            "--n-steps", "60", "--record-every", "3", "--checkpoint-every", "20"]
+
+    def written(directory):
+        directory.mkdir()
+        assert ringfield.cli.main([*argv, "--csv", str(directory / "series.csv"),
+                                   "--checkpoint-dir", str(directory)]) == 0
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    default = written(tmp_path / "default")
+    n_sites = int(parity[1])
+    assert RECORD_BLOCK_BYTES // (16 * n_sites) > 1
+    monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", 16 * n_sites)
+    assert written(tmp_path / "one_row") == default
+    assert len(default) == 5
+
+
 @pytest.mark.parametrize("record_every, n_records", [(5, 21), (1, 101), (100, 2)])
 def test_compare_takes_one_inverse_transform_per_scheme(fft_calls, record_every, n_records):
     """``compare`` evaluates its rows in closed form from one forward
@@ -474,8 +511,8 @@ WARNING_CALLS = {
     # past the threshold
     "paper_table_grid": (lambda: paper_table_grid(n_steps=10), 2, __file__),
     "compare_rows": (lambda: compare_rows(WARN_STATE, WARN_TAU, 10, 5), 1, __file__),
-    # the Euler step on both lattices, confined and wrapped
-    "even_odd_comparison": (lambda: even_odd_comparison(n_steps=1, tau=WARN_TAU), 4, __file__),
+    # one Euler propagator per lattice, for its confined and wrapped rows
+    "even_odd_comparison": (lambda: even_odd_comparison(n_steps=1, tau=WARN_TAU), 2, __file__),
 }
 
 
