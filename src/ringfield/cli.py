@@ -107,7 +107,7 @@ def _cmd_run(args) -> int:
     if config.csv_path:
         series.write_csv(config.csv_path)
     else:
-        sys.stdout.write(series.to_csv_text())
+        sys.stdout.writelines(series.csv_blocks())
     if config.json_path:
         series.write_json(config.json_path)
     for step, checkpoint in sorted(series.checkpoints.items()):
@@ -144,17 +144,18 @@ def _check_outputs(*paths) -> None:
             check_writable(path)
 
 
-def _cmd_paper_table(args) -> int:
-    _check_outputs(args.json, args.text)
-    report = paper_table_grid(n_steps=args.steps, seed=args.seed)
-    table = paper_table_text(report)
-    sys.stdout.write(table)
-    print(f"result: {'PASS' if report.passed else 'FAIL'}")
-    if args.json:
-        report.write_json(args.json)
-    if args.text:
-        atomic_write_text(args.text, table)
+def _report(report, text: str, json_path: str | None) -> int:
+    """Print a report's text, write its JSON when asked; 1 on a failed check."""
+    sys.stdout.write(text)
+    if json_path:
+        report.write_json(json_path)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
+def _cmd_paper_table(args) -> int:
+    _check_outputs(args.json)
+    report = paper_table_grid(n_steps=args.steps, seed=args.seed)
+    return _report(report, paper_table_text(report), args.json)
 
 
 def _cmd_compare(args) -> int:
@@ -178,10 +179,7 @@ def _cmd_even_odd(args) -> int:
         n_even=args.n_even, n_odd=args.n_odd, sigma=args.sigma,
         n_steps=args.steps, tau=args.tau,
     )
-    sys.stdout.write(report.to_text())
-    if args.json:
-        report.write_json(args.json)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return _report(report, report.to_text(), args.json)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -215,7 +213,6 @@ def _add_paper_table_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--steps", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", help="write the report as JSON")
-    parser.add_argument("--text", help="write the report as text")
 
 
 def _add_compare_options(parser: argparse.ArgumentParser) -> None:

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -160,16 +160,7 @@ class ExperimentReport:
             "name": self.name,
             "params": self.params,
             "metrics": {k: _jsonable(v) for k, v in self.metrics.items()},
-            "checks": [
-                {
-                    "name": c.name,
-                    "value": _jsonable(c.value),
-                    "requirement": c.requirement,
-                    "passed": c.passed,
-                    "gated": c.gated,
-                }
-                for c in self.checks
-            ],
+            "checks": [{**asdict(c), "value": _jsonable(c.value)} for c in self.checks],
             "passed": self.passed,
         }
 
@@ -185,7 +176,7 @@ class ExperimentReport:
             lines.append(
                 f"  [{status}] {c.name:<40s} {_fmt_value(c.value):>13s}  ({c.requirement}){tag}"
             )
-        lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
+        lines.append(_result_line(self))
         return "\n".join(lines) + "\n"
 
     def write_json(self, path: str) -> None:
@@ -198,10 +189,12 @@ def _jsonable(value):
     return float(value)
 
 
+def _result_line(report: ExperimentReport) -> str:
+    return f"result: {'PASS' if report.passed else 'FAIL'}"
+
+
 def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
+    if isinstance(value, int):  # bool is an int, and str prints it as True/False
         return str(value)
     return f"{float(value):.6e}"
 
@@ -343,7 +336,9 @@ def _verdict(check: Check) -> str:
 
 
 def paper_table_text(grid: ExperimentReport) -> str:
-    """Compact aligned table: one row per shape and time step."""
+    """The ``paper-table`` report: one aligned row per shape and time
+    step, the degradation ratio when steps were taken, and the
+    ``result:`` line."""
     header = f"{'shape':<10s} {'tau':>7s} {'var M':>12s} {'var <V>':>12s} {'band':>22s}  verdict"
     lines = [header, "-" * len(header)]
     verdicts = {c.name: c for c in grid.checks}
@@ -362,6 +357,7 @@ def paper_table_text(grid: ExperimentReport) -> str:
             f"random degradation at tau=0.005: x{ratio_check.value:.1f} "
             f"({ratio_check.requirement})  {_verdict(ratio_check)}"
         )
+    lines.append(_result_line(grid))
     return "\n".join(lines) + "\n"
 
 
@@ -709,7 +705,6 @@ def order_of_accuracy_run() -> ExperimentReport:
 # qualitative shape behaviour
 
 SHAPE_RESIDUAL_LIMIT = 1e-2
-WRAP_CLEARANCE_SIGMAS = 10.0
 NEW_MAXIMA_REQUIRED = 2
 
 
@@ -717,32 +712,26 @@ def qualitative_shape_run() -> ExperimentReport:
     """Shape phenomenology of the three canonical initial states.
 
     * a drifting gaussian under exact evolution keeps its gaussian
-      profile and its width never shrinks while the packet stays at
-      least 10 sigma clear of the wrap point;
+      profile and its width never shrinks;
     * a uniform window under the reaction process grows side lobes;
     * the random state's position-space roughness and outer-band
       momentum fraction are reported without gating (the smoothing of
       random fluctuations has no quantitative published statement).
 
-    The gaussian's spread and shape residual are those ``run`` records.
+    The gaussian's spread and shape residual are those ``run`` records
+    at t = 0, 10, ..., 200.  They hold while the packet is 10 sigma
+    clear of the wrap point, as it is at these fixed times: the
+    free-particle law sigma(t)^2 = sigma_0^2 + (t / (a^2 sigma_0))^2
+    gives sigma <= 22.4, so 10 sigma <= 224 < N / 2 = 400.5.
     """
     lattice = make_lattice(N_SITES)
 
     # gaussian dispersion under the exact unitary
     state = gaussian_state(lattice, 0, GAUSSIAN_SIGMA, GAUSSIAN_VELOCITY_INDEX)
-    # 20 records over t = 200
-    records = run(state, EvolutionConfig(tau=10.0, scheme=EXACT), 20, record_every=1).snapshots
-    spreads = []
-    residual_max = 0.0
-    monotone = True
-    for record in records:
-        spread = record.position_spread
-        if spreads and spread < spreads[-1] - 1e-9:
-            monotone = False
-        spreads.append(spread)
-        residual_max = max(residual_max, record.shape_residual)
-        if WRAP_CLEARANCE_SIGMAS * spread > N_SITES / 2.0:
-            break
+    series = run(state, EvolutionConfig(tau=10.0, scheme=EXACT), 20, record_every=1)
+    spreads = series.column("position_spread")
+    residual_max = max(series.column("shape_residual"))
+    monotone = not any(b < a - 1e-9 for a, b in zip(spreads, spreads[1:]))
     growth = spreads[-1] / spreads[0]
 
     # uniform window develops side lobes under the reaction process

@@ -35,15 +35,16 @@ class TimeSeries:
         """All values of one snapshot field, in step order."""
         return [getattr(snap, name) for snap in self.snapshots]
 
-    def _csv_blocks(self):
+    def csv_blocks(self):
+        """The CSV text in blocks of rows (``ioutil.csv_blocks``)."""
         return csv_blocks(TIMESERIES_CSV_HEADER, self.column("step"),
                           [self.column(name) for name in _COLUMNS[1:]])
 
     def to_csv_text(self) -> str:
-        return "".join(self._csv_blocks())
+        return "".join(self.csv_blocks())
 
     def write_csv(self, path: str) -> None:
-        atomic_write_text(path, self._csv_blocks())
+        atomic_write_text(path, self.csv_blocks())
 
     def to_json_obj(self) -> dict:
         return {

@@ -1,4 +1,5 @@
 import json
+import sys
 import warnings
 
 import pytest
@@ -6,6 +7,8 @@ import pytest
 import ringfield.experiments
 import ringfield.cli
 from ringfield.cli import build_parser, main
+from ringfield.ioutil import _FIELD_BYTES
+from ringfield.observables import RECORD_BLOCK_BYTES
 from ringfield.series import TIMESERIES_CSV_HEADER
 
 
@@ -88,6 +91,30 @@ class TestRunCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith(TIMESERIES_CSV_HEADER)
+
+    def test_stdout_is_written_a_block_of_rows_at_a_time(self, tmp_path, monkeypatch):
+        """The series goes to stdout as ``--csv`` writes it, in blocks
+        of rows, so the whole text is never one string."""
+        argv = ["run", "--n-sites", "21", "--width", "2", "--velocity-index", "1",
+                "--n-steps", "5000", "--record-every", "1"]
+        out = tmp_path / "series.csv"
+        assert main([*argv, "--csv", str(out)]) == 0
+        chunks = []
+
+        class Recorder:
+            def write(self, text):
+                chunks.append(text)
+
+            def writelines(self, texts):
+                chunks.extend(texts)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert main(argv) == 0
+        assert "".join(chunks) == out.read_text()
+        row_bytes = _FIELD_BYTES * len(TIMESERIES_CSV_HEADER.split(","))
+        rows_per_block = RECORD_BLOCK_BYTES // row_bytes
+        assert len(chunks) > 1
+        assert max(chunk.count("\n") for chunk in chunks) < rows_per_block < 5001
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -266,7 +293,7 @@ PARSER_CORPUS = [
     ["run", "--sch", "exact"],
     ["verify"],
     ["verify", "--max-n", "21", "--inject-kernel-error", "1e-6"],
-    ["paper-table", "--steps", "3", "--seed", "1", "--json", "t.json", "--text", "t.txt"],
+    ["paper-table", "--steps", "3", "--seed", "1", "--json", "t.json"],
     ["compare", *RUN_OVERRIDES, "--csv", "c.csv"],
     ["even-odd", "--n-even", "100", "--n-odd", "101", "--sigma", "4", "--steps", "3",
      "--tau", "1e-4", "--json", "e.json"],

@@ -17,6 +17,7 @@ from ringfield import (
     norm_m,
     order_of_accuracy_run,
     paper_table_grid,
+    qualitative_shape_run,
     state_from_amplitudes,
 )
 from ringfield.basis import momentum_coefficients
@@ -279,6 +280,18 @@ class TestConfinedDriftDiagnostic:
         assert report.passed
         gated = [c for c in report.checks if c.gated]
         assert len(gated) == 1 and gated[0].value < 0.05
+
+
+class TestQualitativeShapes:
+    def test_gaussian_stays_ten_sigma_clear_of_the_wrap(self):
+        """The gaussian's spread and residual are read at every record,
+        and they hold only 10 sigma clear of the wrap point; its widest
+        record, the last since its width grows monotonically, is."""
+        report = qualitative_shape_run()
+        (monotone,) = [c for c in report.checks if c.name == "gaussian width growth monotone"]
+        assert monotone.passed
+        growth = report.metrics["gaussian width growth factor"]
+        assert 10 * GAUSSIAN_SIGMA * growth < N_SITES / 2
 
 
 class TestReportRendering:

@@ -1,7 +1,8 @@
-"""The text reports of ``verify``, ``paper-table`` and ``even-odd``, the
-``run`` and ``compare`` CSV files and the odd and even checkpoints are
-byte-stable: they match the committed fixtures in ``tests/data``, or,
-for the large files of the N = 4001 run, their committed sha256."""
+"""The text and JSON reports of ``verify``, ``paper-table`` and
+``even-odd``, the ``run`` and ``compare`` CSV files and the odd and even
+checkpoints are byte-stable: they match the committed fixtures in
+``tests/data``, or, for the large files of the N = 4001 run, their
+committed sha256."""
 
 import hashlib
 from pathlib import Path
@@ -21,10 +22,21 @@ DATA = Path(__file__).resolve().parent / "data"
     (["even-odd"], "even_odd.txt"),
     (["verify"], "verify.txt"),
     (["verify", "--max-n", "21"], "verify_max_n_21.txt"),
+    # tau g^2 N^2 = 0.395 over 1000 steps carries a one-ulp change of either
+    # part of the Euler multiplier into printed digits
+    (["run", "--shape", "random", "--tau", "0.01", "--n-steps", "1000", "--record-every", "100"],
+     "run_random_tau_0.01.csv"),
 ])
 def test_stdout_matches_fixture(argv, fixture, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out == (DATA / fixture).read_text()
+
+
+@pytest.mark.parametrize("command", ["paper-table", "even-odd"])
+def test_json_report_matches_fixture(command, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([command, "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{command.replace('-', '_')}.json").read_bytes()
 
 
 # the numeric CSV files, written by one writer whether to a file or to stdout

@@ -13,15 +13,19 @@ import pytest
 
 import ringfield.cli
 from ringfield import (
+    DegenerateStateError,
+    EvolutionConfig,
     RunConfig,
     advance,
     gaussian_state,
     make_even_lattice,
     make_lattice,
     paper_table_grid,
+    parse_config_text,
     random_state,
     read_state_csv,
     read_timeseries_csv,
+    run,
     snapshot,
     state_from_amplitudes,
     uniform_state,
@@ -121,6 +125,16 @@ def test_unknown_parity_mode_names_the_key(tmp_path, capsys):
     assert len(errors) == 1 and "parity_mode" in errors[0]
 
 
+def test_config_line_without_equals_names_the_line(tmp_path, capsys):
+    message = "line 1: expected 'key = value', got 'n_sites 5'"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_config_text("n_sites 5\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_sites 5\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_retired_config_key_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_sites = 101\neuler_method = reference\n")
@@ -150,6 +164,7 @@ USAGE_ERRORS = {
     "bad int": ["run", "--n-steps", "1.5"],
     "unknown flag": ["compare", "--scheme", "exact"],
     "missing subcommand": [],
+    "retired paper-table text file": ["paper-table", "--text", "x"],
 }
 
 
@@ -249,12 +264,23 @@ def test_a_numpy_integer_is_a_seed():
     assert random_state(lattice, np.int64(3)).c.tobytes() == random_state(lattice, 3).c.tobytes()
 
 
-@pytest.mark.parametrize("row", ["0,1.0", "0,1.0,0.0,7"])
-def test_bad_checkpoint_row_names_path_and_line(tmp_path, row):
+def test_checkpoint_sites_out_of_label_order_name_path(tmp_path):
     path = tmp_path / "state.csv"
-    path.write_text(f"site,a,b\n-1,0.5,0.0\n\n{row}\n1,0.5,0.0\n")
-    with pytest.raises(ValueError, match=r"state\.csv: line 4: expected site,a,b"):
+    path.write_text("site,a,b\n0,0.5,0.0\n-1,0.5,0.0\n1,0.0,0.0\n")
+    message = f"{path}: site column is not the canonical label order"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         read_state_csv(str(path))
+
+
+@pytest.mark.parametrize("measure", [
+    lambda state: snapshot(state, 0),
+    lambda state: run(state, EvolutionConfig(), 2, 1),
+], ids=["snapshot", "run"])
+def test_a_state_without_weight_has_no_position_moments(measure):
+    lattice = make_lattice(21)
+    empty = state_from_amplitudes(lattice, np.zeros(lattice.n_sites, dtype=complex))
+    with pytest.raises(DegenerateStateError, match=r"^position moments need a state with M > 0$"):
+        measure(empty)
 
 
 @pytest.mark.parametrize("text, lattice_constant", [
@@ -471,7 +497,6 @@ def test_compare_checks_tau_before_any_work(monkeypatch, capsys, tau):
 
 UNWRITABLE = [
     ["paper-table", "--json", "{missing}"],
-    ["paper-table", "--text", "{missing}"],
     ["paper-table", "--json", "{directory}"],
     ["even-odd", "--json", "{missing}"],
     ["run", "--csv", "{missing}"],
@@ -616,11 +641,3 @@ def test_fifo_output_is_written_in_place(tmp_path):
     finally:
         os.close(reader)
     assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
-
-
-def test_checkpoint_blank_lines_are_skipped(tmp_path):
-    path = tmp_path / "state.csv"
-    path.write_text("\nsite,a,b\n-1,0.6,0.0\n   \n0,0.0,0.8\n\n1,0.0,0.0\n")
-    state = read_state_csv(str(path))
-    assert state.a.tolist() == [0.6, 0.0, 0.0]
-    assert state.b.tolist() == [0.0, 0.8, 0.0]
