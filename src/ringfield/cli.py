@@ -14,12 +14,18 @@ argument names (``build_parser``), so a call pays for the options it
 can read; with no first argument, ``-h`` or an unknown name it builds
 them all, for the top-level help and usage errors.
 
+Each subcommand writes its files and returns its exit code and its
+stdout text, in blocks, which ``main`` writes.
+
 Exit codes: 0 success, 1 failed checks, 2 invalid configuration,
 3 numerical guard violation.  ``main`` maps the errors of every
 subcommand: ``TimestepBoundError`` and ``ConsistencyError`` to 3, any
 other ``ValueError`` or an ``OSError`` to 2, each with one ``error:``
-line on stderr, as a usage error of the parser is.  A ``UserWarning`` (the tau bound's) prints as one
-``warning:`` line on stderr under any filter and keeps the exit code.
+line on stderr, as a usage error of the parser is.  A stdout that its
+reader closes (``| head``) ends the output quietly and keeps the
+subcommand's exit code.  A ``UserWarning`` (the tau bound's) prints as
+one ``warning:`` line on stderr under any filter and keeps the exit
+code.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ import dataclasses
 import os
 import sys
 import warnings
+from collections.abc import Iterable
 
 from .config import RunConfig, read_config
 from .evolve import TimestepBoundError, run
@@ -88,7 +95,7 @@ def _warn(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[int, Iterable[str]]:
     config = _config_from_args(args)
     _check_outputs(config.csv_path, config.json_path)
     directory = config.checkpoint_dir or "."
@@ -106,16 +113,14 @@ def _cmd_run(args) -> int:
         os.makedirs(directory, exist_ok=True)
     if config.csv_path:
         series.write_csv(config.csv_path)
-    else:
-        sys.stdout.writelines(series.csv_blocks())
     if config.json_path:
         series.write_json(config.json_path)
     for step, checkpoint in sorted(series.checkpoints.items()):
         write_state_csv(checkpoint, os.path.join(directory, f"state_{step:06d}.csv"))
-    return EXIT_OK
+    return EXIT_OK, () if config.csv_path else series.csv_blocks()
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, Iterable[str]]:
     if args.max_n < 3:
         raise ValueError(f"--max-n must be >= 3, the smallest lattice (got {args.max_n})")
     kernel_ns = [n for n in KERNEL_ORACLE_N_LIST if n <= args.max_n]
@@ -124,17 +129,14 @@ def _cmd_verify(args) -> int:
         kernel_oracle_check(kernel_ns, perturbation=args.inject_kernel_error),
         identity_suite(identity_ns),
     ]
-    for report in reports:
-        sys.stdout.write(report.to_text())
+    texts = [report.to_text() for report in reports]
     if all(report.passed for report in reports):
-        print("verify: all checks passed")
-        return EXIT_OK
+        return EXIT_OK, [*texts, "verify: all checks passed\n"]
     failing = [
         check.name for report in reports for check in report.checks
         if check.gated and not check.passed
     ]
-    print("verify: FAILED -> " + "; ".join(failing))
-    return EXIT_CHECK_FAILED
+    return EXIT_CHECK_FAILED, [*texts, "verify: FAILED -> " + "; ".join(failing) + "\n"]
 
 
 def _check_outputs(*paths) -> None:
@@ -144,21 +146,20 @@ def _check_outputs(*paths) -> None:
             check_writable(path)
 
 
-def _report(report, text: str, json_path: str | None) -> int:
-    """Print a report's text, write its JSON when asked; 1 on a failed check."""
-    sys.stdout.write(text)
+def _report(report, text: str, json_path: str | None) -> tuple[int, Iterable[str]]:
+    """Write a report's JSON when asked; 1 on a failed check, and its text."""
     if json_path:
         report.write_json(json_path)
-    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED, (text,)
 
 
-def _cmd_paper_table(args) -> int:
+def _cmd_paper_table(args) -> tuple[int, Iterable[str]]:
     _check_outputs(args.json)
     report = paper_table_grid(n_steps=args.steps, seed=args.seed)
     return _report(report, paper_table_text(report), args.json)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[int, Iterable[str]]:
     config = _config_from_args(args)
     config.evolution()  # checks tau before any work
     _check_outputs(config.csv_path)
@@ -168,12 +169,11 @@ def _cmd_compare(args) -> int:
     blocks = csv_blocks("step,deviation,m_euler,m_exact,drift_euler,drift_exact", steps, columns)
     if config.csv_path:
         atomic_write_text(config.csv_path, blocks)
-    else:
-        sys.stdout.writelines(blocks)
-    return EXIT_OK
+        return EXIT_OK, ()
+    return EXIT_OK, blocks
 
 
-def _cmd_even_odd(args) -> int:
+def _cmd_even_odd(args) -> tuple[int, Iterable[str]]:
     _check_outputs(args.json)
     report = even_odd_comparison(
         n_even=args.n_even, n_odd=args.n_odd, sigma=args.sigma,
@@ -266,11 +266,20 @@ def main(argv=None) -> int:
         warnings.showwarning = _warn
         warnings.simplefilter("default", UserWarning)  # also under -W error
         try:
-            return args.func(args)
+            code, text = args.func(args)
         except (TimestepBoundError, ConsistencyError) as exc:
             return _fail(exc, EXIT_GUARD)
         except (ValueError, OSError) as exc:  # e.g. a step that leaves the finite floats
             return _fail(exc, EXIT_BAD_CONFIG)
+        try:
+            sys.stdout.writelines(text)
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader has gone: the output ends, the verdict stands
+            # the flush at exit writes what is left to os.devnull, not the closed pipe
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,8 @@
 """Run configuration: a flat, human-editable key = value format.
 
 Every field of ``RunConfig`` is one line; a ``#`` that opens a line or
-follows a blank starts a comment.  Serialising and re-parsing returns an
-equal config (floats are written in shortest round-trip form, and
-``to_text`` refuses a value that would not read back).  Command-line
-flags override file values.
+follows a blank starts a comment.  Command-line flags override file
+values.
 
 Defaults are the headline configuration: 801 sites, unit spacing,
 tau = 1e-3, 1000 steps, observables recorded every 10 steps, drifting
@@ -17,7 +15,6 @@ import re
 from dataclasses import dataclass, fields
 
 from .evolve import EvolutionConfig
-from .ioutil import atomic_write_text, fmt
 from .lattice import EVEN, ODD, Lattice, _build
 from .state import StateSpec, _check_integer, _check_seed
 
@@ -74,20 +71,6 @@ class RunConfig:
 
     def evolution(self) -> EvolutionConfig:
         return EvolutionConfig(tau=self.tau, scheme=self.scheme)
-
-    def to_text(self) -> str:
-        lines = []
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            text = fmt(value) if spec.type == "float" else str(value)
-            read_back = _COMMENT.split(f" {text}", maxsplit=1)[0].strip()
-            if len(text.splitlines()) > 1 or read_back != text:
-                raise ValueError(f"{spec.name} {text!r} would not read back from a config file")
-            lines.append(f"{spec.name} = {text}")
-        return "\n".join(lines) + "\n"
-
-    def write(self, path: str) -> None:
-        atomic_write_text(path, self.to_text())
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -1,5 +1,6 @@
-"""Shared file helpers: exact float text, atomic writes and the numeric
-CSV format (a header line, an integer label column, float columns)."""
+"""Shared file helpers: atomic writes and the numeric CSV format (a
+header line, an integer label column, float columns in shortest
+round-trip form)."""
 
 from __future__ import annotations
 
@@ -17,11 +18,6 @@ import numpy as np
 # built: its number as a Python object, its text in the row strings and
 # their list slots (about 78 measured, on rows of a label and two floats)
 _FIELD_BYTES = 80
-
-
-def fmt(x) -> str:
-    """Shortest decimal string that round-trips to the same float64."""
-    return repr(float(x))
 
 
 def _temp_file(path: str) -> tuple[int, str]:
@@ -122,9 +118,9 @@ def atomic_write_text(path: str, text: str | Iterable[str]) -> None:
 def csv_blocks(header: str, labels, columns) -> Iterator[str]:
     """A numeric CSV as blocks of text: ``header``, then per label a row
     of the integer label (``str``) and its value from each column
-    (``fmt``).  The rows come a block at a time (``row_blocks``), each
-    from one ``tolist`` of every column's slice, so the whole text is
-    never built; ``"".join`` gives it."""
+    (``repr``, which reads back exactly).  The rows come a block at a
+    time (``row_blocks``), each from one ``tolist`` of every column's
+    slice, so the whole text is never built; ``"".join`` gives it."""
     # imported here: observables imports this module (through state)
     from .observables import row_blocks
 

@@ -82,6 +82,9 @@ _FAR_IMAGE = 746.0
 # moment; R is floored to keep log() finite for spread-less (flat) states
 _MIN_RESULTANT = 1e-300
 
+# the margin of ``count_local_maxima``, a fraction of the global peak
+MAXIMUM_PROMINENCE = 1e-6
+
 
 def row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
     """Slices of ``range(n_rows)`` of at most ``RECORD_BLOCK_BYTES`` of
@@ -241,15 +244,15 @@ def _gaussian_image(offsets, shift, twice_variance, out):
     return np.exp(out, out=out)
 
 
-def count_local_maxima(distribution: np.ndarray, prominence: float = 1e-6) -> int:
+def count_local_maxima(distribution: np.ndarray) -> int:
     """Number of strict cyclic local maxima of a per-site distribution.
 
-    A site counts when it exceeds both neighbours by ``prominence``
-    times the global peak, so flat plateaus and rounding ripple do not
-    count.
+    A site counts when it exceeds both neighbours by
+    ``MAXIMUM_PROMINENCE`` times the global peak, so flat plateaus and
+    rounding ripple do not count.
     """
     distribution = np.asarray(distribution, dtype=float)
-    floor = prominence * float(np.max(distribution))
+    floor = MAXIMUM_PROMINENCE * float(np.max(distribution))
     left = np.roll(distribution, 1)
     right = np.roll(distribution, -1)
     return int(np.sum((distribution > left + floor) & (distribution > right + floor)))

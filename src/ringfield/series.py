@@ -40,9 +40,6 @@ class TimeSeries:
         return csv_blocks(TIMESERIES_CSV_HEADER, self.column("step"),
                           [self.column(name) for name in _COLUMNS[1:]])
 
-    def to_csv_text(self) -> str:
-        return "".join(self.csv_blocks())
-
     def write_csv(self, path: str) -> None:
         atomic_write_text(path, self.csv_blocks())
 

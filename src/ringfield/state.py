@@ -274,10 +274,6 @@ def _state_csv_blocks(state: FieldState):
     return csv_blocks(STATE_CSV_HEADER, state.lattice.sites(), [state.a, state.b])
 
 
-def state_to_csv_text(state: FieldState) -> str:
-    return "".join(_state_csv_blocks(state))
-
-
 def write_state_csv(state: FieldState, path: str) -> None:
     atomic_write_text(path, _state_csv_blocks(state))
 

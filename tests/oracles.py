@@ -4,6 +4,7 @@ The dense N x N reference lives here, not in the package: the cached F
 and G site matrices and the direct O(N^2) reaction step built on F.
 """
 
+from dataclasses import fields
 from decimal import Decimal, getcontext, localcontext
 from functools import lru_cache, wraps
 
@@ -252,3 +253,10 @@ def deviation_decimal(occupation, x, steps, digits=50) -> list:
                 real, imag = euler[0] - exact[0], euler[1] - exact[1]
                 totals[row] += occ * (real * real + imag * imag)
         return [total.sqrt() for total in totals]
+
+
+def config_text(config) -> str:
+    """A config file of every field of ``config``, one ``key = value``
+    line each; ``str`` of a float is its shortest round-trip form."""
+    return "".join(f"{spec.name} = {getattr(config, spec.name)}\n"
+                   for spec in fields(config))

@@ -14,6 +14,7 @@ import ringfield
 import ringfield.basis
 import ringfield.evolve
 import ringfield.experiments
+import ringfield.ioutil
 import ringfield.kernels
 import ringfield.observables
 import ringfield.state
@@ -86,6 +87,13 @@ def test_no_kernel_table_exports():
         (ringfield.kernels, "SITE_MATRIX_CACHE_SIZE"),
         (ringfield.kernels, "SITE_MATRIX_MAX_SITES"),
         (ringfield.evolve, "_dense_euler_step"),
+        # a config writer and whole-text CSV joiners only the tests called;
+        # the tests join ``csv_blocks`` themselves
+        (ringfield.RunConfig, "to_text"),
+        (ringfield.RunConfig, "write"),
+        (ringfield.ioutil, "fmt"),
+        (ringfield.state, "state_to_csv_text"),
+        (ringfield.TimeSeries, "to_csv_text"),
     ):
         assert not hasattr(ringfield, name), name
         assert not hasattr(module, name), name
@@ -107,6 +115,11 @@ def test_experiment_procedure_parameters(procedure, parameters):
     # module constants of ``experiments``
     signature = inspect.signature(getattr(ringfield.experiments, procedure))
     assert list(signature.parameters) == parameters
+
+
+def test_count_local_maxima_takes_only_a_distribution():
+    # no caller sets the prominence, ``observables.MAXIMUM_PROMINENCE``
+    assert list(inspect.signature(ringfield.count_local_maxima).parameters) == ["distribution"]
 
 
 def test_no_public_function_takes_kernels():

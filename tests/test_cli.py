@@ -108,6 +108,9 @@ class TestRunCommand:
             def writelines(self, texts):
                 chunks.extend(texts)
 
+            def flush(self):
+                pass
+
         monkeypatch.setattr(sys, "stdout", Recorder())
         assert main(argv) == 0
         assert "".join(chunks) == out.read_text()

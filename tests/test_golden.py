@@ -11,7 +11,7 @@ import pytest
 
 from ringfield import TimeSeries, read_state_csv, read_timeseries_csv
 from ringfield.cli import main
-from ringfield.state import state_to_csv_text
+from ringfield.state import _state_csv_blocks
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -67,12 +67,13 @@ def test_checkpoint_matches_fixture_and_reads_back(parity, fixture, tmp_path):
                  "--checkpoint-dir", str(tmp_path)]) == 0
     expected = (DATA / fixture).read_text()
     assert (tmp_path / "state_000010.csv").read_text() == expected
-    assert state_to_csv_text(read_state_csv(str(DATA / fixture))) == expected
+    assert "".join(_state_csv_blocks(read_state_csv(str(DATA / fixture)))) == expected
 
 
 def test_series_fixture_reads_back_to_its_text():
     snapshots = read_timeseries_csv(str(DATA / "run_n101.csv"))
-    assert TimeSeries(tuple(snapshots)).to_csv_text() == (DATA / "run_n101.csv").read_text()
+    text = "".join(TimeSeries(tuple(snapshots)).csv_blocks())
+    assert text == (DATA / "run_n101.csv").read_text()
 
 
 # the argv of the benchmark's wide run (N = 4001, 21 records, 5 checkpoints),

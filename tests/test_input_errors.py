@@ -1,6 +1,7 @@
 """Invalid input reaches its documented exit code with a one-line
 message, and malformed checkpoints name the offending line."""
 
+import errno
 import os
 import re
 import stat
@@ -36,7 +37,7 @@ from ringfield.experiments import even_odd_comparison, identity_suite
 from ringfield.ioutil import atomic_write_text, check_writable
 from ringfield.observables import snapshots
 from ringfield.series import TIMESERIES_CSV_HEADER, TimeSeries
-from ringfield.state import state_to_csv_text
+from ringfield.state import _state_csv_blocks
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -341,9 +342,9 @@ def test_bad_series_value_names_path_and_line(tmp_path, row):
 # both numeric CSV readers share one format:
 # (reader, its inverse writer, header, three good rows)
 CSV_FORMATS = {
-    "state": (read_state_csv, state_to_csv_text, "site,a,b",
+    "state": (read_state_csv, lambda state: "".join(_state_csv_blocks(state)), "site,a,b",
               ["-1,0.6,0.0", "0,0.0,0.8", "1,0.0,0.0"]),
-    "series": (read_timeseries_csv, lambda rows: TimeSeries(tuple(rows)).to_csv_text(),
+    "series": (read_timeseries_csv, lambda rows: "".join(TimeSeries(tuple(rows)).csv_blocks()),
                TIMESERIES_CSV_HEADER,
                ["0,1.0,0.0,0.0,0.0,1.0,0.0", "5,1.0,0.1,0.05,0.0,1.0,0.0",
                 "10,1.0,0.2,0.1,0.0,1.0,0.0"]),
@@ -441,6 +442,47 @@ def test_vanishing_gaussian_width_runs_without_warnings(argv, code):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == code
     assert proc.stderr == ""
+
+
+# the argv of a command whose stdout closes before it writes -> its exit code
+CLOSED_STDOUT = {
+    "run": (["run", "--n-sites", "21", "--width", "2", "--velocity-index", "1",
+             "--n-steps", "2000", "--record-every", "1"], 0),
+    "compare": (["compare", "--n-sites", "21", "--width", "2", "--velocity-index", "1",
+                 "--n-steps", "2000", "--record-every", "1"], 0),
+    # a small text, which meets the closed pipe only when ``main`` flushes it
+    "verify": (["verify", "--max-n", "21", "--inject-kernel-error", "1e-6"], 1),
+}
+
+
+@pytest.mark.parametrize("command", CLOSED_STDOUT)
+def test_closed_stdout_exits_quietly_with_the_verdict(command):
+    """A reader that has gone (``| head``) is not a bad configuration:
+    no ``error:`` line, no traceback, and the command's own exit code."""
+    argv, code = CLOSED_STDOUT[command]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ringfield.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
+def test_closed_pipe_at_a_csv_path_exits_2(monkeypatch, tmp_path, capsys):
+    """A ``--csv`` path whose reader has gone (a FIFO) is an output error."""
+    path = str(tmp_path / "series.csv")
+
+    def closed(series, target):
+        raise OSError(errno.EPIPE, os.strerror(errno.EPIPE), target)
+
+    monkeypatch.setattr(TimeSeries, "write_csv", closed)
+    assert main(["run", *SMALL, "--n-steps", "2", "--csv", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}: {path!r}\n"
 
 
 def _assert_negative_seed_is_named(argv):

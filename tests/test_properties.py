@@ -21,32 +21,29 @@ from ringfield import (
     read_state_csv,
     write_state_csv,
 )
-from ringfield.ioutil import fmt
 from ringfield.state import _new_state
+
+from oracles import config_text
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None)
 
 
-def _writable(text: str) -> bool:
-    try:
-        RunConfig(csv_path=text).to_text()
-    except ValueError:
-        return False
-    return True
+def _readable(text: str) -> bool:
+    """No surrounding blanks and no word that opens with ``#``, which
+    the parser would strip."""
+    return text == text.strip() and not any(word.startswith("#") for word in text.split())
 
 
-# one config line per field: any printable text that ``to_text`` writes;
-# it refuses surrounding blanks and a ``#`` after a blank, which the
-# parser would strip
-config_text = st.text(
+# one config line per field: any printable text that reads back
+config_str = st.text(
     st.characters(min_codepoint=32, max_codepoint=126), max_size=20
-).filter(_writable)
+).filter(_readable)
 config_int = st.integers(-(10**18), 10**18)
 config_float = st.floats(allow_nan=False)
 FIELD_STRATEGIES = {
     "int": config_int,
     "float": config_float,
-    "str": config_text,
+    "str": config_str,
 }
 BOUNDED_INTS = {
     "n_steps": st.integers(0, 10**18),
@@ -65,13 +62,13 @@ run_configs = st.builds(
 
 def _field_texts(config):
     """Each field as text, so -0.0 and 0.0 differ."""
-    return [fmt(v) if isinstance(v, float) else repr(v) for v in dataclasses.astuple(config)]
+    return [repr(v) for v in dataclasses.astuple(config)]
 
 
 @PROPERTY_SETTINGS
 @given(run_configs)
 def test_config_text_round_trip(config):
-    parsed = parse_config_text(config.to_text())
+    parsed = parse_config_text(config_text(config))
     assert parsed == config
     assert _field_texts(parsed) == _field_texts(config)
 

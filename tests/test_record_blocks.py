@@ -38,7 +38,6 @@ from ringfield.experiments import (
     paper_table_grid,
 )
 from ringfield.evolve import EULER, EXACT, MAX_RECORDS, record_steps
-from ringfield.ioutil import fmt
 from ringfield.observables import (
     RECORD_BLOCK_BYTES,
     ObservableSnapshot,
@@ -150,7 +149,7 @@ def test_real_state_has_exactly_zero_drift_at_step_zero(lattice):
     for value in (first.drift_velocity, first.momentum_expectation):
         assert value == 0.0
         assert math.copysign(1.0, value) == 1.0
-        assert fmt(value) == "0.0"
+        assert repr(float(value)) == "0.0"
 
 
 COMPARE_COLUMNS = ("deviation", "m_euler", "m_exact", "drift_euler", "drift_exact")

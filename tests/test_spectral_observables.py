@@ -32,8 +32,7 @@ from ringfield.experiments import (
     paper_table_grid,
     qualitative_shape_run,
 )
-from ringfield.ioutil import fmt
-from ringfield.state import state_to_csv_text, write_state_csv
+from ringfield.state import _state_csv_blocks, write_state_csv
 
 from oracles import g_site_matrix
 
@@ -87,7 +86,7 @@ class TestAgainstDenseOracle:
 def test_real_state_drift_prints_as_positive_zero():
     for lattice in LATTICES:
         state = uniform_state(lattice, 0, 1, 0)
-        assert fmt(snapshot(state, 0).drift_velocity) == "0.0"
+        assert repr(float(snapshot(state, 0).drift_velocity)) == "0.0"
 
 
 class TestParsevalGuard:
@@ -168,7 +167,7 @@ def test_checkpoint_text_is_written_a_block_at_a_time(monkeypatch, tmp_path):
     (0.42 measured).  Building the whole text first peaked at 4.1 times
     the text."""
     state = gaussian_state(make_lattice(4001), 123, 50.0, 17)
-    text = state_to_csv_text(state)
+    text = "".join(_state_csv_blocks(state))
     path = tmp_path / "state.csv"
     _none, peak = _traced_peak(lambda: write_state_csv(state, str(path)))
     assert peak <= 1.25 * ringfield.observables.RECORD_BLOCK_BYTES
