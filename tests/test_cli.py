@@ -6,6 +6,7 @@ import pytest
 
 import ringfield.experiments
 import ringfield.cli
+from ringfield import norm_m, read_state_csv, read_timeseries_csv
 from ringfield.cli import build_parser, main
 from ringfield.ioutil import _FIELD_BYTES
 from ringfield.observables import RECORD_BLOCK_BYTES
@@ -59,6 +60,9 @@ class TestRunCommand:
         code = main(["run", "--n-sites", "101", "--width", "5", "--tau", "0.02",
                      "--n-steps", "1"])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "error: tau * g^2 * N^2 = 0.790 >= 0.5; the linearised step is meaningless"
+            " at this size\n")
 
     def test_tau_warning_is_one_line(self, capsys):
         code = main(["run", "--n-sites", "101", "--width", "5", "--tau", "0.01",
@@ -147,6 +151,26 @@ class TestRunCommand:
         names = sorted(p.name for p in ckdir.iterdir())
         assert names == ["state_000000.csv", "state_000005.csv", "state_000010.csv"]
 
+    @pytest.mark.parametrize("lattice, parity", [
+        (["--n-sites", "101"], "odd"),
+        (["--parity-mode", "even_naive", "--n-sites", "100"], "even"),
+    ], ids=["odd", "even"])
+    def test_checkpoints_read_back_to_their_rows(self, tmp_path, lattice, parity):
+        """Checkpoints fall every 7 steps and on the last, apart from the
+        records; each recorded one reads back to its row's M."""
+        series, ckdir = tmp_path / "series.csv", tmp_path / "ck"
+        assert main(["run", *lattice, "--width", "5", "--n-steps", "20", "--record-every", "5",
+                     "--checkpoint-every", "7", "--checkpoint-dir", str(ckdir),
+                     "--csv", str(series)]) == 0
+        assert sorted(p.name for p in ckdir.iterdir()) == [
+            "state_000000.csv", "state_000007.csv", "state_000014.csv", "state_000020.csv"]
+        rows = {row.step: row for row in read_timeseries_csv(str(series))}
+        assert list(rows) == [0, 5, 10, 15, 20]
+        for step in (0, 20):
+            state = read_state_csv(str(ckdir / f"state_{step:06d}.csv"))
+            assert state.lattice.parity == parity
+            assert abs(norm_m(state) - rows[step].m_total) <= 1e-12 * rows[step].m_total
+
 
 class TestVerifyCommand:
     def test_small_verify_passes(self, capsys):
@@ -231,6 +255,15 @@ class TestCompareCommand:
         header, row = capsys.readouterr().out.splitlines()
         assert header == "step,deviation,m_euler,m_exact,drift_euler,drift_exact"
         assert row.split(",")[:2] == ["0", "0.0"]
+
+    def test_a_row_does_not_depend_on_the_rows_recorded_with_it(self, capsys):
+        def rows(*argv):
+            assert main(["compare", "--n-sites", "4001", "--width", "50", *argv]) == 0
+            return capsys.readouterr().out.splitlines()
+
+        every = rows("--n-steps", "100", "--record-every", "1")
+        assert every[101] == rows("--n-steps", "100", "--record-every", "100")[-1]
+        assert every[51] == rows("--n-steps", "50", "--record-every", "50")[-1]
 
     @pytest.mark.parametrize("n_steps", ["0", "20"])
     def test_state_without_momentum_has_exactly_zero_drift(self, capsys, n_steps):
