@@ -20,17 +20,18 @@ stdout text, in blocks, which ``main`` writes.
 Exit codes: 0 success, 1 failed checks, 2 invalid configuration,
 3 numerical guard violation.  ``main`` maps the errors of every
 subcommand: ``TimestepBoundError`` and ``ConsistencyError`` to 3, any
-other ``ValueError`` or an ``OSError`` to 2, each with one ``error:``
-line on stderr, as a usage error of the parser is.  A stdout that its
-reader closes (``| head``) ends the output quietly and keeps the
-subcommand's exit code.  A ``UserWarning`` (the tau bound's) prints as
-one ``warning:`` line on stderr under any filter and keeps the exit
-code.
+other ``ValueError``, an ``OSError`` or a ``MemoryError`` to 2, each
+with one ``error:`` line on stderr, as a usage error of the parser is.
+A closed stdout, or one its reader closes (``| head``), ends the output
+quietly and keeps the exit code; another error writing it exits 2.  A
+``UserWarning`` (the tau bound's) prints as one ``warning:`` line
+under any filter.  A closed or failing stderr drops its lines.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import os
 import sys
@@ -85,14 +86,21 @@ def _config_from_args(args) -> RunConfig:
     return dataclasses.replace(read_config(args.config) if args.config else RunConfig(), **flags)
 
 
-def _fail(exc: Exception, code: int) -> int:
-    print(f"error: {exc}", file=sys.stderr)
+def _print_err(line: str) -> None:
+    """Print ``line`` on stderr, or drop it when stderr is closed or refuses it."""
+    if sys.stderr is not None:  # None: descriptor 2 was closed at start
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+
+
+def _fail(exc: Exception | str, code: int) -> int:
+    _print_err(f"error: {str(exc) or type(exc).__name__}")
     return code
 
 
 def _warn(message, category, filename, lineno, file=None, line=None) -> None:
     """``warnings.showwarning`` that prints one line, without the source."""
-    print(f"warning: {message}", file=sys.stderr)
+    _print_err(f"warning: {message}")
 
 
 def _cmd_run(args) -> tuple[int, Iterable[str]]:
@@ -186,8 +194,7 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors (subparsers share the class) print one line, exit 2."""
 
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_CONFIG)
+        raise SystemExit(_fail(message, EXIT_BAD_CONFIG))
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -269,16 +276,20 @@ def main(argv=None) -> int:
             code, text = args.func(args)
         except (TimestepBoundError, ConsistencyError) as exc:
             return _fail(exc, EXIT_GUARD)
-        except (ValueError, OSError) as exc:  # e.g. a step that leaves the finite floats
+        except (ValueError, OSError, MemoryError) as exc:  # e.g. a state too large to hold
             return _fail(exc, EXIT_BAD_CONFIG)
+        if sys.stdout is None:  # descriptor 1 is closed: the output ends, the verdict stands
+            return code
         try:
             sys.stdout.writelines(text)
             sys.stdout.flush()
-        except BrokenPipeError:  # the reader has gone: the output ends, the verdict stands
-            # the flush at exit writes what is left to os.devnull, not the closed pipe
+        except OSError as exc:
+            # the flush at exit writes what is left to os.devnull, not the failed stream
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
+            if not isinstance(exc, BrokenPipeError):  # the reader has gone: the verdict stands
+                return _fail(OSError(exc.errno, exc.strerror, "<stdout>"), EXIT_BAD_CONFIG)
         return code
 
 

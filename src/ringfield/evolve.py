@@ -28,12 +28,12 @@ crosses the index seam.
 So n steps are one multiplier raised to the power n.  ``run``
 transforms the initial state once (``Propagator.coefficients``) and
 builds and measures only the rows it records or checkpoints, a block
-(``observables.row_blocks``, 256 KiB of rows) at a time: the rows
+(``ioutil.row_blocks``, 256 KiB of rows) at a time: the rows
 c_hat_0 m^n are built in one array and go through one batched inverse
 transform, which ``basis.site_amplitudes`` takes in place in the array
 it returns (``Propagator.amplitudes_after``).  So a row costs its share
 of one FFT call, whose fixed cost at a prime N a block spreads over
-its rows (``observables.RECORD_BLOCK_BYTES``), and memory stays flat.
+its rows (``ioutil.RECORD_BLOCK_BYTES``), and memory stays flat.
 Its M and <P> columns come from one ``observables.spectral_series`` of
 |c_hat_0|^2 whenever the step is diagonal in the unbiased basis, the
 reduction behind ``compare``'s and the conservation table's closed
@@ -63,7 +63,8 @@ import numpy as np
 from .basis import momentum_coefficients, site_amplitudes
 from .kernels import _euler_x
 from .lattice import EVEN, Lattice
-from .observables import row_blocks, snapshot, snapshots, spectral_series
+from .ioutil import row_blocks
+from .observables import snapshot, snapshots, spectral_series
 from .series import TimeSeries
 from .state import FieldState, _check_integer, _frozen, _require_one_state, state_from_amplitudes
 

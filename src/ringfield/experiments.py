@@ -452,11 +452,7 @@ def _dense_reaction_step(fmat: np.ndarray, scale: float, a: np.ndarray, b: np.nd
     return a + scale * created_a, b - scale * created_b
 
 
-def identity_suite(
-    n_sites_list=IDENTITY_N_LIST,
-    states_per_n: int = IDENTITY_STATES_PER_N,
-    seed: int = DEFAULT_SEED,
-) -> ExperimentReport:
+def identity_suite(n_sites_list=IDENTITY_N_LIST) -> ExperimentReport:
     """Brute-force verification of the derivation-level identities.
 
     * one-step M drift equals tau^2 g^4 sum_{r,u} c_r conj(c_u)
@@ -470,19 +466,16 @@ def identity_suite(
     the O(N^3) matrix products stay cheap: at most
     ``IDENTITY_MAX_SITES`` = 801 sites, a peak of about 56 N^2 bytes.
     The k^4 sum is taken per residue d mod N (``_residue_sums``), so
-    memory is O(N^2).  The ``states_per_n`` random states of a lattice,
-    each at both normalisations, form one block of rows, which takes one
-    dense Euler step of ``IDENTITY_TAU`` (``_dense_reaction_step``);
-    both the block and the stepped block must be finite
-    (``ValueError``).  Raises ``ValueError`` first for no lattice,
-    ``states_per_n`` < 1, a seed that is not an integer >= 0 or a
-    lattice past the cap, and checks the tau bound of every lattice
-    (``check_tau_bound``, ``TimestepBoundError``), before any matrix is
-    built.
+    memory is O(N^2).  The ``IDENTITY_STATES_PER_N`` random states of a
+    lattice, drawn from ``DEFAULT_SEED``, each at both normalisations,
+    form one block of rows, which takes one dense Euler step of
+    ``IDENTITY_TAU`` (``_dense_reaction_step``); both the block and the
+    stepped block must be finite (``ValueError``).  Raises
+    ``ValueError`` first for no lattice or a lattice past the cap, and
+    checks the tau bound of every lattice (``check_tau_bound``,
+    ``TimestepBoundError``), before any matrix is built.
     """
     _check_sizes(n_sites_list)
-    _check_integer("states_per_n", states_per_n, 1)
-    _check_seed(seed)
     tau = IDENTITY_TAU
     lattices = [make_lattice(n) for n in n_sites_list]
     for lattice in lattices:
@@ -490,7 +483,7 @@ def identity_suite(
             raise ValueError(f"identity_suite builds dense matrices for N <= "
                              f"{IDENTITY_MAX_SITES} only (got N = {lattice.n_sites})")
         check_tau_bound(tau, lattice)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(DEFAULT_SEED)
     worst_m = worst_conv = worst_comm = 0.0
     for lattice in lattices:
         n = lattice.n_sites
@@ -514,7 +507,7 @@ def identity_suite(
 
         # one-step M drift, bilinear so checked at two normalisations:
         # every state at M = 1, then every state at M = 7, one block
-        draws = rng.uniform(-1.0, 1.0, (states_per_n, 2, n))
+        draws = rng.uniform(-1.0, 1.0, (IDENTITY_STATES_PER_N, 2, n))
         amps = draws[:, 0] + 1j * draws[:, 1]
         amps /= np.sqrt(_row_dots(amps.real, amps.real) + _row_dots(amps.imag, amps.imag))[:, None]
         block = _frozen(
@@ -540,8 +533,8 @@ def identity_suite(
         name="identity suite",
         params={
             "n_sites_list": list(n_sites_list),
-            "states_per_n": states_per_n,
-            "seed": seed,
+            "states_per_n": IDENTITY_STATES_PER_N,
+            "seed": DEFAULT_SEED,
             "tau": tau,
         },
         metrics={

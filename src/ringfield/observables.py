@@ -46,14 +46,14 @@ for a block.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ioutil
 from .basis import momentum_coefficients
 from .kernels import ConsistencyError, _euler_x
-from .lattice import EVEN, Lattice
+from .lattice import ODD, Lattice
 from .state import (
     DegenerateStateError,
     FieldState,
@@ -62,17 +62,6 @@ from .state import (
     combined_distribution,
     norm_m,
 )
-
-# bytes of one block of rows, read only by ``row_blocks``: complex
-# amplitudes in ``evolve``'s record blocks (20 rows at N = 801, 4 at
-# N = 4001, one from N = 8193 on), real weights in ``_spectral_rows``,
-# and the Python objects of a block of CSV rows (``ioutil.csv_blocks``).
-# A record block is built in place and measured with one scratch block
-# besides its position columns, so its transients are few.  Each batched
-# inverse FFT pays a fixed cost at a prime N (at N = 4001 one row takes
-# 0.27 ms and four 0.79 ms, best of 300 calls on a 2-vCPU Xeon VM), so
-# 21 records take 6 calls of 4 rows instead of 21.
-RECORD_BLOCK_BYTES = 256 * 1024
 
 # exp(-t) rounds to exactly 0.0 in float64 for t > 745.14, where it falls
 # below half the smallest subnormal; the margin covers the rounding of t
@@ -84,13 +73,6 @@ _MIN_RESULTANT = 1e-300
 
 # the margin of ``count_local_maxima``, a fraction of the global peak
 MAXIMUM_PROMINENCE = 1e-6
-
-
-def row_blocks(n_rows: int, row_bytes: int) -> Iterator[slice]:
-    """Slices of ``range(n_rows)`` of at most ``RECORD_BLOCK_BYTES`` of
-    rows of ``row_bytes`` each (or of one row, when a row is larger)."""
-    rows = max(1, RECORD_BLOCK_BYTES // row_bytes)
-    return (slice(lo, lo + rows) for lo in range(0, n_rows, rows))
 
 
 def _check_parseval(m_spectral, m_sites) -> None:
@@ -144,18 +126,18 @@ def _spectral_rows(steps, terms, moments: np.ndarray) -> np.ndarray:
     steps), shape (..., S, K): ``terms`` maps a column of them (R, 1)
     to its weights (R, N), and ``moments`` is (N, K), or one (N, K)
     per leading index.  The weights are built a block of rows at a time
-    (``row_blocks``), so memory stays flat as the step count grows, and
-    each row is reduced alone, so its bits do not depend on its block.
-    A block of weights is built once and reduced against each (N, K) of
-    ``moments`` in turn, so each is bitwise what it gives alone; one
-    product against the moments widened to (N, 2K) (the occupations of
-    several states side by side) is not.  Raises ``ValueError`` when a
-    value leaves the finite floats."""
+    (``ioutil.row_blocks``), so memory stays flat as the step count
+    grows, and each row is reduced alone, so its bits do not depend on
+    its block.  A block of weights is built once and reduced against
+    each (N, K) of ``moments`` in turn, so each is bitwise what it gives
+    alone; one product against the moments widened to (N, 2K) (the
+    occupations of several states side by side) is not.  Raises
+    ``ValueError`` when a value leaves the finite floats."""
     steps = np.asarray(steps, dtype=float)[:, None]
     sets = moments.reshape(-1, *moments.shape[-2:])
     series = np.empty((len(sets), len(steps), 1, moments.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for rows in row_blocks(len(steps), np.dtype(float).itemsize * moments.shape[-2]):
+        for rows in ioutil.row_blocks(len(steps), np.dtype(float).itemsize * moments.shape[-2]):
             weights = terms(steps[rows])[:, None, :]
             for out, moment in zip(series, sets):
                 # stacked 1 x N products: BLAS sums a lone row another way
@@ -274,18 +256,15 @@ def high_band_fraction(state: FieldState) -> float:
 # per-step M drift
 
 def m_step_increase_exact(state: FieldState, tau: float) -> float:
-    """Exact growth of M over one linearised step, sum_k |c_hat_k|^2 x_k^2
-    (``_euler_increase``), tau^2 g^4 sum k^4 |c_hat|^2 on an odd lattice.
-
-    Identical to what the reaction step produces, for any tau.  On an
-    even lattice c_hat is the unitary storage-order DFT, where the naive
-    step is diagonal.
-    """
+    """Exact growth of M over one linearised step of any tau, sum_k
+    |c_hat_k|^2 x_k^2 (``_euler_increase``), tau^2 g^4 sum k^4 |c_hat|^2.
+    Like every closed form it takes an odd lattice (``ValueError``
+    before any transform)."""
     _require_one_state(state, "m_step_increase_exact")
-    lattice, c = state.lattice, state.c
-    naive = lattice.parity == EVEN
-    coefficients = np.fft.fft(c, norm="ortho") if naive else momentum_coefficients(lattice, c)
-    return float(_euler_increase(lattice, np.abs(coefficients) ** 2, [tau])[0][0])
+    if state.lattice.parity != ODD:
+        raise ValueError("the closed forms take an odd lattice")
+    occupation = np.abs(momentum_coefficients(state.lattice, state.c)) ** 2
+    return float(_euler_increase(state.lattice, occupation, [tau])[0][0])
 
 
 def quartic_moment_coefficient(lattice) -> float:

@@ -113,7 +113,7 @@ def test_criterion_3_kernel_oracle_equivalence():
 
 def test_criterion_4_exact_identities_small_n():
     start = time.perf_counter()
-    report = identity_suite(n_sites_list=(3, 5, 9, 15, 21), states_per_n=50, seed=0)
+    report = identity_suite(n_sites_list=(3, 5, 9, 15, 21))
     elapsed = time.perf_counter() - start
     ok = report.passed and elapsed < 30.0
     _report(

@@ -1,11 +1,13 @@
 """The public surface: what the package exports and what the README
 shows of it."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import re
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -94,6 +96,10 @@ def test_no_kernel_table_exports():
         (ringfield.ioutil, "fmt"),
         (ringfield.state, "state_to_csv_text"),
         (ringfield.TimeSeries, "to_csv_text"),
+        # the row-block budget belongs to ``ioutil``, the lowest module
+        # that splits rows
+        (ringfield.observables, "row_blocks"),
+        (ringfield.observables, "RECORD_BLOCK_BYTES"),
     ):
         assert not hasattr(ringfield, name), name
         assert not hasattr(module, name), name
@@ -108,13 +114,46 @@ def test_no_kernel_table_exports():
     ("order_of_accuracy_run", []),
     ("qualitative_shape_run", []),
     ("confined_drift_diagnostic", []),
-    ("identity_suite", ["n_sites_list", "states_per_n", "seed"]),
+    ("identity_suite", ["n_sites_list"]),
 ])
 def test_experiment_procedure_parameters(procedure, parameters):
     # lattice sizes, widths and time steps that no caller varies are
     # module constants of ``experiments``
     signature = inspect.signature(getattr(ringfield.experiments, procedure))
     assert list(signature.parameters) == parameters
+
+
+def _package_imports():
+    """(module, module it imports, whether inside a function) for every
+    ``from .`` import of every module of the package."""
+    for path in sorted(Path(ringfield.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        nested = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [alias.name for alias in node.names]
+                for target in targets:
+                    yield path.stem, target, id(node) in nested
+
+
+def test_no_function_imports_from_the_package():
+    # a module that needs another imports it at its top, where a cycle shows
+    assert [(module, target) for module, target, inside in _package_imports() if inside] == []
+
+
+def test_the_package_imports_form_no_cycle():
+    graph = {}
+    for module, target, _inside in _package_imports():
+        graph.setdefault(module, set()).add(target)
+    try:
+        TopologicalSorter(graph).prepare()
+    except CycleError as exc:
+        pytest.fail(f"import cycle: {' -> '.join(exc.args[1])}")
 
 
 def test_count_local_maxima_takes_only_a_distribution():

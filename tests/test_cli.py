@@ -8,8 +8,7 @@ import ringfield.experiments
 import ringfield.cli
 from ringfield import norm_m, read_state_csv, read_timeseries_csv
 from ringfield.cli import build_parser, main
-from ringfield.ioutil import _FIELD_BYTES
-from ringfield.observables import RECORD_BLOCK_BYTES
+from ringfield.ioutil import _FIELD_BYTES, RECORD_BLOCK_BYTES
 from ringfield.series import TIMESERIES_CSV_HEADER
 
 

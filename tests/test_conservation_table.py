@@ -15,6 +15,7 @@ import pytest
 
 import ringfield.evolve
 import ringfield.experiments
+import ringfield.ioutil
 import ringfield.observables
 from ringfield import (
     ConsistencyError,
@@ -36,9 +37,10 @@ from ringfield.experiments import (
     compare_rows,
     table_state,
 )
+from ringfield.ioutil import row_blocks
 from ringfield.kernels import kernel_f
 from ringfield.lattice import make_even_lattice
-from ringfield.observables import row_blocks, spectral_series
+from ringfield.observables import spectral_series
 from ringfield.state import norm_m, state_from_amplitudes
 
 import oracles
@@ -233,7 +235,7 @@ def test_spectral_rows_do_not_depend_on_their_block(monkeypatch, n, block_rows):
     so a row of ``compare --n-steps 0`` prints as the same row of the
     default ``compare``."""
     if block_rows is not None:
-        monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", block_rows * 8 * n)
+        monkeypatch.setattr(ringfield.ioutil, "RECORD_BLOCK_BYTES", block_rows * 8 * n)
     lattice = make_lattice(n)
     tau = 1e-3
     steps = record_steps(1000, 10)
@@ -268,7 +270,7 @@ def _block_path_columns(state, tau, steps):
 @pytest.mark.parametrize("n", [3, 21, 101, 801])
 def test_spectral_series_matches_the_block_path(monkeypatch, n):
     # 3 rows of weights per block, so the 41 steps split into 14 blocks
-    monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", 3 * 8 * n)
+    monkeypatch.setattr(ringfield.ioutil, "RECORD_BLOCK_BYTES", 3 * 8 * n)
     lattice = make_lattice(n)
     state = random_state(lattice, n)
     tau = 1e-3

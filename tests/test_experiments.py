@@ -22,9 +22,11 @@ from ringfield import (
 )
 from ringfield.basis import momentum_coefficients
 from ringfield.experiments import (
+    DEFAULT_SEED,
     GAUSSIAN_SIGMA,
     GAUSSIAN_VELOCITY_INDEX,
     IDENTITY_MAX_SITES,
+    IDENTITY_STATES_PER_N,
     IDENTITY_TAU,
     N_SITES,
     ORDER_TAUS,
@@ -51,23 +53,22 @@ class TestRelativeVariation:
 
 class TestIdentitySuite:
     def test_small_lattices_pass(self):
-        report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=10)
+        report = identity_suite(n_sites_list=(3, 5, 9))
         assert report.passed
         assert report.metrics["max relative M drift residual"] < 1e-10
         assert report.metrics["max convolution residual (scaled)"] < 1e-8
 
     def test_deterministic(self):
-        one = identity_suite(n_sites_list=(3, 5), states_per_n=5, seed=3)
-        two = identity_suite(n_sites_list=(3, 5), states_per_n=5, seed=3)
+        one = identity_suite(n_sites_list=(3, 5))
+        two = identity_suite(n_sites_list=(3, 5))
         assert json.dumps(one.to_json_obj()) == json.dumps(two.to_json_obj())
 
-    @pytest.mark.parametrize("n_sites_list, states_per_n, seed", [
-        ((3, 5, 9), 10, 0),
-        ((15, 21), 7, 3),
-    ])
-    def test_block_step_matches_the_per_state_oracle(self, n_sites_list, states_per_n, seed):
-        report = identity_suite(n_sites_list, states_per_n, seed)
-        expected = identity_m_drift_residual(n_sites_list, states_per_n, seed, IDENTITY_TAU)
+    @pytest.mark.parametrize("n_sites_list", [(3, 5, 9), (15, 21)])
+    def test_block_step_matches_the_per_state_oracle(self, n_sites_list):
+        report = identity_suite(n_sites_list)
+        expected = identity_m_drift_residual(
+            n_sites_list, IDENTITY_STATES_PER_N, DEFAULT_SEED, IDENTITY_TAU
+        )
         assert report.metrics["max relative M drift residual"] == expected
 
     @pytest.mark.parametrize("n", [3, 21, 101])
@@ -88,7 +89,7 @@ class TestIdentitySuite:
             return a + scale * np.matmul(fmat, b[..., None])[..., 0], b
 
         monkeypatch.setattr(ringfield.experiments, "_dense_reaction_step", without_created_b)
-        report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=10)
+        report = identity_suite(n_sites_list=(3, 5, 9))
         drift = next(c for c in report.checks if c.name == "one-step M drift identity")
         assert not drift.passed and not report.passed
 
@@ -98,7 +99,7 @@ class TestIdentitySuite:
         original = ringfield.experiments.kernel_f
         monkeypatch.setattr(ringfield.experiments, "kernel_f",
                             lambda d, lattice: original(d, lattice) * (1.0 + 1e-6))
-        report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=4)
+        report = identity_suite(n_sites_list=(3, 5, 9))
         convolution = next(c for c in report.checks if c.name == "F*F convolution identity")
         assert not convolution.passed and not report.passed
 
@@ -107,7 +108,7 @@ class TestIdentitySuite:
         (N, N, N) array is built: an N^3 one at N = 101 took 34 MB."""
         tracemalloc.start()
         try:
-            assert identity_suite((101,), states_per_n=1).passed
+            assert identity_suite((101,)).passed
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -123,7 +124,7 @@ class TestIdentitySuite:
             return gmat
 
         monkeypatch.setattr(ringfield.experiments, "kernel_g", with_nan)
-        report = identity_suite(n_sites_list=(3, 5, 9), states_per_n=4)
+        report = identity_suite(n_sites_list=(3, 5, 9))
         commutator = next(c for c in report.checks if c.name == "F/G commutator vanishes")
         assert np.isnan(commutator.value)
         assert not commutator.passed and not report.passed
@@ -146,23 +147,23 @@ class TestIdentitySuite:
             try:
                 with pytest.raises(ValueError, match="^identity_suite builds dense matrices "
                                    "for N <= 801 only [(]got N = 803[)]$"):
-                    identity_suite((3, IDENTITY_MAX_SITES + 2), states_per_n=1)
+                    identity_suite((3, IDENTITY_MAX_SITES + 2))
                 _current, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert peak < 2**20
         # a lattice at the cap is built; shown on a lowered cap
         monkeypatch.setattr(ringfield.experiments, "IDENTITY_MAX_SITES", 21)
-        assert identity_suite((21,), states_per_n=1).passed
+        assert identity_suite((21,)).passed
         with pytest.raises(ValueError, match="N <= 21 only"):
-            identity_suite((23,), states_per_n=1)
+            identity_suite((23,))
 
     def test_checks_the_tau_bound_before_any_matrix(self, monkeypatch):
         # tau g^2 N^2 = 0.02 (2 pi)^2 = 0.79, past the limit of 0.5
         self._forbid_kernel_matrices(monkeypatch)
         monkeypatch.setattr(ringfield.experiments, "IDENTITY_TAU", 0.02)
         with pytest.raises(TimestepBoundError):
-            identity_suite((3, 5), states_per_n=1)
+            identity_suite((3, 5))
 
 
 class TestKernelOracle:
@@ -195,11 +196,9 @@ class TestKernelOracle:
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: identity_suite([3], states_per_n=0), r"states_per_n must be an integer >= 1"),
     (lambda: identity_suite([]), "at least one lattice"),
     (lambda: kernel_oracle_check([]), "at least one lattice"),
-], ids=["identity suite without states", "identity suite without lattices",
-        "kernel oracle without lattices"])
+], ids=["identity suite without lattices", "kernel oracle without lattices"])
 def test_a_report_that_would_check_nothing_raises_before_any_work(monkeypatch, call, message):
     # an empty report would read PASS
     def no_work(*args):

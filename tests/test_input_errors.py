@@ -4,6 +4,7 @@ message, and malformed checkpoints name the offending line."""
 import errno
 import os
 import re
+import resource
 import stat
 import subprocess
 import sys
@@ -33,13 +34,14 @@ from ringfield import (
 )
 from ringfield.cli import main
 from ringfield.evolve import MAX_RECORDS
-from ringfield.experiments import even_odd_comparison, identity_suite
+from ringfield.experiments import even_odd_comparison
 from ringfield.ioutil import atomic_write_text, check_writable
 from ringfield.observables import snapshots
 from ringfield.series import TIMESERIES_CSV_HEADER, TimeSeries
 from ringfield.state import _state_csv_blocks
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+DATA = Path(__file__).resolve().parent / "data"
 
 SMALL = ["--n-sites", "101", "--width", "5"]
 
@@ -208,7 +210,6 @@ def test_run_config_rejects(field, value):
 BOOL_COUNTS = {
     "advance": (lambda: advance(gaussian_state(make_lattice(21), 0, 2.0), "euler", 1e-3, True),
                 "n_steps"),
-    "identity_suite": (lambda: identity_suite([3], states_per_n=True), "states_per_n"),
     "RunConfig": (lambda: RunConfig(record_every=True), "record_every"),
     "even_odd_comparison": (lambda: even_odd_comparison(n_steps=True), "n_steps"),
     "snapshot": (lambda: snapshot(gaussian_state(make_lattice(21), 0, 2.0), True), "step"),
@@ -247,7 +248,6 @@ BAD_SEEDS = {
     "paper_table_grid, bool": (lambda: paper_table_grid(10, seed=True),
                                "seed must be an integer (got True)"),
     "RunConfig": (lambda: RunConfig(seed=2.5), "seed must be an integer (got 2.5)"),
-    "identity_suite": (lambda: identity_suite([3], 2, seed=-1), "seed must be >= 0 (got -1)"),
 }
 
 
@@ -417,13 +417,18 @@ def test_csv_blank_and_whitespace_lines_are_skipped(tmp_path, form):
     assert writer(reader(str(path))) == "\n".join([header, *rows]) + "\n"
 
 
+def _cli(argv, preexec_fn=None, **streams):
+    """``ringfield`` in a fresh interpreter, ``preexec_fn`` run in the child."""
+    env = {**os.environ, "PYTHONPATH": SRC, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "ringfield.cli", *argv], text=True, env=env,
+                          preexec_fn=preexec_fn, **streams)
+
+
 def test_exact_scheme_overflow_prints_one_line():
     # a fresh interpreter, so numpy warnings reach stderr as a user sees them
     argv = ["run", *SMALL, "--n-steps", "1", "--lattice-constant", "1e-300",
             "--scheme", "exact"]
-    env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-m", "ringfield.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _cli(argv, capture_output=True)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
@@ -437,9 +442,7 @@ def test_exact_scheme_overflow_prints_one_line():
 ], ids=["overflowing quotient", "vanishing 4 sigma^2", "even-odd"])
 def test_vanishing_gaussian_width_runs_without_warnings(argv, code):
     # a fresh interpreter, so numpy warnings reach stderr as a user sees them
-    env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-m", "ringfield.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _cli(argv, capture_output=True)
     assert proc.returncode == code
     assert proc.stderr == ""
 
@@ -460,12 +463,10 @@ def test_closed_stdout_exits_quietly_with_the_verdict(command):
     """A reader that has gone (``| head``) is not a bad configuration:
     no ``error:`` line, no traceback, and the command's own exit code."""
     argv, code = CLOSED_STDOUT[command]
-    env = {**os.environ, "PYTHONPATH": SRC}
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run([sys.executable, "-m", "ringfield.cli", *argv],
-                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+        proc = _cli(argv, stdout=write_end, stderr=subprocess.PIPE)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (code, "")
@@ -485,11 +486,71 @@ def test_closed_pipe_at_a_csv_path_exits_2(monkeypatch, tmp_path, capsys):
     assert captured.err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}: {path!r}\n"
 
 
+def _close_stderr():
+    os.close(2)
+
+
+def _read_only_stderr():
+    # descriptor 2 open, but on a file that refuses every write (EBADF)
+    os.dup2(os.open(os.devnull, os.O_RDONLY), 2)
+
+
+# argv -> exit code and stdout of commands that write stderr: two
+# tau-bound warnings, a warning and then a guard error, a usage error
+STDERR_WRITERS = {
+    "paper-table": (["paper-table"], 0, (DATA / "paper_table.txt").read_text()),
+    "guard": (["run", *SMALL, "--tau", "0.03", "--n-steps", "10"], 3, ""),
+    "usage": (["run", "--shape", "blob"], 2, ""),
+}
+
+
+@pytest.mark.parametrize("fault", [_close_stderr, _read_only_stderr], ids=["closed", "read-only"])
+@pytest.mark.parametrize("command", STDERR_WRITERS)
+def test_failing_stderr_keeps_the_exit_code_and_stdout(command, fault):
+    """A stderr that is closed or refuses its lines drops them: the
+    command exits with its own code and writes the stdout it writes
+    with stderr open."""
+    argv, code, out = STDERR_WRITERS[command]
+    proc = _cli(argv, fault, stdout=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (code, out)
+
+
+@pytest.mark.parametrize("command", CLOSED_STDOUT)
+def test_closed_stdout_descriptor_exits_quietly_with_the_verdict(command):
+    """A command started with descriptor 1 closed has no stdout: its
+    output ends before it starts, without a word on stderr."""
+    argv, code = CLOSED_STDOUT[command]
+    proc = _cli(argv, lambda: os.close(1), stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stderr) == (code, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_2_with_one_line():
+    """A stdout that refuses its text (a full disk) is an output error,
+    as an unwritable ``--csv`` path is."""
+    with open("/dev/full", "w") as full:
+        proc = _cli(["run", *SMALL, "--n-steps", "10"], stdout=full, stderr=subprocess.PIPE)
+    message = f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '<stdout>'\n"
+    assert (proc.returncode, proc.stderr) == (2, message)
+
+
+def test_refused_allocation_exits_2_with_one_line():
+    """An array the address-space limit refuses is a configuration too
+    large for the machine.  Its first array, 763 MiB of sites, is past
+    the 512 MiB limit alone, so the command touches little memory."""
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    proc = _cli(["run", "--n-sites", "100000001", "--n-steps", "0"], limit,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert re.fullmatch(r"error: Unable to allocate 763\. MiB [^\n]*\n", proc.stderr), proc.stderr
+
+
 def _assert_negative_seed_is_named(argv):
     # a fresh interpreter, so warnings of any work done would reach stderr
-    env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run([sys.executable, "-m", "ringfield.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    proc = _cli(argv, capture_output=True)
     assert proc.returncode == 2
     assert proc.stderr == "error: seed must be >= 0 (got -1)\n"
     assert proc.stdout == ""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ringfield.observables
 from ringfield import (
     DegenerateStateError,
     boost,
@@ -235,12 +236,15 @@ class TestMDriftDiagnostics:
         measured = norm_m(stepped) - norm_m(state)
         assert measured == pytest.approx(predicted, rel=1e-5)
 
-    @pytest.mark.parametrize("seed", [None, 2], ids=["gaussian", "random"])
-    def test_exact_formula_matches_the_naive_even_step(self, seed):
-        lattice = make_even_lattice(100)
-        state = gaussian_state(lattice, 0, 5.0, 3) if seed is None else random_state(lattice, seed)
-        measured = norm_m(euler_step(state, 1e-3)) - norm_m(state)
-        assert measured == pytest.approx(m_step_increase_exact(state, 1e-3), rel=1e-6)
+    def test_exact_formula_refuses_an_even_lattice_before_any_transform(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a transform was taken")
+
+        state = gaussian_state(make_even_lattice(100), 0, 5.0, 3)
+        monkeypatch.setattr(ringfield.observables, "momentum_coefficients", forbidden)
+        monkeypatch.setattr(ringfield.observables, "_euler_increase", forbidden)
+        with pytest.raises(ValueError, match="^the closed forms take an odd lattice$"):
+            m_step_increase_exact(state, 1e-3)
 
     def test_diagonal_coefficient_near_limit(self):
         coeff = quartic_moment_coefficient(LAT)

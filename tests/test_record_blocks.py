@@ -15,7 +15,7 @@ import pytest
 import ringfield.cli
 import ringfield.evolve
 import ringfield.experiments
-import ringfield.observables
+import ringfield.ioutil
 from ringfield import (
     ConsistencyError,
     EvolutionConfig,
@@ -38,10 +38,8 @@ from ringfield.experiments import (
     paper_table_grid,
 )
 from ringfield.evolve import EULER, EXACT, MAX_RECORDS, record_steps
-from ringfield.observables import (
-    RECORD_BLOCK_BYTES,
-    ObservableSnapshot,
-)
+from ringfield.ioutil import RECORD_BLOCK_BYTES, csv_blocks
+from ringfield.observables import ObservableSnapshot
 from ringfield.state import norm_m
 
 import oracles
@@ -115,7 +113,7 @@ def test_rows_match_states_built_one_at_a_time(monkeypatch, method, n_sites):
     lattice = make_even_lattice(n_sites) if n_sites % 2 == 0 else make_lattice(n_sites)
     if n_sites < 100:
         # 3 rows per block, so the 11 records below split 3 + 3 + 3 + 2
-        monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", 3 * 16 * n_sites)
+        monkeypatch.setattr(ringfield.ioutil, "RECORD_BLOCK_BYTES", 3 * 16 * n_sites)
         n_steps, record_every = 20, 2
     else:
         # 20 rows per block at the default size: 101 records split 5 x 20 + 1
@@ -163,7 +161,7 @@ def test_compare_rows_match_states_built_one_at_a_time(monkeypatch, n_sites):
     if n_sites < 100:
         # 3 rows of float weights per block, so the 11 records below split
         # 3 + 3 + 3 + 2 in both the M/<P> series and the deviation
-        monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", 3 * 8 * n_sites)
+        monkeypatch.setattr(ringfield.ioutil, "RECORD_BLOCK_BYTES", 3 * 8 * n_sites)
         n_steps, record_every = 20, 2
     else:
         n_steps, record_every = 100, 1
@@ -368,7 +366,7 @@ def test_outputs_do_not_depend_on_the_block_size(monkeypatch, tmp_path, parity, 
     default = written(tmp_path / "default")
     n_sites = int(parity[1])
     assert RECORD_BLOCK_BYTES // (16 * n_sites) > 1
-    monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", 16 * n_sites)
+    monkeypatch.setattr(ringfield.ioutil, "RECORD_BLOCK_BYTES", 16 * n_sites)
     assert written(tmp_path / "one_row") == default
     assert len(default) == 5
 
@@ -387,14 +385,14 @@ def test_compare_takes_one_inverse_transform_per_scheme(fft_calls, record_every,
 
 
 def test_one_block_size_splits_every_loop(monkeypatch, fft_calls):
-    """``RECORD_BLOCK_BYTES`` is patched in ``observables`` alone, and it
-    splits all three row-block loops alike: ``run``'s inverse transforms,
-    and the rows that ``compare``'s M/<P> series and its deviation each
-    reduce.  A loop that sized its own blocks would take all 11 records
-    at once."""
+    """``RECORD_BLOCK_BYTES`` is patched in ``ioutil`` alone, and it
+    splits every row-block loop alike: ``run``'s inverse transforms, the
+    rows that ``compare``'s M/<P> series and its deviation each reduce,
+    and the rows of a CSV.  A loop that sized its own blocks would take
+    all 11 records at once."""
     n = 21
     bound = 3 * 16 * n
-    monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", bound)
+    monkeypatch.setattr(ringfield.ioutil, "RECORD_BLOCK_BYTES", bound)
     state = random_state(make_lattice(n), 7)
     assert len(run(state, EvolutionConfig(), 20, 2).snapshots) == 11
     run_rows = [shape[0] for shape in fft_calls["ifft"]]
@@ -412,6 +410,10 @@ def test_one_block_size_splits_every_loop(monkeypatch, fft_calls):
     assert len(compare_rows(state, TAU, 20, 2)) == 11
     # 3 complex rows or 6 float rows per block
     assert (run_rows, reduced) == ([3, 3, 3, 2], {"series": [6, 5], "deviation": [6, 5]})
+
+    # 4 CSV rows of a label and two floats (80 bytes a field) per block
+    blocks = list(csv_blocks("step,x,y", range(11), [np.arange(11.0)] * 2))
+    assert [block.count("\n") + 1 for block in blocks[2::2]] == [4, 4, 3]
 
 
 @pytest.mark.parametrize("kind, step", [(EULER, 1e-3), (EXACT, 0.1), (EULER, 1.0),

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import ringfield.ioutil
 import ringfield.observables
 from ringfield import (
     ConsistencyError,
@@ -170,8 +171,8 @@ def test_checkpoint_text_is_written_a_block_at_a_time(monkeypatch, tmp_path):
     text = "".join(_state_csv_blocks(state))
     path = tmp_path / "state.csv"
     _none, peak = _traced_peak(lambda: write_state_csv(state, str(path)))
-    assert peak <= 1.25 * ringfield.observables.RECORD_BLOCK_BYTES
-    monkeypatch.setattr(ringfield.observables, "RECORD_BLOCK_BYTES", 48 * 1024)
+    assert peak <= 1.25 * ringfield.ioutil.RECORD_BLOCK_BYTES
+    monkeypatch.setattr(ringfield.ioutil, "RECORD_BLOCK_BYTES", 48 * 1024)
     _none, peak = _traced_peak(lambda: write_state_csv(state, str(path)))
     assert peak < len(text) / 2
     assert path.read_text() == text
